@@ -18,14 +18,13 @@ from .coordalg import (
     validate_gains,
 )
 from .coordctrl import (
-    CoordinationState,
     MissionRateProfile,
     Violation,
     constant_profile,
-    coordination_accel,
+    coordination_accel_matrix,
     coordination_error,
     feasibility_check,
-    path_error_feedback,
+    path_error_feedback_all,
     smoothstep_profile,
 )
 from .digraph import (
@@ -50,15 +49,6 @@ from .simharness import (
     write_outputs,
 )
 from .switchlaw import SwitchingState, advance, init_switching
-from .vehicle import (
-    LaneSweepFamily,
-    Trajectory,
-    VehicleState,
-    apply_disturbance,
-    default_trajectories,
-    eval_trajectory,
-    pf_control,
-    pf_error,
-)
+from .vehicle import LaneSweepFamily, apply_disturbance, pf_control_all
 
 __version__ = "0.1.0"

@@ -294,7 +294,7 @@ def build_certificate(
     m = len(family)
     q = build_projection(n)
     laplacians = [laplacian(d).astype(float) for d in family]
-    reduced = [q.q @ l @ q.q.T for l in laplacians]
+    reduced = [reduced_laplacian(q, l) for l in laplacians]
     reduced_union = sum(reduced)
     p = solve_lyapunov(reduced_union, m)
 

@@ -10,27 +10,14 @@ when all ``gamma_i`` agree and all rates match the desired rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .coordalg import ProjectionMatrix
-from .digraph import Digraph, laplacian
 from .errors import ConfigError
-
-
-@dataclass
-class CoordinationState:
-    """Virtual times and their rates for all vehicles."""
-
-    gamma: np.ndarray
-    gamma_dot: np.ndarray
-
-    @classmethod
-    def initial(cls, n: int) -> "CoordinationState":
-        # canonical start: gamma = 0, rate = 1 for every vehicle
-        return cls(gamma=np.zeros(n), gamma_dot=np.ones(n))
 
 
 @dataclass(frozen=True)
@@ -110,23 +97,15 @@ def smoothstep_profile(
     )
 
 
-def path_error_feedback(
-    traj_velocity: np.ndarray, e_pf: np.ndarray, delta: float
-) -> float:
-    """Feedback of one vehicle's path-following error on its virtual-time
-    acceleration: the error component along the desired velocity, scaled
-    by ``|v| / (|v| + delta) < 1``.  Magnitude never exceeds ``|e_pf|``."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    v = np.asarray(traj_velocity, dtype=float)
-    e = np.asarray(e_pf, dtype=float)
-    return float(v @ e) / (float(np.linalg.norm(v)) + delta)
-
-
 def path_error_feedback_all(
     traj_velocities: np.ndarray, e_pf_all: np.ndarray, delta: float
 ) -> np.ndarray:
-    """Vectorized :func:`path_error_feedback` over all vehicles."""
+    """Feedback of each vehicle's path-following error on its virtual-time
+    acceleration: the error component along the desired velocity ``v_i``,
+    scaled by ``|v_i| / (|v_i| + delta) < 1``, so its magnitude never
+    exceeds ``|e_i|``.  Rows are independent."""
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     dots = np.einsum("ij,ij->i", traj_velocities, e_pf_all)
     norms = np.sqrt(np.einsum("ij,ij->i", traj_velocities, traj_velocities))
     return dots / (norms + delta)
@@ -147,41 +126,22 @@ def coordination_accel_matrix(
     return -b * (gamma_dot - gamma_dot_d) - a * (lap @ gamma) - alpha
 
 
-def coordination_accel(
-    state: CoordinationState,
-    topology: Digraph,
-    e_pf_all: np.ndarray,
-    traj_velocities: np.ndarray,
-    profile: MissionRateProfile,
-    t: float,
-    a: float,
-    b: float,
-    delta: float,
-) -> np.ndarray:
-    """Virtual-time accelerations for all vehicles under one topology."""
-    n = topology.n
-    if state.gamma.shape != (n,) or e_pf_all.shape != (n, 3):
-        raise ValueError("state / error dimensions do not match topology size")
-    alpha = path_error_feedback_all(np.asarray(traj_velocities, float), np.asarray(e_pf_all, float), delta)
-    lap_f = laplacian(topology).astype(float)
-    return coordination_accel_matrix(
-        state.gamma, state.gamma_dot, lap_f, alpha, profile.rate(t), a, b
-    )
-
-
 def coordination_error(
-    state: CoordinationState, q: ProjectionMatrix, gamma_dot_d: float
+    gamma: np.ndarray,
+    gamma_dot: np.ndarray,
+    q: ProjectionMatrix | None,
+    gamma_dot_d: float,
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Coordination error: projected virtual-time disagreement and rate
     deviation, plus the stacked norm.
 
     The first component vanishes exactly when all virtual times agree;
-    adding a common constant to every ``gamma_i`` leaves it unchanged.
+    adding a common constant to every ``gamma_i`` leaves it unchanged.  A
+    single vehicle has no projection (``q`` is None) and no disagreement.
     """
-    xi1 = q.q @ state.gamma
-    xi2 = state.gamma_dot - gamma_dot_d
-    norm = float(np.sqrt(xi1 @ xi1 + xi2 @ xi2))
-    return xi1, xi2, norm
+    xi1 = q.q @ gamma if q is not None else np.zeros(0)
+    xi2 = gamma_dot - gamma_dot_d
+    return xi1, xi2, math.sqrt(float(xi1 @ xi1) + float(xi2 @ xi2))
 
 
 class Violation(NamedTuple):
@@ -192,34 +152,34 @@ class Violation(NamedTuple):
 
 
 def feasibility_check(
-    state: CoordinationState,
+    gamma_dot: np.ndarray,
     gamma_ddot: np.ndarray,
-    gamma_dot_max: float,
-    gamma_ddot_max: float,
+    bounds: tuple[float, float],
     t: float = 0.0,
     active: np.ndarray | None = None,
 ) -> list[Violation]:
     """Flag virtual-time rates outside ``[1 - gamma_dot_max,
-    1 + gamma_dot_max]`` and accelerations beyond ``gamma_ddot_max``.
+    1 + gamma_dot_max]`` and accelerations beyond ``gamma_ddot_max``, where
+    ``bounds = (gamma_dot_max, gamma_ddot_max)``.
 
     ``active`` restricts the check to vehicles still flying the mission.
-    An empty list means feasible.
+    Records are ordered by vehicle, a rate record before an acceleration
+    record of the same vehicle.  An empty list means feasible.
     """
+    gamma_dot_max, gamma_ddot_max = bounds
     if gamma_dot_max <= 0 or gamma_ddot_max <= 0:
         raise ValueError("feasibility bounds must be positive")
     if gamma_dot_max >= 1:
         raise ValueError("gamma_dot_max must be < 1 so rates stay positive")
+    bad_rate = (gamma_dot < 1.0 - gamma_dot_max) | (gamma_dot > 1.0 + gamma_dot_max)
+    bad_accel = np.abs(gamma_ddot) > gamma_ddot_max
+    flagged = bad_rate | bad_accel
+    if active is not None:
+        flagged &= active
     violations: list[Violation] = []
-    n = state.gamma_dot.shape[0]
-    mask = np.ones(n, dtype=bool) if active is None else active
-    lo, hi = 1.0 - gamma_dot_max, 1.0 + gamma_dot_max
-    for i in range(n):
-        if not mask[i]:
-            continue
-        gd = float(state.gamma_dot[i])
-        if gd < lo or gd > hi:
-            violations.append(Violation(i + 1, t, "rate", gd))
-        gdd = float(gamma_ddot[i])
-        if abs(gdd) > gamma_ddot_max:
-            violations.append(Violation(i + 1, t, "accel", gdd))
+    for i in flagged.nonzero()[0]:
+        if bad_rate[i]:
+            violations.append(Violation(int(i) + 1, t, "rate", float(gamma_dot[i])))
+        if bad_accel[i]:
+            violations.append(Violation(int(i) + 1, t, "accel", float(gamma_ddot[i])))
     return violations

@@ -23,9 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import coordctrl, switchlaw, vehicle
-from .coordalg import SwitchingCertificate, build_certificate, build_projection
+from .coordalg import (
+    SwitchingCertificate,
+    build_certificate,
+    build_projection,
+    reduced_laplacian,
+)
 from .coordctrl import MissionRateProfile, Violation, smoothstep_profile
-from .digraph import Digraph, adjacency, contains_spanning_tree, jointly_connected, laplacian
+from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacian
 from .errors import ConfigError, NumericError, SynthesisError
 from .vehicle import LaneSweepFamily
 
@@ -296,13 +301,14 @@ def random_bidirectional_schedule(
 
 @dataclass
 class SimWorld:
-    """Mutable state of one run plus the immutable objects it needs."""
+    """Mutable state of one run plus the immutable objects it needs;
+    ``switch_log`` is the run's one switch record (in directed mode, the
+    switching law's own list)."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
     profile: MissionRateProfile
     laplacians: tuple[np.ndarray, ...]
-    adjacencies: tuple[np.ndarray, ...]
     cert: SwitchingCertificate | None
     sw: switchlaw.SwitchingState | None
     schedule: np.ndarray | None
@@ -315,8 +321,8 @@ class SimWorld:
     p: np.ndarray = None
     v: np.ndarray = None
     arrived: np.ndarray = None
-    switch_events: list = field(default_factory=list)
-    # diagnostics of the most recent pre-step sample, filled by step()
+    switch_log: list[tuple[float, int, int]] = field(default_factory=list)
+    # diagnostics of the most recent sample, filled by _sample()
     last_sample: dict = None
 
     @property
@@ -329,8 +335,7 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     fam = config.trajectory_family()
     profile = config.mission_profile()
     laps = tuple(laplacian(d).astype(float) for d in config.topology_family)
-    adjs = tuple(adjacency(d).astype(float) for d in config.topology_family)
-    for m in (*laps, *adjs):
+    for m in laps:
         m.setflags(write=False)
 
     cert = None
@@ -372,7 +377,6 @@ def init_world(config: ScenarioConfig) -> SimWorld:
         fam=fam,
         profile=profile,
         laplacians=laps,
-        adjacencies=adjs,
         cert=cert,
         sw=sw,
         schedule=schedule,
@@ -382,6 +386,7 @@ def init_world(config: ScenarioConfig) -> SimWorld:
         p=p0,
         v=v0,
         arrived=np.zeros(config.n, dtype=bool),
+        switch_log=sw.switch_log if sw is not None else [],
     )
 
 
@@ -402,14 +407,10 @@ def _check_finite(world: SimWorld) -> None:
             )
 
 
-def step(world: SimWorld, dt: float) -> SimWorld:
-    """Advance one step: RK4 on the coupled smooth dynamics with the
-    topology held fixed, then the switching decision, then arrival
-    clamping and the velocity limit.
-
-    Diagnostics of the pre-step sample (virtual-time accelerations,
-    path errors, auxiliary energy) land in ``world.last_sample``.
-    """
+def _rhs(world: SimWorld):
+    """Coupled smooth dynamics under the active topology, ``rhs(t, gamma,
+    gamma_dot, p, v) -> (gamma', gamma_dot', p', v', path errors)``; the
+    virtual time of an arrived vehicle is held (its derivatives are 0)."""
     cfg = world.config
     fam = world.fam
     rate = world.profile.rate
@@ -431,37 +432,52 @@ def step(world: SimWorld, dt: float) -> SimWorld:
         )
         if any_arrived:
             dgamma = np.where(arrived, 0.0, gamma_dot)
-            dgdot = np.where(arrived, 0.0, gdd)
-            target_vel = tv * dgamma[:, None]
+            gdd = np.where(arrived, 0.0, gdd)
         else:
             dgamma = gamma_dot
-            dgdot = gdd
-            target_vel = tv * gamma_dot[:, None]
-        u = vehicle.pf_control_all(p, v, tp, target_vel, kp, kd, a_lim)
+        u = vehicle.pf_control_all(p, v, tp, tv * dgamma[:, None], kp, kd, a_lim)
         for row, gvec, window in gust_rows:
             u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-        return dgamma, dgdot, v, u, gdd, e
+        return dgamma, gdd, v, u, e
 
-    t0 = world.t
-    g0, gd0, p0, v0 = world.gamma, world.gamma_dot, world.p, world.v
-    k1 = rhs(t0, g0, gd0, p0, v0)
+    return rhs
 
-    epf = np.sqrt(np.einsum("ij,ij->i", k1[5], k1[5]))
+
+def _sample(world: SimWorld, rhs) -> tuple:
+    """First RK4 stage at the current state; the sample's diagnostics land
+    in ``world.last_sample``, which holds the state arrays themselves
+    (``step`` replaces them, never writes into them)."""
+    k1 = rhs(world.t, world.gamma, world.gamma_dot, world.p, world.v)
     world.last_sample = {
-        "t": t0,
+        "t": world.t,
         "sigma": world.sigma,
-        "gamma": g0.copy(),
-        "gamma_dot": gd0.copy(),
-        "gamma_ddot": k1[4].copy(),
-        "p": p0.copy(),
-        "epf_norm": epf,
-        "arrived": arrived.copy(),
+        "gamma": world.gamma,
+        "gamma_dot": world.gamma_dot,
+        "gamma_ddot": k1[1],
+        "p": world.p,
+        "epf_norm": np.sqrt(np.einsum("ij,ij->i", k1[4], k1[4])),
+        "arrived": world.arrived,
         "aux_v": (
             float(world.sw.phi @ world.cert.p @ world.sw.phi)
             if world.sw is not None
             else None
         ),
     }
+    return k1
+
+
+def step(world: SimWorld, dt: float) -> SimWorld:
+    """Advance one step: RK4 on the coupled smooth dynamics with the
+    topology held fixed, then the switching decision, then arrival
+    clamping and the velocity limit.
+
+    Diagnostics of the pre-step sample land in ``world.last_sample``.
+    """
+    cfg = world.config
+    rhs = _rhs(world)
+    t0 = world.t
+    g0, gd0, p0, v0 = world.gamma, world.gamma_dot, world.p, world.v
+    k1 = _sample(world, rhs)
 
     h = 0.5 * dt
     k2 = rhs(t0 + h, g0 + h * k1[0], gd0 + h * k1[1], p0 + h * k1[2], v0 + h * k1[3])
@@ -485,17 +501,15 @@ def step(world: SimWorld, dt: float) -> SimWorld:
         world.v[over] *= (cfg.speed_limit / speeds[over])[:, None]
 
     # switching decision at the step boundary
-    old_sigma = world.sigma
     if world.sw is not None:
-        switchlaw.advance(world.sw, dt, a, b, world.cert)
+        switchlaw.advance(world.sw, dt, cfg.a, cfg.b, world.cert)
         world.sigma = world.sw.sigma
-        if world.sigma != old_sigma:
-            world.switch_events.append((world.t, old_sigma, world.sigma))
     elif world.schedule is not None:
         idx = min(int(world.t / cfg.random_switch_period), len(world.schedule) - 1)
-        world.sigma = int(world.schedule[idx])
-        if world.sigma != old_sigma:
-            world.switch_events.append((world.t, old_sigma, world.sigma))
+        new = int(world.schedule[idx])
+        if new != world.sigma:
+            world.switch_log.append((world.t, world.sigma, new))
+            world.sigma = new
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly
@@ -504,7 +518,7 @@ def step(world: SimWorld, dt: float) -> SimWorld:
         world.arrived = world.arrived | newly
     if world.arrived.any():
         world.gamma[world.arrived] = cfg.t_f
-        world.gamma_dot[world.arrived] = rate(world.t)
+        world.gamma_dot[world.arrived] = world.profile.rate(world.t)
 
     _check_finite(world)
     return world
@@ -531,8 +545,6 @@ class MetricsLog:
     aux_v: np.ndarray | None
     topology_segments: list[tuple[float, float, int]]
     switch_log: list[tuple[float, int, int]]
-    adjacency_integral: np.ndarray
-    comm_amount: float
     tau_f: float | None
     arrived: bool
     eta_observed: float | None
@@ -543,6 +555,10 @@ class MetricsLog:
     certificate: SwitchingCertificate | None
     laplacians: tuple[np.ndarray, ...]
     final_state: dict
+
+    @property
+    def comm_amount(self) -> float:
+        return communication_amount(self)
 
     @property
     def lambda_hat_min(self) -> float | None:
@@ -574,11 +590,12 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     log_aux = np.empty(size) if world.sw is not None else None
 
     violations: list[Violation] = []
+    bounds = (config.gamma_dot_max, config.gamma_ddot_max)
     first_arrival_row = None
-    lo_rate = 1.0 - config.gamma_dot_max
-    hi_rate = 1.0 + config.gamma_dot_max
 
-    def write_row(k: int, s: dict) -> None:
+    def record(k: int, s: dict) -> None:
+        """Write log row ``k`` from sample ``s`` and check its feasibility."""
+        nonlocal first_arrival_row
         log_t[k] = s["t"]
         log_sigma[k] = s["sigma"]
         log_gamma[k] = s["gamma"]
@@ -586,73 +603,38 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         log_gddot[k] = s["gamma_ddot"]
         log_epf[k] = s["epf_norm"]
         log_pos[k] = s["p"]
-        rate_now = world.profile.rate(s["t"])
-        xi2 = s["gamma_dot"] - rate_now
-        if q is not None:
-            xi1 = q.q @ s["gamma"]
-            log_xi[k] = math.sqrt(float(xi1 @ xi1) + float(xi2 @ xi2))
-        else:
-            log_xi[k] = float(np.sqrt(xi2 @ xi2))
+        log_xi[k] = coordctrl.coordination_error(
+            s["gamma"], s["gamma_dot"], q, world.profile.rate(s["t"])
+        )[2]
         if log_aux is not None:
             log_aux[k] = s["aux_v"]
-
-    def check_feasibility(k: int, s: dict) -> None:
-        nonlocal first_arrival_row
-        active = ~s["arrived"]
         if first_arrival_row is None and s["arrived"].any():
             first_arrival_row = k
-        if not active.any():
-            return
-        gd = s["gamma_dot"][active]
-        gdd = s["gamma_ddot"][active]
-        if (
-            gd.min() < lo_rate
-            or gd.max() > hi_rate
-            or np.abs(gdd).max() > config.gamma_ddot_max
-        ):
-            state = coordctrl.CoordinationState(s["gamma"], s["gamma_dot"])
-            violations.extend(
-                coordctrl.feasibility_check(
-                    state,
-                    s["gamma_ddot"],
-                    config.gamma_dot_max,
-                    config.gamma_ddot_max,
-                    t=s["t"],
-                    active=active,
-                )
+        violations.extend(
+            coordctrl.feasibility_check(
+                s["gamma_dot"], s["gamma_ddot"], bounds, s["t"], ~s["arrived"]
             )
+        )
 
     rows = 0
     for _ in range(n_steps):
         step(world, dt)
-        write_row(rows, world.last_sample)
-        check_feasibility(rows, world.last_sample)
+        record(rows, world.last_sample)
         rows += 1
         if world.all_arrived:
             break
 
     # closing sample at the final state
-    final = _sample_now(world)
-    write_row(rows, final)
-    check_feasibility(rows, final)
+    _sample(world, _rhs(world))
+    record(rows, world.last_sample)
     rows += 1
 
     t_end = world.t
     tau_f = t_end if world.all_arrived else None
+    segments = _segments_from_events(world.switch_log, log_sigma[0], t_end)
 
-    segments = _segments_from_events(
-        world.switch_events, _initial_sigma(world, log_sigma[0]), t_end
-    )
-    adj_int = np.zeros((n, n))
-    for t0, t1, sig in segments:
-        adj_int += (t1 - t0) * world.adjacencies[sig - 1]
-    comm = float(adj_int.sum())
-
-    events = world.switch_events
-    eta_obs = None
-    if len(events) >= 2:
-        times = [e[0] for e in events]
-        eta_obs = float(min(b_ - a_ for a_, b_ in zip(times, times[1:])))
+    times = [t for t, _, _ in world.switch_log]
+    eta_obs = float(np.diff(times).min()) if len(times) >= 2 else None
 
     # coordination error at the last pre-arrival sample: once virtual
     # times start clamping at t_f the error closes to zero by construction
@@ -671,9 +653,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         positions=log_pos[:rows],
         aux_v=log_aux[:rows] if log_aux is not None else None,
         topology_segments=segments,
-        switch_log=list(events),
-        adjacency_integral=adj_int,
-        comm_amount=comm,
+        switch_log=world.switch_log,
         tau_f=tau_f,
         arrived=world.all_arrived,
         eta_observed=eta_obs,
@@ -696,45 +676,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         log.lambda_hat_t = ts
         log.lambda_hat = lh
     return log
-
-
-def _initial_sigma(world: SimWorld, first_logged) -> int:
-    if world.switch_events:
-        return world.switch_events[0][1]
-    return int(first_logged)
-
-
-def _sample_now(world: SimWorld) -> dict:
-    """Diagnostics of the current state (used for the closing log row)."""
-    cfg = world.config
-    tp, tv = world.fam.pos_vel_all(world.gamma)
-    e = tp - world.p
-    alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
-    gdd = coordctrl.coordination_accel_matrix(
-        world.gamma,
-        world.gamma_dot,
-        world.laplacians[world.sigma - 1],
-        alpha,
-        world.profile.rate(world.t),
-        cfg.a,
-        cfg.b,
-    )
-    gdd = np.where(world.arrived, 0.0, gdd)
-    return {
-        "t": world.t,
-        "sigma": world.sigma,
-        "gamma": world.gamma.copy(),
-        "gamma_dot": world.gamma_dot.copy(),
-        "gamma_ddot": gdd,
-        "p": world.p.copy(),
-        "epf_norm": np.sqrt(np.einsum("ij,ij->i", e, e)),
-        "arrived": world.arrived.copy(),
-        "aux_v": (
-            float(world.sw.phi @ world.cert.p @ world.sw.phi)
-            if world.sw is not None
-            else None
-        ),
-    }
 
 
 def _segments_from_events(events, sigma0: int, t_end: float):
@@ -784,7 +725,7 @@ def pe_connectivity(
     k = n - 1
     projected = []
     for lap in log.laplacians:
-        m_ = q.q @ lap @ q.q.T
+        m_ = reduced_laplacian(q, lap)
         projected.append(0.5 * (m_ + m_.T))
 
     seg_start = np.array([s[0] for s in log.topology_segments])

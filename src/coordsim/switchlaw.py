@@ -32,16 +32,17 @@ TIE_TOL = 1e-12
 class SwitchingState:
     """Mutable per-run state of the switching law.
 
-    ``sigma`` is the active topology index, 1-based.  ``switch_log`` holds
-    ``(time, old index, new index)`` tuples with strictly increasing times.
-    Owned by a single simulation run; independent runs carry independent
-    states.
+    ``sigma`` is the active topology index, 1-based.  ``t`` is the time of
+    the latest sample, ``steps * dt``: a product, not a running sum, so it
+    is the simulation clock bit for bit.  ``switch_log`` holds ``(time, old
+    index, new index)`` tuples with strictly increasing times.  Owned by a
+    single simulation run; independent runs carry independent states.
     """
 
     phi: np.ndarray
     sigma: int
+    steps: int = 0
     t: float = 0.0
-    t_last_switch: float = 0.0
     switch_log: list[tuple[float, int, int]] = field(default_factory=list)
 
 
@@ -56,9 +57,7 @@ def _argmin_quadratic(phi: np.ndarray, h_matrices) -> int:
     raise AssertionError("unreachable")
 
 
-def init_switching(
-    phi0: np.ndarray, cert: SwitchingCertificate, t0: float = 0.0
-) -> SwitchingState:
+def init_switching(phi0: np.ndarray, cert: SwitchingCertificate) -> SwitchingState:
     """Start the law: the initial topology minimizes ``phi0^T H_i phi0``."""
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (cert.n - 1,):
@@ -68,7 +67,7 @@ def init_switching(
     if not np.any(phi0):
         raise ValueError("phi0 must be nonzero")
     sigma = _argmin_quadratic(phi0, cert.h_matrices)
-    return SwitchingState(phi=phi0.copy(), sigma=sigma, t=t0, t_last_switch=t0)
+    return SwitchingState(phi=phi0.copy(), sigma=sigma)
 
 
 def advance(
@@ -96,7 +95,8 @@ def advance(
     phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     state.phi = phi
-    state.t += dt
+    state.steps += 1
+    state.t = state.steps * dt
     h = cert.h_matrices[state.sigma - 1]
     mu = cert.mu_list[state.sigma - 1]
     if float(phi @ h @ phi) > -mu * cert.lambda_max_p * float(phi @ phi):
@@ -104,5 +104,4 @@ def advance(
         if new != state.sigma:
             state.switch_log.append((state.t, state.sigma, new))
             state.sigma = new
-            state.t_last_switch = state.t
     return state

@@ -10,34 +10,8 @@ assumes, after an initial catch-up transient.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    """One vehicle's desired trajectory on mission time ``[0, t_f]``.
-
-    ``position``/``velocity``/``acceleration`` are exact analytic maps
-    (no finite differencing); ``v_d_max``/``a_d_max`` are design bounds
-    that hold over the whole mission-time domain.
-    """
-
-    position: Callable[[float], np.ndarray]
-    velocity: Callable[[float], np.ndarray]
-    acceleration: Callable[[float], np.ndarray]
-    t_f: float
-    v_d_max: float
-    a_d_max: float
-
-
-@dataclass
-class VehicleState:
-    p: np.ndarray  # position, m
-    v: np.ndarray  # velocity, m/s
 
 
 class LaneSweepFamily:
@@ -63,27 +37,11 @@ class LaneSweepFamily:
         self.t_f = float(t_f)
         self.n = len(self.offsets)
 
-    def position_all(self, gammas: np.ndarray) -> np.ndarray:
-        g = np.asarray(gammas, dtype=float)
-        out = np.empty((self.n, 3))
-        out[:, 0] = g
-        out[:, 1] = self.offsets - np.exp(-0.6 * g) * (5.0 + 3.0 * g) * self.sines
-        out[:, 2] = 2.0
-        return out
-
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
         g = np.asarray(gammas, dtype=float)
         out = np.empty((self.n, 3))
         out[:, 0] = 1.0
         out[:, 1] = 1.8 * g * np.exp(-0.6 * g) * self.sines
-        out[:, 2] = 0.0
-        return out
-
-    def acceleration_all(self, gammas: np.ndarray) -> np.ndarray:
-        g = np.asarray(gammas, dtype=float)
-        out = np.empty((self.n, 3))
-        out[:, 0] = 0.0
-        out[:, 1] = 1.8 * np.exp(-0.6 * g) * (1.0 - 0.6 * g) * self.sines
         out[:, 2] = 0.0
         return out
 
@@ -102,79 +60,6 @@ class LaneSweepFamily:
         vel[:, 2] = 0.0
         return pos, vel
 
-    def design_bounds(self, samples: int = 10_000) -> tuple[float, float]:
-        """Numerical speed/acceleration bounds over the family with a 20%
-        margin, used as the declared ``v_d_max``/``a_d_max``."""
-        g = np.linspace(0.0, self.t_f, samples)
-        v_max = 0.0
-        a_max = 0.0
-        for i in range(self.n):
-            vy = 1.8 * g * np.exp(-0.6 * g) * self.sines[i]
-            ay = 1.8 * np.exp(-0.6 * g) * (1.0 - 0.6 * g) * self.sines[i]
-            v_max = max(v_max, float(np.sqrt(1.0 + vy**2).max()))
-            a_max = max(a_max, float(np.abs(ay).max()))
-        return 1.2 * v_max, 1.2 * a_max
-
-    def trajectory(self, i: int) -> Trajectory:
-        """Single-vehicle view (1-based index) as a :class:`Trajectory`."""
-        off = float(self.offsets[i - 1])
-        s = float(self.sines[i - 1])
-        v_d_max, a_d_max = self.design_bounds(2000)
-
-        def position(t_d: float) -> np.ndarray:
-            return np.array([t_d, off - math.exp(-0.6 * t_d) * (5.0 + 3.0 * t_d) * s, 2.0])
-
-        def velocity(t_d: float) -> np.ndarray:
-            return np.array([1.0, 1.8 * t_d * math.exp(-0.6 * t_d) * s, 0.0])
-
-        def acceleration(t_d: float) -> np.ndarray:
-            return np.array([0.0, 1.8 * math.exp(-0.6 * t_d) * (1.0 - 0.6 * t_d) * s, 0.0])
-
-        return Trajectory(position, velocity, acceleration, self.t_f, v_d_max, a_d_max)
-
-
-def default_trajectories(n: int = 5) -> LaneSweepFamily:
-    return LaneSweepFamily(n=n)
-
-
-def eval_trajectory(traj: Trajectory, t_d: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Evaluate position, velocity and acceleration at mission time
-    ``t_d``, clamping (with a warning) outside ``[0, t_f]``."""
-    if t_d < 0.0 or t_d > traj.t_f:
-        warnings.warn(
-            f"mission time {t_d} outside [0, {traj.t_f}]; clamping", stacklevel=2
-        )
-        t_d = min(max(t_d, 0.0), traj.t_f)
-    return traj.position(t_d), traj.velocity(t_d), traj.acceleration(t_d)
-
-
-def pf_error(traj: Trajectory, gamma_i: float, p_i: np.ndarray) -> np.ndarray:
-    """Path-following error: virtual-target position minus vehicle
-    position."""
-    target, _, _ = eval_trajectory(traj, gamma_i)
-    return target - np.asarray(p_i, dtype=float)
-
-
-def pf_control(
-    vs: VehicleState,
-    target_pos: np.ndarray,
-    target_vel: np.ndarray,
-    kp: float,
-    kd: float,
-    a_max: float,
-) -> np.ndarray:
-    """PD acceleration command toward the virtual target, saturated to
-    norm ``a_max`` with direction preserved."""
-    if kp <= 0 or kd <= 0 or a_max <= 0:
-        raise ValueError("pf gains and acceleration limit must be positive")
-    u = kp * (np.asarray(target_pos, float) - vs.p) + kd * (
-        np.asarray(target_vel, float) - vs.v
-    )
-    norm = float(np.linalg.norm(u))
-    if norm > a_max:
-        u *= a_max / norm
-    return u
-
 
 def pf_control_all(
     p: np.ndarray,
@@ -185,7 +70,11 @@ def pf_control_all(
     kd: float,
     a_max: float,
 ) -> np.ndarray:
-    """Vectorized :func:`pf_control` over all vehicles."""
+    """PD acceleration command of every vehicle toward its virtual target,
+    ``kp (target_pos - p) + kd (target_vel - v)`` row by row, saturated to
+    norm ``a_max`` with its direction preserved."""
+    if kp <= 0 or kd <= 0 or a_max <= 0:
+        raise ValueError("pf gains and acceleration limit must be positive")
     u = kp * (target_pos - p) + kd * (target_vel - v)
     norms = np.sqrt(np.einsum("ij,ij->i", u, u))
     over = norms > a_max

@@ -230,9 +230,8 @@ def test_criterion_09_integrator_order():
     family = [Digraph(5, [(1, 3), (2, 3), (4, 2), (5, 2)])]
     base = default_directed_config()
     fam = base.trajectory_family()
-    p0 = fam.position_all(np.zeros(5))
+    p0, v0 = fam.pos_vel_all(np.zeros(5))
     p0 = p0 + np.array([0.11, -0.07, 0.05])
-    v0 = fam.velocity_all(np.zeros(5))
 
     def run_at(dt):
         cfg = default_directed_config(

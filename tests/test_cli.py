@@ -160,6 +160,20 @@ class TestRun:
         assert cli.main(["run", "--config", path, "--out", str(out)]) == 2
         assert "non-finite" in capsys.readouterr().out
 
+    def test_violation_exit_1_with_first_violation(self, tmp_path, capsys):
+        cfg = default_directed_config(t_max=0.5, gamma_ddot_max=0.3)
+        path = write_cfg(tmp_path, "tight.json", cfg)
+        out = tmp_path / "tight"
+        assert cli.main(["run", "--config", path, "--out", str(out), "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violation_count"] > 0
+        assert doc["first_violation"].startswith(
+            "feasibility violation: vehicle 1 accel bound at t=0 "
+        )
+        assert json.loads((out / "summary.json").read_text())["violation_count"] == (
+            doc["violation_count"]
+        )
+
     def test_invalid_config_exit_1(self, tmp_path, capsys):
         path = tmp_path / "invalid.json"
         path.write_text("{not json")

@@ -3,13 +3,11 @@ import pytest
 
 from coordsim.coordalg import build_projection
 from coordsim.coordctrl import (
-    CoordinationState,
     MissionRateProfile,
     constant_profile,
-    coordination_accel,
+    coordination_accel_matrix,
     coordination_error,
     feasibility_check,
-    path_error_feedback,
     path_error_feedback_all,
     smoothstep_profile,
 )
@@ -19,77 +17,86 @@ from coordsim.errors import ConfigError
 
 class TestState:
     def test_initialization(self):
-        st = CoordinationState.initial(4)
-        assert np.array_equal(st.gamma, np.zeros(4))
-        assert np.array_equal(st.gamma_dot, np.ones(4))
+        # canonical start of every run: gamma = 0, rate = 1 for every vehicle
+        from coordsim.simharness import default_directed_config, init_world
+
+        world = init_world(default_directed_config(t_max=1.0))
+        assert np.array_equal(world.gamma, np.zeros(5))
+        assert np.array_equal(world.gamma_dot, np.ones(5))
 
 
 class TestPathErrorFeedback:
     def test_zero_error(self):
-        assert path_error_feedback(np.array([1.0, 2, 3]), np.zeros(3), 1.2) == 0.0
+        v = np.array([[1.0, 2, 3], [0.0, 0, 0]])
+        assert np.array_equal(path_error_feedback_all(v, np.zeros((2, 3)), 1.2), [0.0, 0.0])
 
     def test_direct_substitution(self):
-        value = path_error_feedback(np.array([1.0, 0, 0]), np.array([1.0, 0, 0]), 1.0)
-        assert abs(value - 0.5) < 1e-15
+        value = path_error_feedback_all(np.array([[1.0, 0, 0]]), np.array([[1.0, 0, 0]]), 1.0)
+        assert abs(value[0] - 0.5) < 1e-15
 
     def test_bounded_by_error_norm(self):
         rng = np.random.default_rng(21)
-        for _ in range(200):
-            v = rng.normal(size=3) * rng.uniform(0, 10)
-            e = rng.normal(size=3) * rng.uniform(0, 10)
-            delta = rng.uniform(0.01, 5)
-            assert abs(path_error_feedback(v, e, delta)) <= np.linalg.norm(e) + 1e-12
+        v = rng.normal(size=(200, 3)) * rng.uniform(0, 10, size=(200, 1))
+        e = rng.normal(size=(200, 3)) * rng.uniform(0, 10, size=(200, 1))
+        for delta in rng.uniform(0.01, 5, size=10):
+            alpha = path_error_feedback_all(v, e, delta)
+            assert np.all(np.abs(alpha) <= np.linalg.norm(e, axis=1) + 1e-12)
 
     def test_rejects_nonpositive_delta(self):
-        with pytest.raises(ValueError):
-            path_error_feedback(np.ones(3), np.ones(3), 0.0)
+        with pytest.raises(ValueError, match="delta"):
+            path_error_feedback_all(np.ones((2, 3)), np.ones((2, 3)), 0.0)
 
     def test_vectorized_matches_scalar(self):
+        # every row is the single-vehicle law: a batch of one gives the
+        # same value as that vehicle's row in the batch
         rng = np.random.default_rng(22)
         v = rng.normal(size=(6, 3))
         e = rng.normal(size=(6, 3))
         batch = path_error_feedback_all(v, e, 1.2)
-        singles = [path_error_feedback(v[i], e[i], 1.2) for i in range(6)]
+        singles = [path_error_feedback_all(v[i : i + 1], e[i : i + 1], 1.2)[0] for i in range(6)]
         assert np.allclose(batch, singles, atol=1e-14)
+        by_hand = [v[i] @ e[i] / (np.linalg.norm(v[i]) + 1.2) for i in range(6)]
+        assert np.allclose(batch, by_hand, atol=1e-14)
 
 
-def loop_form_accel(state, topology, e_pf, traj_vel, gamma_dot_d, a, b, delta):
+def loop_form_accel(gamma, gamma_dot, topology, e_pf, traj_vel, gamma_dot_d, a, b, delta):
     """Per-vehicle in-neighbor sums, the decentralized reference form."""
     n = topology.n
     out = np.empty(n)
     for i in range(1, n + 1):
-        consensus = sum(
-            state.gamma[i - 1] - state.gamma[j - 1] for j in topology.in_neighbors(i)
-        )
-        alpha = path_error_feedback(traj_vel[i - 1], e_pf[i - 1], delta)
-        out[i - 1] = (
-            -b * (state.gamma_dot[i - 1] - gamma_dot_d) - a * consensus - alpha
-        )
+        consensus = sum(gamma[i - 1] - gamma[j - 1] for j in topology.in_neighbors(i))
+        v, e = traj_vel[i - 1], e_pf[i - 1]
+        alpha = float(v @ e) / (float(np.linalg.norm(v)) + delta)
+        out[i - 1] = -b * (gamma_dot[i - 1] - gamma_dot_d) - a * consensus - alpha
     return out
+
+
+def accel(topology, gamma, gamma_dot, e_pf, traj_vel, gamma_dot_d, a, b, delta):
+    """The coordination law as the simulation evaluates it."""
+    alpha = path_error_feedback_all(traj_vel, e_pf, delta)
+    lap = laplacian(topology).astype(float)
+    return coordination_accel_matrix(gamma, gamma_dot, lap, alpha, gamma_dot_d, a, b)
 
 
 class TestCoordinationAccel:
     def test_equilibrium(self):
         topo = Digraph(3, [(1, 2), (2, 3)])
-        st = CoordinationState(np.full(3, 2.0), np.full(3, 1.0))
-        accel = coordination_accel(
-            st, topo, np.zeros((3, 3)), np.ones((3, 3)), constant_profile(1.0),
-            0.0, 1.0, 2.0, 1.2,
+        out = accel(
+            topo, np.full(3, 2.0), np.ones(3), np.zeros((3, 3)), np.ones((3, 3)),
+            1.0, 1.0, 2.0, 1.2,
         )
-        assert np.allclose(accel, 0.0, atol=1e-15)
+        assert np.allclose(out, 0.0, atol=1e-15)
 
     def test_single_edge(self):
         topo = Digraph(2, [(2, 1)])
-        st = CoordinationState(np.array([1.0, 0.0]), np.ones(2))
-        accel = coordination_accel(
-            st, topo, np.zeros((2, 3)), np.ones((2, 3)), constant_profile(1.0),
-            0.0, 1.0, 2.0, 1.2,
+        out = accel(
+            topo, np.array([1.0, 0.0]), np.ones(2), np.zeros((2, 3)), np.ones((2, 3)),
+            1.0, 1.0, 2.0, 1.2,
         )
-        assert np.allclose(accel, [0.0, 1.0], atol=1e-15)
+        assert np.allclose(out, [0.0, 1.0], atol=1e-15)
 
     def test_matches_loop_form(self):
         rng = np.random.default_rng(23)
-        profile = constant_profile(1.05)
         for _ in range(50):
             n = int(rng.integers(2, 7))
             edges = {
@@ -99,97 +106,99 @@ class TestCoordinationAccel:
                 if i != j and rng.random() < 0.4
             }
             topo = Digraph(n, edges)
-            st = CoordinationState(rng.normal(size=n), rng.normal(size=n) + 1)
+            gamma, gamma_dot = rng.normal(size=n), rng.normal(size=n) + 1
             e = rng.normal(size=(n, 3))
             tv = rng.normal(size=(n, 3))
             a, b, delta = rng.uniform(0.1, 2), rng.uniform(0.1, 3), rng.uniform(0.5, 2)
-            fast = coordination_accel(st, topo, e, tv, profile, 0.0, a, b, delta)
-            slow = loop_form_accel(st, topo, e, tv, profile.rate(0.0), a, b, delta)
+            fast = accel(topo, gamma, gamma_dot, e, tv, 1.05, a, b, delta)
+            slow = loop_form_accel(gamma, gamma_dot, topo, e, tv, 1.05, a, b, delta)
             assert np.allclose(fast, slow, atol=1e-12)
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(24)
         topo = Digraph(4, [(1, 2), (2, 3), (3, 4), (4, 1)])
-        profile = constant_profile(1.0)
-        st = CoordinationState(rng.normal(size=4), rng.normal(size=4) + 1)
-        shifted = CoordinationState(st.gamma + 17.3, st.gamma_dot.copy())
+        gamma, gamma_dot = rng.normal(size=4), rng.normal(size=4) + 1
         e = rng.normal(size=(4, 3))
         tv = rng.normal(size=(4, 3))
-        a1 = coordination_accel(st, topo, e, tv, profile, 0.0, 0.75, 1.82, 1.2)
-        a2 = coordination_accel(shifted, topo, e, tv, profile, 0.0, 0.75, 1.82, 1.2)
+        a1 = accel(topo, gamma, gamma_dot, e, tv, 1.0, 0.75, 1.82, 1.2)
+        a2 = accel(topo, gamma + 17.3, gamma_dot, e, tv, 1.0, 0.75, 1.82, 1.2)
         assert np.allclose(a1, a2, atol=1e-10)
 
     def test_dimension_mismatch(self):
-        topo = Digraph(3)
-        st = CoordinationState(np.zeros(2), np.ones(2))
+        lap = laplacian(Digraph(3)).astype(float)
         with pytest.raises(ValueError):
-            coordination_accel(
-                st, topo, np.zeros((3, 3)), np.ones((3, 3)), constant_profile(),
-                0.0, 1.0, 1.0, 1.2,
-            )
+            coordination_accel_matrix(np.zeros(2), np.ones(2), lap, np.zeros(2), 1.0, 1.0, 1.0)
 
 
 class TestCoordinationError:
     def test_consensus_is_zero(self):
         q = build_projection(4)
-        st = CoordinationState(np.full(4, 3.7), np.full(4, 1.1))
-        xi1, xi2, norm = coordination_error(st, q, 1.1)
+        xi1, xi2, norm = coordination_error(np.full(4, 3.7), np.full(4, 1.1), q, 1.1)
         assert np.allclose(xi1, 0, atol=1e-12)
         assert np.allclose(xi2, 0, atol=1e-12)
         assert norm <= 1e-12
 
     def test_n2_hand_value(self):
         q = build_projection(2)
-        st = CoordinationState(np.array([1.0, 0.0]), np.ones(2))
-        xi1, _, _ = coordination_error(st, q, 1.0)
+        xi1, _, _ = coordination_error(np.array([1.0, 0.0]), np.ones(2), q, 1.0)
         assert abs(xi1[0] - 1.0 / np.sqrt(2.0)) < 1e-14
 
     def test_norm_invariant_under_common_shift(self):
         rng = np.random.default_rng(25)
         q = build_projection(5)
-        gamma = rng.normal(size=5)
-        st1 = CoordinationState(gamma, rng.normal(size=5))
-        st2 = CoordinationState(gamma + 123.0, st1.gamma_dot.copy())
-        _, _, n1 = coordination_error(st1, q, 1.0)
-        _, _, n2 = coordination_error(st2, q, 1.0)
+        gamma, gamma_dot = rng.normal(size=5), rng.normal(size=5)
+        _, _, n1 = coordination_error(gamma, gamma_dot, q, 1.0)
+        _, _, n2 = coordination_error(gamma + 123.0, gamma_dot, q, 1.0)
         assert abs(n1 - n2) < 1e-9
 
     def test_norm_is_stacked(self):
         q = build_projection(3)
-        st = CoordinationState(np.array([1.0, 0.0, 0.0]), np.array([1.2, 1.0, 1.0]))
-        xi1, xi2, norm = coordination_error(st, q, 1.0)
+        xi1, xi2, norm = coordination_error(
+            np.array([1.0, 0.0, 0.0]), np.array([1.2, 1.0, 1.0]), q, 1.0
+        )
         assert abs(norm - np.sqrt(xi1 @ xi1 + xi2 @ xi2)) < 1e-15
+
+    def test_single_vehicle_is_rate_error(self):
+        xi1, xi2, norm = coordination_error(np.array([7.0]), np.array([1.3]), None, 1.0)
+        assert xi1.shape == (0,)
+        assert norm == abs(1.3 - 1.0) == abs(xi2[0])
 
 
 class TestFeasibility:
     def test_feasible(self):
-        st = CoordinationState(np.zeros(3), np.ones(3))
-        assert feasibility_check(st, np.zeros(3), 0.5, 5.0) == []
+        assert feasibility_check(np.ones(3), np.zeros(3), (0.5, 5.0)) == []
 
     def test_boundary_rate_violation(self):
-        st = CoordinationState(np.zeros(3), np.array([1.0, 1.5 + 1e-9, 1.0]))
-        found = feasibility_check(st, np.zeros(3), 0.5, 5.0, t=2.0)
+        found = feasibility_check(np.array([1.0, 1.5 + 1e-9, 1.0]), np.zeros(3), (0.5, 5.0), t=2.0)
         assert len(found) == 1
         assert found[0].vehicle == 2
         assert found[0].bound == "rate"
         assert found[0].time == 2.0
 
     def test_accel_violation(self):
-        st = CoordinationState(np.zeros(2), np.ones(2))
-        found = feasibility_check(st, np.array([0.0, -5.1]), 0.5, 5.0)
+        found = feasibility_check(np.ones(2), np.array([0.0, -5.1]), (0.5, 5.0))
         assert [v.bound for v in found] == ["accel"]
 
+    def test_order_by_vehicle_rate_first(self):
+        found = feasibility_check(
+            np.array([1.6, 1.0, 0.4]), np.array([0.0, 5.5, -6.0]), (0.5, 5.0), t=1.0
+        )
+        assert [(v.vehicle, v.bound, v.value) for v in found] == [
+            (1, "rate", 1.6),
+            (2, "accel", 5.5),
+            (3, "rate", 0.4),
+            (3, "accel", -6.0),
+        ]
+
     def test_active_mask(self):
-        st = CoordinationState(np.zeros(2), np.array([1.0, 99.0]))
         active = np.array([True, False])
-        assert feasibility_check(st, np.zeros(2), 0.5, 5.0, active=active) == []
+        assert feasibility_check(np.array([1.0, 99.0]), np.zeros(2), (0.5, 5.0), active=active) == []
 
     def test_rejects_bad_bounds(self):
-        st = CoordinationState(np.zeros(2), np.ones(2))
         with pytest.raises(ValueError):
-            feasibility_check(st, np.zeros(2), 1.5, 5.0)
+            feasibility_check(np.ones(2), np.zeros(2), (1.5, 5.0))
         with pytest.raises(ValueError):
-            feasibility_check(st, np.zeros(2), 0.5, 0.0)
+            feasibility_check(np.ones(2), np.zeros(2), (0.5, 0.0))
 
 
 class TestCoordinationContraction:
@@ -210,32 +219,26 @@ class TestCoordinationContraction:
         sw = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), cert)
         gamma = np.array([0.5, 0.1, -0.2, 0.3, -0.4])
         gamma_dot = np.ones(5)
-        zero_e = np.zeros((5, 3))
-        ones_v = np.ones((5, 3))
-        profile = constant_profile(1.0)
+        # zero path errors: no path-error feedback
+        zero_alpha = path_error_feedback_all(np.ones((5, 3)), np.zeros((5, 3)), 1.2)
         ts, xis = [], []
         for k in range(int(60.0 / dt)):
             t = k * dt
-            st = CoordinationState(gamma, gamma_dot)
-            _, _, xi = coordination_error(st, q, 1.0)
             ts.append(t)
-            xis.append(xi)
+            xis.append(coordination_error(gamma, gamma_dot, q, 1.0)[2])
             lap = laps[sw.sigma - 1]
 
-            def accel(g, gd):
-                st2 = CoordinationState(g, gd)
-                return coordination_accel(
-                    st2, family[sw.sigma - 1], zero_e, ones_v, profile, t, a, b, 1.2
-                )
+            def law(g, gd):
+                return coordination_accel_matrix(g, gd, lap, zero_alpha, 1.0, a, b)
 
-            k1g, k1d = gamma_dot, accel(gamma, gamma_dot)
-            k2g, k2d = gamma_dot + dt / 2 * k1d, accel(
+            k1g, k1d = gamma_dot, law(gamma, gamma_dot)
+            k2g, k2d = gamma_dot + dt / 2 * k1d, law(
                 gamma + dt / 2 * k1g, gamma_dot + dt / 2 * k1d
             )
-            k3g, k3d = gamma_dot + dt / 2 * k2d, accel(
+            k3g, k3d = gamma_dot + dt / 2 * k2d, law(
                 gamma + dt / 2 * k2g, gamma_dot + dt / 2 * k2d
             )
-            k4g, k4d = gamma_dot + dt * k3d, accel(
+            k4g, k4d = gamma_dot + dt * k3d, law(
                 gamma + dt * k3g, gamma_dot + dt * k3d
             )
             gamma = gamma + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)

@@ -127,8 +127,6 @@ def synthetic_log(segments, laplacians, n, t_end, tau_f=None):
         aux_v=None,
         topology_segments=segments,
         switch_log=[],
-        adjacency_integral=np.zeros((n, n)),
-        comm_amount=0.0,
         tau_f=tau_f,
         arrived=tau_f is not None,
         eta_observed=None,
@@ -272,6 +270,63 @@ class TestStepMechanics:
             run_scenario(cfg)
 
 
+def assert_violations(found, expected):
+    """``found`` against ``(vehicle, time, bound, value)`` tuples."""
+    assert len(found) == len(expected)
+    for v, (vehicle, time, bound, value) in zip(found, expected):
+        assert (v.vehicle, v.bound) == (vehicle, bound)
+        assert v.time == pytest.approx(time, rel=0, abs=1e-12)
+        assert v.value == pytest.approx(value, rel=1e-12)
+
+
+class TestClosedLoopFeasibility:
+    """Violation records of short directed runs under tightened envelopes,
+    pinned: count, first three records, record order and the closing row
+    (t = t_max)."""
+
+    @staticmethod
+    def violations(**bounds):
+        return run_scenario(default_directed_config(t_max=3.0, **bounds)).violations
+
+    def test_accel_bound(self):
+        found = self.violations(gamma_ddot_max=0.3)
+        assert len(found) == 1468
+        assert {v.bound for v in found} == {"accel"}
+        assert_violations(found[:3], [(i, 0.0, "accel", -10 / 11) for i in (1, 2, 3)])
+        assert_violations(found[-1:], [(3, 0.443, "accel", -0.301142091565085)])
+
+    def test_rate_bound(self):
+        found = self.violations(gamma_dot_max=0.05)
+        assert len(found) == 9726
+        assert {v.bound for v in found} == {"rate"}
+        assert_violations(
+            found[:3],
+            [
+                (3, 0.058, "rate", 0.9493546017644188),
+                (3, 0.059, "rate", 0.9485190166159188),
+                (2, 0.060, "rate", 0.9493709563044488),
+            ],
+        )
+        assert_violations(found[-1:], [(2, 3.0, "rate", 0.932607105251233)])
+
+    def test_both_bounds_ordered_by_time_vehicle_rate_first(self):
+        found = self.violations(gamma_dot_max=0.05, gamma_ddot_max=0.3)
+        assert len(found) == 9726 + 1468
+        assert found == sorted(found, key=lambda v: (v.time, v.vehicle, v.bound != "rate"))
+        assert_violations(found[:3], [(i, 0.0, "accel", -10 / 11) for i in (1, 2, 3)])
+        assert_violations(
+            [v for v in found if v.time == pytest.approx(0.058, abs=1e-12)],
+            [
+                (1, 0.058, "accel", -0.6787565970042968),
+                (2, 0.058, "accel", -0.7841185357701266),
+                (3, 0.058, "rate", 0.9493546017644188),
+                (3, 0.058, "accel", -0.83624037453808),
+                (4, 0.058, "accel", -0.7841185357701266),
+                (5, 0.058, "accel", -0.6786879221143632),
+            ],
+        )
+
+
 class TestOutputs:
     def test_files_and_determinism(self, tmp_path):
         cfg = default_directed_config(t_max=1.0)
@@ -307,11 +362,20 @@ class TestOutputs:
         parsed = json.loads((tmp_path / "summary.json").read_text())
         assert parsed["comm_amount"] == pytest.approx(log.comm_amount)
 
-    def test_comm_equals_adjacency_integral_sum(self):
+    def test_comm_equals_edge_count_times_segment_length(self):
         cfg = default_directed_config(t_max=5.0)
         log = run_scenario(cfg)
-        assert log.comm_amount == pytest.approx(float(log.adjacency_integral.sum()))
-        assert log.comm_amount == pytest.approx(communication_amount(log))
+        segments = log.topology_segments
+        # segments tile [0, t_end] and change topology exactly at the switches
+        assert segments[0][0] == 0.0 and segments[-1][1] == log.t[-1]
+        assert [s[1] for s in segments[:-1]] == [t for t, _, _ in log.switch_log]
+        assert [s[2] for s in segments[1:]] == [new for _, _, new in log.switch_log]
+        by_hand = sum(
+            (t1 - t0) * len(cfg.topology_family[sig - 1].edges) for t0, t1, sig in segments
+        )
+        assert len(segments) >= 3
+        assert log.comm_amount == pytest.approx(by_hand, rel=1e-12)
+        assert log.comm_amount == communication_amount(log)
 
 
 class TestBaselineRun:

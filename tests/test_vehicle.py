@@ -3,137 +3,123 @@ import math
 import numpy as np
 import pytest
 
-from coordsim.vehicle import (
-    LaneSweepFamily,
-    VehicleState,
-    apply_disturbance,
-    default_trajectories,
-    eval_trajectory,
-    pf_control,
-    pf_control_all,
-    pf_error,
-)
+from coordsim.vehicle import LaneSweepFamily, apply_disturbance, pf_control_all
 
 
 @pytest.fixture(scope="module")
 def family():
-    return default_trajectories(5)
+    return LaneSweepFamily(n=5)
+
+
+def lane(i, t):
+    """Closed form of vehicle ``i``'s (1-based) default trajectory and its
+    velocity at mission time ``t``, one vehicle at a time."""
+    s = math.sin(-math.pi / 2 + math.pi * i / 6)
+    pos = np.array([t, 6.0 - 2.0 * i - math.exp(-0.6 * t) * (5.0 + 3.0 * t) * s, 2.0])
+    vel = np.array([1.0, 1.8 * t * math.exp(-0.6 * t) * s, 0.0])
+    return pos, vel
 
 
 class TestTrajectoryFamily:
     def test_center_lane_start(self, family):
         # vehicle 3 has zero lateral excursion
-        pos, vel, acc = eval_trajectory(family.trajectory(3), 0.0)
-        assert np.allclose(pos, [0.0, 0.0, 2.0], atol=1e-15)
-        assert np.allclose(vel, [1.0, 0.0, 0.0], atol=1e-15)
+        pos, vel = family.pos_vel_all(np.zeros(5))
+        assert np.allclose(pos[2], [0.0, 0.0, 2.0], atol=1e-15)
+        assert np.allclose(vel[2], [1.0, 0.0, 0.0], atol=1e-15)
 
     def test_vehicle1_start(self, family):
-        pos, _, _ = eval_trajectory(family.trajectory(1), 0.0)
+        pos, _ = family.pos_vel_all(np.zeros(5))
         expected_y = 4.0 + 5.0 * math.sin(math.pi / 3)
-        assert abs(pos[1] - 8.330127018922193) < 1e-12
-        assert abs(pos[1] - expected_y) < 1e-12
+        assert abs(pos[0, 1] - 8.330127018922193) < 1e-12
+        assert abs(pos[0, 1] - expected_y) < 1e-12
 
     def test_lateral_excursion_dies_out(self, family):
-        for i in range(1, 6):
-            pos, _, _ = eval_trajectory(family.trajectory(i), 50.0)
-            assert abs(pos[1] - family.offsets[i - 1]) < 1e-10
+        pos, _ = family.pos_vel_all(np.full(5, 50.0))
+        assert np.all(np.abs(pos[:, 1] - family.offsets) < 1e-10)
 
     def test_batch_matches_single(self, family):
         gammas = np.array([0.0, 3.3, 7.7, 25.0, 49.0])
-        batch_p = family.position_all(gammas)
-        batch_v = family.velocity_all(gammas)
-        batch_a = family.acceleration_all(gammas)
+        batch_p, batch_v = family.pos_vel_all(gammas)
         for i in range(5):
-            traj = family.trajectory(i + 1)
-            assert np.allclose(batch_p[i], traj.position(gammas[i]), atol=1e-12)
-            assert np.allclose(batch_v[i], traj.velocity(gammas[i]), atol=1e-12)
-            assert np.allclose(batch_a[i], traj.acceleration(gammas[i]), atol=1e-12)
+            pos, vel = lane(i + 1, gammas[i])
+            assert np.allclose(batch_p[i], pos, atol=1e-12)
+            assert np.allclose(batch_v[i], vel, atol=1e-12)
 
     def test_pos_vel_fast_path(self, family):
+        # the loop's shared-exponential path agrees with the speed grid's
         gammas = np.linspace(0, 50, 5)
-        p, v = family.pos_vel_all(gammas)
-        assert np.allclose(p, family.position_all(gammas), atol=1e-15)
+        _, v = family.pos_vel_all(gammas)
         assert np.allclose(v, family.velocity_all(gammas), atol=1e-15)
 
     def test_analytic_derivatives_match_finite_differences(self, family):
-        # velocity against central difference of position, acceleration
-        # against central difference of velocity
+        # velocity against a central difference of position
         h = 1e-5
         ts = np.linspace(h, 50.0 - h, 1000)
-        for i in (1, 3, 5):
-            traj = family.trajectory(i)
-            for t in ts[::25]:
-                v_fd = (traj.position(t + h) - traj.position(t - h)) / (2 * h)
-                a_fd = (traj.velocity(t + h) - traj.velocity(t - h)) / (2 * h)
-                v = traj.velocity(t)
-                a = traj.acceleration(t)
-                assert np.linalg.norm(v - v_fd) <= 1e-6 * max(1.0, np.linalg.norm(v))
-                assert np.linalg.norm(a - a_fd) <= 1e-6 * max(1.0, np.linalg.norm(a))
-
-    def test_design_bounds_hold_on_dense_grid(self, family):
-        v_d_max, a_d_max = family.design_bounds()
-        g = np.linspace(0.0, 50.0, 10_000)
-        speeds = np.stack(
-            [np.linalg.norm(family.velocity_all(np.full(5, t)), axis=1) for t in g]
-        )
-        accels = np.stack(
-            [np.linalg.norm(family.acceleration_all(np.full(5, t)), axis=1) for t in g]
-        )
-        assert speeds.max() <= v_d_max
-        assert accels.max() <= a_d_max
-
-    def test_clamp_warns(self, family):
-        traj = family.trajectory(2)
-        with pytest.warns(UserWarning, match="clamping"):
-            pos, _, _ = eval_trajectory(traj, 55.0)
-        assert np.allclose(pos, traj.position(50.0))
-        with pytest.warns(UserWarning, match="clamping"):
-            eval_trajectory(traj, -1.0)
+        for t in ts[::25]:
+            g = np.full(5, t)
+            v_fd = (family.pos_vel_all(g + h)[0] - family.pos_vel_all(g - h)[0]) / (2 * h)
+            v = family.pos_vel_all(g)[1]
+            for i in range(5):
+                assert np.linalg.norm(v[i] - v_fd[i]) <= 1e-6 * max(1.0, np.linalg.norm(v[i]))
 
     def test_mismatched_parameters(self):
         with pytest.raises(ValueError):
             LaneSweepFamily(offsets=[1.0, 2.0], angles=[0.0])
 
 
+def first_sample_epf(positions):
+    """Path-following error norms of the first logged sample of a default
+    directed run started at ``positions``, as the simulation computes them
+    (virtual target minus vehicle position)."""
+    from coordsim.simharness import default_directed_config, init_world, step
+
+    cfg = default_directed_config(t_max=1.0, initial_positions=positions.tolist())
+    world = init_world(cfg)
+    step(world, cfg.dt)
+    return world.last_sample["epf_norm"]
+
+
 class TestPfError:
     def test_zero_at_target(self, family):
-        traj = family.trajectory(4)
-        target = traj.position(12.0)
-        assert np.allclose(pf_error(traj, 12.0, target), 0.0, atol=1e-15)
+        targets, _ = family.pos_vel_all(np.zeros(5))
+        assert np.allclose(first_sample_epf(targets), 0.0, atol=1e-15)
 
     def test_known_offset(self, family):
-        traj = family.trajectory(3)
-        e = pf_error(traj, 0.0, np.array([-1.0, 0.0, 2.0]))
-        assert np.allclose(e, [1.0, 0.0, 0.0], atol=1e-15)
+        targets, _ = family.pos_vel_all(np.zeros(5))
+        start = targets.copy()
+        start[2] = [-1.0, 0.0, 2.0]
+        epf = first_sample_epf(start)
+        assert abs(epf[2] - 1.0) < 1e-15
+        assert np.allclose(np.delete(epf, 2), 0.0, atol=1e-15)
 
     def test_continuous_in_gamma(self, family):
-        traj = family.trajectory(2)
-        p = np.array([5.0, 1.0, 2.0])
-        e1 = pf_error(traj, 10.0, p)
-        e2 = pf_error(traj, 10.0 + 1e-9, p)
-        assert np.linalg.norm(e1 - e2) < 1e-7
+        p1, _ = family.pos_vel_all(np.full(5, 10.0))
+        p2, _ = family.pos_vel_all(np.full(5, 10.0 + 1e-9))
+        assert np.linalg.norm(p1 - p2, axis=1).max() < 1e-7
 
 
 class TestPfControl:
     def test_zero_at_target_with_matched_velocity(self):
-        vs = VehicleState(np.array([1.0, 2, 3]), np.array([0.5, 0, 0]))
-        u = pf_control(vs, vs.p, vs.v, 4.0, 4.0, 10.0)
+        p = np.array([[1.0, 2, 3], [-4.0, 0, 2]])
+        v = np.array([[0.5, 0, 0], [1.0, 0.3, 0]])
+        u = pf_control_all(p, v, p.copy(), v.copy(), 4.0, 4.0, 10.0)
         assert np.allclose(u, 0.0, atol=1e-15)
 
     def test_saturation_norm(self):
         rng = np.random.default_rng(31)
-        for _ in range(100):
-            vs = VehicleState(rng.normal(size=3) * 10, rng.normal(size=3) * 5)
-            u = pf_control(vs, rng.normal(size=3) * 10, rng.normal(size=3), 4.0, 4.0, 10.0)
-            assert np.linalg.norm(u) <= 10.0 + 1e-12
+        p = rng.normal(size=(100, 3)) * 10
+        v = rng.normal(size=(100, 3)) * 5
+        u = pf_control_all(p, v, rng.normal(size=(100, 3)) * 10, rng.normal(size=(100, 3)), 4.0, 4.0, 10.0)
+        assert np.linalg.norm(u, axis=1).max() <= 10.0 + 1e-12
 
     def test_saturation_preserves_direction(self):
-        vs = VehicleState(np.zeros(3), np.zeros(3))
-        target = np.array([100.0, 0.0, 0.0])
-        u = pf_control(vs, target, np.zeros(3), 4.0, 4.0, 10.0)
-        assert np.allclose(u, [10.0, 0.0, 0.0], atol=1e-12)
+        target = np.array([[100.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+        u = pf_control_all(np.zeros((2, 3)), np.zeros((2, 3)), target, np.zeros((2, 3)), 4.0, 4.0, 10.0)
+        assert np.allclose(u, [[10.0, 0.0, 0.0], [2.0, 0.0, 0.0]], atol=1e-12)
 
     def test_batch_matches_single(self):
+        # every row is the single-vehicle law: a batch of one gives the
+        # same command as that vehicle's row in the batch
         rng = np.random.default_rng(32)
         p = rng.normal(size=(4, 3))
         v = rng.normal(size=(4, 3))
@@ -141,13 +127,18 @@ class TestPfControl:
         tv = rng.normal(size=(4, 3))
         batch = pf_control_all(p, v, tp, tv, 4.0, 4.0, 10.0)
         for i in range(4):
-            single = pf_control(VehicleState(p[i], v[i]), tp[i], tv[i], 4.0, 4.0, 10.0)
+            row = slice(i, i + 1)
+            single = pf_control_all(p[row], v[row], tp[row], tv[row], 4.0, 4.0, 10.0)[0]
             assert np.allclose(batch[i], single, atol=1e-13)
+            by_hand = 4.0 * (tp[i] - p[i]) + 4.0 * (tv[i] - v[i])
+            by_hand *= min(1.0, 10.0 / np.linalg.norm(by_hand))
+            assert np.allclose(batch[i], by_hand, atol=1e-13)
 
     def test_rejects_bad_gains(self):
-        vs = VehicleState(np.zeros(3), np.zeros(3))
-        with pytest.raises(ValueError):
-            pf_control(vs, np.ones(3), np.zeros(3), -1.0, 4.0, 10.0)
+        z = np.zeros((1, 3))
+        for kp, kd, a_max in ((-1.0, 4.0, 10.0), (4.0, 0.0, 10.0), (4.0, 4.0, 0.0)):
+            with pytest.raises(ValueError):
+                pf_control_all(z, z, np.ones((1, 3)), z, kp, kd, a_max)
 
 
 class TestDisturbance:
