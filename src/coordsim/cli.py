@@ -1,9 +1,10 @@
 """Command-line entry point: validate / analyze / run / compare.
 
-Exit codes: 0 success, 1 validation failure, 2 numeric failure.  With
-``--json`` exactly one JSON document goes to stdout; human-readable text
-otherwise.  The ``COORDSIM_LOG`` environment variable sets the logging
-level (e.g. DEBUG, INFO, WARNING).
+Exit codes: 0 success, 1 refused input, 2 numeric failure; ``main``
+holds the one map from error type to exit code.  With ``--json`` exactly
+one JSON document goes to stdout, ``{"ok": false, "error": ...}`` when the
+command fails; human-readable text otherwise.  The ``COORDSIM_LOG``
+environment variable sets the logging level (e.g. DEBUG, INFO, WARNING).
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simharness
-from .coordalg import (
-    build_certificate,
-    convergence_rate_bound,
-    validate_gains,
-)
+from .coordalg import convergence_rate_bound, validate_gains
 from .errors import ConfigError, NumericError, SynthesisError
 
 log = logging.getLogger("coordsim")
@@ -50,13 +47,7 @@ def _load(path: str, dt: float | None, seed: int | None) -> simharness.ScenarioC
 
 
 def cmd_validate(config_path: str, as_json: bool) -> CommandOutcome:
-    try:
-        cfg = simharness.load_config(config_path)
-    except ConfigError as exc:
-        if as_json:
-            return CommandOutcome(1, json.dumps({"ok": False, "error": str(exc)}))
-        return CommandOutcome(1, f"invalid config: {exc}")
-    report = simharness.validation_report(cfg)
+    report = simharness.validation_report(simharness.load_config(config_path))
     if as_json:
         return CommandOutcome(0 if report["ok"] else 1, json.dumps(report, indent=2))
     lines = []
@@ -67,19 +58,10 @@ def cmd_validate(config_path: str, as_json: bool) -> CommandOutcome:
 
 
 def cmd_analyze(config_path: str, as_json: bool) -> CommandOutcome:
-    try:
-        cfg = simharness.load_config(config_path)
-        cfg.validate()
-    except ConfigError as exc:
-        return CommandOutcome(1, f"invalid config: {exc}")
-    if cfg.mode != simharness.MODE_DIRECTED or cfg.n < 2:
-        return CommandOutcome(
-            1, "analyze requires a directed-switched scenario with n >= 2"
-        )
-    try:
-        cert = build_certificate(cfg.topology_family, cfg.mu_list, cfg.a, cfg.b)
-    except (SynthesisError, NumericError, ValueError) as exc:
-        return CommandOutcome(2, f"synthesis failed: {exc}")
+    cfg = simharness.load_config(config_path)
+    cert = simharness.certify(cfg)
+    if cert is None:
+        raise ConfigError("analyze requires a directed-switched scenario with n >= 2")
     gains = validate_gains(cfg.a, cfg.b, cert)
     doc = {
         "n": cert.n,
@@ -98,11 +80,7 @@ def cmd_analyze(config_path: str, as_json: bool) -> CommandOutcome:
         "mu_min": cert.mu_min,
         "rate_bound": convergence_rate_bound(cfg.a, cfg.b, cert),
         "gain_report": gains.to_dict(),
-        "dt_check": {
-            "dt": cfg.dt,
-            "dwell_over_10": cert.dwell_bound / 10.0,
-            "ok": cfg.dt <= cert.dwell_bound / 10.0,
-        },
+        "dt_check": {"dt": cfg.dt, "dwell_over_10": cert.dwell_bound / 10.0},
     }
     if as_json:
         return CommandOutcome(0, json.dumps(doc, indent=2))
@@ -122,26 +100,16 @@ def cmd_analyze(config_path: str, as_json: bool) -> CommandOutcome:
         lines.append(
             f"[{'ok' if c.passed else 'FAIL'}] {c.name}: lhs={c.lhs:.6g} rhs={c.rhs:.6g}"
         )
-    lines.append(
-        f"[{'ok' if doc['dt_check']['ok'] else 'FAIL'}] dt {cfg.dt} <= dwell/10 "
-        f"{cert.dwell_bound / 10.0:.6g}"
-    )
+    lines.append(f"[ok] dt {cfg.dt} <= dwell/10 {cert.dwell_bound / 10.0:.6g}")
     return CommandOutcome(0, "\n".join(lines))
 
 
 def cmd_run(
     config_path: str, outdir: str, as_json: bool, dt: float | None, seed: int | None
 ) -> CommandOutcome:
-    try:
-        cfg = _load(config_path, dt, seed)
-        log.info("running %s scenario, dt=%g, t_max=%g", cfg.mode, cfg.dt, cfg.t_max)
-        log_ = simharness.run_scenario(cfg)
-    except ConfigError as exc:
-        return CommandOutcome(1, f"invalid config: {exc}")
-    except SynthesisError as exc:
-        return CommandOutcome(1, f"synthesis failed: {exc}")
-    except NumericError as exc:
-        return CommandOutcome(2, f"numeric failure: {exc}")
+    cfg = _load(config_path, dt, seed)
+    log.info("running %s scenario, dt=%g, t_max=%g", cfg.mode, cfg.dt, cfg.t_max)
+    log_ = simharness.run_scenario(cfg)
     log.info("run finished at t=%g with %d switches", log_.t[-1], len(log_.switch_log))
     simharness.write_outputs(log_, outdir)
     summary = simharness.summary_dict(log_)
@@ -170,30 +138,16 @@ def cmd_compare(
     dt: float | None,
     seed: int | None,
 ) -> CommandOutcome:
-    try:
-        cfg_d = _load(directed_path, dt, seed)
-        cfg_b = _load(bidirectional_path, dt, seed)
-        for name, want, got in (
-            ("n", cfg_d.n, cfg_b.n),
-            ("a", cfg_d.a, cfg_b.a),
-            ("b", cfg_d.b, cfg_b.b),
-            ("delta", cfg_d.delta, cfg_b.delta),
-            ("t_f", cfg_d.t_f, cfg_b.t_f),
-            ("traj_offsets", cfg_d.traj_offsets, cfg_b.traj_offsets),
-            ("traj_angles", cfg_d.traj_angles, cfg_b.traj_angles),
-        ):
-            if want != got:
-                raise ConfigError(
-                    f"compare needs matched scenarios: {name} differs ({want} vs {got})"
-                )
-        log_d = simharness.run_scenario(cfg_d)
-        log_b = simharness.run_scenario(cfg_b)
-    except ConfigError as exc:
-        return CommandOutcome(1, f"invalid comparison: {exc}")
-    except SynthesisError as exc:
-        return CommandOutcome(1, f"synthesis failed: {exc}")
-    except NumericError as exc:
-        return CommandOutcome(2, f"numeric failure: {exc}")
+    cfg_d = _load(directed_path, dt, seed)
+    cfg_b = _load(bidirectional_path, dt, seed)
+    for name in ("n", "a", "b", "delta", "t_f", "traj_offsets", "traj_angles"):
+        want, got = getattr(cfg_d, name), getattr(cfg_b, name)
+        if want != got:
+            raise ConfigError(
+                f"compare needs matched scenarios: {name} differs ({want!r} vs {got!r})"
+            )
+    log_d = simharness.run_scenario(cfg_d)
+    log_b = simharness.run_scenario(cfg_b)
     simharness.write_outputs(log_d, os.path.join(outdir, "directed"))
     simharness.write_outputs(log_b, os.path.join(outdir, "bidirectional"))
     sum_d = simharness.summary_dict(log_d)
@@ -261,23 +215,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dispatch(args) -> CommandOutcome:
+    if args.command == "validate":
+        return cmd_validate(args.config, args.json)
+    if args.command == "analyze":
+        return cmd_analyze(args.config, args.json)
+    if args.command == "run":
+        return cmd_run(args.config, args.out, args.json, args.dt, args.seed)
+    if args.command == "compare":
+        return cmd_compare(
+            args.directed, args.bidirectional, args.out, args.json, args.dt, args.seed
+        )
+    raise AssertionError("unreachable")
+
+
+# the one map from a refused input or failed computation to its exit code
+_FAILURES = {
+    ConfigError: (1, "invalid config"),
+    SynthesisError: (1, "synthesis failed"),
+    NumericError: (2, "numeric failure"),
+}
+
+
 def main(argv=None) -> int:
     level = os.environ.get("COORDSIM_LOG", "WARNING").upper()
     logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
     args = build_parser().parse_args(argv)
-    if args.command == "validate":
-        return _emit(cmd_validate(args.config, args.json))
-    if args.command == "analyze":
-        return _emit(cmd_analyze(args.config, args.json))
-    if args.command == "run":
-        return _emit(cmd_run(args.config, args.out, args.json, args.dt, args.seed))
-    if args.command == "compare":
-        return _emit(
-            cmd_compare(
-                args.directed, args.bidirectional, args.out, args.json, args.dt, args.seed
-            )
-        )
-    raise AssertionError("unreachable")
+    try:
+        outcome = _dispatch(args)
+    except tuple(_FAILURES) as exc:
+        code, label = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
+        error = json.dumps({"ok": False, "error": str(exc)})
+        outcome = CommandOutcome(code, error if args.json else f"{label}: {exc}")
+    return _emit(outcome)
 
 
 if __name__ == "__main__":

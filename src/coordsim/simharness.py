@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -31,11 +32,13 @@ from .coordalg import (
 )
 from .coordctrl import MissionRateProfile, Violation, smoothstep_profile
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacian
-from .errors import ConfigError, NumericError, SynthesisError
+from .errors import ConfigError, NumericError
 from .vehicle import LaneSweepFamily
 
 MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
+# cap on t_max / dt: the per-step log is preallocated for the whole run
+MAX_STEPS = 1_000_000
 
 
 def default_directed_family() -> list[Digraph]:
@@ -53,6 +56,43 @@ def mirror_family(family: list[Digraph]) -> list[Digraph]:
     return [
         Digraph(d.n, set(d.edges) | {(j, i) for (i, j) in d.edges}) for d in family
     ]
+
+
+def _num(default, lo=None, hi=None):
+    """A numeric config field admitted only when finite and inside the open
+    range ``(lo, hi)``; ``None`` leaves that side unbounded.  The field's
+    annotation (``int`` or ``float``) is its type."""
+    return field(default=default, metadata={"range": (lo, hi)})
+
+
+_NUMERIC_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+
+
+def _check_number(name: str, value, kind: str, lo=None, hi=None) -> None:
+    """Refuse ``value`` unless it is a finite ``kind`` inside ``(lo, hi)``."""
+    if isinstance(value, bool) or not isinstance(value, _NUMERIC_TYPES[kind]):
+        raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+    if not (
+        (isinstance(value, numbers.Integral) or math.isfinite(value))
+        and (lo is None or value > lo)
+        and (hi is None or value < hi)
+    ):
+        raise ConfigError(
+            f"{name}={value!r} must be finite and inside the open range "
+            f"({'-inf' if lo is None else lo}, {'inf' if hi is None else hi})"
+        )
+
+
+def _check_array(name: str, value, shape: tuple[int, ...]) -> None:
+    """Refuse ``value`` unless it is a finite real array of ``shape``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = np.asarray(None)
+    if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.isfinite(arr).all():
+        raise ConfigError(
+            f"{name} must be a finite real array of shape {shape}, got {value!r}"
+        )
 
 
 @dataclass
@@ -76,41 +116,40 @@ class ScenarioConfig:
     """Everything a run needs; defaults reproduce the five-vehicle
     directed-switching scenario."""
 
-    n: int = 5
+    n: int = _num(5, 0)
     mode: str = MODE_DIRECTED
     topology_family: list[Digraph] = field(default_factory=default_directed_family)
-    a: float = 0.75
-    b: float = 1.82
-    delta: float = 1.2
+    a: float = _num(0.75, 0)
+    b: float = _num(1.82, 0)
+    delta: float = _num(1.2, 0)
     mu_list: list[float] = field(default_factory=lambda: [0.2638, 0.2638, 0.2638])
     phi0: list[float] | None = field(
         default_factory=lambda: [0.9, 1.7, 1.1, 0.1]
     )
-    dt: float = 1e-3
-    t_max: float = 60.0
-    rng_seed: int = 1
-    random_switch_period: float = 0.3
-    pe_window: float = 3.4
+    dt: float = _num(1e-3, 0)
+    t_max: float = _num(60.0, 0)
+    rng_seed: int = _num(1, -1)
+    random_switch_period: float = _num(0.3, 0)
+    pe_window: float = _num(3.4, 0)
     # mission rate profile: constant base, one smoothstep ramp to final
-    rate_base: float = 1.0
-    rate_final: float = 1.1
-    ramp_start: float = 28.0
-    ramp_duration: float = 8.0
+    rate_base: float = _num(1.0, 0)
+    rate_final: float = _num(1.1, 0)
+    ramp_start: float = _num(28.0)
+    ramp_duration: float = _num(8.0, 0)
     # feasibility envelope on virtual-time rate / acceleration
-    gamma_dot_max: float = 0.5
-    gamma_ddot_max: float = 5.0
+    gamma_dot_max: float = _num(0.5, 0, 1)
+    gamma_ddot_max: float = _num(5.0, 0)
     # vehicle / path-following parameters
-    kp: float = 4.0
-    kd: float = 4.0
-    accel_limit: float = 10.0
-    speed_limit: float = 5.0
-    rho: float = 0.5
+    kp: float = _num(4.0, 0)
+    kd: float = _num(4.0, 0)
+    accel_limit: float = _num(10.0, 0)
+    speed_limit: float = _num(5.0, 0)
     initial_positions: list[list[float]] | None = None
     initial_velocities: list[list[float]] | None = None
     # trajectory family parameters (None -> lane defaults for n vehicles)
     traj_offsets: list[float] | None = None
     traj_angles: list[float] | None = None
-    t_f: float = 50.0
+    t_f: float = _num(50.0, 0)
     gusts: list[GustEvent] = field(default_factory=list)
 
     # -- construction helpers -------------------------------------------------
@@ -122,15 +161,15 @@ class ScenarioConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        if "topology_family" in kwargs:
-            kwargs["topology_family"] = [
-                Digraph.from_dict(g) for g in kwargs["topology_family"]
-            ]
-        if "gusts" in kwargs:
-            kwargs["gusts"] = [
-                GustEvent(g["vehicle"], tuple(g["accel"]), tuple(g["window"]))
-                for g in kwargs["gusts"]
-            ]
+        for name, parse in (
+            ("topology_family", Digraph.from_dict),
+            ("gusts", lambda g: GustEvent(**g)),
+        ):
+            if name in kwargs:
+                try:
+                    kwargs[name] = [parse(entry) for entry in kwargs[name]]
+                except (TypeError, KeyError, ValueError) as exc:
+                    raise ConfigError(f"{name}: {type(exc).__name__}: {exc}") from exc
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -164,25 +203,17 @@ class ScenarioConfig:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> None:
-        """Raise ConfigError on the first violated precondition."""
-        if self.n < 1:
-            raise ConfigError(f"n must be >= 1, got {self.n}")
+        """Raise ConfigError, naming the field, on the first violated
+        precondition."""
+        for f in fields(self):
+            if "range" in f.metadata:
+                _check_number(f.name, getattr(self, f.name), f.type, *f.metadata["range"])
+        if self.t_max / self.dt > MAX_STEPS:
+            raise ConfigError(
+                f"dt={self.dt} with t_max={self.t_max} needs more than {MAX_STEPS} steps"
+            )
         if self.mode not in (MODE_DIRECTED, MODE_BIDIRECTIONAL):
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
-        if self.a <= 0 or self.b <= 0:
-            raise ConfigError("gains a and b must be positive")
-        if self.delta <= 0:
-            raise ConfigError("delta must be positive")
-        if not (0 < self.gamma_dot_max < 1):
-            raise ConfigError("gamma_dot_max must lie in (0, 1)")
-        if self.gamma_ddot_max <= 0:
-            raise ConfigError("gamma_ddot_max must be positive")
-        if min(self.kp, self.kd, self.accel_limit, self.speed_limit, self.rho) <= 0:
-            raise ConfigError("vehicle gains and limits must be positive")
         if not self.topology_family:
             raise ConfigError("topology_family is empty")
         for g in self.topology_family:
@@ -193,36 +224,32 @@ class ScenarioConfig:
         if not jointly_connected(self.topology_family):
             raise ConfigError("topology family is not jointly connected")
         if self.mode == MODE_DIRECTED and self.n >= 2:
-            if self.phi0 is None or len(self.phi0) != self.n - 1:
-                raise ConfigError(f"phi0 must have dimension n-1 = {self.n - 1}")
+            _check_array("phi0", self.phi0, (self.n - 1,))
             if not any(self.phi0):
                 raise ConfigError("phi0 must be nonzero")
-            if len(self.mu_list) != len(self.topology_family):
-                raise ConfigError("mu_list length must match the topology family")
+            _check_array("mu_list", self.mu_list, (len(self.topology_family),))
         if self.mode == MODE_BIDIRECTIONAL:
-            if self.random_switch_period <= 0:
-                raise ConfigError("random_switch_period must be positive")
+            if self.random_switch_period < self.dt:
+                raise ConfigError("random_switch_period must be at least dt")
             _require_symmetric(self.topology_family)
-        fam = self.trajectory_family()
-        if fam.n != self.n:
-            raise ConfigError("trajectory family size does not match n")
-        if self.initial_positions is not None and np.shape(self.initial_positions) != (
-            self.n,
-            3,
-        ):
-            raise ConfigError("initial_positions must be an n x 3 array")
-        if self.initial_velocities is not None and np.shape(
-            self.initial_velocities
-        ) != (self.n, 3):
-            raise ConfigError("initial_velocities must be an n x 3 array")
-        for g in self.gusts:
+        for name in ("traj_offsets", "traj_angles"):
+            if getattr(self, name) is not None:
+                _check_array(name, getattr(self, name), (self.n,))
+        for name in ("initial_positions", "initial_velocities"):
+            if getattr(self, name) is not None:
+                _check_array(name, getattr(self, name), (self.n, 3))
+        for k, g in enumerate(self.gusts):
+            _check_number(f"gusts[{k}].vehicle", g.vehicle, "int")
             if not (1 <= g.vehicle <= self.n):
                 raise ConfigError(f"gust vehicle {g.vehicle} outside 1..{self.n}")
+            _check_array(f"gusts[{k}].accel", g.accel, (3,))
+            _check_array(f"gusts[{k}].window", g.window, (2,))
             if g.window[0] >= g.window[1]:
                 raise ConfigError(f"gust window {g.window} must be increasing")
         self.mission_profile().validate(self.t_max)
         # the convergence analysis wants delta above the spread of desired
         # speeds; warn (tuning hint), do not reject
+        fam = self.trajectory_family()
         speeds = np.linalg.norm(_family_speed_grid(fam), axis=-1)
         spread = float(speeds.max() - speeds.min())
         if self.delta <= spread:
@@ -273,12 +300,7 @@ def load_config(path: str) -> ScenarioConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a JSON object, got {type(raw).__name__}")
-    try:
-        return ScenarioConfig.from_dict(raw)
-    except (TypeError, KeyError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"invalid config {path}: {exc}") from exc
+    return ScenarioConfig.from_dict(raw)
 
 
 def random_bidirectional_schedule(
@@ -330,26 +352,40 @@ class SimWorld:
         return bool(self.arrived.all())
 
 
-def init_world(config: ScenarioConfig) -> SimWorld:
+def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
+    """Admit ``config`` or raise ConfigError naming the field: run
+    ``validate``, then, for a directed scenario with ``n >= 2``, synthesize
+    its certificate and check the inputs only it can judge (every ``mu_i``
+    inside ``(0, 1/lambda_max(P))`` and ``dt <= dwell_bound / 10``).
+    Returns the certificate, or None when the scenario has none."""
     config.validate()
+    if config.mode != MODE_DIRECTED or config.n < 2:
+        return None
+    try:
+        cert = build_certificate(
+            config.topology_family, config.mu_list, config.a, config.b
+        )
+    except ValueError as exc:  # the structural arguments passed validate
+        raise ConfigError(f"mu_list: {exc}") from exc
+    if config.dt > cert.dwell_bound / 10.0:
+        raise ConfigError(
+            f"dt={config.dt} exceeds a tenth of the guaranteed dwell time "
+            f"{cert.dwell_bound:.6g}; switching boundaries would quantize too coarsely"
+        )
+    return cert
+
+
+def init_world(config: ScenarioConfig) -> SimWorld:
+    cert = certify(config)
     fam = config.trajectory_family()
     profile = config.mission_profile()
     laps = tuple(laplacian(d).astype(float) for d in config.topology_family)
     for m in laps:
         m.setflags(write=False)
 
-    cert = None
     sw = None
     schedule = None
-    if config.mode == MODE_DIRECTED and config.n >= 2:
-        cert = build_certificate(
-            config.topology_family, config.mu_list, config.a, config.b
-        )
-        if config.dt > cert.dwell_bound / 10.0:
-            raise ConfigError(
-                f"dt={config.dt} exceeds a tenth of the guaranteed dwell time "
-                f"{cert.dwell_bound:.6g}; switching boundaries would quantize too coarsely"
-            )
+    if cert is not None:
         sw = switchlaw.init_switching(np.asarray(config.phi0, float), cert)
         sigma = sw.sigma
     elif config.mode == MODE_BIDIRECTIONAL:
@@ -815,56 +851,34 @@ def write_outputs(log: MetricsLog, outdir: str) -> None:
 
 
 def validation_report(config: ScenarioConfig) -> dict:
-    """Structured pass/fail report over the scenario preconditions,
-    covering joint connectivity, per-topology connectivity status, the
-    admissible threshold interval and the step-size check."""
-    checks = []
-
-    def add(name: str, ok: bool, detail: str) -> None:
-        checks.append({"name": name, "ok": bool(ok), "detail": detail})
-
+    """Structured pass/fail report over the scenario preconditions: either
+    one failed ``config`` check naming the refused field, or the passed
+    checks with per-topology connectivity status, the admissible threshold
+    interval and the step-size check."""
     try:
-        config.validate()
-        add("config", True, "all structural preconditions hold")
+        cert = certify(config)
     except ConfigError as exc:
-        add("config", False, str(exc))
-        return {"checks": checks, "ok": False}
-
-    fam_ok = jointly_connected(config.topology_family)
-    add(
-        "jointly_connected",
-        fam_ok,
-        "union of the family contains a directed spanning tree"
-        if fam_ok
-        else "union of the family contains no directed spanning tree",
-    )
-    for i, d in enumerate(config.topology_family, start=1):
-        has = contains_spanning_tree(d)
-        add(
+        failed = {"name": "config", "ok": False, "detail": str(exc)}
+        return {"checks": [failed], "ok": False}
+    passed = [
+        ("config", "all structural preconditions hold"),
+        ("jointly_connected", "union of the family contains a directed spanning tree"),
+    ]
+    passed += [
+        (
             f"topology_{i}_spanning_tree",
-            True,
-            f"contains a directed spanning tree: {has} (informational)",
+            f"contains a directed spanning tree: {contains_spanning_tree(d)} "
+            "(informational)",
         )
-
-    if config.mode == MODE_DIRECTED and config.n >= 2:
-        try:
-            cert = build_certificate(
-                config.topology_family, config.mu_list, config.a, config.b
-            )
-        except (ValueError, SynthesisError, NumericError) as exc:
-            add("certificate", False, str(exc))
-            return {"checks": checks, "ok": False}
-        cap = 1.0 / cert.lambda_max_p
-        add(
-            "mu_range",
-            True,
-            f"all mu in (0, {cap:.6g})",
-        )
-        dt_ok = config.dt <= cert.dwell_bound / 10.0
-        add(
-            "dt_vs_dwell",
-            dt_ok,
-            f"dt={config.dt} vs dwell_bound/10={cert.dwell_bound / 10.0:.6g}",
-        )
-    ok = all(c["ok"] for c in checks)
-    return {"checks": checks, "ok": ok}
+        for i, d in enumerate(config.topology_family, start=1)
+    ]
+    if cert is not None:
+        passed += [
+            ("mu_range", f"all mu in (0, {1.0 / cert.lambda_max_p:.6g})"),
+            (
+                "dt_vs_dwell",
+                f"dt={config.dt} <= dwell_bound/10={cert.dwell_bound / 10.0:.6g}",
+            ),
+        ]
+    checks = [{"name": name, "ok": True, "detail": detail} for name, detail in passed]
+    return {"checks": checks, "ok": True}

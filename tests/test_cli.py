@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -108,16 +110,13 @@ class TestAnalyze:
         doc = json.loads(capsys.readouterr().out)
         assert doc["p_spectrum"] == pytest.approx([0.25], abs=1e-12)
 
-    def test_synthesis_failure_exit_2(self, tmp_path, capsys):
+    def test_disconnected_family_exit_1(self, tmp_path, capsys):
         from coordsim.digraph import Digraph
 
         cfg = default_directed_config()
         cfg.topology_family = [Digraph(5, [(1, 3)]), Digraph(5, [(2, 3)])]
         cfg.mu_list = [0.1, 0.1]
         path = write_cfg(tmp_path, "nosynth.json", cfg)
-        # config.validate already rejects the family; bypass it by calling
-        # the command on a config that passes structure but fails synthesis
-        # is impossible here, so assert the validation exit instead
         assert cli.main(["analyze", "--config", path]) == 1
 
 
@@ -210,6 +209,72 @@ class TestCompare:
         out = tmp_path / "bad"
         assert cli.main(["compare", directed_path, path, "--out", str(out)]) == 1
         assert "differs" in capsys.readouterr().out
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+NAN, INF = float("nan"), float("inf")
+# (field named in the refusal, override of the shipped directed config)
+REFUSED = [
+    ("a", {"a": NAN}),
+    ("gamma_ddot_max", {"gamma_ddot_max": NAN}),
+    ("t_max", {"t_max": INF}),
+    ("n", {"n": "5"}),
+    ("dt", {"dt": 1e-300}),
+    ("t_f", {"t_f": -1}),
+    ("mu_list", {"mu_list": [0.5] * 3}),
+    ("phi0", {"phi0": [NAN, 1, 1, 1]}),
+    ("vehicle", {"gusts": [{"vehicle": "1", "accel": [0, 1, 0], "window": [1, 2]}]}),
+    ("kp", {"kp": True}),
+    ("traj_offsets", {"traj_offsets": [1, 2]}),
+    ("ramp_start", {"ramp_start": NAN}),
+]
+
+
+def shipped_with(tmp_path, override):
+    raw = json.loads((SHIPPED / "directed.json").read_text())
+    raw.update(override)
+    path = tmp_path / "refused.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+def assert_refused(argv, field, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    out = captured.out + captured.err
+    assert "Traceback" not in out
+    assert re.search(rf"\b{re.escape(field)}(=| must|:| differs)", out), out
+
+
+class TestRefusal:
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    @pytest.mark.parametrize("field, override", REFUSED, ids=[f for f, _ in REFUSED])
+    def test_refused_with_field_named(self, tmp_path, capsys, command, field, override):
+        path = shipped_with(tmp_path, override)
+        out = str(tmp_path / "out")
+        argv = {
+            "validate": ["validate", "--config", path],
+            "run": ["run", "--config", path, "--out", out],
+            "compare": ["compare", path, str(SHIPPED / "bidirectional.json")]
+            + ["--out", out],
+        }[command]
+        assert_refused(argv, field, capsys)
+
+    @pytest.mark.parametrize("command", ["analyze", "run"])
+    def test_dt_above_dwell_tenth_refused(self, tmp_path, capsys, command):
+        path = shipped_with(tmp_path, {"dt": 0.05})
+        argv = [command, "--config", path]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert_refused(argv, "dt", capsys)
+
+    def test_json_refusal_is_one_document(self, tmp_path, capsys):
+        path = shipped_with(tmp_path, {"mu_list": [0.5] * 3})
+        argv = ["run", "--config", path, "--out", str(tmp_path / "out"), "--json"]
+        assert cli.main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["ok"] is False and doc["error"].startswith("mu_list: ")
+        assert set(doc) == {"ok", "error"}
 
 
 class TestEntryPoint:

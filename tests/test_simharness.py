@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -68,6 +69,19 @@ class TestConfig:
         cfg = default_directed_config(dt=0.05)
         with pytest.raises(ConfigError, match="dwell"):
             init_world(cfg)
+
+    def test_every_numeric_field_declares_a_range(self):
+        numeric = [
+            f
+            for f in fields(ScenarioConfig)
+            if f.type in ("int", "float") or isinstance(f.default, (int, float))
+        ]
+        assert {"n", "a", "dt", "t_max", "rng_seed", "gamma_ddot_max"} <= {
+            f.name for f in numeric
+        }
+        assert [f.name for f in numeric if "range" not in f.metadata] == []
+        default_directed_config().validate()
+        default_bidirectional_config().validate()
 
     def test_gust_fields_validated(self):
         from coordsim.simharness import GustEvent
