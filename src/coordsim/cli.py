@@ -46,6 +46,15 @@ def _load(path: str, dt: float | None, seed: int | None) -> simharness.ScenarioC
     return cfg
 
 
+def _make_outdir(path: str) -> None:
+    """Create an output directory before any simulation runs; a path that
+    cannot be one is a refused input."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path!r}: {exc}") from exc
+
+
 def cmd_validate(config_path: str, as_json: bool) -> CommandOutcome:
     report = simharness.validation_report(simharness.load_config(config_path))
     if as_json:
@@ -108,6 +117,7 @@ def cmd_run(
     config_path: str, outdir: str, as_json: bool, dt: float | None, seed: int | None
 ) -> CommandOutcome:
     cfg = _load(config_path, dt, seed)
+    _make_outdir(outdir)
     log.info("running %s scenario, dt=%g, t_max=%g", cfg.mode, cfg.dt, cfg.t_max)
     log_ = simharness.run_scenario(cfg)
     log.info("run finished at t=%g with %d switches", log_.t[-1], len(log_.switch_log))
@@ -146,10 +156,14 @@ def cmd_compare(
             raise ConfigError(
                 f"compare needs matched scenarios: {name} differs ({want!r} vs {got!r})"
             )
+    out_d = os.path.join(outdir, "directed")
+    out_b = os.path.join(outdir, "bidirectional")
+    _make_outdir(out_d)
+    _make_outdir(out_b)
     log_d = simharness.run_scenario(cfg_d)
     log_b = simharness.run_scenario(cfg_b)
-    simharness.write_outputs(log_d, os.path.join(outdir, "directed"))
-    simharness.write_outputs(log_b, os.path.join(outdir, "bidirectional"))
+    simharness.write_outputs(log_d, out_d)
+    simharness.write_outputs(log_b, out_b)
     sum_d = simharness.summary_dict(log_d)
     sum_b = simharness.summary_dict(log_b)
     doc = {

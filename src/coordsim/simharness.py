@@ -261,7 +261,7 @@ class ScenarioConfig:
 
 def _family_speed_grid(fam: LaneSweepFamily) -> np.ndarray:
     ts = np.linspace(0.0, fam.t_f, 2000)
-    return np.stack([fam.velocity_all(np.full(fam.n, t)) for t in ts]).reshape(-1, 3)
+    return fam.velocity_all(np.repeat(ts[:, None], fam.n, axis=1)).reshape(-1, 3)
 
 
 def _require_symmetric(family: list[Digraph]) -> None:
@@ -323,9 +323,13 @@ def random_bidirectional_schedule(
 
 @dataclass
 class SimWorld:
-    """Mutable state of one run plus the immutable objects it needs;
-    ``switch_log`` is the run's one switch record (in directed mode, the
-    switching law's own list)."""
+    """Mutable state of one run plus the immutable objects it needs.
+
+    The smooth state is one packed array ``x = [gamma | gamma_dot | p | v]``
+    of ``8 n`` floats, updated in place; ``gamma``, ``gamma_dot``, ``p`` and
+    ``v`` are views of it.  ``dx`` and ``e`` are the state derivative and
+    the path errors at ``x``.  ``switch_log`` is the run's one switch record
+    (in directed mode, the switching law's own list)."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -334,22 +338,33 @@ class SimWorld:
     cert: SwitchingCertificate | None
     sw: switchlaw.SwitchingState | None
     schedule: np.ndarray | None
+    # (row, acceleration, window) of each gust
+    gusts: list[tuple[int, np.ndarray, tuple[float, float]]]
     # dynamic state
     step_idx: int = 0
     t: float = 0.0
     sigma: int = 1
-    gamma: np.ndarray = None
-    gamma_dot: np.ndarray = None
-    p: np.ndarray = None
-    v: np.ndarray = None
+    x: np.ndarray = None
+    dx: np.ndarray = None
+    e: np.ndarray = None
     arrived: np.ndarray = None
     switch_log: list[tuple[float, int, int]] = field(default_factory=list)
-    # diagnostics of the most recent sample, filled by _sample()
-    last_sample: dict = None
+    gamma: np.ndarray = field(init=False, repr=False)
+    gamma_dot: np.ndarray = field(init=False, repr=False)
+    p: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.gamma, self.gamma_dot, self.p, self.v = _unpack(self.x, self.config.n)
 
     @property
     def all_arrived(self) -> bool:
         return bool(self.arrived.all())
+
+
+def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views ``(gamma, gamma_dot, p, v)`` of the packed state ``x``."""
+    return x[:n], x[n : 2 * n], x[2 * n : 5 * n].reshape(n, 3), x[5 * n :].reshape(n, 3)
 
 
 def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
@@ -399,16 +414,18 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     else:  # directed with n == 1: nothing to switch
         sigma = 1
 
-    if config.initial_positions is not None:
-        p0 = np.asarray(config.initial_positions, dtype=float).copy()
-    else:
-        p0 = config.default_initial_positions(fam)
+    n = config.n
+    x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1, v = 0 unless configured
+    x[n : 2 * n] = 1.0
+    x[2 * n : 5 * n] = np.ravel(
+        config.default_initial_positions(fam)
+        if config.initial_positions is None
+        else config.initial_positions
+    )
     if config.initial_velocities is not None:
-        v0 = np.asarray(config.initial_velocities, dtype=float).copy()
-    else:
-        v0 = np.zeros((config.n, 3))
+        x[5 * n :] = np.ravel(config.initial_velocities)
 
-    return SimWorld(
+    world = SimWorld(
         config=config,
         fam=fam,
         profile=profile,
@@ -416,26 +433,29 @@ def init_world(config: ScenarioConfig) -> SimWorld:
         cert=cert,
         sw=sw,
         schedule=schedule,
+        gusts=[
+            (g.vehicle - 1, np.asarray(g.accel, float), g.window) for g in config.gusts
+        ],
         sigma=sigma,
-        gamma=np.zeros(config.n),
-        gamma_dot=np.ones(config.n),
-        p=p0,
-        v=v0,
-        arrived=np.zeros(config.n, dtype=bool),
+        x=x,
+        arrived=np.zeros(n, dtype=bool),
         switch_log=sw.switch_log if sw is not None else [],
     )
+    world.dx, world.e = _rhs(world, 0.0, x)
+    return world
 
 
 def _check_finite(world: SimWorld) -> None:
-    named = [
+    phi = world.sw.phi if world.sw is not None else world.x[:0]
+    if np.isfinite(world.x).all() and np.isfinite(phi).all():
+        return
+    for name, arr in (
         ("gamma", world.gamma),
         ("gamma_dot", world.gamma_dot),
         ("position", world.p),
         ("velocity", world.v),
-    ]
-    if world.sw is not None:
-        named.append(("phi", world.sw.phi))
-    for name, arr in named:
+        ("phi", phi),
+    ):
         if not np.isfinite(arr).all():
             idx = np.argwhere(~np.isfinite(arr))[0]
             raise NumericError(
@@ -443,89 +463,45 @@ def _check_finite(world: SimWorld) -> None:
             )
 
 
-def _rhs(world: SimWorld):
-    """Coupled smooth dynamics under the active topology, ``rhs(t, gamma,
-    gamma_dot, p, v) -> (gamma', gamma_dot', p', v', path errors)``; the
-    virtual time of an arrived vehicle is held (its derivatives are 0)."""
+def _rhs(world: SimWorld, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coupled smooth dynamics of the packed state ``x`` under the active
+    topology: ``(x', path errors)``.  The virtual time of an arrived
+    vehicle is held (its derivatives are 0)."""
     cfg = world.config
-    fam = world.fam
-    rate = world.profile.rate
-    a, b, delta = cfg.a, cfg.b, cfg.delta
-    kp, kd, a_lim = cfg.kp, cfg.kd, cfg.accel_limit
+    n = cfg.n
+    gamma, gamma_dot, p, v = _unpack(x, n)
+    tp, tv = world.fam.pos_vel_all(gamma)
+    e = tp - p
+    alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
+    dx = np.empty(8 * n)
+    dx[:n] = gamma_dot
     lap = world.laplacians[world.sigma - 1]
-    arrived = world.arrived
-    any_arrived = bool(arrived.any())
-    gust_rows = [
-        (g.vehicle - 1, np.asarray(g.accel, float), g.window) for g in cfg.gusts
-    ]
-
-    def rhs(t, gamma, gamma_dot, p, v):
-        tp, tv = fam.pos_vel_all(gamma)
-        e = tp - p
-        alpha = coordctrl.path_error_feedback_all(tv, e, delta)
-        gdd = coordctrl.coordination_accel_matrix(
-            gamma, gamma_dot, lap, alpha, rate(t), a, b
-        )
-        if any_arrived:
-            dgamma = np.where(arrived, 0.0, gamma_dot)
-            gdd = np.where(arrived, 0.0, gdd)
-        else:
-            dgamma = gamma_dot
-        u = vehicle.pf_control_all(p, v, tp, tv * dgamma[:, None], kp, kd, a_lim)
-        for row, gvec, window in gust_rows:
-            u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-        return dgamma, gdd, v, u, e
-
-    return rhs
-
-
-def _sample(world: SimWorld, rhs) -> tuple:
-    """First RK4 stage at the current state; the sample's diagnostics land
-    in ``world.last_sample``, which holds the state arrays themselves
-    (``step`` replaces them, never writes into them)."""
-    k1 = rhs(world.t, world.gamma, world.gamma_dot, world.p, world.v)
-    world.last_sample = {
-        "t": world.t,
-        "sigma": world.sigma,
-        "gamma": world.gamma,
-        "gamma_dot": world.gamma_dot,
-        "gamma_ddot": k1[1],
-        "p": world.p,
-        "epf_norm": np.sqrt(np.einsum("ij,ij->i", k1[4], k1[4])),
-        "arrived": world.arrived,
-        "aux_v": (
-            float(world.sw.phi @ world.cert.p @ world.sw.phi)
-            if world.sw is not None
-            else None
-        ),
-    }
-    return k1
+    dx[n : 2 * n] = coordctrl.coordination_accel_matrix(
+        gamma, gamma_dot, lap, alpha, world.profile.rate(t), cfg.a, cfg.b
+    )
+    dx[: 2 * n].reshape(2, n)[:, world.arrived] = 0.0
+    dx[2 * n : 5 * n] = x[5 * n :]
+    u = vehicle.pf_control_all(
+        p, v, tp, tv * dx[:n, None], cfg.kp, cfg.kd, cfg.accel_limit
+    )
+    for row, gvec, window in world.gusts:
+        u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
+    dx[5 * n :] = u.ravel()
+    return dx, e
 
 
 def step(world: SimWorld, dt: float) -> SimWorld:
     """Advance one step: RK4 on the coupled smooth dynamics with the
-    topology held fixed, then the switching decision, then arrival
-    clamping and the velocity limit.
-
-    Diagnostics of the pre-step sample land in ``world.last_sample``.
-    """
+    topology held fixed (``world.dx`` is its first stage), then the speed
+    limit, the switching decision and arrival clamping; ``world.dx`` and
+    ``world.e`` are then evaluated at the new state."""
     cfg = world.config
-    rhs = _rhs(world)
-    t0 = world.t
-    g0, gd0, p0, v0 = world.gamma, world.gamma_dot, world.p, world.v
-    k1 = _sample(world, rhs)
-
+    t0, x, k1 = world.t, world.x, world.dx
     h = 0.5 * dt
-    k2 = rhs(t0 + h, g0 + h * k1[0], gd0 + h * k1[1], p0 + h * k1[2], v0 + h * k1[3])
-    k3 = rhs(t0 + h, g0 + h * k2[0], gd0 + h * k2[1], p0 + h * k2[2], v0 + h * k2[3])
-    k4 = rhs(
-        t0 + dt, g0 + dt * k3[0], gd0 + dt * k3[1], p0 + dt * k3[2], v0 + dt * k3[3]
-    )
-    w = dt / 6.0
-    world.gamma = g0 + w * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-    world.gamma_dot = gd0 + w * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-    world.p = p0 + w * (k1[2] + 2 * k2[2] + 2 * k3[2] + k4[2])
-    world.v = v0 + w * (k1[3] + 2 * k2[3] + 2 * k3[3] + k4[3])
+    k2 = _rhs(world, t0 + h, x + h * k1)[0]
+    k3 = _rhs(world, t0 + h, x + h * k2)[0]
+    k4 = _rhs(world, t0 + dt, x + dt * k3)[0]
+    x += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)  # in place: the views follow
 
     world.step_idx += 1
     world.t = world.step_idx * dt
@@ -549,14 +525,13 @@ def step(world: SimWorld, dt: float) -> SimWorld:
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly
-    newly = (~world.arrived) & (world.gamma >= cfg.t_f)
-    if newly.any():
-        world.arrived = world.arrived | newly
+    world.arrived = world.arrived | (world.gamma >= cfg.t_f)
     if world.arrived.any():
         world.gamma[world.arrived] = cfg.t_f
         world.gamma_dot[world.arrived] = world.profile.rate(world.t)
 
     _check_finite(world)
+    world.dx, world.e = _rhs(world, world.t, world.x)
     return world
 
 
@@ -567,17 +542,15 @@ def step(world: SimWorld, dt: float) -> SimWorld:
 
 @dataclass
 class MetricsLog:
-    """Complete per-step record of one run plus its integral metrics."""
+    """Complete per-step record of one run plus its integral metrics.
+
+    ``table`` has one row per logged sample and the columns of
+    ``metrics.csv``: ``t``, ``sigma``, ``xi_norm``, then ``n`` columns each
+    of ``gamma``, ``gamma_dot`` and ``epf_norm``, then ``px, py, pz`` per
+    vehicle.  The named per-step arrays are views of it."""
 
     config: ScenarioConfig
-    t: np.ndarray
-    sigma: np.ndarray
-    xi_norm: np.ndarray
-    gamma: np.ndarray
-    gamma_dot: np.ndarray
-    gamma_ddot: np.ndarray
-    epf_norm: np.ndarray
-    positions: np.ndarray
+    table: np.ndarray
     aux_v: np.ndarray | None
     topology_segments: list[tuple[float, float, int]]
     switch_log: list[tuple[float, int, int]]
@@ -591,6 +564,21 @@ class MetricsLog:
     certificate: SwitchingCertificate | None
     laplacians: tuple[np.ndarray, ...]
     final_state: dict
+    t: np.ndarray = field(init=False, repr=False)
+    sigma: np.ndarray = field(init=False, repr=False)
+    xi_norm: np.ndarray = field(init=False, repr=False)
+    gamma: np.ndarray = field(init=False, repr=False)
+    gamma_dot: np.ndarray = field(init=False, repr=False)
+    epf_norm: np.ndarray = field(init=False, repr=False)
+    positions: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        n, tab = self.config.n, self.table
+        self.t, self.sigma, self.xi_norm = tab[:, 0], tab[:, 1], tab[:, 2]
+        self.gamma, self.gamma_dot, self.epf_norm = (
+            tab[:, 3 + k * n : 3 + (k + 1) * n] for k in range(3)
+        )
+        self.positions = tab[:, 3 + 3 * n :].reshape(-1, n, 3)
 
     @property
     def comm_amount(self) -> float:
@@ -614,60 +602,47 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         build_projection(n) if n >= 2 else None
     )
 
-    size = n_steps + 1
-    log_t = np.empty(size)
-    log_sigma = np.empty(size, dtype=np.int64)
-    log_xi = np.empty(size)
-    log_gamma = np.empty((size, n))
-    log_gdot = np.empty((size, n))
-    log_gddot = np.empty((size, n))
-    log_epf = np.empty((size, n))
-    log_pos = np.empty((size, n, 3))
-    log_aux = np.empty(size) if world.sw is not None else None
-
+    table = np.empty((n_steps + 1, 3 + 6 * n))
+    log_aux = np.empty(n_steps + 1) if world.sw is not None else None
     violations: list[Violation] = []
     bounds = (config.gamma_dot_max, config.gamma_ddot_max)
     first_arrival_row = None
 
-    def record(k: int, s: dict) -> None:
-        """Write log row ``k`` from sample ``s`` and check its feasibility."""
+    def record(k: int) -> None:
+        """Write log row ``k`` from the world's state and check its
+        feasibility."""
         nonlocal first_arrival_row
-        log_t[k] = s["t"]
-        log_sigma[k] = s["sigma"]
-        log_gamma[k] = s["gamma"]
-        log_gdot[k] = s["gamma_dot"]
-        log_gddot[k] = s["gamma_ddot"]
-        log_epf[k] = s["epf_norm"]
-        log_pos[k] = s["p"]
-        log_xi[k] = coordctrl.coordination_error(
-            s["gamma"], s["gamma_dot"], q, world.profile.rate(s["t"])
+        row, x, t = table[k], world.x, world.t
+        row[0] = t
+        row[1] = world.sigma
+        row[2] = coordctrl.coordination_error(
+            world.gamma, world.gamma_dot, q, world.profile.rate(t)
         )[2]
+        row[3 : 3 + 2 * n] = x[: 2 * n]  # gamma, gamma_dot
+        row[3 + 2 * n : 3 + 3 * n] = np.sqrt(np.einsum("ij,ij->i", world.e, world.e))
+        row[3 + 3 * n :] = x[2 * n : 5 * n]  # positions
         if log_aux is not None:
-            log_aux[k] = s["aux_v"]
-        if first_arrival_row is None and s["arrived"].any():
+            log_aux[k] = float(world.sw.phi @ world.cert.p @ world.sw.phi)
+        if first_arrival_row is None and world.arrived.any():
             first_arrival_row = k
         violations.extend(
             coordctrl.feasibility_check(
-                s["gamma_dot"], s["gamma_ddot"], bounds, s["t"], ~s["arrived"]
+                world.gamma_dot, world.dx[n : 2 * n], bounds, t, ~world.arrived
             )
         )
 
-    rows = 0
+    record(0)
+    rows = 1
     for _ in range(n_steps):
         step(world, dt)
-        record(rows, world.last_sample)
+        record(rows)
         rows += 1
         if world.all_arrived:
             break
 
-    # closing sample at the final state
-    _sample(world, _rhs(world))
-    record(rows, world.last_sample)
-    rows += 1
-
     t_end = world.t
     tau_f = t_end if world.all_arrived else None
-    segments = _segments_from_events(world.switch_log, log_sigma[0], t_end)
+    segments = _segments_from_events(world.switch_log, table[0, 1], t_end)
 
     times = [t for t, _, _ in world.switch_log]
     eta_obs = float(np.diff(times).min()) if len(times) >= 2 else None
@@ -675,18 +650,11 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     # coordination error at the last pre-arrival sample: once virtual
     # times start clamping at t_f the error closes to zero by construction
     final_row = first_arrival_row - 1 if first_arrival_row is not None else rows - 1
-    final_xi = float(log_xi[max(final_row, 0)])
+    final_xi = float(table[max(final_row, 0), 2])
 
     log = MetricsLog(
         config=config,
-        t=log_t[:rows],
-        sigma=log_sigma[:rows],
-        xi_norm=log_xi[:rows],
-        gamma=log_gamma[:rows],
-        gamma_dot=log_gdot[:rows],
-        gamma_ddot=log_gddot[:rows],
-        epf_norm=log_epf[:rows],
-        positions=log_pos[:rows],
+        table=table[:rows],
         aux_v=log_aux[:rows] if log_aux is not None else None,
         topology_segments=segments,
         switch_log=world.switch_log,
@@ -700,10 +668,10 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         certificate=world.cert,
         laplacians=world.laplacians,
         final_state={
-            "gamma": world.gamma.copy(),
-            "gamma_dot": world.gamma_dot.copy(),
-            "p": world.p.copy(),
-            "v": world.v.copy(),
+            "gamma": world.gamma,
+            "gamma_dot": world.gamma_dot,
+            "p": world.p,
+            "v": world.v,
         },
     )
 
@@ -813,24 +781,13 @@ def write_outputs(log: MetricsLog, outdir: str) -> None:
     os.makedirs(outdir, exist_ok=True)
     n = log.config.n
     cols = ["t", "sigma", "xi_norm"]
-    cols += [f"gamma_{i}" for i in range(1, n + 1)]
-    cols += [f"gamma_dot_{i}" for i in range(1, n + 1)]
-    cols += [f"epf_norm_{i}" for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        cols += [f"px_{i}", f"py_{i}", f"pz_{i}"]
-    rows = len(log.t)
-    data = np.empty((rows, len(cols)))
-    data[:, 0] = log.t
-    data[:, 1] = log.sigma
-    data[:, 2] = log.xi_norm
-    data[:, 3 : 3 + n] = log.gamma
-    data[:, 3 + n : 3 + 2 * n] = log.gamma_dot
-    data[:, 3 + 2 * n : 3 + 3 * n] = log.epf_norm
-    data[:, 3 + 3 * n :] = log.positions.reshape(rows, 3 * n)
+    for name in ("gamma", "gamma_dot", "epf_norm"):
+        cols += [f"{name}_{i}" for i in range(1, n + 1)]
+    cols += [f"p{c}_{i}" for i in range(1, n + 1) for c in "xyz"]
     fmts = ["%.12g", "%d"] + ["%.12g"] * (len(cols) - 2)
     np.savetxt(
         os.path.join(outdir, "metrics.csv"),
-        data,
+        log.table,
         fmt=fmts,
         delimiter=",",
         header=",".join(cols),

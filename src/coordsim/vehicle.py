@@ -38,11 +38,13 @@ class LaneSweepFamily:
         self.n = len(self.offsets)
 
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
+        """Desired velocities at virtual times ``gammas`` of shape
+        ``(..., n)``; returns shape ``(..., n, 3)``."""
         g = np.asarray(gammas, dtype=float)
-        out = np.empty((self.n, 3))
-        out[:, 0] = 1.0
-        out[:, 1] = 1.8 * g * np.exp(-0.6 * g) * self.sines
-        out[:, 2] = 0.0
+        out = np.empty(g.shape + (3,))
+        out[..., 0] = 1.0
+        out[..., 1] = 1.8 * g * np.exp(-0.6 * g) * self.sines
+        out[..., 2] = 0.0
         return out
 
     def pos_vel_all(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

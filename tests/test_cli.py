@@ -179,6 +179,24 @@ class TestRun:
         assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
 
 
+class TestOutArgument:
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_existing_file_refused_before_running(
+        self, directed_path, bidirectional_path, tmp_path, capsys, command
+    ):
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        argv = {
+            "run": ["run", "--config", directed_path],
+            "compare": ["compare", directed_path, bidirectional_path],
+        }[command]
+        assert cli.main(argv + ["--out", str(taken)]) == 1
+        out = capsys.readouterr()
+        assert "Traceback" not in out.out + out.err
+        assert "--out" in out.out
+        assert taken.read_text() == "not a directory"
+
+
 class TestCompare:
     def test_default_pair(self, directed_path, bidirectional_path, tmp_path, capsys):
         out = tmp_path / "cmp"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -8,6 +10,7 @@ from coordsim.coordalg import build_projection
 from coordsim.digraph import Digraph, laplacian
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
+    GustEvent,
     MetricsLog,
     ScenarioConfig,
     communication_amount,
@@ -84,11 +87,19 @@ class TestConfig:
         default_bidirectional_config().validate()
 
     def test_gust_fields_validated(self):
-        from coordsim.simharness import GustEvent
-
         cfg = default_directed_config(gusts=[GustEvent(9, (0, 1, 0), (1.0, 2.0))])
         with pytest.raises(ConfigError, match="gust vehicle"):
             cfg.validate()
+
+    def test_delta_below_speed_spread_warns(self):
+        # the default family's desired speeds spread over 0.383
+        with pytest.warns(UserWarning, match=r"delta=0.3 .* spread 0.383"):
+            default_directed_config(delta=0.3).validate()
+
+    def test_default_delta_does_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            default_directed_config().validate()
 
 
 class TestSchedule:
@@ -126,18 +137,15 @@ class TestSchedule:
 def synthetic_log(segments, laplacians, n, t_end, tau_f=None):
     """Minimal log carrying only what the integral metrics need."""
     ts = np.linspace(0.0, t_end, 11)
+    table = np.zeros((len(ts), 3 + 6 * n))
+    table[:, 0] = ts
+    table[:, 1] = 1  # sigma
+    table[:, 3 + n : 3 + 2 * n] = 1.0  # gamma_dot
     return MetricsLog(
         config=ScenarioConfig(
             n=n, topology_family=[Digraph(n)], mu_list=[0.1], phi0=[1.0] * (n - 1)
         ),
-        t=ts,
-        sigma=np.ones(len(ts), dtype=int),
-        xi_norm=np.zeros(len(ts)),
-        gamma=np.zeros((len(ts), n)),
-        gamma_dot=np.ones((len(ts), n)),
-        gamma_ddot=np.zeros((len(ts), n)),
-        epf_norm=np.zeros((len(ts), n)),
-        positions=np.zeros((len(ts), n, 3)),
+        table=table,
         aux_v=None,
         topology_segments=segments,
         switch_log=[],
@@ -390,6 +398,48 @@ class TestOutputs:
         assert len(segments) >= 3
         assert log.comm_amount == pytest.approx(by_hand, rel=1e-12)
         assert log.comm_amount == communication_amount(log)
+
+
+# sha256 of the output files of two short runs that cover gust, arrival and
+# baseline rows: any changed byte of metrics.csv, switches.csv or
+# summary.json fails here.  The digests hold for the platform they were
+# recorded on (x86-64, numpy 2.4).
+PINNED_OUTPUTS = {
+    "directed-gust-arrival": (
+        lambda: default_directed_config(
+            t_max=3.0, t_f=2.0, gusts=[GustEvent(2, (0.0, 1.5, 0.0), (0.5, 1.0))]
+        ),
+        {
+            "metrics.csv": "df6b208fd518410f260b68af72e9b17e9af272bc038a1b1a1ba8be0091041553",
+            "switches.csv": "26e9f6e7ec5130836d83e308ef43514b878b6e545d26b77bb1c47e5b5f375c2b",
+            "summary.json": "7f9156b4420fa3ac47efe4012111aca3e55323978c5ff3b75149f70b3c782cda",
+        },
+    ),
+    "baseline": (
+        lambda: default_bidirectional_config(t_max=4.0),
+        {
+            "metrics.csv": "9b5f3df594e8e02f0a1fe4016a06f14a80e877fae6dca31eeefb8981f1a876c6",
+            "switches.csv": "2f11f01a81c53f8a5017a599b900aaa73db9b02411dedee0d9612b1be65b805b",
+            "summary.json": "2e0328745f7449ac41b1c6d1578d5760879fafae2dc337ff2927a36b7e512762",
+        },
+    ),
+}
+
+
+class TestByteLevelPin:
+    @pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+    def test_outputs_match_pinned_digests(self, name, tmp_path):
+        make_config, digests = PINNED_OUTPUTS[name]
+        log = run_scenario(make_config())
+        if name == "baseline":
+            assert len(log.switch_log) == 8 and len(log.lambda_hat) > 0
+        else:  # gust active, one switch, every vehicle arrives
+            assert log.tau_f == pytest.approx(2.506) and len(log.switch_log) == 1
+        write_outputs(log, str(tmp_path))
+        observed = {
+            f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests
+        }
+        assert observed == digests
 
 
 class TestBaselineRun:

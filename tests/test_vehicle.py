@@ -62,6 +62,12 @@ class TestTrajectoryFamily:
             for i in range(5):
                 assert np.linalg.norm(v[i] - v_fd[i]) <= 1e-6 * max(1.0, np.linalg.norm(v[i]))
 
+    def test_velocity_grid_matches_row_calls(self, family):
+        grid = np.linspace(0.0, 50.0, 7)[:, None] + np.arange(5) * 0.3
+        v = family.velocity_all(grid)
+        assert v.shape == (7, 5, 3)
+        assert np.array_equal(v, np.stack([family.velocity_all(row) for row in grid]))
+
     def test_mismatched_parameters(self):
         with pytest.raises(ValueError):
             LaneSweepFamily(offsets=[1.0, 2.0], angles=[0.0])
@@ -71,12 +77,10 @@ def first_sample_epf(positions):
     """Path-following error norms of the first logged sample of a default
     directed run started at ``positions``, as the simulation computes them
     (virtual target minus vehicle position)."""
-    from coordsim.simharness import default_directed_config, init_world, step
+    from coordsim.simharness import default_directed_config, run_scenario
 
-    cfg = default_directed_config(t_max=1.0, initial_positions=positions.tolist())
-    world = init_world(cfg)
-    step(world, cfg.dt)
-    return world.last_sample["epf_norm"]
+    cfg = default_directed_config(t_max=1e-3, initial_positions=positions.tolist())
+    return run_scenario(cfg).epf_norm[0]
 
 
 class TestPfError:
