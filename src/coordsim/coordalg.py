@@ -246,8 +246,14 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
             best = min(best, t1, t2)
         return best
 
+    # g on the whole grid at once, with g's operations in g's order
     grid = np.logspace(math.log10(1.0 + 1e-6), 4.0, 2000)
-    values = np.array([g(t) for t in grid])
+    log_grid = np.fromiter(map(math.log, grid.tolist()), float, len(grid))
+    values = np.full(len(grid), math.inf)
+    for margin, nu, norm_lbar in terms:
+        if nu > 0:
+            values = np.minimum(values, margin / (ratio * grid * grid * nu))
+        values = np.minimum(values, log_grid / (ratio * norm_lbar))
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]

@@ -33,9 +33,9 @@ class MissionRateProfile:
 
     def validate(self, t_max: float, samples: int = 10_000) -> None:
         """Check the declared bounds on a dense grid; raises ConfigError."""
-        ts = np.linspace(0.0, t_max, samples)
-        rates = np.array([self.rate(t) for t in ts])
-        accels = np.array([self.accel(t) for t in ts])
+        ts = np.linspace(0.0, t_max, samples).tolist()
+        rates = np.fromiter(map(self.rate, ts), float, samples)
+        accels = np.fromiter(map(self.accel, ts), float, samples)
         lo, hi = 1.0 - self.rate_dev_max, 1.0 + self.rate_dev_max
         if rates.min() < lo - 1e-12 or rates.max() > hi + 1e-12:
             raise ConfigError(

@@ -328,8 +328,10 @@ class SimWorld:
     The smooth state is one packed array ``x = [gamma | gamma_dot | p | v]``
     of ``8 n`` floats, updated in place; ``gamma``, ``gamma_dot``, ``p`` and
     ``v`` are views of it.  ``dx`` and ``e`` are the state derivative and
-    the path errors at ``x``.  ``switch_log`` is the run's one switch record
-    (in directed mode, the switching law's own list)."""
+    the path errors at ``x``.  ``any_arrived`` is set once some entry of
+    ``arrived`` is; until then the arrival masks are skipped.
+    ``switch_log`` is the run's one switch record (in directed mode, the
+    switching law's own list)."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -348,6 +350,7 @@ class SimWorld:
     dx: np.ndarray = None
     e: np.ndarray = None
     arrived: np.ndarray = None
+    any_arrived: bool = False
     switch_log: list[tuple[float, int, int]] = field(default_factory=list)
     gamma: np.ndarray = field(init=False, repr=False)
     gamma_dot: np.ndarray = field(init=False, repr=False)
@@ -359,7 +362,7 @@ class SimWorld:
 
     @property
     def all_arrived(self) -> bool:
-        return bool(self.arrived.all())
+        return self.any_arrived and bool(self.arrived.all())
 
 
 def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
@@ -401,7 +404,9 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     sw = None
     schedule = None
     if cert is not None:
-        sw = switchlaw.init_switching(np.asarray(config.phi0, float), cert)
+        sw = switchlaw.init_switching(
+            np.asarray(config.phi0, float), cert, config.a, config.b
+        )
         sigma = sw.sigma
     elif config.mode == MODE_BIDIRECTIONAL:
         schedule = random_bidirectional_schedule(
@@ -446,8 +451,12 @@ def init_world(config: ScenarioConfig) -> SimWorld:
 
 
 def _check_finite(world: SimWorld) -> None:
-    phi = world.sw.phi if world.sw is not None else world.x[:0]
-    if np.isfinite(world.x).all() and np.isfinite(phi).all():
+    """Raise NumericError naming the first non-finite entry of the state.
+    A finite sum of squares proves every entry finite; when it is not (an
+    entry is non-finite, or a huge one overflows), the fields are scanned."""
+    x = world.x
+    phi = world.sw.phi if world.sw is not None else x[:0]
+    if math.isfinite(float(x @ x) + float(phi @ phi)):
         return
     for name, arr in (
         ("gamma", world.gamma),
@@ -468,26 +477,23 @@ def _rhs(world: SimWorld, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     topology: ``(x', path errors)``.  The virtual time of an arrived
     vehicle is held (its derivatives are 0)."""
     cfg = world.config
-    n = cfg.n
-    gamma, gamma_dot, p, v = _unpack(x, n)
+    gamma, gamma_dot, p, v = _unpack(x, cfg.n)
     tp, tv = world.fam.pos_vel_all(gamma)
     e = tp - p
     alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
-    dx = np.empty(8 * n)
-    dx[:n] = gamma_dot
     lap = world.laplacians[world.sigma - 1]
-    dx[n : 2 * n] = coordctrl.coordination_accel_matrix(
+    gamma_ddot = coordctrl.coordination_accel_matrix(
         gamma, gamma_dot, lap, alpha, world.profile.rate(t), cfg.a, cfg.b
     )
-    dx[: 2 * n].reshape(2, n)[:, world.arrived] = 0.0
-    dx[2 * n : 5 * n] = x[5 * n :]
+    if world.any_arrived:
+        gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
+        gamma_ddot[world.arrived] = 0.0
     u = vehicle.pf_control_all(
-        p, v, tp, tv * dx[:n, None], cfg.kp, cfg.kd, cfg.accel_limit
+        p, v, tp, tv * gamma_dot[:, None], cfg.kp, cfg.kd, cfg.accel_limit
     )
     for row, gvec, window in world.gusts:
         u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-    dx[5 * n :] = u.ravel()
-    return dx, e
+    return np.concatenate((gamma_dot, gamma_ddot, x[5 * cfg.n :], u.ravel())), e
 
 
 def step(world: SimWorld, dt: float) -> SimWorld:
@@ -506,15 +512,14 @@ def step(world: SimWorld, dt: float) -> SimWorld:
     world.step_idx += 1
     world.t = world.step_idx * dt
 
-    # speed limit: direction-preserving clamp
+    # speed limit: direction-preserving clamp, a factor of exactly 1.0
+    # on every vehicle under the limit
     speeds = np.sqrt(np.einsum("ij,ij->i", world.v, world.v))
-    over = speeds > cfg.speed_limit
-    if np.any(over):
-        world.v[over] *= (cfg.speed_limit / speeds[over])[:, None]
+    world.v *= (cfg.speed_limit / np.maximum(speeds, cfg.speed_limit))[:, None]
 
     # switching decision at the step boundary
     if world.sw is not None:
-        switchlaw.advance(world.sw, dt, cfg.a, cfg.b, world.cert)
+        switchlaw.advance(world.sw, dt, world.cert)
         world.sigma = world.sw.sigma
     elif world.schedule is not None:
         idx = min(int(world.t / cfg.random_switch_period), len(world.schedule) - 1)
@@ -525,8 +530,9 @@ def step(world: SimWorld, dt: float) -> SimWorld:
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly
-    world.arrived = world.arrived | (world.gamma >= cfg.t_f)
-    if world.arrived.any():
+    if world.any_arrived or world.gamma.max() >= cfg.t_f:
+        world.arrived |= world.gamma >= cfg.t_f
+        world.any_arrived = True
         world.gamma[world.arrived] = cfg.t_f
         world.gamma_dot[world.arrived] = world.profile.rate(world.t)
 
@@ -623,11 +629,12 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         row[3 + 3 * n :] = x[2 * n : 5 * n]  # positions
         if log_aux is not None:
             log_aux[k] = float(world.sw.phi @ world.cert.p @ world.sw.phi)
-        if first_arrival_row is None and world.arrived.any():
+        if first_arrival_row is None and world.any_arrived:
             first_arrival_row = k
+        active = ~world.arrived if world.any_arrived else None
         violations.extend(
             coordctrl.feasibility_check(
-                world.gamma_dot, world.dx[n : 2 * n], bounds, t, ~world.arrived
+                world.gamma_dot, world.dx[n : 2 * n], bounds, t, active
             )
         )
 

@@ -32,15 +32,18 @@ TIE_TOL = 1e-12
 class SwitchingState:
     """Mutable per-run state of the switching law.
 
-    ``sigma`` is the active topology index, 1-based.  ``t`` is the time of
-    the latest sample, ``steps * dt``: a product, not a running sum, so it
-    is the simulation clock bit for bit.  ``switch_log`` holds ``(time, old
-    index, new index)`` tuples with strictly increasing times.  Owned by a
-    single simulation run; independent runs carry independent states.
+    ``sigma`` is the active topology index, 1-based.  ``mats`` holds the
+    system matrix ``-(a/b) Lbar_i`` of each topology, built once.  ``t`` is
+    the time of the latest sample, ``steps * dt``: a product, not a running
+    sum, so it is the simulation clock bit for bit.  ``switch_log`` holds
+    ``(time, old index, new index)`` tuples with strictly increasing times.
+    Owned by a single simulation run; independent runs carry independent
+    states.
     """
 
     phi: np.ndarray
     sigma: int
+    mats: tuple[np.ndarray, ...]
     steps: int = 0
     t: float = 0.0
     switch_log: list[tuple[float, int, int]] = field(default_factory=list)
@@ -57,8 +60,11 @@ def _argmin_quadratic(phi: np.ndarray, h_matrices) -> int:
     raise AssertionError("unreachable")
 
 
-def init_switching(phi0: np.ndarray, cert: SwitchingCertificate) -> SwitchingState:
-    """Start the law: the initial topology minimizes ``phi0^T H_i phi0``."""
+def init_switching(
+    phi0: np.ndarray, cert: SwitchingCertificate, a: float, b: float
+) -> SwitchingState:
+    """Start the law for coordination gains ``a``, ``b``: the initial
+    topology minimizes ``phi0^T H_i phi0``."""
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (cert.n - 1,):
         raise ValueError(
@@ -67,15 +73,12 @@ def init_switching(phi0: np.ndarray, cert: SwitchingCertificate) -> SwitchingSta
     if not np.any(phi0):
         raise ValueError("phi0 must be nonzero")
     sigma = _argmin_quadratic(phi0, cert.h_matrices)
-    return SwitchingState(phi=phi0.copy(), sigma=sigma)
+    mats = tuple(-(a / b) * lbar for lbar in cert.reduced_laplacians)
+    return SwitchingState(phi=phi0.copy(), sigma=sigma, mats=mats)
 
 
 def advance(
-    state: SwitchingState,
-    dt: float,
-    a: float,
-    b: float,
-    cert: SwitchingCertificate,
+    state: SwitchingState, dt: float, cert: SwitchingCertificate
 ) -> SwitchingState:
     """One step: integrate ``phi`` with the active topology held constant
     (classical RK4 on the linear system), then evaluate the threshold at
@@ -86,7 +89,7 @@ def advance(
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    mat = -(a / b) * cert.reduced_laplacians[state.sigma - 1]
+    mat = state.mats[state.sigma - 1]
     phi = state.phi
     k1 = mat @ phi
     k2 = mat @ (phi + 0.5 * dt * k1)

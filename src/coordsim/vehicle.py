@@ -36,6 +36,12 @@ class LaneSweepFamily:
         self.sines = np.sin(self.angles)
         self.t_f = float(t_f)
         self.n = len(self.offsets)
+        # (position, velocity) rows with the columns that do not depend on
+        # gamma already filled: altitude 2, down-range rate 1, climb rate 0
+        self._pos_vel = np.zeros((2, self.n, 3))
+        self._pos_vel[0, :, 2] = 2.0
+        self._pos_vel[1, :, 0] = 1.0
+        self._pos_vel.setflags(write=False)
 
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
         """Desired velocities at virtual times ``gammas`` of shape
@@ -52,14 +58,10 @@ class LaneSweepFamily:
         hot path of the simulation loop."""
         g = np.asarray(gammas, dtype=float)
         env = np.exp(-0.6 * g)
-        pos = np.empty((self.n, 3))
+        pos, vel = self._pos_vel.copy()
         pos[:, 0] = g
         pos[:, 1] = self.offsets - env * (5.0 + 3.0 * g) * self.sines
-        pos[:, 2] = 2.0
-        vel = np.empty((self.n, 3))
-        vel[:, 0] = 1.0
         vel[:, 1] = 1.8 * g * env * self.sines
-        vel[:, 2] = 0.0
         return pos, vel
 
 
@@ -79,9 +81,7 @@ def pf_control_all(
         raise ValueError("pf gains and acceleration limit must be positive")
     u = kp * (target_pos - p) + kd * (target_vel - v)
     norms = np.sqrt(np.einsum("ij,ij->i", u, u))
-    over = norms > a_max
-    if np.any(over):
-        u[over] *= (a_max / norms[over])[:, None]
+    u *= (a_max / np.maximum(norms, a_max))[:, None]  # exactly 1.0 under the limit
     return u
 
 

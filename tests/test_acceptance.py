@@ -113,12 +113,12 @@ def test_criterion_04_auxiliary_exponential_stability():
     cert = build_certificate(default_directed_family(), [MU] * 3, A, B)
     dt = 1e-3
     t0 = time.perf_counter()
-    state = init_switching(np.array(PHI0), cert)
+    state = init_switching(np.array(PHI0), cert, A, B)
     v0 = float(state.phi @ cert.p @ state.phi)
     rate = (A / B) * cert.mu_min
     worst_ratio = 0.0
     for _ in range(int(round(50.0 / dt))):
-        advance(state, dt, A, B, cert)
+        advance(state, dt, cert)
         v = float(state.phi @ cert.p @ state.phi)
         bound = v0 * math.exp(-rate * state.t) * (1.0 + 1e-6)
         worst_ratio = max(worst_ratio, v / bound)

@@ -243,6 +243,21 @@ class TestDwellTime:
         with pytest.raises(ValueError):
             dwell_time_bound(default_cert, 0.0, 1.0)
 
+    def test_pinned_default_family(self, default_cert):
+        assert default_cert.dwell_bound == 0.11440062225253914
+
+    def test_pinned_six_topology_family(self):
+        family = [
+            Digraph(5, [(2, 1)]),
+            Digraph(5, [(3, 2)]),
+            Digraph(5, [(4, 3)]),
+            Digraph(5, [(5, 4)]),
+            Digraph(5, [(1, 5), (3, 1)]),
+            Digraph(5, [(4, 2)]),
+        ]
+        cert = build_certificate(family, [0.1, 0.2, 0.3, 0.05, 0.25, 0.15], 0.75, 1.82)
+        assert cert.dwell_bound == 0.03881090173290789
+
 
 class TestGainValidation:
     def test_tiny_a_passes(self, default_family):

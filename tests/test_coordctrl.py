@@ -216,7 +216,7 @@ class TestCoordinationContraction:
         laps = [laplacian(d).astype(float) for d in family]
         cert = default_cert
         q = build_projection(5)
-        sw = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), cert)
+        sw = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), cert, a, b)
         gamma = np.array([0.5, 0.1, -0.2, 0.3, -0.4])
         gamma_dot = np.ones(5)
         # zero path errors: no path-error feedback
@@ -243,7 +243,7 @@ class TestCoordinationContraction:
             )
             gamma = gamma + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
             gamma_dot = gamma_dot + dt / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
-            advance(sw, dt, a, b, cert)
+            advance(sw, dt, cert)
         ts, xis = np.array(ts), np.array(xis)
         assert xis[-1] < 1e-3
         floor = convergence_rate_bound(a, b, cert)

@@ -11,6 +11,7 @@ from coordsim.digraph import Digraph, laplacian
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
     GustEvent,
+    _check_finite,
     MetricsLog,
     ScenarioConfig,
     communication_amount,
@@ -283,6 +284,27 @@ class TestStepMechanics:
             active = cfg.topology_family[sig - 1]
             assert len(active.edges) <= max_edges
 
+    def test_speed_limit_clamps_keeping_direction(self):
+        # vehicle 3 starts at speed 7, above the limit of 5; a second run
+        # with the limit out of reach gives the unclamped step
+        v0 = [[0.0, 0.0, 0.0]] * 5
+        v0[2] = [3.0, -6.0, 2.0]
+        clamped = init_world(default_directed_config(initial_velocities=v0))
+        free = init_world(
+            default_directed_config(initial_velocities=v0, speed_limit=1e12)
+        )
+        dt = clamped.config.dt
+        step(clamped, dt)
+        step(free, dt)
+        limit = clamped.config.speed_limit
+        speeds = np.linalg.norm(clamped.v, axis=1)
+        assert speeds[2] == pytest.approx(limit, rel=0, abs=1e-12)
+        direction = free.v[2] / np.linalg.norm(free.v[2])
+        assert np.allclose(clamped.v[2] / speeds[2], direction, rtol=0, atol=1e-12)
+        others = [0, 1, 3, 4]
+        assert np.all(speeds[others] < limit)
+        assert np.array_equal(clamped.v[others], free.v[others])
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_blowup_reported(self):
         cfg = default_bidirectional_config(
@@ -290,6 +312,23 @@ class TestStepMechanics:
         )
         with pytest.raises(NumericError, match="non-finite"):
             run_scenario(cfg)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestFiniteCheck:
+    def test_huge_finite_state_accepted(self):
+        world = init_world(default_directed_config())
+        world.p[0, 0] = 1e200  # its square overflows
+        _check_finite(world)
+
+    @pytest.mark.parametrize("huge", [False, True])
+    def test_nan_in_phi_named(self, huge):
+        world = init_world(default_directed_config())
+        if huge:
+            world.p[0, 0] = 1e200
+        world.sw.phi[2] = np.nan
+        with pytest.raises(NumericError, match=r"non-finite phi\[\(2,\)\] at t=0"):
+            _check_finite(world)
 
 
 def assert_violations(found, expected):
@@ -400,10 +439,39 @@ class TestOutputs:
         assert log.comm_amount == communication_amount(log)
 
 
-# sha256 of the output files of two short runs that cover gust, arrival and
-# baseline rows: any changed byte of metrics.csv, switches.csv or
-# summary.json fails here.  The digests hold for the platform they were
-# recorded on (x86-64, numpy 2.4).
+def seven_vehicle_config() -> ScenarioConfig:
+    """Seven vehicles on four two-edge topologies whose union is the chain
+    1 -> 2 -> ... -> 7; vehicles 1, 3 and 5 start above ``speed_limit``
+    (5), two gusts overlap, and every vehicle arrives."""
+    family = [
+        Digraph(7, [(2, 1), (5, 4)]),
+        Digraph(7, [(3, 2), (6, 5)]),
+        Digraph(7, [(4, 3), (7, 6)]),
+        Digraph(7, [(3, 1), (7, 5)]),
+    ]
+    still = [0.0, 0.0, 0.0]
+    return ScenarioConfig(
+        n=7,
+        topology_family=family,
+        mu_list=[0.06] * 4,
+        phi0=[0.9, -1.3, 0.4, 1.6, -0.7, 1.1],
+        t_max=4.0,
+        t_f=3.0,
+        initial_velocities=[
+            [6.0, 0.0, 0.0], still, [0.0, -7.5, 0.0], still,
+            [3.0, 4.5, 0.5], still, still,
+        ],
+        gusts=[
+            GustEvent(3, (0.0, 2.0, -1.0), (0.2, 0.9)),
+            GustEvent(6, (-1.5, 0.0, 0.5), (0.6, 1.4)),
+        ],
+    )
+
+
+# sha256 of the output files of three short runs that cover gust, arrival,
+# speed-limit and baseline rows and a fleet of seven: any changed byte of
+# metrics.csv, switches.csv or summary.json fails here.  The digests hold
+# for the platform they were recorded on (x86-64, numpy 2.4).
 PINNED_OUTPUTS = {
     "directed-gust-arrival": (
         lambda: default_directed_config(
@@ -423,6 +491,14 @@ PINNED_OUTPUTS = {
             "summary.json": "2e0328745f7449ac41b1c6d1578d5760879fafae2dc337ff2927a36b7e512762",
         },
     ),
+    "seven-vehicle-clamp": (
+        seven_vehicle_config,
+        {
+            "metrics.csv": "6fc272294d03f61ccb6ceea03cb5d110522eb35297921aa02e1954c2cd65af23",
+            "switches.csv": "121bac74f0546701ab8269732f384bc5609e473ae469a2a847054f72be8255f9",
+            "summary.json": "d60ddb4d560d11650d5da0c1d7f58fec66d56b20d66dc43181dcba4becd17c2c",
+        },
+    ),
 }
 
 
@@ -433,6 +509,8 @@ class TestByteLevelPin:
         log = run_scenario(make_config())
         if name == "baseline":
             assert len(log.switch_log) == 8 and len(log.lambda_hat) > 0
+        elif name == "seven-vehicle-clamp":
+            assert log.tau_f == pytest.approx(3.636) and len(log.switch_log) == 2
         else:  # gust active, one switch, every vehicle arrives
             assert log.tau_f == pytest.approx(2.506) and len(log.switch_log) == 1
         write_outputs(log, str(tmp_path))

@@ -33,35 +33,35 @@ def make_cert(h_matrices, mu_list, lambda_max_p, n, reduced=None):
 class TestInit:
     def test_single_topology(self):
         cert = make_cert([-np.eye(2)], [0.5], 1.0, 3)
-        assert init_switching(np.array([1.0, 0.0]), cert).sigma == 1
+        assert init_switching(np.array([1.0, 0.0]), cert, 1.0, 1.0).sigma == 1
 
     def test_picks_most_negative_form(self):
         cert = make_cert([np.zeros((2, 2)), -np.eye(2)], [0.5, 0.5], 1.0, 3)
-        assert init_switching(np.array([0.3, -0.2]), cert).sigma == 2
+        assert init_switching(np.array([0.3, -0.2]), cert, 1.0, 1.0).sigma == 2
 
     def test_tie_break_smallest_index(self):
         cert = make_cert([-np.eye(2), -np.eye(2)], [0.5, 0.5], 1.0, 3)
-        assert init_switching(np.array([1.0, 1.0]), cert).sigma == 1
+        assert init_switching(np.array([1.0, 1.0]), cert, 1.0, 1.0).sigma == 1
 
     def test_default_scenario_initial_index(self, default_cert):
-        st = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), default_cert)
+        st = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), default_cert, 0.75, 1.82)
         assert st.sigma == 1  # reproducible for the default family
 
     def test_rejects_zero_phi(self, default_cert):
         with pytest.raises(ValueError, match="nonzero"):
-            init_switching(np.zeros(4), default_cert)
+            init_switching(np.zeros(4), default_cert, 0.75, 1.82)
 
     def test_rejects_bad_dimension(self, default_cert):
         with pytest.raises(ValueError, match="dimension"):
-            init_switching(np.ones(3), default_cert)
+            init_switching(np.ones(3), default_cert, 0.75, 1.82)
 
 
 def run_law(cert, phi0, a, b, dt, t_end):
-    st = init_switching(phi0, cert)
+    st = init_switching(phi0, cert, a, b)
     samples = []
     n_steps = int(round(t_end / dt))
     for _ in range(n_steps):
-        advance(st, dt, a, b, cert)
+        advance(st, dt, cert)
         h = cert.h_matrices[st.sigma - 1]
         mu = cert.mu_list[st.sigma - 1]
         phi = st.phi
@@ -92,8 +92,8 @@ class TestAdvance:
         cert = make_cert(
             [-np.eye(2), -0.5 * np.eye(2)], [1.0, 1.0], 1.0, 3, reduced=reduced
         )
-        st = init_switching(np.array([0.5, 0.5]), cert)
-        advance(st, 1e-3, 1.0, 1.0, cert)
+        st = init_switching(np.array([0.5, 0.5]), cert, 1.0, 1.0)
+        advance(st, 1e-3, cert)
         assert st.sigma == 1
         assert st.switch_log == []
 
@@ -139,15 +139,15 @@ class TestAdvance:
             assert 1 <= new <= default_cert.m
 
     def test_rejects_nonpositive_dt(self, default_cert):
-        st = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), default_cert)
+        st = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), default_cert, 0.75, 1.82)
         with pytest.raises(ValueError):
-            advance(st, 0.0, 0.75, 1.82, default_cert)
+            advance(st, 0.0, default_cert)
 
     def test_rk4_matches_linear_propagator(self, default_cert):
         # one step of the generic RK4 equals the 4th-order Taylor propagator
         # of the frozen linear system
         dt = 1e-3
-        st = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), default_cert)
+        st = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), default_cert, 0.75, 1.82)
         a_mat = -(0.75 / 1.82) * default_cert.reduced_laplacians[st.sigma - 1]
         expected = (
             np.eye(4)
@@ -156,5 +156,5 @@ class TestAdvance:
             + dt**3 / 6 * a_mat @ a_mat @ a_mat
             + dt**4 / 24 * a_mat @ a_mat @ a_mat @ a_mat
         ) @ st.phi
-        advance(st, dt, 0.75, 1.82, default_cert)
+        advance(st, dt, default_cert)
         assert np.allclose(st.phi, expected, atol=1e-15)
