@@ -12,7 +12,6 @@ from .coordalg import (
     build_projection,
     check_spectrum_reduction,
     convergence_rate_bound,
-    dwell_time_bound,
     reduced_laplacian,
     solve_lyapunov,
     validate_gains,
@@ -48,7 +47,7 @@ from .simharness import (
     run_scenario,
     write_outputs,
 )
-from .switchlaw import SwitchingState, advance, init_switching
+from .switchlaw import advance, schedule
 from .vehicle import LaneSweepFamily, apply_disturbance, pf_control_all
 
 __version__ = "0.1.0"

@@ -341,17 +341,6 @@ def build_certificate(
     )
 
 
-def dwell_time_bound(cert: SwitchingCertificate, a: float, b: float) -> float:
-    """Guaranteed lower bound on the time between topology switches for
-    the given coordination gains.  Positive whenever the certificate is
-    valid; grows as ``a/b`` shrinks (slower auxiliary dynamics)."""
-    if a <= 0 or b <= 0:
-        raise ValueError("gains must be positive")
-    return _dwell_time(
-        cert.reduced_laplacians, cert.h_matrices, cert.mu_list, cert.lambda_max_p, a, b
-    )
-
-
 @dataclass(frozen=True)
 class GainCheck:
     name: str

@@ -1,11 +1,11 @@
 """Closed-loop scenario simulation and mission metrics.
 
-Couples the virtual-time coordination law, the topology-switching law and
-the point-mass path followers into one fixed-step RK4 loop.  The active
-topology and adjacency are held constant across each step; the switching
-decision (state-feedback law in directed mode, seeded random schedule in
-the bidirectional baseline) is applied at step boundaries, followed by
-arrival clamping.
+Couples the virtual-time coordination law and the point-mass path
+followers into one fixed-step RK4 loop.  The topology of every step is
+fixed before the loop starts: by the state-feedback switching law in
+directed mode (it reads nothing the vehicles do) and by a seeded random
+schedule in the bidirectional baseline.  It is held constant across each
+step and changes at step boundaries, before arrival clamping.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -32,13 +32,16 @@ from .coordalg import (
 )
 from .coordctrl import MissionRateProfile, Violation, smoothstep_profile
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacian
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, check_finite
 from .vehicle import LaneSweepFamily
 
 MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
 # cap on t_max / dt: the per-step log is preallocated for the whole run
 MAX_STEPS = 1_000_000
+# windows per stacked eigensolve in pe_connectivity: stacking all of a
+# baseline run's windows at once raised its peak memory by half
+PE_CHUNK = 256
 
 
 def default_directed_family() -> list[Digraph]:
@@ -316,6 +319,26 @@ def random_bidirectional_schedule(
     return rng.integers(1, len(graphs) + 1, size=n_periods)
 
 
+def _topology_schedule(
+    config: ScenarioConfig, cert: SwitchingCertificate | None, n_steps: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """``(sigma, aux_v)``: the 1-based topology index at every step boundary
+    ``k * dt``, ``k = 0..n_steps``, and the switching law's auxiliary
+    energy there (None without the law).  The law decides in directed mode
+    (``cert`` is its certificate), the seeded random schedule in the
+    baseline; a single vehicle stays on topology 1."""
+    if cert is not None:
+        return switchlaw.schedule(config.phi0, cert, config.a, config.b, config.dt, n_steps)
+    if config.mode == MODE_BIDIRECTIONAL:
+        period = config.random_switch_period
+        periods = random_bidirectional_schedule(
+            config.topology_family, period, config.rng_seed, config.t_max
+        )
+        idx = (np.arange(n_steps + 1) * config.dt / period).astype(int)
+        return periods[np.minimum(idx, len(periods) - 1)], None
+    return np.ones(n_steps + 1, dtype=np.int64), None
+
+
 # ---------------------------------------------------------------------------
 # world state and stepping
 # ---------------------------------------------------------------------------
@@ -329,17 +352,13 @@ class SimWorld:
     of ``8 n`` floats, updated in place; ``gamma``, ``gamma_dot``, ``p`` and
     ``v`` are views of it.  ``dx`` and ``e`` are the state derivative and
     the path errors at ``x``.  ``any_arrived`` is set once some entry of
-    ``arrived`` is; until then the arrival masks are skipped.
-    ``switch_log`` is the run's one switch record (in directed mode, the
-    switching law's own list)."""
+    ``arrived`` is; until then the arrival masks are skipped."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
     profile: MissionRateProfile
     laplacians: tuple[np.ndarray, ...]
     cert: SwitchingCertificate | None
-    sw: switchlaw.SwitchingState | None
-    schedule: np.ndarray | None
     # (row, acceleration, window) of each gust
     gusts: list[tuple[int, np.ndarray, tuple[float, float]]]
     # dynamic state
@@ -351,7 +370,6 @@ class SimWorld:
     e: np.ndarray = None
     arrived: np.ndarray = None
     any_arrived: bool = False
-    switch_log: list[tuple[float, int, int]] = field(default_factory=list)
     gamma: np.ndarray = field(init=False, repr=False)
     gamma_dot: np.ndarray = field(init=False, repr=False)
     p: np.ndarray = field(init=False, repr=False)
@@ -401,24 +419,6 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     for m in laps:
         m.setflags(write=False)
 
-    sw = None
-    schedule = None
-    if cert is not None:
-        sw = switchlaw.init_switching(
-            np.asarray(config.phi0, float), cert, config.a, config.b
-        )
-        sigma = sw.sigma
-    elif config.mode == MODE_BIDIRECTIONAL:
-        schedule = random_bidirectional_schedule(
-            config.topology_family,
-            config.random_switch_period,
-            config.rng_seed,
-            config.t_max,
-        )
-        sigma = int(schedule[0])
-    else:  # directed with n == 1: nothing to switch
-        sigma = 1
-
     n = config.n
     x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1, v = 0 unless configured
     x[n : 2 * n] = 1.0
@@ -436,15 +436,12 @@ def init_world(config: ScenarioConfig) -> SimWorld:
         profile=profile,
         laplacians=laps,
         cert=cert,
-        sw=sw,
-        schedule=schedule,
         gusts=[
             (g.vehicle - 1, np.asarray(g.accel, float), g.window) for g in config.gusts
         ],
-        sigma=sigma,
+        sigma=int(_topology_schedule(config, cert, 0)[0][0]),
         x=x,
         arrived=np.zeros(n, dtype=bool),
-        switch_log=sw.switch_log if sw is not None else [],
     )
     world.dx, world.e = _rhs(world, 0.0, x)
     return world
@@ -455,21 +452,15 @@ def _check_finite(world: SimWorld) -> None:
     A finite sum of squares proves every entry finite; when it is not (an
     entry is non-finite, or a huge one overflows), the fields are scanned."""
     x = world.x
-    phi = world.sw.phi if world.sw is not None else x[:0]
-    if math.isfinite(float(x @ x) + float(phi @ phi)):
+    if math.isfinite(float(x @ x)):
         return
     for name, arr in (
         ("gamma", world.gamma),
         ("gamma_dot", world.gamma_dot),
         ("position", world.p),
         ("velocity", world.v),
-        ("phi", phi),
     ):
-        if not np.isfinite(arr).all():
-            idx = np.argwhere(~np.isfinite(arr))[0]
-            raise NumericError(
-                f"non-finite {name}[{tuple(int(i) for i in idx)}] at t={world.t:.6g}"
-            )
+        check_finite(name, arr, world.t)
 
 
 def _rhs(world: SimWorld, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -496,11 +487,11 @@ def _rhs(world: SimWorld, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.concatenate((gamma_dot, gamma_ddot, x[5 * cfg.n :], u.ravel())), e
 
 
-def step(world: SimWorld, dt: float) -> SimWorld:
+def step(world: SimWorld, dt: float, sigma: int) -> SimWorld:
     """Advance one step: RK4 on the coupled smooth dynamics with the
     topology held fixed (``world.dx`` is its first stage), then the speed
-    limit, the switching decision and arrival clamping; ``world.dx`` and
-    ``world.e`` are then evaluated at the new state."""
+    limit, the switch to topology ``sigma`` and arrival clamping;
+    ``world.dx`` and ``world.e`` are then evaluated at the new state."""
     cfg = world.config
     t0, x, k1 = world.t, world.x, world.dx
     h = 0.5 * dt
@@ -517,16 +508,7 @@ def step(world: SimWorld, dt: float) -> SimWorld:
     speeds = np.sqrt(np.einsum("ij,ij->i", world.v, world.v))
     world.v *= (cfg.speed_limit / np.maximum(speeds, cfg.speed_limit))[:, None]
 
-    # switching decision at the step boundary
-    if world.sw is not None:
-        switchlaw.advance(world.sw, dt, world.cert)
-        world.sigma = world.sw.sigma
-    elif world.schedule is not None:
-        idx = min(int(world.t / cfg.random_switch_period), len(world.schedule) - 1)
-        new = int(world.schedule[idx])
-        if new != world.sigma:
-            world.switch_log.append((world.t, world.sigma, new))
-            world.sigma = new
+    world.sigma = sigma
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly
@@ -608,8 +590,8 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         build_projection(n) if n >= 2 else None
     )
 
+    sigma, aux_v = _topology_schedule(config, world.cert, n_steps)
     table = np.empty((n_steps + 1, 3 + 6 * n))
-    log_aux = np.empty(n_steps + 1) if world.sw is not None else None
     violations: list[Violation] = []
     bounds = (config.gamma_dot_max, config.gamma_ddot_max)
     first_arrival_row = None
@@ -620,15 +602,12 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         nonlocal first_arrival_row
         row, x, t = table[k], world.x, world.t
         row[0] = t
-        row[1] = world.sigma
         row[2] = coordctrl.coordination_error(
             world.gamma, world.gamma_dot, q, world.profile.rate(t)
         )[2]
         row[3 : 3 + 2 * n] = x[: 2 * n]  # gamma, gamma_dot
         row[3 + 2 * n : 3 + 3 * n] = np.sqrt(np.einsum("ij,ij->i", world.e, world.e))
         row[3 + 3 * n :] = x[2 * n : 5 * n]  # positions
-        if log_aux is not None:
-            log_aux[k] = float(world.sw.phi @ world.cert.p @ world.sw.phi)
         if first_arrival_row is None and world.any_arrived:
             first_arrival_row = k
         active = ~world.arrived if world.any_arrived else None
@@ -641,7 +620,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     record(0)
     rows = 1
     for _ in range(n_steps):
-        step(world, dt)
+        step(world, dt, int(sigma[rows]))
         record(rows)
         rows += 1
         if world.all_arrived:
@@ -649,9 +628,12 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
 
     t_end = world.t
     tau_f = t_end if world.all_arrived else None
-    segments = _segments_from_events(world.switch_log, table[0, 1], t_end)
+    sigma = sigma[:rows]
+    table[:rows, 1] = sigma
+    switch_log = _switch_log(sigma, dt)
+    segments = _segments_from_events(switch_log, sigma[0], t_end)
 
-    times = [t for t, _, _ in world.switch_log]
+    times = [t for t, _, _ in switch_log]
     eta_obs = float(np.diff(times).min()) if len(times) >= 2 else None
 
     # coordination error at the last pre-arrival sample: once virtual
@@ -662,9 +644,9 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     log = MetricsLog(
         config=config,
         table=table[:rows],
-        aux_v=log_aux[:rows] if log_aux is not None else None,
+        aux_v=aux_v[:rows] if aux_v is not None else None,
         topology_segments=segments,
-        switch_log=world.switch_log,
+        switch_log=switch_log,
         tau_f=tau_f,
         arrived=world.all_arrived,
         eta_observed=eta_obs,
@@ -687,6 +669,13 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         log.lambda_hat_t = ts
         log.lambda_hat = lh
     return log
+
+
+def _switch_log(sigma: np.ndarray, dt: float) -> list[tuple[float, int, int]]:
+    """``(time, old index, new index)`` of every change of the per-step
+    topology index ``sigma``; a change at step ``k`` is at ``k * dt``."""
+    ks = np.flatnonzero(sigma[1:] != sigma[:-1]) + 1
+    return list(zip((ks * dt).tolist(), sigma[ks - 1].tolist(), sigma[ks].tolist()))
 
 
 def _segments_from_events(events, sigma0: int, t_end: float):
@@ -733,30 +722,25 @@ def pe_connectivity(
         )
         return np.empty(0), np.empty(0)
     n = log.config.n
-    k = n - 1
-    projected = []
-    for lap in log.laplacians:
-        m_ = reduced_laplacian(q, lap)
-        projected.append(0.5 * (m_ + m_.T))
+    reduced = np.stack([reduced_laplacian(q, lap) for lap in log.laplacians])
+    projected = 0.5 * (reduced + reduced.transpose(0, 2, 1))
 
-    seg_start = np.array([s[0] for s in log.topology_segments])
-    seg_sigma = [s[2] for s in log.topology_segments]
-    cum = np.zeros((len(seg_sigma) + 1, k, k))
-    for i, (t0, t1, sig) in enumerate(log.topology_segments):
-        cum[i + 1] = cum[i] + (t1 - t0) * projected[sig - 1]
+    seg_start, seg_end, seg_sigma = (np.array(c) for c in zip(*log.topology_segments))
+    # cum[i]: the integral over the segments before segment i
+    seg_integral = (seg_end - seg_start)[:, None, None] * projected[seg_sigma - 1]
+    cum = np.concatenate((np.zeros((1, n - 1, n - 1)), np.cumsum(seg_integral, axis=0)))
 
-    def prefix(t: float) -> np.ndarray:
-        i = int(np.searchsorted(seg_start, t, side="right")) - 1
-        i = max(0, min(i, len(seg_sigma) - 1))
-        return cum[i] + (t - seg_start[i]) * projected[seg_sigma[i] - 1]
-
-    mask = log.t >= window - 1e-12
-    ts = log.t[mask]
+    ts = log.t[log.t >= window - 1e-12]
     out = np.empty(len(ts))
     scale = 1.0 / (n * window)
-    for idx, t in enumerate(ts):
-        integral = prefix(float(t)) - prefix(float(t) - window)
-        out[idx] = np.linalg.eigvalsh(scale * integral)[0]
+    for lo in range(0, len(ts), PE_CHUNK):
+        # integral up to each window's end (row 0) and start (row 1): the
+        # whole segments before it plus the part of the segment it falls in
+        t = ts[lo : lo + PE_CHUNK]
+        ends = np.stack((t, t - window))
+        i = np.clip(np.searchsorted(seg_start, ends, side="right") - 1, 0, len(seg_start) - 1)
+        prefix = cum[i] + (ends - seg_start[i])[..., None, None] * projected[seg_sigma[i] - 1]
+        out[lo : lo + PE_CHUNK] = np.linalg.eigvalsh(scale * (prefix[0] - prefix[1]))[:, 0]
     return ts, out
 
 

@@ -1,12 +1,16 @@
 """State-feedback topology switching.
 
-An auxiliary linear system ``phi' = -(a/b) Lbar_sigma phi`` is integrated
-alongside the mission.  While its quadratic decay certificate
+An auxiliary linear system ``phi' = -(a/b) Lbar_sigma phi`` decides the
+topology.  While its quadratic decay certificate
 ``phi^T H_sigma phi <= -mu_sigma lambda_max(P) phi^T phi`` holds, the
 active topology stays put; the first sampled violation triggers a switch
 to the topology minimizing ``phi^T H_i phi``.  The minimizing index always
 satisfies its own threshold (the ``H_i`` sum to ``-m I`` and every
 ``mu_i lambda_max(P) < 1``), so one re-selection per violation suffices.
+
+The law reads nothing the vehicles do, so the whole switching signal is
+fixed by ``(cert, phi0, a, b, dt)``: :func:`schedule` computes it for every
+step of a run before the closed loop starts.
 
 The threshold is checked after each full integration step and a switch
 takes effect at that step boundary; no sub-step root finding.  The
@@ -17,36 +21,16 @@ enforces ``dt <= dwell_bound / 10``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
 
 import numpy as np
 
 from .coordalg import SwitchingCertificate
+from .errors import check_finite
 
 # Quadratic-form values within this absolute tolerance of the minimum tie;
 # ties resolve to the smallest index.
 TIE_TOL = 1e-12
-
-
-@dataclass
-class SwitchingState:
-    """Mutable per-run state of the switching law.
-
-    ``sigma`` is the active topology index, 1-based.  ``mats`` holds the
-    system matrix ``-(a/b) Lbar_i`` of each topology, built once.  ``t`` is
-    the time of the latest sample, ``steps * dt``: a product, not a running
-    sum, so it is the simulation clock bit for bit.  ``switch_log`` holds
-    ``(time, old index, new index)`` tuples with strictly increasing times.
-    Owned by a single simulation run; independent runs carry independent
-    states.
-    """
-
-    phi: np.ndarray
-    sigma: int
-    mats: tuple[np.ndarray, ...]
-    steps: int = 0
-    t: float = 0.0
-    switch_log: list[tuple[float, int, int]] = field(default_factory=list)
 
 
 def _argmin_quadratic(phi: np.ndarray, h_matrices) -> int:
@@ -60,11 +44,53 @@ def _argmin_quadratic(phi: np.ndarray, h_matrices) -> int:
     raise AssertionError("unreachable")
 
 
-def init_switching(
-    phi0: np.ndarray, cert: SwitchingCertificate, a: float, b: float
-) -> SwitchingState:
-    """Start the law for coordination gains ``a``, ``b``: the initial
-    topology minimizes ``phi0^T H_i phi0``."""
+def advance(
+    phi: np.ndarray,
+    sigma: int,
+    mats: tuple[np.ndarray, ...],
+    cert: SwitchingCertificate,
+    dt: float,
+) -> tuple[np.ndarray, int]:
+    """One step from ``(phi, sigma)``: integrate ``phi' = mats[sigma - 1]
+    phi`` with the topology held constant (classical RK4), then evaluate
+    the threshold at the new sample and re-select the topology if it was
+    violated.  Returns the next ``(phi, sigma)``.
+
+    The violation test is strict; exact equality keeps the current
+    topology.
+    """
+    mat = mats[sigma - 1]
+    k1 = mat @ phi
+    k2 = mat @ (phi + 0.5 * dt * k1)
+    k3 = mat @ (phi + 0.5 * dt * k2)
+    k4 = mat @ (phi + dt * k3)
+    phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    h = cert.h_matrices[sigma - 1]
+    mu = cert.mu_list[sigma - 1]
+    if float(phi @ h @ phi) > -mu * cert.lambda_max_p * float(phi @ phi):
+        sigma = _argmin_quadratic(phi, cert.h_matrices)
+    return phi, sigma
+
+
+def schedule(
+    phi0: np.ndarray,
+    cert: SwitchingCertificate,
+    a: float,
+    b: float,
+    dt: float,
+    n_steps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The law for coordination gains ``a``, ``b`` from ``phi0``, run for
+    ``n_steps`` steps of ``dt``: ``(sigma, aux_v)``, the 1-based topology
+    index and the auxiliary energy ``phi^T P phi`` at every step boundary
+    ``k * dt``, ``k = 0..n_steps``.
+
+    ``sigma[0]`` minimizes ``phi0^T H_i phi0``; ``sigma[k]`` is the
+    topology in force over the step that starts at ``k * dt``.  Identical
+    inputs give identical schedules.  Raises NumericError naming the first
+    non-finite entry of ``phi`` and its time.
+    """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (cert.n - 1,):
         raise ValueError(
@@ -72,39 +98,20 @@ def init_switching(
         )
     if not np.any(phi0):
         raise ValueError("phi0 must be nonzero")
-    sigma = _argmin_quadratic(phi0, cert.h_matrices)
-    mats = tuple(-(a / b) * lbar for lbar in cert.reduced_laplacians)
-    return SwitchingState(phi=phi0.copy(), sigma=sigma, mats=mats)
-
-
-def advance(
-    state: SwitchingState, dt: float, cert: SwitchingCertificate
-) -> SwitchingState:
-    """One step: integrate ``phi`` with the active topology held constant
-    (classical RK4 on the linear system), then evaluate the threshold at
-    the new sample and re-select the topology if it was violated.
-
-    The violation test is strict; exact equality keeps the current
-    topology.  Identical inputs produce identical switch logs.
-    """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    mat = state.mats[state.sigma - 1]
-    phi = state.phi
-    k1 = mat @ phi
-    k2 = mat @ (phi + 0.5 * dt * k1)
-    k3 = mat @ (phi + 0.5 * dt * k2)
-    k4 = mat @ (phi + dt * k3)
-    phi = phi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    state.phi = phi
-    state.steps += 1
-    state.t = state.steps * dt
-    h = cert.h_matrices[state.sigma - 1]
-    mu = cert.mu_list[state.sigma - 1]
-    if float(phi @ h @ phi) > -mu * cert.lambda_max_p * float(phi @ phi):
-        new = _argmin_quadratic(phi, cert.h_matrices)
-        if new != state.sigma:
-            state.switch_log.append((state.t, state.sigma, new))
-            state.sigma = new
-    return state
+    check_finite("phi", phi0, 0.0)
+    mats = tuple(-(a / b) * lbar for lbar in cert.reduced_laplacians)
+    p = cert.p
+    sigma = np.empty(n_steps + 1, dtype=np.int64)
+    aux_v = np.empty(n_steps + 1)
+    phi, sig = phi0, _argmin_quadratic(phi0, cert.h_matrices)
+    sigma[0], aux_v[0] = sig, float(phi @ p @ phi)
+    for k in range(1, n_steps + 1):
+        phi, sig = advance(phi, sig, mats, cert, dt)
+        v = float(phi @ p @ phi)
+        if not math.isfinite(v):  # P > 0: a non-finite phi shows here
+            check_finite("phi", phi, k * dt)
+        sigma[k] = sig
+        aux_v[k] = v
+    return sigma, aux_v

@@ -9,8 +9,14 @@ tolerance and says nothing about the code under test.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from coordsim.digraph import Digraph, jointly_connected, laplacian
+
+# Same examples on every run, and no per-example time limit: the suite's
+# verdict must not depend on the host's speed or on earlier runs.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_digraph(rng, n_max=8, p_range=(0.2, 0.7), well_conditioned=True):

@@ -27,7 +27,7 @@ from coordsim.simharness import (
     run_scenario,
     write_outputs,
 )
-from coordsim.switchlaw import advance, init_switching
+from coordsim.switchlaw import schedule
 from conftest import random_digraph, random_jointly_connected_family
 
 A, B, MU = 0.75, 1.82, 0.2638
@@ -113,18 +113,14 @@ def test_criterion_04_auxiliary_exponential_stability():
     cert = build_certificate(default_directed_family(), [MU] * 3, A, B)
     dt = 1e-3
     t0 = time.perf_counter()
-    state = init_switching(np.array(PHI0), cert, A, B)
-    v0 = float(state.phi @ cert.p @ state.phi)
-    rate = (A / B) * cert.mu_min
-    worst_ratio = 0.0
-    for _ in range(int(round(50.0 / dt))):
-        advance(state, dt, cert)
-        v = float(state.phi @ cert.p @ state.phi)
-        bound = v0 * math.exp(-rate * state.t) * (1.0 + 1e-6)
-        worst_ratio = max(worst_ratio, v / bound)
-        assert v <= bound
+    sigma, aux_v = schedule(np.array(PHI0), cert, A, B, dt, int(round(50.0 / dt)))
     elapsed = time.perf_counter() - t0
-    times = [t for t, _, _ in state.switch_log]
+    rate = (A / B) * cert.mu_min
+    t = np.arange(len(aux_v)) * dt
+    bound = aux_v[0] * np.exp(-rate * t) * (1.0 + 1e-6)
+    assert np.all(aux_v[1:] <= bound[1:])
+    worst_ratio = float((aux_v[1:] / bound[1:]).max())
+    times = t[np.flatnonzero(np.diff(sigma)) + 1].tolist()
     assert len(times) >= 2
     min_gap = min(b_ - a_ for a_, b_ in zip(times, times[1:]))
     assert min_gap >= cert.dwell_bound - dt
@@ -222,6 +218,22 @@ def test_criterion_08_pe_connectivity_positive(bidirectional_run):
         f"[criterion 8] windowed connectivity on baseline: PASS "
         f"(lambda_hat_min {lam_min:.4f} > 0 over t >= {log.config.pe_window}s)"
     )
+
+
+@pytest.mark.parametrize("mode", ["directed", "bidirectional"])
+def test_switch_log_is_the_logged_sigma_changes(mode, directed_run, bidirectional_run):
+    log = directed_run[0] if mode == "directed" else bidirectional_run
+    dt = log.config.dt
+    ks = np.flatnonzero(np.diff(log.sigma)) + 1
+    changes = [(k * dt, int(log.sigma[k - 1]), int(log.sigma[k])) for k in ks]
+    assert log.switch_log == changes
+    assert log.tau_f is not None
+    assert all(t <= log.tau_f for t, _, _ in log.switch_log)
+    if mode == "directed":
+        # the law's schedule runs on to t_max; the log stops at arrival
+        sigma, _ = schedule(np.array(PHI0), log.certificate, A, B, dt, int(round(60.0 / dt)))
+        assert np.count_nonzero(np.diff(sigma)) == 46
+        assert len(log.switch_log) == 37
 
 
 def test_criterion_09_integrator_order():

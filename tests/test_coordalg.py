@@ -11,7 +11,6 @@ from coordsim.coordalg import (
     build_projection,
     check_spectrum_reduction,
     convergence_rate_bound,
-    dwell_time_bound,
     reduced_laplacian,
     solve_lyapunov,
     validate_gains,
@@ -226,9 +225,10 @@ class TestDwellTime:
         expected = math.log(1e4) / ((a / b) * norm_lbar)
         assert abs(cert.dwell_bound - expected) / expected <= 1e-4
 
-    def test_monotone_in_gain_ratio(self, default_cert):
+    def test_monotone_in_gain_ratio(self, default_family):
         etas = [
-            dwell_time_bound(default_cert, a, 1.82) for a in (1.5, 0.75, 0.375, 0.1)
+            build_certificate(default_family, [0.2638] * 3, a, 1.82).dwell_bound
+            for a in (1.5, 0.75, 0.375, 0.1)
         ]
         assert all(e2 > e1 for e1, e2 in zip(etas, etas[1:]))
 
@@ -239,9 +239,9 @@ class TestDwellTime:
         cert2 = build_certificate(perm, [mu[2], mu[0], mu[1]], 0.75, 1.82)
         assert abs(cert1.dwell_bound - cert2.dwell_bound) <= 1e-9
 
-    def test_rejects_bad_gains(self, default_cert):
-        with pytest.raises(ValueError):
-            dwell_time_bound(default_cert, 0.0, 1.0)
+    def test_rejects_bad_gains(self, default_family):
+        with pytest.raises(ValueError, match="gain a must be positive"):
+            build_certificate(default_family, [0.2638] * 3, 0.0, 1.0)
 
     def test_pinned_default_family(self, default_cert):
         assert default_cert.dwell_bound == 0.11440062225253914

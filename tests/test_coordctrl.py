@@ -209,24 +209,25 @@ class TestCoordinationContraction:
         # the 1e-3 band
         from coordsim.coordalg import convergence_rate_bound
         from coordsim.simharness import default_directed_family
-        from coordsim.switchlaw import advance, init_switching
+        from coordsim.switchlaw import schedule
 
         a, b, dt = 0.75, 1.82, 2e-3
         family = default_directed_family()
         laps = [laplacian(d).astype(float) for d in family]
         cert = default_cert
         q = build_projection(5)
-        sw = init_switching(np.array([0.9, 1.7, 1.1, 0.1]), cert, a, b)
+        n_steps = int(60.0 / dt)
+        sigma, _ = schedule(np.array([0.9, 1.7, 1.1, 0.1]), cert, a, b, dt, n_steps)
         gamma = np.array([0.5, 0.1, -0.2, 0.3, -0.4])
         gamma_dot = np.ones(5)
         # zero path errors: no path-error feedback
         zero_alpha = path_error_feedback_all(np.ones((5, 3)), np.zeros((5, 3)), 1.2)
         ts, xis = [], []
-        for k in range(int(60.0 / dt)):
+        for k in range(n_steps):
             t = k * dt
             ts.append(t)
             xis.append(coordination_error(gamma, gamma_dot, q, 1.0)[2])
-            lap = laps[sw.sigma - 1]
+            lap = laps[sigma[k] - 1]
 
             def law(g, gd):
                 return coordination_accel_matrix(g, gd, lap, zero_alpha, 1.0, a, b)
@@ -243,7 +244,6 @@ class TestCoordinationContraction:
             )
             gamma = gamma + dt / 6 * (k1g + 2 * k2g + 2 * k3g + k4g)
             gamma_dot = gamma_dot + dt / 6 * (k1d + 2 * k2d + 2 * k3d + k4d)
-            advance(sw, dt, cert)
         ts, xis = np.array(ts), np.array(xis)
         assert xis[-1] < 1e-3
         floor = convergence_rate_bound(a, b, cert)

@@ -28,6 +28,7 @@ from coordsim.simharness import (
     summary_dict,
     write_outputs,
 )
+from coordsim.switchlaw import schedule
 
 
 class TestConfig:
@@ -254,7 +255,7 @@ class TestStepMechanics:
             initial_velocities=[[1.0, 0.0, 0.0]],
         )
         world = init_world(cfg)
-        step(world, cfg.dt)
+        step(world, cfg.dt, world.sigma)
         assert abs(world.gamma[0] - cfg.dt) < 1e-15
         assert abs(world.gamma_dot[0] - 1.0) < 1e-15
         assert np.allclose(world.p[0], [cfg.dt, 0.0, 2.0], atol=1e-12)
@@ -294,8 +295,8 @@ class TestStepMechanics:
             default_directed_config(initial_velocities=v0, speed_limit=1e12)
         )
         dt = clamped.config.dt
-        step(clamped, dt)
-        step(free, dt)
+        step(clamped, dt, clamped.sigma)
+        step(free, dt, free.sigma)
         limit = clamped.config.speed_limit
         speeds = np.linalg.norm(clamped.v, axis=1)
         assert speeds[2] == pytest.approx(limit, rel=0, abs=1e-12)
@@ -322,13 +323,13 @@ class TestFiniteCheck:
         _check_finite(world)
 
     @pytest.mark.parametrize("huge", [False, True])
-    def test_nan_in_phi_named(self, huge):
-        world = init_world(default_directed_config())
+    def test_nan_in_phi_named(self, huge, default_cert):
+        phi0 = np.array([0.9, 1.7, 1.1, 0.1])
         if huge:
-            world.p[0, 0] = 1e200
-        world.sw.phi[2] = np.nan
+            phi0[0] = 1e200  # its square overflows
+        phi0[2] = np.nan
         with pytest.raises(NumericError, match=r"non-finite phi\[\(2,\)\] at t=0"):
-            _check_finite(world)
+            schedule(phi0, default_cert, 0.75, 1.82, 1e-3, 10)
 
 
 def assert_violations(found, expected):
