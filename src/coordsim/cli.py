@@ -4,7 +4,8 @@ Exit codes: 0 success, 1 refused input, 2 numeric failure; ``main``
 holds the one map from error type to exit code.  With ``--json`` exactly
 one JSON document goes to stdout, ``{"ok": false, "error": ...}`` when the
 command fails; human-readable text otherwise.  The ``COORDSIM_LOG``
-environment variable sets the logging level (e.g. DEBUG, INFO, WARNING).
+environment variable sets the logging level (e.g. DEBUG, INFO, WARNING);
+anything that is not a level name means WARNING.
 """
 
 from __future__ import annotations
@@ -252,8 +253,10 @@ _FAILURES = {
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("COORDSIM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), stream=sys.stderr)
+    level = getattr(logging, os.environ.get("COORDSIM_LOG", "WARNING").upper(), None)
+    if not isinstance(level, int):  # not a level name, e.g. BASIC_FORMAT
+        level = logging.WARNING
+    logging.basicConfig(level=level, stream=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
         outcome = _dispatch(args)

@@ -34,6 +34,13 @@ LYAPUNOV_RESIDUAL_TOL = 1e-10
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
+# The dwell-time search grid on (1, 1e4] and the logarithm of each point,
+# taken with ``math.log`` as the refinement's ``g`` takes it; read-only.
+_THETA_GRID = np.logspace(math.log10(1.0 + 1e-6), 4.0, 2000)
+_LOG_THETA_GRID = np.fromiter(map(math.log, _THETA_GRID.tolist()), float, len(_THETA_GRID))
+_THETA_GRID.setflags(write=False)
+_LOG_THETA_GRID.setflags(write=False)
+
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
@@ -247,8 +254,7 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
         return best
 
     # g on the whole grid at once, with g's operations in g's order
-    grid = np.logspace(math.log10(1.0 + 1e-6), 4.0, 2000)
-    log_grid = np.fromiter(map(math.log, grid.tolist()), float, len(grid))
+    grid, log_grid = _THETA_GRID, _LOG_THETA_GRID
     values = np.full(len(grid), math.inf)
     for margin, nu, norm_lbar in terms:
         if nu > 0:

@@ -24,18 +24,23 @@ from .errors import ConfigError
 class MissionRateProfile:
     """Desired mission rate ``rate(t)`` with its derivative and declared
     bounds ``1 - rate_dev_max <= rate <= 1 + rate_dev_max`` and
-    ``|accel| <= accel_max``."""
+    ``|accel| <= accel_max``.
 
-    rate: Callable[[float], float]
-    accel: Callable[[float], float]
+    ``rate`` and ``accel`` are array functions of time: given a float or an
+    array of times they return float64 arrays of the same shape, entry by
+    entry the value at that time, so a whole grid or a block of step times
+    costs one call."""
+
+    rate: Callable[[np.ndarray], np.ndarray]
+    accel: Callable[[np.ndarray], np.ndarray]
     rate_dev_max: float
     accel_max: float
 
     def validate(self, t_max: float, samples: int = 10_000) -> None:
         """Check the declared bounds on a dense grid; raises ConfigError."""
-        ts = np.linspace(0.0, t_max, samples).tolist()
-        rates = np.fromiter(map(self.rate, ts), float, samples)
-        accels = np.fromiter(map(self.accel, ts), float, samples)
+        ts = np.linspace(0.0, t_max, samples)
+        rates = np.broadcast_to(self.rate(ts), ts.shape)
+        accels = np.broadcast_to(self.accel(ts), ts.shape)
         lo, hi = 1.0 - self.rate_dev_max, 1.0 + self.rate_dev_max
         if rates.min() < lo - 1e-12 or rates.max() > hi + 1e-12:
             raise ConfigError(
@@ -53,8 +58,8 @@ class MissionRateProfile:
 
 def constant_profile(rate: float = 1.0) -> MissionRateProfile:
     return MissionRateProfile(
-        rate=lambda t: rate,
-        accel=lambda t: 0.0,
+        rate=lambda t: np.full(np.shape(t), rate, dtype=float),
+        accel=lambda t: np.zeros(np.shape(t)),
         rate_dev_max=abs(rate - 1.0),
         accel_max=0.0,
     )
@@ -69,25 +74,36 @@ def smoothstep_profile(
     """Constant ``base`` rate, one cubic-smoothstep ramp to ``final``.
 
     The ramp is C1: rate acceleration peaks at ``1.5 |final-base| /
-    ramp_duration`` mid-ramp and vanishes at both ends.
+    ramp_duration`` mid-ramp and vanishes at both ends.  Times up to
+    ``ramp_start`` give exactly ``base``, times from the ramp's end on
+    exactly ``final``; the polynomial is evaluated on the times inside the
+    ramp only.
     """
     if ramp_duration <= 0:
         raise ConfigError("ramp_duration must be positive")
+    base, final = float(base), float(final)  # integer configs: float outputs
     delta = final - base
+    ramp_end = ramp_start + ramp_duration
 
-    def rate(t: float) -> float:
-        if t <= ramp_start:
-            return base
-        if t >= ramp_start + ramp_duration:
-            return final
-        u = (t - ramp_start) / ramp_duration
-        return base + delta * (3.0 * u * u - 2.0 * u * u * u)
+    def ramp(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(t as an array, times up to ramp_start, the in-ramp mask)``."""
+        t = np.asarray(t, dtype=float)
+        before = t <= ramp_start
+        return t, before, ~(before | (t >= ramp_end))
 
-    def accel(t: float) -> float:
-        if t <= ramp_start or t >= ramp_start + ramp_duration:
-            return 0.0
-        u = (t - ramp_start) / ramp_duration
-        return delta * 6.0 * u * (1.0 - u) / ramp_duration
+    def rate(t) -> np.ndarray:
+        t, before, inside = ramp(t)
+        out = np.where(before, base, final)
+        u = (t[inside] - ramp_start) / ramp_duration
+        out[inside] = base + delta * (3.0 * u * u - 2.0 * u * u * u)
+        return out
+
+    def accel(t) -> np.ndarray:
+        t, _, inside = ramp(t)
+        out = np.zeros(t.shape)
+        u = (t[inside] - ramp_start) / ramp_duration
+        out[inside] = delta * 6.0 * u * (1.0 - u) / ramp_duration
+        return out
 
     return MissionRateProfile(
         rate=rate,

@@ -1,11 +1,15 @@
 """Closed-loop scenario simulation and mission metrics.
 
 Couples the virtual-time coordination law and the point-mass path
-followers into one fixed-step RK4 loop.  The topology of every step is
-fixed before the loop starts: by the state-feedback switching law in
-directed mode (it reads nothing the vehicles do) and by a seeded random
+followers into one fixed-step RK4 loop.  Two signals read nothing the
+vehicles do, so they are evaluated outside the step and handed to it.  The
+topology of every step is fixed before the loop starts: by the
+state-feedback switching law in directed mode and by a seeded random
 schedule in the bidirectional baseline.  It is held constant across each
-step and changes at step boundaries, before arrival clamping.
+step and changes at step boundaries, before arrival clamping.  The desired
+mission rate, a function of time alone, is evaluated for a block of
+``RATE_BLOCK`` steps at a time, at each step's RK4 stage times and new
+sample time.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -42,6 +46,9 @@ MAX_STEPS = 1_000_000
 # windows per stacked eigensolve in pe_connectivity: stacking all of a
 # baseline run's windows at once raised its peak memory by half
 PE_CHUNK = 256
+# steps per call of the mission-rate profile in run_scenario: one call per
+# block, not per RK4 stage, and no rate table for the whole horizon
+RATE_BLOCK = 256
 
 
 def default_directed_family() -> list[Digraph]:
@@ -352,7 +359,9 @@ class SimWorld:
     of ``8 n`` floats, updated in place; ``gamma``, ``gamma_dot``, ``p`` and
     ``v`` are views of it.  ``dx`` and ``e`` are the state derivative and
     the path errors at ``x``.  ``any_arrived`` is set once some entry of
-    ``arrived`` is; until then the arrival masks are skipped."""
+    ``arrived`` is; until then the arrival masks are skipped.  ``sigma``
+    and ``rate`` are the topology index and the desired mission rate in
+    force at ``t``."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -365,6 +374,7 @@ class SimWorld:
     step_idx: int = 0
     t: float = 0.0
     sigma: int = 1
+    rate: float = 1.0
     x: np.ndarray = None
     dx: np.ndarray = None
     e: np.ndarray = None
@@ -392,8 +402,10 @@ def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
     """Admit ``config`` or raise ConfigError naming the field: run
     ``validate``, then, for a directed scenario with ``n >= 2``, synthesize
     its certificate and check the inputs only it can judge (every ``mu_i``
-    inside ``(0, 1/lambda_max(P))`` and ``dt <= dwell_bound / 10``).
-    Returns the certificate, or None when the scenario has none."""
+    inside ``(0, 1/lambda_max(P))``, ``dt <= dwell_bound / 10``, and
+    ``phi0^T phi0``, ``phi0^T P phi0`` and every ``phi0^T H_i phi0``
+    finite, which the switching law evaluates).  Returns the certificate,
+    or None when the scenario has none."""
     config.validate()
     if config.mode != MODE_DIRECTED or config.n < 2:
         return None
@@ -407,6 +419,14 @@ def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
         raise ConfigError(
             f"dt={config.dt} exceeds a tenth of the guaranteed dwell time "
             f"{cert.dwell_bound:.6g}; switching boundaries would quantize too coarsely"
+        )
+    phi0 = np.asarray(config.phi0, dtype=float)
+    with np.errstate(over="ignore"):
+        forms = [phi0 @ phi0, *(phi0 @ m @ phi0 for m in (cert.p, *cert.h_matrices))]
+    if not np.isfinite(forms).all():
+        raise ConfigError(
+            f"phi0={config.phi0!r} is too large: the quadratic forms of the "
+            "switching law overflow"
         )
     return cert
 
@@ -440,10 +460,11 @@ def init_world(config: ScenarioConfig) -> SimWorld:
             (g.vehicle - 1, np.asarray(g.accel, float), g.window) for g in config.gusts
         ],
         sigma=int(_topology_schedule(config, cert, 0)[0][0]),
+        rate=float(profile.rate(0.0)),
         x=x,
         arrived=np.zeros(n, dtype=bool),
     )
-    world.dx, world.e = _rhs(world, 0.0, x)
+    world.dx, world.e = _rhs(world, 0.0, x, world.rate)
     return world
 
 
@@ -463,10 +484,13 @@ def _check_finite(world: SimWorld) -> None:
         check_finite(name, arr, world.t)
 
 
-def _rhs(world: SimWorld, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled smooth dynamics of the packed state ``x`` under the active
-    topology: ``(x', path errors)``.  The virtual time of an arrived
-    vehicle is held (its derivatives are 0)."""
+def _rhs(
+    world: SimWorld, t: float, x: np.ndarray, rate: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Coupled smooth dynamics of the packed state ``x`` at time ``t``
+    under the active topology and the desired mission rate ``rate``:
+    ``(x', path errors)``.  The virtual time of an arrived vehicle is held
+    (its derivatives are 0)."""
     cfg = world.config
     gamma, gamma_dot, p, v = _unpack(x, cfg.n)
     tp, tv = world.fam.pos_vel_all(gamma)
@@ -474,30 +498,48 @@ def _rhs(world: SimWorld, t: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
     lap = world.laplacians[world.sigma - 1]
     gamma_ddot = coordctrl.coordination_accel_matrix(
-        gamma, gamma_dot, lap, alpha, world.profile.rate(t), cfg.a, cfg.b
+        gamma, gamma_dot, lap, alpha, rate, cfg.a, cfg.b
     )
     if world.any_arrived:
         gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
         gamma_ddot[world.arrived] = 0.0
     u = vehicle.pf_control_all(
-        p, v, tp, tv * gamma_dot[:, None], cfg.kp, cfg.kd, cfg.accel_limit
+        e, v, tv * gamma_dot[:, None], cfg.kp, cfg.kd, cfg.accel_limit
     )
     for row, gvec, window in world.gusts:
         u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
     return np.concatenate((gamma_dot, gamma_ddot, x[5 * cfg.n :], u.ravel())), e
 
 
-def step(world: SimWorld, dt: float, sigma: int) -> SimWorld:
+def _step_rates(
+    profile: MissionRateProfile, k0: int, count: int, dt: float
+) -> np.ndarray:
+    """Desired mission rates of steps ``k0 .. k0 + count - 1``, one column
+    per step, from one profile call: rows at ``k dt + dt/2`` (the middle
+    RK4 stages), at ``k dt + dt`` (the last stage) and at ``(k + 1) dt``
+    (the new sample), each time formed as ``step`` forms it."""
+    t = np.arange(k0, k0 + count) * dt
+    return profile.rate(
+        np.stack((t + 0.5 * dt, t + dt, np.arange(k0 + 1, k0 + count + 1) * dt))
+    )
+
+
+def step(
+    world: SimWorld, dt: float, sigma: int, rates: tuple[float, float, float]
+) -> SimWorld:
     """Advance one step: RK4 on the coupled smooth dynamics with the
     topology held fixed (``world.dx`` is its first stage), then the speed
     limit, the switch to topology ``sigma`` and arrival clamping;
-    ``world.dx`` and ``world.e`` are then evaluated at the new state."""
+    ``world.dx`` and ``world.e`` are then evaluated at the new state.
+    ``rates`` holds the desired mission rate at ``t + dt/2``, at
+    ``t + dt`` and at the new sample time (a column of ``_step_rates``)."""
     cfg = world.config
     t0, x, k1 = world.t, world.x, world.dx
+    rate_mid, rate_end, rate_new = rates
     h = 0.5 * dt
-    k2 = _rhs(world, t0 + h, x + h * k1)[0]
-    k3 = _rhs(world, t0 + h, x + h * k2)[0]
-    k4 = _rhs(world, t0 + dt, x + dt * k3)[0]
+    k2 = _rhs(world, t0 + h, x + h * k1, rate_mid)[0]
+    k3 = _rhs(world, t0 + h, x + h * k2, rate_mid)[0]
+    k4 = _rhs(world, t0 + dt, x + dt * k3, rate_end)[0]
     x += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)  # in place: the views follow
 
     world.step_idx += 1
@@ -509,6 +551,7 @@ def step(world: SimWorld, dt: float, sigma: int) -> SimWorld:
     world.v *= (cfg.speed_limit / np.maximum(speeds, cfg.speed_limit))[:, None]
 
     world.sigma = sigma
+    world.rate = rate_new
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly
@@ -516,10 +559,10 @@ def step(world: SimWorld, dt: float, sigma: int) -> SimWorld:
         world.arrived |= world.gamma >= cfg.t_f
         world.any_arrived = True
         world.gamma[world.arrived] = cfg.t_f
-        world.gamma_dot[world.arrived] = world.profile.rate(world.t)
+        world.gamma_dot[world.arrived] = rate_new
 
     _check_finite(world)
-    world.dx, world.e = _rhs(world, world.t, world.x)
+    world.dx, world.e = _rhs(world, world.t, world.x, rate_new)
     return world
 
 
@@ -603,7 +646,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         row, x, t = table[k], world.x, world.t
         row[0] = t
         row[2] = coordctrl.coordination_error(
-            world.gamma, world.gamma_dot, q, world.profile.rate(t)
+            world.gamma, world.gamma_dot, q, world.rate
         )[2]
         row[3 : 3 + 2 * n] = x[: 2 * n]  # gamma, gamma_dot
         row[3 + 2 * n : 3 + 3 * n] = np.sqrt(np.einsum("ij,ij->i", world.e, world.e))
@@ -618,14 +661,18 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         )
 
     record(0)
-    rows = 1
-    for _ in range(n_steps):
-        step(world, dt, int(sigma[rows]))
-        record(rows)
-        rows += 1
+    for k in range(n_steps):
+        j = k % RATE_BLOCK
+        if j == 0:
+            r_mid, r_end, r_new = _step_rates(
+                world.profile, k, min(RATE_BLOCK, n_steps - k), dt
+            )
+        step(world, dt, int(sigma[k + 1]), (r_mid[j], r_end[j], r_new[j]))
+        record(k + 1)
         if world.all_arrived:
             break
 
+    rows = world.step_idx + 1
     t_end = world.t
     tau_f = t_end if world.all_arrived else None
     sigma = sigma[:rows]

@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .coordalg import SwitchingCertificate
-from .errors import check_finite
+from .errors import NumericError, check_finite
 
 # Quadratic-form values within this absolute tolerance of the minimum tie;
 # ties resolve to the smallest index.
@@ -89,7 +89,8 @@ def schedule(
     ``sigma[0]`` minimizes ``phi0^T H_i phi0``; ``sigma[k]`` is the
     topology in force over the step that starts at ``k * dt``.  Identical
     inputs give identical schedules.  Raises NumericError naming the first
-    non-finite entry of ``phi`` and its time.
+    non-finite entry of ``phi`` and its time, or the time at which
+    ``phi^T P phi`` overflows.
     """
     phi0 = np.asarray(phi0, dtype=float)
     if phi0.shape != (cert.n - 1,):
@@ -106,12 +107,13 @@ def schedule(
     sigma = np.empty(n_steps + 1, dtype=np.int64)
     aux_v = np.empty(n_steps + 1)
     phi, sig = phi0, _argmin_quadratic(phi0, cert.h_matrices)
-    sigma[0], aux_v[0] = sig, float(phi @ p @ phi)
-    for k in range(1, n_steps + 1):
-        phi, sig = advance(phi, sig, mats, cert, dt)
+    for k in range(n_steps + 1):
+        if k > 0:
+            phi, sig = advance(phi, sig, mats, cert, dt)
         v = float(phi @ p @ phi)
         if not math.isfinite(v):  # P > 0: a non-finite phi shows here
             check_finite("phi", phi, k * dt)
+            raise NumericError(f"auxiliary energy phi^T P phi overflows at t={k * dt:.6g}")
         sigma[k] = sig
         aux_v[k] = v
     return sigma, aux_v

@@ -66,20 +66,20 @@ class LaneSweepFamily:
 
 
 def pf_control_all(
-    p: np.ndarray,
+    e: np.ndarray,
     v: np.ndarray,
-    target_pos: np.ndarray,
     target_vel: np.ndarray,
     kp: float,
     kd: float,
     a_max: float,
 ) -> np.ndarray:
     """PD acceleration command of every vehicle toward its virtual target,
-    ``kp (target_pos - p) + kd (target_vel - v)`` row by row, saturated to
-    norm ``a_max`` with its direction preserved."""
+    ``kp e + kd (target_vel - v)`` row by row, where ``e = target_pos - p``
+    is the path error, saturated to norm ``a_max`` with its direction
+    preserved."""
     if kp <= 0 or kd <= 0 or a_max <= 0:
         raise ValueError("pf gains and acceleration limit must be positive")
-    u = kp * (target_pos - p) + kd * (target_vel - v)
+    u = kp * e + kd * (target_vel - v)
     norms = np.sqrt(np.einsum("ij,ij->i", u, u))
     u *= (a_max / np.maximum(norms, a_max))[:, None]  # exactly 1.0 under the limit
     return u

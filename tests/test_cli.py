@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -286,6 +287,15 @@ class TestRefusal:
             argv += ["--out", str(tmp_path / "out")]
         assert_refused(argv, "dt", capsys)
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_phi0_refused(self, tmp_path, capsys, command):
+        # every entry finite, but phi0^T P phi0 overflows
+        path = shipped_with(tmp_path, {"phi0": [1e155 * x for x in (0.9, 1.7, 1.1, 0.1)]})
+        argv = [command, "--config", path]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        assert_refused(argv, "phi0", capsys)
+
     def test_json_refusal_is_one_document(self, tmp_path, capsys):
         path = shipped_with(tmp_path, {"mu_list": [0.5] * 3})
         argv = ["run", "--config", path, "--out", str(tmp_path / "out"), "--json"]
@@ -304,3 +314,27 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "valid" in proc.stdout
+
+
+class TestLogLevel:
+    @pytest.mark.parametrize("value", ["basic_format", "no-such-level"])
+    def test_non_level_falls_back_to_warning(self, directed_path, value):
+        # BASIC_FORMAT is an attribute of logging, but a format string
+        env = {**os.environ, "COORDSIM_LOG": value}
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordsim", "validate", "--config", directed_path],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert proc.stdout.strip().endswith("valid")
+
+    def test_level_name_sets_the_level(self, directed_path, tmp_path):
+        env = {**os.environ, "COORDSIM_LOG": "info"}
+        argv = ["run", "--config", directed_path, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordsim", *argv], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0
+        assert "running directed-switched scenario" in proc.stderr

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -269,6 +271,41 @@ class TestMissionRateProfile:
         for t in np.linspace(27.0, 37.0, 400):
             fd = (p.rate(t + h) - p.rate(t - h)) / (2 * h)
             assert abs(fd - p.accel(t)) < 1e-6
+
+    def test_array_entries_equal_single_times(self):
+        p = smoothstep_profile(1.0, 1.1, 28.0, 8.0)
+        ts = np.concatenate((np.linspace(20.0, 44.0, 997), [28.0, 36.0]))
+        for fn in (p.rate, p.accel):
+            values = fn(ts)
+            for i, t in enumerate(ts):
+                assert values[i] == fn(t)
+
+    def test_exact_values_at_ramp_edges(self):
+        p = smoothstep_profile(1.0, 1.1, 28.0, 8.0)
+        ts = np.array([np.nextafter(28.0, 0.0), 28.0, 36.0, np.nextafter(36.0, 99.0)])
+        assert p.rate(ts).tolist() == [1.0, 1.0, 1.1, 1.1]
+        assert p.accel(ts).tolist() == [0.0, 0.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 7)])
+    def test_output_shape_is_input_shape(self, shape):
+        ts = np.linspace(0.0, 60.0, int(np.prod(shape))).reshape(shape)
+        profiles = (smoothstep_profile(1.0, 1.1, 28.0, 8.0), constant_profile(1.2))
+        for t in (ts, float(ts)) if shape == () else (ts,):
+            for fn in (f for p in profiles for f in (p.rate, p.accel)):
+                out = fn(t)
+                assert out.shape == shape and out.dtype == np.float64
+
+    def test_integer_parameters_give_float_rates(self):
+        p = smoothstep_profile(1, 2, 0, 4)
+        assert p.rate(np.array([0.0, 2.0, 4.0])).tolist() == [1.0, 1.5, 2.0]
+        assert constant_profile(1).rate(np.zeros(2)).tolist() == [1.0, 1.0]
+
+    def test_huge_times_without_overflow(self):
+        p = smoothstep_profile(1.0, 1.1, 28.0, 8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert p.rate(np.array([-1e308, 1e308])).tolist() == [1.0, 1.1]
+            assert p.accel(np.array([-1e308, 1e308])).tolist() == [0.0, 0.0]
 
     def test_validate_passes_for_true_bounds(self):
         smoothstep_profile(1.0, 1.1, 28.0, 8.0).validate(60.0)

@@ -6,12 +6,15 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from coordsim import simharness
 from coordsim.coordalg import build_projection
 from coordsim.digraph import Digraph, laplacian
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
     GustEvent,
     _check_finite,
+    _step_rates,
+    certify,
     MetricsLog,
     ScenarioConfig,
     communication_amount,
@@ -255,7 +258,7 @@ class TestStepMechanics:
             initial_velocities=[[1.0, 0.0, 0.0]],
         )
         world = init_world(cfg)
-        step(world, cfg.dt, world.sigma)
+        step(world, cfg.dt, world.sigma, tuple(_step_rates(world.profile, 0, 1, cfg.dt)[:, 0]))
         assert abs(world.gamma[0] - cfg.dt) < 1e-15
         assert abs(world.gamma_dot[0] - 1.0) < 1e-15
         assert np.allclose(world.p[0], [cfg.dt, 0.0, 2.0], atol=1e-12)
@@ -295,8 +298,9 @@ class TestStepMechanics:
             default_directed_config(initial_velocities=v0, speed_limit=1e12)
         )
         dt = clamped.config.dt
-        step(clamped, dt, clamped.sigma)
-        step(free, dt, free.sigma)
+        rates = tuple(_step_rates(clamped.profile, 0, 1, dt)[:, 0])
+        step(clamped, dt, clamped.sigma, rates)
+        step(free, dt, free.sigma, rates)
         limit = clamped.config.speed_limit
         speeds = np.linalg.norm(clamped.v, axis=1)
         assert speeds[2] == pytest.approx(limit, rel=0, abs=1e-12)
@@ -330,6 +334,21 @@ class TestFiniteCheck:
         phi0[2] = np.nan
         with pytest.raises(NumericError, match=r"non-finite phi\[\(2,\)\] at t=0"):
             schedule(phi0, default_cert, 0.75, 1.82, 1e-3, 10)
+
+    def test_overflowing_aux_energy_raised(self, default_cert):
+        # every entry finite, but phi0^T P phi0 overflows; the law is
+        # scale-invariant, so without the check it would quietly switch on
+        # garbage thresholds
+        phi0 = 1e155 * np.array([0.9, 1.7, 1.1, 0.1])
+        with pytest.raises(NumericError, match=r"phi\^T P phi overflows at t=0"):
+            schedule(phi0, default_cert, 0.75, 1.82, 1e-3, 10)
+
+    def test_overflowing_phi0_refused(self):
+        phi0 = [1e155 * x for x in (0.9, 1.7, 1.1, 0.1)]
+        with pytest.raises(ConfigError, match="phi0="):
+            certify(default_directed_config(phi0=phi0))
+        # 1e150 x: every quadratic form stays finite
+        certify(default_directed_config(phi0=[1e150 * x for x in (0.9, 1.7, 1.1, 0.1)]))
 
 
 def assert_violations(found, expected):
@@ -469,9 +488,10 @@ def seven_vehicle_config() -> ScenarioConfig:
     )
 
 
-# sha256 of the output files of three short runs that cover gust, arrival,
-# speed-limit and baseline rows and a fleet of seven: any changed byte of
-# metrics.csv, switches.csv or summary.json fails here.  The digests hold
+# sha256 of the output files of four short runs that cover gust, arrival,
+# speed-limit and baseline rows, a fleet of seven, and arrivals while the
+# mission rate ramps: any changed byte of metrics.csv, switches.csv or
+# summary.json fails here.  The digests hold
 # for the platform they were recorded on (x86-64, numpy 2.4).
 PINNED_OUTPUTS = {
     "directed-gust-arrival": (
@@ -490,6 +510,18 @@ PINNED_OUTPUTS = {
             "metrics.csv": "9b5f3df594e8e02f0a1fe4016a06f14a80e877fae6dca31eeefb8981f1a876c6",
             "switches.csv": "2f11f01a81c53f8a5017a599b900aaa73db9b02411dedee0d9612b1be65b805b",
             "summary.json": "2e0328745f7449ac41b1c6d1578d5760879fafae2dc337ff2927a36b7e512762",
+        },
+    ),
+    "directed-ramp-arrival": (
+        # the ramp runs from 1 s to 3.5 s; the vehicles arrive at 2.944 s to
+        # 3.409 s, so their rates are clamped to in-ramp values
+        lambda: default_directed_config(
+            t_max=4.0, t_f=3.0, ramp_start=1.0, ramp_duration=2.5, rate_final=1.2
+        ),
+        {
+            "metrics.csv": "1340e0609268e5d538cea0cc4cfb8fe1959046db179425ae59f2e05bd29c6d1f",
+            "switches.csv": "cba265c204dd7efffa08225fde6a3c40fd592b8671bf3f88394a31cd32457acb",
+            "summary.json": "07157be176537389f404fbe4b9b566cce8db8db8d089891c3feaaac2c27916ce",
         },
     ),
     "seven-vehicle-clamp": (
@@ -512,6 +544,10 @@ class TestByteLevelPin:
             assert len(log.switch_log) == 8 and len(log.lambda_hat) > 0
         elif name == "seven-vehicle-clamp":
             assert log.tau_f == pytest.approx(3.636) and len(log.switch_log) == 2
+        elif name == "directed-ramp-arrival":
+            assert log.tau_f == pytest.approx(3.409) and len(log.switch_log) == 2
+            clamped = log.gamma_dot[log.gamma == 3.0]
+            assert 1.0 < clamped.min() and clamped.max() < 1.2
         else:  # gust active, one switch, every vehicle arrives
             assert log.tau_f == pytest.approx(2.506) and len(log.switch_log) == 1
         write_outputs(log, str(tmp_path))
@@ -519,6 +555,35 @@ class TestByteLevelPin:
             f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests
         }
         assert observed == digests
+
+
+class TestRateBlocks:
+    def test_block_size_moves_no_bit(self, monkeypatch):
+        # the ramp-crossing pin under a tight rate envelope, its rates
+        # evaluated 7 steps at a time instead of RATE_BLOCK: blocks then
+        # start at every offset inside the ramp and end before arrival
+        cfg = default_directed_config(
+            t_max=4.0, t_f=3.0, ramp_start=1.0, ramp_duration=2.5, rate_final=1.2,
+            gamma_dot_max=0.15,
+        )
+        ref = run_scenario(cfg)
+        monkeypatch.setattr(simharness, "RATE_BLOCK", 7)
+        log = run_scenario(cfg)
+        assert ref.violations and log.tau_f == ref.tau_f
+        assert np.array_equal(log.table, ref.table)
+        assert np.array_equal(log.aux_v, ref.aux_v)
+        assert log.violations == ref.violations
+
+    def test_step_rates_at_the_loops_times(self):
+        profile = default_directed_config(ramp_start=1.0, ramp_duration=2.5).mission_profile()
+        dt = 1e-3
+        rates = _step_rates(profile, 990, 40, dt)
+        assert rates.shape == (3, 40)
+        for j, k in enumerate(range(990, 1030)):
+            t = k * dt
+            assert rates[:, j].tolist() == [
+                profile.rate(t + 0.5 * dt), profile.rate(t + dt), profile.rate((k + 1) * dt)
+            ]
 
 
 class TestBaselineRun:

@@ -106,19 +106,21 @@ class TestPfControl:
     def test_zero_at_target_with_matched_velocity(self):
         p = np.array([[1.0, 2, 3], [-4.0, 0, 2]])
         v = np.array([[0.5, 0, 0], [1.0, 0.3, 0]])
-        u = pf_control_all(p, v, p.copy(), v.copy(), 4.0, 4.0, 10.0)
+        u = pf_control_all(p.copy() - p, v, v.copy(), 4.0, 4.0, 10.0)  # at the target
         assert np.allclose(u, 0.0, atol=1e-15)
 
     def test_saturation_norm(self):
         rng = np.random.default_rng(31)
         p = rng.normal(size=(100, 3)) * 10
         v = rng.normal(size=(100, 3)) * 5
-        u = pf_control_all(p, v, rng.normal(size=(100, 3)) * 10, rng.normal(size=(100, 3)), 4.0, 4.0, 10.0)
+        e = rng.normal(size=(100, 3)) * 10 - p
+        u = pf_control_all(e, v, rng.normal(size=(100, 3)), 4.0, 4.0, 10.0)
         assert np.linalg.norm(u, axis=1).max() <= 10.0 + 1e-12
 
     def test_saturation_preserves_direction(self):
         target = np.array([[100.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
-        u = pf_control_all(np.zeros((2, 3)), np.zeros((2, 3)), target, np.zeros((2, 3)), 4.0, 4.0, 10.0)
+        # vehicles at rest at the origin: the path error is the target
+        u = pf_control_all(target, np.zeros((2, 3)), np.zeros((2, 3)), 4.0, 4.0, 10.0)
         assert np.allclose(u, [[10.0, 0.0, 0.0], [2.0, 0.0, 0.0]], atol=1e-12)
 
     def test_batch_matches_single(self):
@@ -129,10 +131,10 @@ class TestPfControl:
         v = rng.normal(size=(4, 3))
         tp = rng.normal(size=(4, 3)) * 10
         tv = rng.normal(size=(4, 3))
-        batch = pf_control_all(p, v, tp, tv, 4.0, 4.0, 10.0)
+        batch = pf_control_all(tp - p, v, tv, 4.0, 4.0, 10.0)
         for i in range(4):
             row = slice(i, i + 1)
-            single = pf_control_all(p[row], v[row], tp[row], tv[row], 4.0, 4.0, 10.0)[0]
+            single = pf_control_all(tp[row] - p[row], v[row], tv[row], 4.0, 4.0, 10.0)[0]
             assert np.allclose(batch[i], single, atol=1e-13)
             by_hand = 4.0 * (tp[i] - p[i]) + 4.0 * (tv[i] - v[i])
             by_hand *= min(1.0, 10.0 / np.linalg.norm(by_hand))
@@ -142,7 +144,7 @@ class TestPfControl:
         z = np.zeros((1, 3))
         for kp, kd, a_max in ((-1.0, 4.0, 10.0), (4.0, 0.0, 10.0), (4.0, 4.0, 0.0)):
             with pytest.raises(ValueError):
-                pf_control_all(z, z, np.ones((1, 3)), z, kp, kd, a_max)
+                pf_control_all(np.ones((1, 3)), z, z, kp, kd, a_max)
 
 
 class TestDisturbance:
