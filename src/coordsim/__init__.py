@@ -19,7 +19,6 @@ from .coordalg import (
 from .coordctrl import (
     MissionRateProfile,
     Violation,
-    constant_profile,
     coordination_accel_matrix,
     coordination_error,
     feasibility_check,
@@ -32,18 +31,15 @@ from .digraph import (
     contains_spanning_tree,
     jointly_connected,
     laplacian,
-    union_digraphs,
 )
 from .errors import ConfigError, NumericError, SynthesisError
 from .simharness import (
     MetricsLog,
     ScenarioConfig,
-    communication_amount,
     default_bidirectional_config,
     default_directed_config,
     load_config,
     pe_connectivity,
-    random_bidirectional_schedule,
     run_scenario,
     write_outputs,
 )

@@ -194,7 +194,6 @@ class SwitchingCertificate:
 
     - ``q``: projection used throughout,
     - ``reduced_laplacians``: per-topology ``Q L_i Q^T``,
-    - ``reduced_union``: their sum,
     - ``p``: Lyapunov solution (symmetric positive definite),
     - ``h_matrices``: ``(-Lbar_i)^T P + P (-Lbar_i)``, symmetric; they sum
       to ``-m I`` by construction,
@@ -213,7 +212,6 @@ class SwitchingCertificate:
 
     q: ProjectionMatrix
     reduced_laplacians: tuple[np.ndarray, ...]
-    reduced_union: np.ndarray
     p: np.ndarray
     h_matrices: tuple[np.ndarray, ...]
     mu_list: tuple[float, ...]
@@ -307,8 +305,7 @@ def build_certificate(
     q = build_projection(n)
     laplacians = [laplacian(d).astype(float) for d in family]
     reduced = [reduced_laplacian(q, l) for l in laplacians]
-    reduced_union = sum(reduced)
-    p = solve_lyapunov(reduced_union, m)
+    p = solve_lyapunov(sum(reduced), m)
 
     eig_p = np.linalg.eigvalsh(p)
     lambda_min_p, lambda_max_p = float(eig_p[0]), float(eig_p[-1])
@@ -327,12 +324,11 @@ def build_certificate(
     dwell = _dwell_time(reduced, h_matrices, mu_list, lambda_max_p, a, b)
     max_norm = max(np.linalg.norm(l, 2) for l in laplacians)
 
-    for arr in (*reduced, reduced_union, p, *h_matrices):
+    for arr in (*reduced, p, *h_matrices):
         arr.setflags(write=False)
     return SwitchingCertificate(
         q=q,
         reduced_laplacians=tuple(reduced),
-        reduced_union=reduced_union,
         p=p,
         h_matrices=tuple(h_matrices),
         mu_list=tuple(float(mu) for mu in mu_list),

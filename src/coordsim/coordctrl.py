@@ -19,6 +19,9 @@ import numpy as np
 from .coordalg import ProjectionMatrix
 from .errors import ConfigError
 
+# grid size of MissionRateProfile.validate's check of the declared bounds
+RATE_CHECK_SAMPLES = 10_000
+
 
 @dataclass(frozen=True)
 class MissionRateProfile:
@@ -36,9 +39,10 @@ class MissionRateProfile:
     rate_dev_max: float
     accel_max: float
 
-    def validate(self, t_max: float, samples: int = 10_000) -> None:
-        """Check the declared bounds on a dense grid; raises ConfigError."""
-        ts = np.linspace(0.0, t_max, samples)
+    def validate(self, t_max: float) -> None:
+        """Check the declared bounds on ``RATE_CHECK_SAMPLES`` times evenly
+        spaced over ``[0, t_max]``; raises ConfigError."""
+        ts = np.linspace(0.0, t_max, RATE_CHECK_SAMPLES)
         rates = np.broadcast_to(self.rate(ts), ts.shape)
         accels = np.broadcast_to(self.accel(ts), ts.shape)
         lo, hi = 1.0 - self.rate_dev_max, 1.0 + self.rate_dev_max
@@ -54,15 +58,6 @@ class MissionRateProfile:
             )
         if rates.min() <= 0:
             raise ConfigError("mission rate must stay positive")
-
-
-def constant_profile(rate: float = 1.0) -> MissionRateProfile:
-    return MissionRateProfile(
-        rate=lambda t: np.full(np.shape(t), rate, dtype=float),
-        accel=lambda t: np.zeros(np.shape(t)),
-        rate_dev_max=abs(rate - 1.0),
-        accel_max=0.0,
-    )
 
 
 def smoothstep_profile(

@@ -9,11 +9,16 @@ they are widened to floating point only where eigenvalue work begins.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 Edge = tuple[int, int]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,14 +47,22 @@ class Digraph:
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    def in_neighbors(self, i: int) -> tuple[int, ...]:
-        """Nodes that transmit to node ``i`` (its neighborhood set)."""
-        return tuple(sorted(j for (r, j) in self.edges if r == i))
-
     @classmethod
     def from_dict(cls, d: dict) -> "Digraph":
-        """Build from the JSON literal ``{"n": 5, "edges": [[1, 3], ...]}``."""
-        return cls(d["n"], [tuple(e) for e in d.get("edges", [])])
+        """Build from the JSON literal ``{"n": 5, "edges": [[1, 3], ...]}``:
+        an integer ``n`` and a list of edges, each exactly two integer
+        labels, and no other key; raises ValueError otherwise."""
+        if not isinstance(d, dict) or set(d) - {"n", "edges"}:
+            raise ValueError(f"a topology is an object with keys n and edges, got {d!r}")
+        n, edges = d.get("n"), d.get("edges", [])
+        if not _is_int(n):
+            raise ValueError(f"n must be an integer, got {n!r}")
+        if not isinstance(edges, list):
+            raise ValueError(f"edges must be a list, got {edges!r}")
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))):
+                raise ValueError(f"edge {e!r} must be a pair of integer labels")
+        return cls(n, [tuple(e) for e in edges])
 
     def to_dict(self) -> dict:
         return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}
@@ -73,26 +86,6 @@ def laplacian(d: Digraph) -> np.ndarray:
     """
     a = adjacency(d)
     return np.diag(a.sum(axis=1)) - a
-
-
-def union_digraphs(ds: list[Digraph]) -> tuple[Digraph, np.ndarray]:
-    """Union of a topology family.
-
-    Returns the union digraph (edge sets merged) together with the
-    entrywise *sum* of the individual Laplacians.  The two differ when an
-    edge repeats across family members: the summed Laplacian counts it
-    once per occurrence, the union digraph's own Laplacian counts it once.
-    Both semantics are needed, so both are returned.
-    """
-    if not ds:
-        raise ValueError("union of an empty topology list is undefined")
-    n = ds[0].n
-    for d in ds:
-        if d.n != n:
-            raise ValueError(f"node counts differ across family: {d.n} != {n}")
-    merged = frozenset().union(*(d.edges for d in ds))
-    summed = sum(laplacian(d) for d in ds)
-    return Digraph(n, merged), summed
 
 
 def contains_spanning_tree(d: Digraph) -> bool:
@@ -124,7 +117,13 @@ def jointly_connected(ds: list[Digraph]) -> bool:
     """True iff the union of the family contains a directed spanning tree.
 
     Individual members may (and in the intended use, do) fail to contain
-    one on their own.
+    one on their own.  Raises ValueError on an empty family or one whose
+    node counts differ.
     """
-    union, _ = union_digraphs(ds)
-    return contains_spanning_tree(union)
+    if not ds:
+        raise ValueError("union of an empty topology list is undefined")
+    n = ds[0].n
+    for d in ds:
+        if d.n != n:
+            raise ValueError(f"node counts differ across family: {d.n} != {n}")
+    return contains_spanning_tree(Digraph(n, frozenset().union(*(d.edges for d in ds))))

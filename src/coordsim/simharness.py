@@ -176,10 +176,7 @@ class ScenarioConfig:
             ("gusts", lambda g: GustEvent(**g)),
         ):
             if name in kwargs:
-                try:
-                    kwargs[name] = [parse(entry) for entry in kwargs[name]]
-                except (TypeError, KeyError, ValueError) as exc:
-                    raise ConfigError(f"{name}: {type(exc).__name__}: {exc}") from exc
+                kwargs[name] = _parse_entries(name, parse, kwargs[name])
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
@@ -233,7 +230,7 @@ class ScenarioConfig:
                 )
         if not jointly_connected(self.topology_family):
             raise ConfigError("topology family is not jointly connected")
-        if self.mode == MODE_DIRECTED and self.n >= 2:
+        if self.n >= 2:
             _check_array("phi0", self.phi0, (self.n - 1,))
             if not any(self.phi0):
                 raise ConfigError("phi0 must be nonzero")
@@ -267,6 +264,20 @@ class ScenarioConfig:
                 f"delta={self.delta} does not exceed the desired-speed spread "
                 f"{spread:.3g}; convergence margins may shrink"
             )
+
+
+def _parse_entries(name: str, parse, entries) -> list:
+    """``parse`` applied to each entry of the JSON list ``entries``; a
+    refused entry raises ConfigError naming ``name[k]``."""
+    if not isinstance(entries, list):
+        raise ConfigError(f"{name} must be a list, got {entries!r}")
+    parsed = []
+    for k, entry in enumerate(entries):
+        try:
+            parsed.append(parse(entry))
+        except (TypeError, KeyError, ValueError) as exc:
+            raise ConfigError(f"{name}[{k}]: {type(exc).__name__}: {exc}") from exc
+    return parsed
 
 
 def _family_speed_grid(fam: LaneSweepFamily) -> np.ndarray:
@@ -313,36 +324,25 @@ def load_config(path: str) -> ScenarioConfig:
     return ScenarioConfig.from_dict(raw)
 
 
-def random_bidirectional_schedule(
-    graphs: list[Digraph], period: float, seed: int, t_max: float
-) -> np.ndarray:
-    """Seeded uniform i.i.d. topology index (1-based) per period, covering
-    ``[0, t_max]``.  Every graph must be bidirectional."""
-    if period <= 0:
-        raise ConfigError("schedule period must be positive")
-    _require_symmetric(graphs)
-    n_periods = max(1, int(math.ceil(t_max / period)))
-    rng = np.random.default_rng(seed)
-    return rng.integers(1, len(graphs) + 1, size=n_periods)
-
-
 def _topology_schedule(
     config: ScenarioConfig, cert: SwitchingCertificate | None, n_steps: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """``(sigma, aux_v)``: the 1-based topology index at every step boundary
     ``k * dt``, ``k = 0..n_steps``, and the switching law's auxiliary
     energy there (None without the law).  The law decides in directed mode
-    (``cert`` is its certificate), the seeded random schedule in the
-    baseline; a single vehicle stays on topology 1."""
+    (``cert`` is its certificate).  The baseline draws a seeded uniform
+    i.i.d. index per ``random_switch_period``, covering ``[0, t_max]``.  A
+    single vehicle stays on topology 1."""
     if cert is not None:
         return switchlaw.schedule(config.phi0, cert, config.a, config.b, config.dt, n_steps)
     if config.mode == MODE_BIDIRECTIONAL:
         period = config.random_switch_period
-        periods = random_bidirectional_schedule(
-            config.topology_family, period, config.rng_seed, config.t_max
+        n_periods = max(1, int(math.ceil(config.t_max / period)))
+        periods = np.random.default_rng(config.rng_seed).integers(
+            1, len(config.topology_family) + 1, size=n_periods
         )
         idx = (np.arange(n_steps + 1) * config.dt / period).astype(int)
-        return periods[np.minimum(idx, len(periods) - 1)], None
+        return periods[np.minimum(idx, n_periods - 1)], None
     return np.ones(n_steps + 1, dtype=np.int64), None
 
 
@@ -573,28 +573,26 @@ def step(
 
 @dataclass
 class MetricsLog:
-    """Complete per-step record of one run plus its integral metrics.
+    """Per-step record of one run: the table plus what only the loop knows.
 
     ``table`` has one row per logged sample and the columns of
     ``metrics.csv``: ``t``, ``sigma``, ``xi_norm``, then ``n`` columns each
     of ``gamma``, ``gamma_dot`` and ``epf_norm``, then ``px, py, pz`` per
-    vehicle.  The named per-step arrays are views of it."""
+    vehicle.  The named per-step arrays are views of it.  The log ends at
+    arrival (``tau_f``) or at ``t_max``.  The switch log, arrival, observed
+    dwell, final coordination error and communication amount are derived
+    from the table; edge counts and Laplacians come from
+    ``config.topology_family``."""
 
     config: ScenarioConfig
     table: np.ndarray
     aux_v: np.ndarray | None
-    topology_segments: list[tuple[float, float, int]]
-    switch_log: list[tuple[float, int, int]]
     tau_f: float | None
-    arrived: bool
-    eta_observed: float | None
-    lambda_hat_t: np.ndarray | None
-    lambda_hat: np.ndarray | None
-    final_xi_norm: float
     violations: list[Violation]
     certificate: SwitchingCertificate | None
-    laplacians: tuple[np.ndarray, ...]
     final_state: dict
+    lambda_hat_t: np.ndarray | None = None
+    lambda_hat: np.ndarray | None = None
     t: np.ndarray = field(init=False, repr=False)
     sigma: np.ndarray = field(init=False, repr=False)
     xi_norm: np.ndarray = field(init=False, repr=False)
@@ -612,14 +610,56 @@ class MetricsLog:
         self.positions = tab[:, 3 + 3 * n :].reshape(-1, n, 3)
 
     @property
+    def arrived(self) -> bool:
+        return self.tau_f is not None
+
+    @property
+    def switch_log(self) -> list[tuple[float, int, int]]:
+        """``(time, old index, new index)`` of every change of the logged
+        topology index."""
+        start, _, sigma = _segments(self)
+        return list(zip(start[1:].tolist(), sigma[:-1].tolist(), sigma[1:].tolist()))
+
+    @property
+    def eta_observed(self) -> float | None:
+        """Shortest observed time between two switches."""
+        times = _segments(self)[0][1:]
+        return float(np.diff(times).min()) if len(times) >= 2 else None
+
+    @property
+    def final_xi_norm(self) -> float:
+        """Coordination error at the last pre-arrival sample: once virtual
+        times start clamping at ``t_f`` the error closes to zero by
+        construction.  Clamping sets them to exactly ``t_f``."""
+        clamped = (self.gamma >= self.config.t_f).any(axis=1)
+        first = int(clamped.argmax()) if clamped.any() else len(self.t)
+        return float(self.xi_norm[first - 1])
+
+    @property
     def comm_amount(self) -> float:
-        return communication_amount(self)
+        """Total information flow: the adjacency matrix integrated exactly
+        over the piecewise-constant topology history, summed over all
+        entries (edge count times length per segment)."""
+        start, end, sigma = _segments(self)
+        edges = np.array([len(d.edges) for d in self.config.topology_family])
+        # a running total in segment order; np.sum's pairwise order rounds
+        # differently
+        return sum(((end - start) * edges[sigma - 1]).tolist())
 
     @property
     def lambda_hat_min(self) -> float | None:
         if self.lambda_hat is None or len(self.lambda_hat) == 0:
             return None
         return float(self.lambda_hat.min())
+
+
+def _segments(log: MetricsLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(start, end, sigma)`` of the constant-topology segments that tile
+    ``[0, t_end]``, from the logged ``t`` and ``sigma`` columns; a switch
+    at the last sample leaves a last segment of length 0."""
+    first = np.flatnonzero(np.concatenate(([True], log.sigma[1:] != log.sigma[:-1])))
+    start = log.t[first]
+    return start, np.append(start[1:], log.t[-1]), log.sigma[first].astype(int)
 
 
 def run_scenario(config: ScenarioConfig) -> MetricsLog:
@@ -637,12 +677,10 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     table = np.empty((n_steps + 1, 3 + 6 * n))
     violations: list[Violation] = []
     bounds = (config.gamma_dot_max, config.gamma_ddot_max)
-    first_arrival_row = None
 
     def record(k: int) -> None:
         """Write log row ``k`` from the world's state and check its
         feasibility."""
-        nonlocal first_arrival_row
         row, x, t = table[k], world.x, world.t
         row[0] = t
         row[2] = coordctrl.coordination_error(
@@ -651,8 +689,6 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         row[3 : 3 + 2 * n] = x[: 2 * n]  # gamma, gamma_dot
         row[3 + 2 * n : 3 + 3 * n] = np.sqrt(np.einsum("ij,ij->i", world.e, world.e))
         row[3 + 3 * n :] = x[2 * n : 5 * n]  # positions
-        if first_arrival_row is None and world.any_arrived:
-            first_arrival_row = k
         active = ~world.arrived if world.any_arrived else None
         violations.extend(
             coordctrl.feasibility_check(
@@ -673,36 +709,14 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
             break
 
     rows = world.step_idx + 1
-    t_end = world.t
-    tau_f = t_end if world.all_arrived else None
-    sigma = sigma[:rows]
-    table[:rows, 1] = sigma
-    switch_log = _switch_log(sigma, dt)
-    segments = _segments_from_events(switch_log, sigma[0], t_end)
-
-    times = [t for t, _, _ in switch_log]
-    eta_obs = float(np.diff(times).min()) if len(times) >= 2 else None
-
-    # coordination error at the last pre-arrival sample: once virtual
-    # times start clamping at t_f the error closes to zero by construction
-    final_row = first_arrival_row - 1 if first_arrival_row is not None else rows - 1
-    final_xi = float(table[max(final_row, 0), 2])
-
+    table[:rows, 1] = sigma[:rows]
     log = MetricsLog(
         config=config,
         table=table[:rows],
         aux_v=aux_v[:rows] if aux_v is not None else None,
-        topology_segments=segments,
-        switch_log=switch_log,
-        tau_f=tau_f,
-        arrived=world.all_arrived,
-        eta_observed=eta_obs,
-        lambda_hat_t=None,
-        lambda_hat=None,
-        final_xi_norm=final_xi,
+        tau_f=world.t if world.all_arrived else None,
         violations=violations,
         certificate=world.cert,
-        laplacians=world.laplacians,
         final_state={
             "gamma": world.gamma,
             "gamma_dot": world.gamma_dot,
@@ -710,44 +724,9 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
             "v": world.v,
         },
     )
-
     if config.mode == MODE_BIDIRECTIONAL and n >= 2:
-        ts, lh = pe_connectivity(log, config.pe_window, q)
-        log.lambda_hat_t = ts
-        log.lambda_hat = lh
+        log.lambda_hat_t, log.lambda_hat = pe_connectivity(log, config.pe_window, q)
     return log
-
-
-def _switch_log(sigma: np.ndarray, dt: float) -> list[tuple[float, int, int]]:
-    """``(time, old index, new index)`` of every change of the per-step
-    topology index ``sigma``; a change at step ``k`` is at ``k * dt``."""
-    ks = np.flatnonzero(sigma[1:] != sigma[:-1]) + 1
-    return list(zip((ks * dt).tolist(), sigma[ks - 1].tolist(), sigma[ks].tolist()))
-
-
-def _segments_from_events(events, sigma0: int, t_end: float):
-    segments = []
-    t_prev = 0.0
-    sig = int(sigma0)
-    for (t_sw, _old, new) in events:
-        segments.append((t_prev, t_sw, sig))
-        t_prev, sig = t_sw, int(new)
-    segments.append((t_prev, t_end, sig))
-    return [(t0, t1, s) for (t0, t1, s) in segments if t1 > t0]
-
-
-def communication_amount(log: MetricsLog) -> float:
-    """Total information flow: the adjacency matrix integrated exactly
-    over the piecewise-constant topology history up to arrival, summed
-    over all entries (edge count times interval length per segment)."""
-    horizon = log.tau_f if log.tau_f is not None else float(log.t[-1])
-    total = 0.0
-    for t0, t1, sig in log.topology_segments:
-        overlap = min(t1, horizon) - t0
-        if overlap > 0:
-            # in-degree sum of the Laplacian equals the edge count
-            total += overlap * float(np.trace(log.laplacians[sig - 1]))
-    return total
 
 
 def pe_connectivity(
@@ -769,10 +748,12 @@ def pe_connectivity(
         )
         return np.empty(0), np.empty(0)
     n = log.config.n
-    reduced = np.stack([reduced_laplacian(q, lap) for lap in log.laplacians])
+    reduced = np.stack(
+        [reduced_laplacian(q, laplacian(d).astype(float)) for d in log.config.topology_family]
+    )
     projected = 0.5 * (reduced + reduced.transpose(0, 2, 1))
 
-    seg_start, seg_end, seg_sigma = (np.array(c) for c in zip(*log.topology_segments))
+    seg_start, seg_end, seg_sigma = _segments(log)
     # cum[i]: the integral over the segments before segment i
     seg_integral = (seg_end - seg_start)[:, None, None] * projected[seg_sigma - 1]
     cum = np.concatenate((np.zeros((1, n - 1, n - 1)), np.cumsum(seg_integral, axis=0)))

@@ -249,12 +249,40 @@ REFUSED = [
 ]
 
 
-def shipped_with(tmp_path, override):
-    raw = json.loads((SHIPPED / "directed.json").read_text())
+# entry 0 of the shipped directed family, each refused by the topology parser
+TOPOLOGY_REFUSED = {
+    "float-label": {"n": 5, "edges": [[1.9, 3], [4, 2]]},
+    "string-label": {"n": 5, "edges": [["1", 3], [4, 2]]},
+    "bool-label": {"n": 5, "edges": [[True, 3], [4, 2]]},
+    "three-labels": {"n": 5, "edges": [[1, 3, 2], [4, 2]]},
+    "float-n": {"n": 5.5, "edges": [[1, 3], [4, 2]]},
+    "edges-string": {"n": 5, "edges": "13"},
+    "misspelt-key": {"n": 5, "edgs": [[1, 3], [4, 2]]},
+}
+# (field named in the refusal, override of the shipped baseline config)
+BASELINE_REFUSED = [
+    ("mu_list", {"mu_list": "abc"}),
+    ("phi0", {"phi0": [NAN]}),
+]
+
+
+def shipped_with(tmp_path, override, name="directed.json"):
+    raw = json.loads((SHIPPED / name).read_text())
     raw.update(override)
     path = tmp_path / "refused.json"
     path.write_text(json.dumps(raw))
     return str(path)
+
+
+def command_argv(command, path, tmp_path):
+    """``command`` on the config at ``path``; ``compare`` pairs it with the
+    shipped baseline."""
+    out = str(tmp_path / "out")
+    return {
+        "validate": ["validate", "--config", path],
+        "run": ["run", "--config", path, "--out", out],
+        "compare": ["compare", path, str(SHIPPED / "bidirectional.json"), "--out", out],
+    }[command]
 
 
 def assert_refused(argv, field, capsys):
@@ -270,13 +298,28 @@ class TestRefusal:
     @pytest.mark.parametrize("field, override", REFUSED, ids=[f for f, _ in REFUSED])
     def test_refused_with_field_named(self, tmp_path, capsys, command, field, override):
         path = shipped_with(tmp_path, override)
-        out = str(tmp_path / "out")
-        argv = {
-            "validate": ["validate", "--config", path],
-            "run": ["run", "--config", path, "--out", out],
-            "compare": ["compare", path, str(SHIPPED / "bidirectional.json")]
-            + ["--out", out],
-        }[command]
+        assert_refused(command_argv(command, path, tmp_path), field, capsys)
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    @pytest.mark.parametrize("entry", TOPOLOGY_REFUSED.values(), ids=TOPOLOGY_REFUSED.keys())
+    def test_topology_entry_refused(self, tmp_path, capsys, command, entry):
+        family = json.loads((SHIPPED / "directed.json").read_text())["topology_family"]
+        path = shipped_with(tmp_path, {"topology_family": [entry, *family[1:]]})
+        assert_refused(command_argv(command, path, tmp_path), "topology_family[0]", capsys)
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    @pytest.mark.parametrize(
+        "field, override", BASELINE_REFUSED, ids=[f for f, _ in BASELINE_REFUSED]
+    )
+    def test_baseline_field_refused(self, tmp_path, capsys, command, field, override):
+        path = shipped_with(tmp_path, override, "bidirectional.json")
+        argv = command_argv(command, path, tmp_path)
+        if command == "compare":
+            # compare admits each config as it runs it: a short directed run first
+            short = tmp_path / "short.json"
+            raw = json.loads((SHIPPED / "directed.json").read_text())
+            short.write_text(json.dumps({**raw, "t_max": 0.5}))
+            argv[1:3] = [str(short), path]
         assert_refused(argv, field, capsys)
 
     @pytest.mark.parametrize("command", ["analyze", "run"])

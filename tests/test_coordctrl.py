@@ -6,7 +6,6 @@ import pytest
 from coordsim.coordalg import build_projection
 from coordsim.coordctrl import (
     MissionRateProfile,
-    constant_profile,
     coordination_accel_matrix,
     coordination_error,
     feasibility_check,
@@ -66,7 +65,7 @@ def loop_form_accel(gamma, gamma_dot, topology, e_pf, traj_vel, gamma_dot_d, a, 
     n = topology.n
     out = np.empty(n)
     for i in range(1, n + 1):
-        consensus = sum(gamma[i - 1] - gamma[j - 1] for j in topology.in_neighbors(i))
+        consensus = sum(gamma[i - 1] - gamma[j - 1] for (r, j) in topology.edges if r == i)
         v, e = traj_vel[i - 1], e_pf[i - 1]
         alpha = float(v @ e) / (float(np.linalg.norm(v)) + delta)
         out[i - 1] = -b * (gamma_dot[i - 1] - gamma_dot_d) - a * consensus - alpha
@@ -289,7 +288,7 @@ class TestMissionRateProfile:
     @pytest.mark.parametrize("shape", [(), (7,), (3, 7)])
     def test_output_shape_is_input_shape(self, shape):
         ts = np.linspace(0.0, 60.0, int(np.prod(shape))).reshape(shape)
-        profiles = (smoothstep_profile(1.0, 1.1, 28.0, 8.0), constant_profile(1.2))
+        profiles = (smoothstep_profile(1.0, 1.1, 28.0, 8.0), smoothstep_profile(1.2, 1.2))
         for t in (ts, float(ts)) if shape == () else (ts,):
             for fn in (f for p in profiles for f in (p.rate, p.accel)):
                 out = fn(t)
@@ -298,7 +297,7 @@ class TestMissionRateProfile:
     def test_integer_parameters_give_float_rates(self):
         p = smoothstep_profile(1, 2, 0, 4)
         assert p.rate(np.array([0.0, 2.0, 4.0])).tolist() == [1.0, 1.5, 2.0]
-        assert constant_profile(1).rate(np.zeros(2)).tolist() == [1.0, 1.0]
+        assert smoothstep_profile(1, 1).rate(np.zeros(2)).tolist() == [1.0, 1.0]
 
     def test_huge_times_without_overflow(self):
         p = smoothstep_profile(1.0, 1.1, 28.0, 8.0)
@@ -309,7 +308,8 @@ class TestMissionRateProfile:
 
     def test_validate_passes_for_true_bounds(self):
         smoothstep_profile(1.0, 1.1, 28.0, 8.0).validate(60.0)
-        constant_profile(1.2).validate(10.0)
+        # a constant rate: accel_max is 0 and the check holds it to that
+        smoothstep_profile(1.2, 1.2).validate(10.0)
 
     def test_validate_rejects_lying_bounds(self):
         lying = MissionRateProfile(

@@ -1,14 +1,14 @@
 import hashlib
 import json
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from coordsim import simharness
 from coordsim.coordalg import build_projection
-from coordsim.digraph import Digraph, laplacian
+from coordsim.digraph import Digraph
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
     GustEvent,
@@ -17,7 +17,8 @@ from coordsim.simharness import (
     certify,
     MetricsLog,
     ScenarioConfig,
-    communication_amount,
+    _segments,
+    _topology_schedule,
     default_bidirectional_config,
     default_directed_config,
     default_directed_family,
@@ -25,7 +26,6 @@ from coordsim.simharness import (
     load_config,
     mirror_family,
     pe_connectivity,
-    random_bidirectional_schedule,
     run_scenario,
     step,
     summary_dict,
@@ -107,91 +107,104 @@ class TestConfig:
             default_directed_config().validate()
 
 
+def baseline_sigma(**overrides) -> np.ndarray:
+    """The baseline's per-step topology index over its whole horizon."""
+    cfg = replace(default_bidirectional_config(), **overrides)
+    sigma, aux_v = _topology_schedule(cfg, None, int(round(cfg.t_max / cfg.dt)))
+    assert aux_v is None
+    return sigma
+
+
 class TestSchedule:
     def test_single_graph_constant(self):
         g = mirror_family([Digraph(3, [(1, 2)])])
-        sched = random_bidirectional_schedule(g, 0.3, 7, 6.0)
-        assert np.all(sched == 1)
+        sigma = baseline_sigma(n=3, topology_family=g, rng_seed=7, t_max=6.0)
+        assert len(sigma) == 6001 and np.all(sigma == 1)
 
     def test_seed_reproducible(self):
-        fam = mirror_family(default_directed_family())
-        s1 = random_bidirectional_schedule(fam, 0.3, 42, 48.0)
-        s2 = random_bidirectional_schedule(fam, 0.3, 42, 48.0)
+        s1 = baseline_sigma(rng_seed=42, t_max=48.0)
+        s2 = baseline_sigma(rng_seed=42, t_max=48.0)
         assert np.array_equal(s1, s2)
 
     def test_interval_count_and_uniformity(self):
-        fam = mirror_family(default_directed_family())
-        sched = random_bidirectional_schedule(fam, 0.3, 123, 48.0)
-        assert len(sched) == 160
-        counts = np.bincount(sched, minlength=4)[1:]
+        # one draw per 0.3 s period, read in the middle of each period
+        draws = baseline_sigma(rng_seed=123, t_max=48.0)[150::300]
+        assert len(draws) == 160
+        counts = np.bincount(draws, minlength=4)[1:]
         # three-sigma band around the uniform expectation
         expected = 160 / 3
         sigma = np.sqrt(160 * (1 / 3) * (2 / 3))
         assert np.all(np.abs(counts - expected) <= 3 * sigma)
 
-    def test_rejects_directed_graphs(self):
-        with pytest.raises(ConfigError, match="not bidirectional"):
-            random_bidirectional_schedule(default_directed_family(), 0.3, 1, 10.0)
-
     def test_rejects_bad_period(self):
-        fam = mirror_family(default_directed_family())
-        with pytest.raises(ConfigError, match="period"):
-            random_bidirectional_schedule(fam, 0.0, 1, 10.0)
+        # a period of 0 is out of range; one below dt would skip draws
+        for period in (0.0, 5e-4):
+            with pytest.raises(ConfigError, match="random_switch_period"):
+                default_bidirectional_config(random_switch_period=period).validate()
 
 
-def synthetic_log(segments, laplacians, n, t_end, tau_f=None):
-    """Minimal log carrying only what the integral metrics need."""
-    ts = np.linspace(0.0, t_end, 11)
-    table = np.zeros((len(ts), 3 + 6 * n))
-    table[:, 0] = ts
-    table[:, 1] = 1  # sigma
+def synthetic_log(family, sigma, t_end):
+    """Minimal log carrying only what the integral metrics need: samples
+    evenly spaced over ``[0, t_end]``, one per entry of ``sigma``, the
+    topology index of each."""
+    n = family[0].n
+    table = np.zeros((len(sigma), 3 + 6 * n))
+    table[:, 0] = np.linspace(0.0, t_end, len(sigma))
+    table[:, 1] = sigma
     table[:, 3 + n : 3 + 2 * n] = 1.0  # gamma_dot
     return MetricsLog(
         config=ScenarioConfig(
-            n=n, topology_family=[Digraph(n)], mu_list=[0.1], phi0=[1.0] * (n - 1)
+            n=n, topology_family=family, mu_list=[0.1] * len(family), phi0=[1.0] * (n - 1)
         ),
         table=table,
         aux_v=None,
-        topology_segments=segments,
-        switch_log=[],
-        tau_f=tau_f,
-        arrived=tau_f is not None,
-        eta_observed=None,
-        lambda_hat_t=None,
-        lambda_hat=None,
-        final_xi_norm=0.0,
+        tau_f=None,
         violations=[],
         certificate=None,
-        laplacians=tuple(laplacians),
         final_state={},
+    )
+
+
+def comm_by_hand(log, t_end) -> float:
+    """Edge count times segment length, summed over the segments the switch
+    log bounds, up to ``t_end``."""
+    family = log.config.topology_family
+    times = [0.0] + [t for t, _, _ in log.switch_log] + [t_end]
+    sigmas = [int(log.sigma[0])] + [new for _, _, new in log.switch_log]
+    return sum(
+        (t1 - t0) * len(family[s - 1].edges) for t0, t1, s in zip(times, times[1:], sigmas)
     )
 
 
 class TestCommunicationAmount:
     def test_constant_two_edge_topology(self):
-        d = Digraph(3, [(1, 2), (2, 3)])
-        log = synthetic_log([(0.0, 10.0, 1)], [laplacian(d).astype(float)], 3, 10.0)
-        assert communication_amount(log) == pytest.approx(20.0, abs=1e-12)
+        log = synthetic_log([Digraph(3, [(1, 2), (2, 3)])], [1] * 11, 10.0)
+        assert log.comm_amount == pytest.approx(20.0, abs=1e-12)
 
     def test_empty_topology(self):
-        log = synthetic_log([(0.0, 10.0, 1)], [np.zeros((3, 3))], 3, 10.0)
-        assert communication_amount(log) == 0.0
+        log = synthetic_log([Digraph(3)], [1] * 11, 10.0)
+        assert log.comm_amount == 0.0
 
-    def test_clipped_at_arrival(self):
-        d = Digraph(3, [(1, 2)])
-        log = synthetic_log(
-            [(0.0, 4.0, 1), (4.0, 10.0, 1)], [laplacian(d).astype(float)], 3, 10.0,
-            tau_f=6.0,
-        )
-        assert communication_amount(log) == pytest.approx(6.0, abs=1e-12)
+    def test_clipped_at_arrival(self, arrived_run):
+        # the log ends at arrival, so the amount stops there too
+        log = arrived_run
+        assert log.arrived and log.t[-1] == log.tau_f < log.config.t_max
+        assert len(log.switch_log) >= 1
+        assert log.comm_amount == pytest.approx(comm_by_hand(log, log.tau_f), rel=1e-12)
+
+    def test_switch_at_last_sample(self):
+        # 1 edge for 4 s, 2 edges for 2 s, then a switch at the closing sample
+        family = [Digraph(3, [(1, 2)]), Digraph(3, [(1, 2), (2, 3)]), Digraph(3)]
+        log = synthetic_log(family, [1] * 4 + [2] * 2 + [3], 6.0)
+        assert log.switch_log == [(4.0, 1, 2), (6.0, 2, 3)]
+        assert log.comm_amount == 8.0
 
 
 class TestPeConnectivity:
     def test_constant_complete_graph(self):
         n = 4
         edges = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        d = Digraph(n, edges)
-        log = synthetic_log([(0.0, 10.0, 1)], [laplacian(d).astype(float)], n, 10.0)
+        log = synthetic_log([Digraph(n, edges)], [1] * 11, 10.0)
         q = build_projection(n)
         ts, lam = pe_connectivity(log, 2.0, q)
         # complete graph: projected Laplacian is n * identity, so the
@@ -200,15 +213,33 @@ class TestPeConnectivity:
         assert np.allclose(lam, 1.0, atol=1e-10)
 
     def test_constant_empty_graph(self):
-        log = synthetic_log([(0.0, 10.0, 1)], [np.zeros((4, 4))], 4, 10.0)
+        log = synthetic_log([Digraph(4)], [1] * 11, 10.0)
         ts, lam = pe_connectivity(log, 2.0, build_projection(4))
         assert np.allclose(lam, 0.0, atol=1e-15)
 
     def test_window_longer_than_run(self):
-        log = synthetic_log([(0.0, 5.0, 1)], [np.zeros((4, 4))], 4, 5.0)
+        log = synthetic_log([Digraph(4)], [1] * 11, 5.0)
         with pytest.warns(UserWarning, match="window"):
             ts, lam = pe_connectivity(log, 10.0, build_projection(4))
         assert len(ts) == 0 and len(lam) == 0
+
+
+@pytest.fixture(scope="module")
+def arrived_run():
+    """The gust-and-arrival pin: one switch, every vehicle arrives at
+    2.506 s, before ``t_max``."""
+    return run_scenario(PINNED_OUTPUTS["directed-gust-arrival"][0]())
+
+
+class TestArrivedRun:
+    def test_final_xi_norm_before_first_clamped_row(self, arrived_run):
+        log = arrived_run
+        clamped = np.flatnonzero((log.gamma == log.config.t_f).any(axis=1))
+        first = clamped[0]
+        assert 0 < first < len(log.t) - 1
+        assert np.all(log.gamma[: first] < log.config.t_f)
+        assert log.final_xi_norm == log.xi_norm[first - 1]
+        assert log.xi_norm[-1] < log.final_xi_norm
 
 
 class TestDegenerateSingleVehicle:
@@ -284,7 +315,7 @@ class TestStepMechanics:
         log = run_scenario(cfg)
         max_edges = max(len(d.edges) for d in cfg.topology_family)
         assert max_edges == 2
-        for _, _, sig in log.topology_segments:
+        for sig in np.unique(log.sigma).astype(int):
             active = cfg.topology_family[sig - 1]
             assert len(active.edges) <= max_edges
 
@@ -446,17 +477,27 @@ class TestOutputs:
     def test_comm_equals_edge_count_times_segment_length(self):
         cfg = default_directed_config(t_max=5.0)
         log = run_scenario(cfg)
-        segments = log.topology_segments
+        start, end, sigma = _segments(log)
         # segments tile [0, t_end] and change topology exactly at the switches
-        assert segments[0][0] == 0.0 and segments[-1][1] == log.t[-1]
-        assert [s[1] for s in segments[:-1]] == [t for t, _, _ in log.switch_log]
-        assert [s[2] for s in segments[1:]] == [new for _, _, new in log.switch_log]
-        by_hand = sum(
-            (t1 - t0) * len(cfg.topology_family[sig - 1].edges) for t0, t1, sig in segments
-        )
-        assert len(segments) >= 3
-        assert log.comm_amount == pytest.approx(by_hand, rel=1e-12)
-        assert log.comm_amount == communication_amount(log)
+        assert start[0] == 0.0 and end[-1] == log.t[-1]
+        assert np.array_equal(start[1:], end[:-1])
+        assert start[1:].tolist() == [t for t, _, _ in log.switch_log]
+        assert sigma[1:].tolist() == [new for _, _, new in log.switch_log]
+        assert len(start) >= 3 and log.tau_f is None
+        assert log.comm_amount == pytest.approx(comm_by_hand(log, log.t[-1]), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            lambda: default_directed_config(t_max=3.0),
+            lambda: default_bidirectional_config(t_max=4.0),
+        ],
+        ids=["directed", "baseline"],
+    )
+    def test_runs_are_deterministic(self, make_config):
+        first, second = run_scenario(make_config()), run_scenario(make_config())
+        assert np.array_equal(first.table, second.table)
+        assert first.switch_log == second.switch_log and first.switch_log
 
 
 def seven_vehicle_config() -> ScenarioConfig:

@@ -18,7 +18,6 @@ def make_cert(h_matrices, mu_list, lambda_max_p, n, reduced=None):
     return SwitchingCertificate(
         q=build_projection(n),
         reduced_laplacians=tuple(reduced),
-        reduced_union=sum(reduced),
         p=np.eye(k),
         h_matrices=tuple(h_matrices),
         mu_list=tuple(mu_list),
@@ -210,6 +209,7 @@ class TestRandomizedInvariants:
         assert np.array_equal(cert.p, cert.p.T)
         assert np.linalg.eigvalsh(cert.p)[0] > 0
         assert np.linalg.norm(sum(cert.h_matrices) + m * np.eye(n - 1)) <= 1e-10
+        assert 0 < cert.dwell_bound < np.inf
 
         dt = cert.dwell_bound / 10
         phi0 = rng.uniform(-2.0, 2.0, size=n - 1)
