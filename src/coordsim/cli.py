@@ -157,6 +157,9 @@ def cmd_compare(
             raise ConfigError(
                 f"compare needs matched scenarios: {name} differs ({want!r} vs {got!r})"
             )
+    # admit both configs before the first run and before any output exists
+    simharness.certify(cfg_d)
+    simharness.certify(cfg_b)
     out_d = os.path.join(outdir, "directed")
     out_b = os.path.join(outdir, "bidirectional")
     _make_outdir(out_d)

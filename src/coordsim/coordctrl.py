@@ -10,12 +10,12 @@ when all ``gamma_i`` agree and all rates match the desired rate.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._einsum import einsum
 from .coordalg import ProjectionMatrix
 from .errors import ConfigError
 
@@ -117,8 +117,8 @@ def path_error_feedback_all(
     exceeds ``|e_i|``.  Rows are independent."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    dots = np.einsum("ij,ij->i", traj_velocities, e_pf_all)
-    norms = np.sqrt(np.einsum("ij,ij->i", traj_velocities, traj_velocities))
+    dots = einsum("ij,ij->i", traj_velocities, e_pf_all)
+    norms = np.sqrt(einsum("ij,ij->i", traj_velocities, traj_velocities))
     return dots / (norms + delta)
 
 
@@ -141,18 +141,26 @@ def coordination_error(
     gamma: np.ndarray,
     gamma_dot: np.ndarray,
     q: ProjectionMatrix | None,
-    gamma_dot_d: float,
-) -> tuple[np.ndarray, np.ndarray, float]:
+    gamma_dot_d: float | np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Coordination error: projected virtual-time disagreement and rate
     deviation, plus the stacked norm.
 
-    The first component vanishes exactly when all virtual times agree;
-    adding a common constant to every ``gamma_i`` leaves it unchanged.  A
-    single vehicle has no projection (``q`` is None) and no disagreement.
+    ``gamma`` and ``gamma_dot`` hold one sample, shape ``(n,)``, or a stack
+    of samples, shape ``(..., n)``; ``gamma_dot_d`` broadcasts against
+    ``gamma_dot``.  Each sample costs one matrix-vector product and two dot
+    products whatever the stack, so a sample's values do not depend on the
+    stack it is in.  The first component vanishes exactly when all virtual
+    times agree; adding a common constant to every ``gamma_i`` leaves it
+    unchanged.  A single vehicle has no projection (``q`` is None) and no
+    disagreement.
     """
-    xi1 = q.q @ gamma if q is not None else np.zeros(0)
+    if q is not None:
+        xi1 = np.matmul(q.q, gamma[..., None])[..., 0]
+    else:
+        xi1 = np.zeros(gamma.shape[:-1] + (0,))
     xi2 = gamma_dot - gamma_dot_d
-    return xi1, xi2, math.sqrt(float(xi1 @ xi1) + float(xi2 @ xi2))
+    return xi1, xi2, np.sqrt(np.vecdot(xi1, xi1) + np.vecdot(xi2, xi2))
 
 
 class Violation(NamedTuple):
@@ -175,14 +183,22 @@ def feasibility_check(
 
     ``active`` restricts the check to vehicles still flying the mission.
     Records are ordered by vehicle, a rate record before an acceleration
-    record of the same vehicle.  An empty list means feasible.
+    record of the same vehicle.  An empty list means feasible.  When every
+    vehicle is inside the envelope, a test on Python lists (cheaper than
+    numpy calls for a handful of vehicles) returns the empty list before the
+    scan; a NaN fails that test and is scanned (and not flagged).
     """
     gamma_dot_max, gamma_ddot_max = bounds
     if gamma_dot_max <= 0 or gamma_ddot_max <= 0:
         raise ValueError("feasibility bounds must be positive")
     if gamma_dot_max >= 1:
         raise ValueError("gamma_dot_max must be < 1 so rates stay positive")
-    bad_rate = (gamma_dot < 1.0 - gamma_dot_max) | (gamma_dot > 1.0 + gamma_dot_max)
+    lo, hi = 1.0 - gamma_dot_max, 1.0 + gamma_dot_max
+    if all(lo <= r <= hi for r in gamma_dot.tolist()) and all(
+        -gamma_ddot_max <= a <= gamma_ddot_max for a in gamma_ddot.tolist()
+    ):
+        return []
+    bad_rate = (gamma_dot < lo) | (gamma_dot > hi)
     bad_accel = np.abs(gamma_ddot) > gamma_ddot_max
     flagged = bad_rate | bad_accel
     if active is not None:

@@ -9,7 +9,9 @@ schedule in the bidirectional baseline.  It is held constant across each
 step and changes at step boundaries, before arrival clamping.  The desired
 mission rate, a function of time alone, is evaluated for a block of
 ``RATE_BLOCK`` steps at a time, at each step's RK4 stage times and new
-sample time.
+sample time.  The coordination error of the log is also filled per block of
+``RATE_BLOCK`` rows, after the loop, from the logged virtual times and
+rates; until then its column holds each row's desired rate.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -28,6 +30,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import coordctrl, switchlaw, vehicle
+from ._einsum import einsum
 from .coordalg import (
     SwitchingCertificate,
     build_certificate,
@@ -37,7 +40,7 @@ from .coordalg import (
 from .coordctrl import MissionRateProfile, Violation, smoothstep_profile
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacian
 from .errors import ConfigError, check_finite
-from .vehicle import LaneSweepFamily
+from .vehicle import LaneSweepFamily, saturate
 
 MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
@@ -46,8 +49,9 @@ MAX_STEPS = 1_000_000
 # windows per stacked eigensolve in pe_connectivity: stacking all of a
 # baseline run's windows at once raised its peak memory by half
 PE_CHUNK = 256
-# steps per call of the mission-rate profile in run_scenario: one call per
-# block, not per RK4 stage, and no rate table for the whole horizon
+# steps per call of the mission-rate profile in run_scenario, and log rows
+# per call of coordination_error after its loop: one call per block, not per
+# RK4 stage or row, and no temporaries the size of the whole log
 RATE_BLOCK = 256
 
 
@@ -223,10 +227,10 @@ class ScenarioConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if not self.topology_family:
             raise ConfigError("topology_family is empty")
-        for g in self.topology_family:
+        for k, g in enumerate(self.topology_family):
             if g.n != self.n:
                 raise ConfigError(
-                    f"topology node count {g.n} does not match n={self.n}"
+                    f"topology_family[{k}]: node count {g.n} does not match n={self.n}"
                 )
         if not jointly_connected(self.topology_family):
             raise ConfigError("topology family is not jointly connected")
@@ -286,12 +290,12 @@ def _family_speed_grid(fam: LaneSweepFamily) -> np.ndarray:
 
 
 def _require_symmetric(family: list[Digraph]) -> None:
-    for idx, g in enumerate(family):
+    for k, g in enumerate(family):
         for (i, j) in g.edges:
             if (j, i) not in g.edges:
                 raise ConfigError(
-                    f"baseline topology {idx + 1} is not bidirectional: "
-                    f"edge ({i},{j}) lacks its reverse"
+                    f"topology_family[{k}]: baseline topology is not "
+                    f"bidirectional: edge ({i},{j}) lacks its reverse"
                 )
 
 
@@ -386,16 +390,13 @@ class SimWorld:
     v: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.gamma, self.gamma_dot, self.p, self.v = _unpack(self.x, self.config.n)
+        x, n = self.x, self.config.n
+        self.gamma, self.gamma_dot = x[:n], x[n : 2 * n]
+        self.p, self.v = x[2 * n : 5 * n].reshape(n, 3), x[5 * n :].reshape(n, 3)
 
     @property
     def all_arrived(self) -> bool:
         return self.any_arrived and bool(self.arrived.all())
-
-
-def _unpack(x: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Views ``(gamma, gamma_dot, p, v)`` of the packed state ``x``."""
-    return x[:n], x[n : 2 * n], x[2 * n : 5 * n].reshape(n, 3), x[5 * n :].reshape(n, 3)
 
 
 def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
@@ -492,9 +493,10 @@ def _rhs(
     ``(x', path errors)``.  The virtual time of an arrived vehicle is held
     (its derivatives are 0)."""
     cfg = world.config
-    gamma, gamma_dot, p, v = _unpack(x, cfg.n)
+    n = cfg.n
+    gamma, gamma_dot, v_flat = x[:n], x[n : 2 * n], x[5 * n :]
     tp, tv = world.fam.pos_vel_all(gamma)
-    e = tp - p
+    e = tp - x[2 * n : 5 * n].reshape(n, 3)
     alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
     lap = world.laplacians[world.sigma - 1]
     gamma_ddot = coordctrl.coordination_accel_matrix(
@@ -503,12 +505,13 @@ def _rhs(
     if world.any_arrived:
         gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
         gamma_ddot[world.arrived] = 0.0
+    target_vel = tv * gamma_dot[:, None]
     u = vehicle.pf_control_all(
-        e, v, tv * gamma_dot[:, None], cfg.kp, cfg.kd, cfg.accel_limit
+        e, v_flat.reshape(n, 3), target_vel, cfg.kp, cfg.kd, cfg.accel_limit
     )
     for row, gvec, window in world.gusts:
         u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-    return np.concatenate((gamma_dot, gamma_ddot, x[5 * cfg.n :], u.ravel())), e
+    return np.concatenate((gamma_dot, gamma_ddot, v_flat, u.ravel())), e
 
 
 def _step_rates(
@@ -545,10 +548,7 @@ def step(
     world.step_idx += 1
     world.t = world.step_idx * dt
 
-    # speed limit: direction-preserving clamp, a factor of exactly 1.0
-    # on every vehicle under the limit
-    speeds = np.sqrt(np.einsum("ij,ij->i", world.v, world.v))
-    world.v *= (cfg.speed_limit / np.maximum(speeds, cfg.speed_limit))[:, None]
+    saturate(world.v, cfg.speed_limit)  # speed limit, direction preserved
 
     world.sigma = sigma
     world.rate = rate_new
@@ -578,11 +578,13 @@ class MetricsLog:
     ``table`` has one row per logged sample and the columns of
     ``metrics.csv``: ``t``, ``sigma``, ``xi_norm``, then ``n`` columns each
     of ``gamma``, ``gamma_dot`` and ``epf_norm``, then ``px, py, pz`` per
-    vehicle.  The named per-step arrays are views of it.  The log ends at
-    arrival (``tau_f``) or at ``t_max``.  The switch log, arrival, observed
-    dwell, final coordination error and communication amount are derived
-    from the table; edge counts and Laplacians come from
-    ``config.topology_family``."""
+    vehicle.  The named per-step arrays are views of it.  ``xi_norm`` is
+    filled after the loop, ``RATE_BLOCK`` rows per call of
+    ``coordctrl.coordination_error``, each row with the bits of a call on
+    that row alone.  The log ends at arrival (``tau_f``) or at ``t_max``.
+    The switch log, arrival, observed dwell, final coordination error and
+    communication amount are derived from the table; edge counts and
+    Laplacians come from ``config.topology_family``."""
 
     config: ScenarioConfig
     table: np.ndarray
@@ -679,15 +681,13 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     bounds = (config.gamma_dot_max, config.gamma_ddot_max)
 
     def record(k: int) -> None:
-        """Write log row ``k`` from the world's state and check its
-        feasibility."""
+        """Write log row ``k`` from the world's state, with the desired
+        mission rate in the ``xi_norm`` column, and check its feasibility."""
         row, x, t = table[k], world.x, world.t
         row[0] = t
-        row[2] = coordctrl.coordination_error(
-            world.gamma, world.gamma_dot, q, world.rate
-        )[2]
+        row[2] = world.rate
         row[3 : 3 + 2 * n] = x[: 2 * n]  # gamma, gamma_dot
-        row[3 + 2 * n : 3 + 3 * n] = np.sqrt(np.einsum("ij,ij->i", world.e, world.e))
+        row[3 + 2 * n : 3 + 3 * n] = np.sqrt(einsum("ij,ij->i", world.e, world.e))
         row[3 + 3 * n :] = x[2 * n : 5 * n]  # positions
         active = ~world.arrived if world.any_arrived else None
         violations.extend(
@@ -709,10 +709,17 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
             break
 
     rows = world.step_idx + 1
-    table[:rows, 1] = sigma[:rows]
+    table = table[:rows]
+    table[:, 1] = sigma[:rows]
+    for lo in range(0, rows, RATE_BLOCK):
+        # each row's desired rate becomes its coordination error norm
+        block = table[lo : lo + RATE_BLOCK]
+        block[:, 2] = coordctrl.coordination_error(
+            block[:, 3 : 3 + n], block[:, 3 + n : 3 + 2 * n], q, block[:, 2:3]
+        )[2]
     log = MetricsLog(
         config=config,
-        table=table[:rows],
+        table=table,
         aux_v=aux_v[:rows] if aux_v is not None else None,
         tau_f=world.t if world.all_arrived else None,
         violations=violations,

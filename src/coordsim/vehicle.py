@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from ._einsum import einsum
+
 
 class LaneSweepFamily:
     """Trajectory family: fly down-range at unit rate while a decaying
@@ -54,14 +56,15 @@ class LaneSweepFamily:
         return out
 
     def pos_vel_all(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Position and velocity sharing one exponential evaluation; the
-        hot path of the simulation loop."""
-        g = np.asarray(gammas, dtype=float)
-        env = np.exp(-0.6 * g)
-        pos, vel = self._pos_vel.copy()
-        pos[:, 0] = g
-        pos[:, 1] = self.offsets - env * (5.0 + 3.0 * g) * self.sines
-        vel[:, 1] = 1.8 * g * env * self.sines
+        """Position and velocity at the float64 virtual times ``gammas`` of
+        shape ``(n,)``, sharing one exponential evaluation; the hot path of
+        the simulation loop."""
+        env = np.exp(-0.6 * gammas)
+        out = self._pos_vel.copy()
+        pos, vel = out[0], out[1]
+        pos[:, 0] = gammas
+        pos[:, 1] = self.offsets - env * (5.0 + 3.0 * gammas) * self.sines
+        vel[:, 1] = 1.8 * gammas * env * self.sines
         return pos, vel
 
 
@@ -80,9 +83,20 @@ def pf_control_all(
     if kp <= 0 or kd <= 0 or a_max <= 0:
         raise ValueError("pf gains and acceleration limit must be positive")
     u = kp * e + kd * (target_vel - v)
-    norms = np.sqrt(np.einsum("ij,ij->i", u, u))
-    u *= (a_max / np.maximum(norms, a_max))[:, None]  # exactly 1.0 under the limit
+    saturate(u, a_max)
     return u
+
+
+def saturate(rows: np.ndarray, limit: float) -> None:
+    """Scale in place every row of ``rows`` whose norm exceeds ``limit`` to
+    norm ``limit``, keeping its direction.  The factor
+    ``limit / max(norm, limit)`` is exactly 1.0 on a row under the limit,
+    so it is applied only when some norm is over it (or NaN).  The test
+    runs on a Python list: for a handful of rows that is cheaper than a
+    numpy reduction."""
+    norms = np.sqrt(einsum("ij,ij->i", rows, rows))
+    if not all(norm <= limit for norm in norms.tolist()):
+        rows *= (limit / np.maximum(norms, limit))[:, None]
 
 
 def apply_disturbance(

@@ -315,12 +315,29 @@ class TestRefusal:
         path = shipped_with(tmp_path, override, "bidirectional.json")
         argv = command_argv(command, path, tmp_path)
         if command == "compare":
-            # compare admits each config as it runs it: a short directed run first
-            short = tmp_path / "short.json"
-            raw = json.loads((SHIPPED / "directed.json").read_text())
-            short.write_text(json.dumps({**raw, "t_max": 0.5}))
-            argv[1:3] = [str(short), path]
+            # the shipped directed mission first: compare admits both configs
+            # before it runs either, so the refusal comes at once
+            argv[1:3] = [str(SHIPPED / "directed.json"), path]
         assert_refused(argv, field, capsys)
+        if command == "compare":
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_node_count_mismatch_names_entry(self, tmp_path, capsys, command):
+        family = json.loads((SHIPPED / "directed.json").read_text())["topology_family"]
+        family[2] = {**family[2], "n": 4}  # its edges stay inside 1..4
+        path = shipped_with(tmp_path, {"topology_family": family})
+        assert_refused(command_argv(command, path, tmp_path), "topology_family[2]", capsys)
+
+    @pytest.mark.parametrize("command", ["validate", "run", "compare"])
+    def test_one_way_baseline_edge_names_entry(self, tmp_path, capsys, command):
+        family = json.loads((SHIPPED / "bidirectional.json").read_text())["topology_family"]
+        family[1] = {**family[1], "edges": [*family[1]["edges"], [1, 4]]}
+        path = shipped_with(tmp_path, {"topology_family": family}, "bidirectional.json")
+        argv = command_argv(command, path, tmp_path)
+        if command == "compare":
+            argv[1:3] = [str(SHIPPED / "directed.json"), path]
+        assert_refused(argv, "topology_family[1]", capsys)
 
     @pytest.mark.parametrize("command", ["analyze", "run"])
     def test_dt_above_dwell_tenth_refused(self, tmp_path, capsys, command):

@@ -2,10 +2,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordsim.coordalg import build_projection
 from coordsim.coordctrl import (
     MissionRateProfile,
+    Violation,
     coordination_accel_matrix,
     coordination_error,
     feasibility_check,
@@ -164,6 +167,21 @@ class TestCoordinationError:
         assert xi1.shape == (0,)
         assert norm == abs(1.3 - 1.0) == abs(xi2[0])
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_stack_equals_each_sample(self, n):
+        # strided rows of a log-like table, each with its own desired rate:
+        # the stacked call gives every row the bits of the call on that row
+        rng = np.random.default_rng(26)
+        q = build_projection(n) if n >= 2 else None
+        table = rng.normal(size=(300, 3 + 6 * n)) * rng.choice([1e-6, 1.0, 1e3], (300, 1))
+        gamma, gamma_dot, rate = table[:, 3 : 3 + n], table[:, 3 + n : 3 + 2 * n], table[:, 2]
+        xi1, xi2, norm = coordination_error(gamma, gamma_dot, q, rate[:, None])
+        assert xi1.shape == (300, n - 1 if n >= 2 else 0) and norm.shape == (300,)
+        for k in range(300):
+            one = coordination_error(gamma[k], gamma_dot[k], q, rate[k])
+            assert np.array_equal(xi1[k], one[0]) and np.array_equal(xi2[k], one[1])
+            assert norm[k] == one[2]
+
 
 class TestFeasibility:
     def test_feasible(self):
@@ -200,6 +218,42 @@ class TestFeasibility:
             feasibility_check(np.ones(2), np.zeros(2), (1.5, 5.0))
         with pytest.raises(ValueError):
             feasibility_check(np.ones(2), np.zeros(2), (0.5, 0.0))
+
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_early_return_matches_full_scan(self, data):
+        # values at the edges of the envelope, NaN, infinities and signed
+        # zeros, with and without an active mask: the list equals a scan of
+        # every vehicle by hand
+        gmax = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+        gddmax = data.draw(st.sampled_from([0.5, 5.0]))
+        n = data.draw(st.integers(1, 4))
+        nan, inf = float("nan"), float("inf")
+        # mostly inside the envelope, so that whole vectors often are
+        rate = st.one_of(
+            st.floats(1.0 - gmax, 1.0 + gmax),
+            st.sampled_from([1.0 - gmax, 1.0 + gmax, nan, inf, -inf, 0.0, -0.0]),
+            st.floats(0.0, 2.0),
+        )
+        accel = st.one_of(
+            st.floats(-gddmax, gddmax),
+            st.sampled_from([gddmax, -gddmax, 0.0, -0.0, nan, inf, -inf]),
+            st.floats(-2 * gddmax, 2 * gddmax),
+        )
+        gd = np.array(data.draw(st.lists(rate, min_size=n, max_size=n)))
+        gdd = np.array(data.draw(st.lists(accel, min_size=n, max_size=n)))
+        active = data.draw(
+            st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
+        )
+        expected = []
+        for i in range(n):
+            if active is not None and not active[i]:
+                continue
+            if gd[i] < 1.0 - gmax or gd[i] > 1.0 + gmax:
+                expected.append(Violation(i + 1, 0.5, "rate", float(gd[i])))
+            if abs(gdd[i]) > gddmax:
+                expected.append(Violation(i + 1, 0.5, "accel", float(gdd[i])))
+        assert feasibility_check(gd, gdd, (gmax, gddmax), 0.5, active) == expected
 
 
 class TestCoordinationContraction:

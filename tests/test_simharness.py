@@ -8,6 +8,7 @@ import pytest
 
 from coordsim import simharness
 from coordsim.coordalg import build_projection
+from coordsim.coordctrl import coordination_error
 from coordsim.digraph import Digraph
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
@@ -242,22 +243,29 @@ class TestArrivedRun:
         assert log.xi_norm[-1] < log.final_xi_norm
 
 
+def single_vehicle_config(**overrides) -> ScenarioConfig:
+    """One vehicle on one empty topology: no coordination terms."""
+    return ScenarioConfig(
+        n=1,
+        topology_family=[Digraph(1)],
+        mu_list=[0.1],
+        phi0=None,
+        traj_offsets=[0.0],
+        traj_angles=[0.0],
+        **overrides,
+    )
+
+
 class TestDegenerateSingleVehicle:
     def test_rate_tracks_desired_rate(self):
         # one vehicle, no coordination terms: the rate follows the
         # first-order pull toward the desired rate, 1.2 - 0.2 exp(-b t).
         # A huge delta switches off the path-error feedback so the closed
         # form is exact up to integrator accuracy.
-        cfg = ScenarioConfig(
-            n=1,
-            topology_family=[Digraph(1)],
-            mu_list=[0.1],
-            phi0=None,
+        cfg = single_vehicle_config(
             rate_base=1.2,
             rate_final=1.2,
             delta=1e9,
-            traj_offsets=[0.0],
-            traj_angles=[0.0],
             dt=1e-3,
             t_max=2.0,
             initial_positions=[[0.0, 0.0, 2.0]],
@@ -625,6 +633,35 @@ class TestRateBlocks:
             assert rates[:, j].tolist() == [
                 profile.rate(t + 0.5 * dt), profile.rate(t + dt), profile.rate((k + 1) * dt)
             ]
+
+
+class TestXiNormColumn:
+    # the column is filled RATE_BLOCK rows at a time after the loop; each
+    # row must hold the bits of coordination_error on that row alone, at the
+    # desired rate of its sample time
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            PINNED_OUTPUTS["directed-gust-arrival"][0],
+            PINNED_OUTPUTS["directed-ramp-arrival"][0],
+            lambda: single_vehicle_config(t_max=0.6, rate_base=1.2, rate_final=1.2),
+        ],
+        ids=["gust-arrival", "ramp-arrival", "single-vehicle"],
+    )
+    def test_rows_equal_coordination_error(self, make_config):
+        cfg = make_config()
+        log = run_scenario(cfg)
+        rows = len(log.t)
+        assert rows > simharness.RATE_BLOCK + 1  # rows 255 and 256 straddle a block edge
+        q = log.certificate.q if log.certificate is not None else None
+        rates = cfg.mission_profile().rate(np.arange(rows) * cfg.dt)
+        by_row = [
+            coordination_error(log.gamma[k], log.gamma_dot[k], q, rates[k])[2]
+            for k in range(rows)
+        ]
+        assert np.array_equal(log.xi_norm, by_row)
+        if cfg.n == 1:
+            assert q is None and np.array_equal(log.xi_norm, np.abs(log.gamma_dot[:, 0] - 1.2))
 
 
 class TestBaselineRun:

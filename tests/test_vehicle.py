@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coordsim.vehicle import LaneSweepFamily, apply_disturbance, pf_control_all
+from coordsim.vehicle import LaneSweepFamily, apply_disturbance, pf_control_all, saturate
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +145,44 @@ class TestPfControl:
         for kp, kd, a_max in ((-1.0, 4.0, 10.0), (4.0, 0.0, 10.0), (4.0, 4.0, 0.0)):
             with pytest.raises(ValueError):
                 pf_control_all(np.ones((1, 3)), z, z, kp, kd, a_max)
+
+
+def branch_free(rows, limit):
+    """Every row scaled by ``limit / max(norm, limit)``, skip or not."""
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    return rows * (limit / np.maximum(norms, limit))[:, None]
+
+
+class TestSaturate:
+    # rows under, at (norm 5) and over the limit 5, with signed zeros
+    UNDER = [[1.0, -2.0, 2.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 4.999999999999999]]
+    AT = [[3.0, 4.0, -0.0], [-0.0, -5.0, 0.0]]
+    OVER = [[6.0, -0.0, 8.0], [-0.0, 5.000000000000001, 0.0]]
+
+    @pytest.mark.parametrize(
+        "rows",
+        [UNDER, AT, UNDER + AT, UNDER + AT + OVER, OVER],
+        ids=["under", "at", "under-at", "under-at-over", "over"],
+    )
+    def test_same_bits_as_branch_free_factor(self, rows):
+        rows = np.array(rows)
+        expected = branch_free(rows, 5.0)
+        saturate(rows, 5.0)
+        assert rows.tobytes() == expected.tobytes()  # tobytes tells -0.0 from 0.0
+
+    def test_random_rows_around_the_limit(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            rows = rng.normal(size=(int(rng.integers(1, 9)), 3)) * rng.choice([0.5, 2.0, 4.0])
+            expected = branch_free(rows, 5.0)
+            saturate(rows, 5.0)
+            assert rows.tobytes() == expected.tobytes()
+
+    def test_nan_row_scaled_as_branch_free(self):
+        rows = np.array([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [0.0, 2.0, 0.0]])
+        expected = branch_free(rows, 5.0)
+        saturate(rows, 5.0)
+        assert rows.tobytes() == expected.tobytes()
 
 
 class TestDisturbance:
