@@ -118,6 +118,7 @@ def cmd_run(
     config_path: str, outdir: str, as_json: bool, dt: float | None, seed: int | None
 ) -> CommandOutcome:
     cfg = _load(config_path, dt, seed)
+    simharness.certify(cfg)  # admit the config before any output exists
     _make_outdir(outdir)
     log.info("running %s scenario, dt=%g, t_max=%g", cfg.mode, cfg.dt, cfg.t_max)
     log_ = simharness.run_scenario(cfg)

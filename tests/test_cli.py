@@ -286,11 +286,15 @@ def command_argv(command, path, tmp_path):
 
 
 def assert_refused(argv, field, capsys):
+    """``argv`` exits 1 naming ``field``, with no traceback and without
+    making its ``--out`` directory."""
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     out = captured.out + captured.err
     assert "Traceback" not in out
     assert re.search(rf"\b{re.escape(field)}(=| must|:| differs)", out), out
+    if "--out" in argv:
+        assert not Path(argv[argv.index("--out") + 1]).exists()
 
 
 class TestRefusal:
@@ -319,8 +323,6 @@ class TestRefusal:
             # before it runs either, so the refusal comes at once
             argv[1:3] = [str(SHIPPED / "directed.json"), path]
         assert_refused(argv, field, capsys)
-        if command == "compare":
-            assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run", "compare"])
     def test_node_count_mismatch_names_entry(self, tmp_path, capsys, command):
