@@ -153,6 +153,16 @@ def check_spectrum_reduction(
     return SpectrumReductionReport(spectra_match, hurwitz, consistent, max_gap)
 
 
+def _kronecker_sum(b: np.ndarray) -> np.ndarray:
+    """``I (x) B + B (x) I`` for a square ``B``: the products and the single
+    addition of ``np.kron(I, B) + np.kron(B, I)``, so the same bits, signed
+    zeros included, without its general-purpose reshaping."""
+    k = b.shape[0]
+    eye = np.eye(k)
+    out = np.multiply.outer(eye, b) + np.multiply.outer(b, eye)
+    return out.transpose(0, 2, 1, 3).reshape(k * k, k * k)
+
+
 def solve_lyapunov(lbar_union: np.ndarray, m: int) -> np.ndarray:
     """Solve ``(-Lu)^T P + P (-Lu) = -m I`` for the unique symmetric
     positive definite ``P``.
@@ -174,7 +184,7 @@ def solve_lyapunov(lbar_union: np.ndarray, m: int) -> np.ndarray:
         raise SynthesisError(
             "summed reduced Laplacian is not Hurwitz: family not jointly connected"
         )
-    lhs = np.kron(np.eye(k), a.T) + np.kron(a.T, np.eye(k))
+    lhs = _kronecker_sum(a.T)
     rhs = (-float(m) * np.eye(k)).flatten(order="F")
     p = np.linalg.solve(lhs, rhs).reshape((k, k), order="F")
     p = 0.5 * (p + p.T)
@@ -225,18 +235,32 @@ class SwitchingCertificate:
     m: int
 
 
+def _spectral_norms(matrices) -> np.ndarray:
+    """Spectral norm of each of the equally shaped ``matrices``: the largest
+    singular value, as ``np.linalg.norm(x, 2)`` takes it, from one batched
+    SVD."""
+    return np.linalg.svd(np.stack(matrices), compute_uv=False)[:, 0]
+
+
+# At extreme gain ratios a/b a term's denominator overflows to inf or
+# underflows to 0; the term is then 0 or inf, the value the search uses.
+@np.errstate(over="ignore", divide="ignore")
 def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
     """Supremum over theta > 1 of the per-topology minimum of the two
     dwell terms; log-grid on (1, 1e4] then golden-section refinement."""
     k = reduced_laplacians[0].shape[0]
     eye = np.eye(k)
-    terms = []
-    for lbar, h, mu in zip(reduced_laplacians, h_matrices, mu_list):
-        norm_lbar = np.linalg.norm(lbar, 2)
-        if norm_lbar == 0.0:
-            continue  # empty topology: both terms infinite, non-binding
-        nu = np.linalg.norm(lbar.T @ (h + eye) + (h + eye) @ lbar, 2)
-        terms.append((1.0 - mu * lambda_max_p, nu, norm_lbar))
+    nus = [
+        lbar.T @ (h + eye) + (h + eye) @ lbar
+        for lbar, h in zip(reduced_laplacians, h_matrices)
+    ]
+    norms = _spectral_norms([*reduced_laplacians, *nus])
+    m = len(reduced_laplacians)
+    terms = [
+        (1.0 - mu * lambda_max_p, nu, norm_lbar)
+        for mu, norm_lbar, nu in zip(mu_list, norms[:m], norms[m:])
+        if norm_lbar != 0.0  # empty topology: both terms infinite, non-binding
+    ]
     if not terms:
         return math.inf
 
@@ -322,7 +346,7 @@ def build_certificate(
         h_matrices.append(0.5 * (h + h.T))
 
     dwell = _dwell_time(reduced, h_matrices, mu_list, lambda_max_p, a, b)
-    max_norm = max(np.linalg.norm(l, 2) for l in laplacians)
+    max_norm = max(_spectral_norms(laplacians))
 
     for arr in (*reduced, p, *h_matrices):
         arr.setflags(write=False)

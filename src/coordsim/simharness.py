@@ -259,10 +259,11 @@ class ScenarioConfig:
                 raise ConfigError(f"gust window {g.window} must be increasing")
         self.mission_profile().validate(self.t_max)
         # the convergence analysis wants delta above the spread of desired
-        # speeds; warn (tuning hint), do not reject
+        # speeds; warn (tuning hint), do not reject.  One column of sample
+        # times serves every vehicle; speed_spread says why the spread has
+        # the bits of the norm of each vehicle's velocity at each sample.
         fam = self.trajectory_family()
-        speeds = np.linalg.norm(_family_speed_grid(fam), axis=-1)
-        spread = float(speeds.max() - speeds.min())
+        spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
         if self.delta <= spread:
             warnings.warn(
                 f"delta={self.delta} does not exceed the desired-speed spread "
@@ -282,11 +283,6 @@ def _parse_entries(name: str, parse, entries) -> list:
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"{name}[{k}]: {type(exc).__name__}: {exc}") from exc
     return parsed
-
-
-def _family_speed_grid(fam: LaneSweepFamily) -> np.ndarray:
-    ts = np.linspace(0.0, fam.t_f, 2000)
-    return fam.velocity_all(np.repeat(ts[:, None], fam.n, axis=1)).reshape(-1, 3)
 
 
 def _require_symmetric(family: list[Digraph]) -> None:

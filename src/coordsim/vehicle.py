@@ -46,14 +46,31 @@ class LaneSweepFamily:
         self._pos_vel.setflags(write=False)
 
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
-        """Desired velocities at virtual times ``gammas`` of shape
-        ``(..., n)``; returns shape ``(..., n, 3)``."""
+        """Desired velocities at virtual times ``gammas``, which broadcast
+        against the ``n`` vehicles: shape ``(..., n)`` gives each vehicle
+        its own time, ``(..., 1)`` one time shared by all of them.  Returns
+        shape ``np.broadcast_shapes(gammas.shape, (n,)) + (3,)``."""
         g = np.asarray(gammas, dtype=float)
-        out = np.empty(g.shape + (3,))
+        vy = 1.8 * g * np.exp(-0.6 * g) * self.sines
+        out = np.empty(vy.shape + (3,))
         out[..., 0] = 1.0
-        out[..., 1] = 1.8 * g * np.exp(-0.6 * g) * self.sines
+        out[..., 1] = vy
         out[..., 2] = 0.0
         return out
+
+    def speed_spread(self, times: np.ndarray) -> float:
+        """Largest minus smallest desired speed over all vehicles at the
+        1-D sample ``times``.
+
+        The desired velocity is ``[1, vy, 0]``, whose norm as
+        ``np.linalg.norm`` takes it is ``sqrt((1 + vy*vy) + 0)``, the same
+        bits as ``sqrt(1 + vy*vy)``.  Adding 1 and taking the square root
+        are monotone, so the extreme speeds are the speeds at the extremes
+        of ``vy*vy``: the result has the bits of the norm of every sampled
+        velocity, and NaN propagates as it would there."""
+        vy = self.velocity_all(np.asarray(times, dtype=float)[:, None])[..., 1]
+        vy2 = vy * vy
+        return math.sqrt(1.0 + float(vy2.max())) - math.sqrt(1.0 + float(vy2.min()))
 
     def pos_vel_all(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Position and velocity at the float64 virtual times ``gammas`` of

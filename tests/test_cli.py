@@ -349,6 +349,23 @@ class TestRefusal:
             argv += ["--out", str(tmp_path / "out")]
         assert_refused(argv, "dt", capsys)
 
+    @pytest.mark.parametrize("warn", [[], ["-W", "error"]], ids=["default", "warnings-as-errors"])
+    @pytest.mark.parametrize("command", ["validate", "analyze", "run"])
+    def test_extreme_gain_ratio_refuses_dt_quietly(self, tmp_path, command, warn):
+        # a/b near 1e300 overflows the dwell-time search's denominators: the
+        # dwell time comes out tiny and dt is refused, with no numpy warning
+        path = shipped_with(tmp_path, {"a": 1e300})
+        argv = [command, "--config", path]
+        if command == "run":
+            argv += ["--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, *warn, "-m", "coordsim", *argv], capture_output=True, text=True
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert re.search(r"\bdt=", proc.stdout), proc.stdout
+        assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_phi0_refused(self, tmp_path, capsys, command):
         # every entry finite, but phi0^T P phi0 overflows

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +9,8 @@ from scipy.special import lambertw
 
 from coordsim.coordalg import (
     ProjectionMatrix,
+    _kronecker_sum,
+    _spectral_norms,
     build_certificate,
     build_projection,
     check_spectrum_reduction,
@@ -127,6 +131,27 @@ class TestLyapunov:
             solve_lyapunov(np.zeros((2, 2)), 2)
 
 
+class TestKernels:
+    @pytest.mark.parametrize("k", range(1, 10))
+    def test_kronecker_sum_same_bytes_as_kron(self, k):
+        rng = np.random.default_rng(k)
+        eye = np.eye(k)
+        for _ in range(20):
+            b = rng.normal(size=(k, k)) * (rng.random((k, k)) < 0.6)
+            b[rng.random((k, k)) < 0.3] *= -1.0  # turns some zeros into -0.0
+            expected = np.kron(eye, b) + np.kron(b, eye)
+            assert _kronecker_sum(b).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_stacked_spectral_norms_equal_norm_2(self, k):
+        rng = np.random.default_rng(100 + k)
+        mats = [np.zeros((k, k)), *rng.normal(size=(6, k, k))]
+        norms = _spectral_norms(mats)
+        expected = np.array([np.linalg.norm(x, 2) for x in mats])
+        assert norms.tobytes() == expected.tobytes()
+        assert norms[0] == 0.0
+
+
 class TestCertificate:
     def test_default_family_invariants(self, default_family, default_cert):
         cert = default_cert
@@ -181,6 +206,47 @@ class TestCertificate:
             build_certificate(default_family, [0.1] * 3, 1.0, 0.0)
         with pytest.raises(ValueError, match="one mu per topology"):
             build_certificate(default_family, [0.1], 1.0, 1.0)
+
+
+def digest_families():
+    """43 fixed jointly connected families: n 2-10 and m 1-6, n = 2 among
+    them, and several with an empty member topology (the last one by
+    construction)."""
+    families = [
+        random_jointly_connected_family(np.random.default_rng(k), n=2 + k % 9, m=1 + k // 7)
+        for k in range(42)
+    ]
+    families.append(
+        random_jointly_connected_family(np.random.default_rng(42), n=5, m=2) + [Digraph(5)]
+    )
+    return families
+
+
+class TestCertificateBits:
+    # sha256 over every array and scalar of the certificates synthesized for
+    # digest_families(); a change to the synthesis that moves any bit of
+    # P, H_i, the reduced Laplacians or the derived bounds changes it
+    DIGEST = "dd59f87409b0516a5c0c23097f74c4a2458fa7b24fd8158900a44454da459eb7"
+
+    def test_certificate_digest(self):
+        sha = hashlib.sha256()
+        families = digest_families()
+        assert any(not d.edges for d in families[-1])
+        assert {f[0].n for f in families} == set(range(2, 11))
+        assert {len(f) for f in families} >= set(range(1, 7))
+        for family in families:
+            cert = build_certificate(family, [0.01] * len(family), 0.75, 1.82)
+            for arr in (cert.p, *cert.h_matrices, *cert.reduced_laplacians):
+                sha.update(arr.tobytes())
+            scalars = (
+                cert.dwell_bound,
+                cert.max_laplacian_norm,
+                cert.lambda_min_p,
+                cert.lambda_max_p,
+                cert.gues_overshoot,
+            )
+            sha.update(np.array(scalars, dtype=float).tobytes())
+        assert sha.hexdigest() == self.DIGEST
 
 
 def scalar_family_quantities(family, mu_list, a, b):
@@ -240,6 +306,17 @@ class TestDwellTime:
     def test_rejects_bad_gains(self, default_family):
         with pytest.raises(ValueError, match="gain a must be positive"):
             build_certificate(default_family, [0.2638] * 3, 0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "a, b, finite", [(1e300, 1.0, True), (1e-320, 1.0, False), (5e-324, 10.0, False)]
+    )
+    def test_extreme_gain_ratio_without_numpy_warnings(self, default_family, a, b, finite):
+        # a/b so large that the search's denominators overflow to inf, or so
+        # small that they are subnormal or 0: the terms go to 0 or inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dwell = build_certificate(default_family, [0.2638] * 3, a, b).dwell_bound
+        assert (0.0 < dwell < 1e-290) if finite else dwell == math.inf
 
     def test_pinned_default_family(self, default_cert):
         assert default_cert.dwell_bound == 0.11440062225253914

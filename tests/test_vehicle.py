@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coordsim.vehicle import LaneSweepFamily, apply_disturbance, pf_control_all, saturate
 
@@ -68,10 +70,50 @@ class TestTrajectoryFamily:
         assert v.shape == (7, 5, 3)
         assert np.array_equal(v, np.stack([family.velocity_all(row) for row in grid]))
 
+    def test_velocity_column_matches_repeated_grid(self, family):
+        ts = np.linspace(0.0, 50.0, 2000)
+        column = family.velocity_all(ts[:, None])
+        assert column.shape == (2000, 5, 3)
+        assert np.array_equal(column, family.velocity_all(np.repeat(ts[:, None], 5, axis=1)))
+
     def test_mismatched_parameters(self):
         with pytest.raises(ValueError):
             LaneSweepFamily(offsets=[1.0, 2.0], angles=[0.0])
 
+
+def norm_spread(fam, ts):
+    """Desired-speed spread as the norm of every vehicle's velocity at every
+    sample time, on the repeated ``(T, n)`` grid."""
+    v = fam.velocity_all(np.repeat(ts[:, None], fam.n, axis=1)).reshape(-1, 3)
+    speeds = np.linalg.norm(v, axis=-1)
+    return float(speeds.max() - speeds.min())
+
+
+# vy = 1.8 t exp(-0.6 t) sin(angle) peaks at t = 5/3
+PEAK = 5.0 / 3.0
+ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi]),
+    st.floats(-2 * math.pi, 2 * math.pi),
+)
+T_F = st.one_of(st.just(PEAK), st.floats(1e-3, PEAK), st.floats(PEAK, 100.0))
+
+
+class TestSpeedSpread:
+    @given(
+        lanes=st.lists(st.tuples(st.floats(-10.0, 10.0), ANGLES), min_size=1, max_size=10),
+        t_f=T_F,
+    )
+    def test_same_bits_as_norm_of_every_sample(self, lanes, t_f):
+        offsets, angles = zip(*lanes)
+        fam = LaneSweepFamily(offsets, angles, t_f=t_f)
+        ts = np.linspace(0.0, fam.t_f, 2000)
+        spread = fam.speed_spread(ts)
+        assert np.float64(spread).tobytes() == np.float64(norm_spread(fam, ts)).tobytes()
+
+    def test_nan_propagates(self):
+        fam = LaneSweepFamily([0.0, 1.0], [0.3, math.nan], t_f=10.0)
+        ts = np.linspace(0.0, fam.t_f, 2000)
+        assert math.isnan(fam.speed_spread(ts)) and math.isnan(norm_spread(fam, ts))
 
 def first_sample_epf(positions):
     """Path-following error norms of the first logged sample of a default
