@@ -18,6 +18,7 @@ import numpy as np
 from ._einsum import einsum
 from .coordalg import ProjectionMatrix
 from .errors import ConfigError
+from .vehicle import row_norms
 
 # grid size of MissionRateProfile.validate's check of the declared bounds
 RATE_CHECK_SAMPLES = 10_000
@@ -114,12 +115,12 @@ def path_error_feedback_all(
     """Feedback of each vehicle's path-following error on its virtual-time
     acceleration: the error component along the desired velocity ``v_i``,
     scaled by ``|v_i| / (|v_i| + delta) < 1``, so its magnitude never
-    exceeds ``|e_i|``.  Rows are independent."""
+    exceeds ``|e_i|``.  Rows are independent: every row of an ``(n, 3)``
+    sample or an ``(..., n, 3)`` stack has the bits of a call on it alone."""
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    dots = einsum("ij,ij->i", traj_velocities, e_pf_all)
-    norms = np.sqrt(einsum("ij,ij->i", traj_velocities, traj_velocities))
-    return dots / (norms + delta)
+    dots = einsum("...j,...j->...", traj_velocities, e_pf_all)
+    return dots / (row_norms(traj_velocities) + delta)
 
 
 def coordination_accel_matrix(
@@ -127,14 +128,18 @@ def coordination_accel_matrix(
     gamma_dot: np.ndarray,
     lap: np.ndarray,
     alpha: np.ndarray,
-    gamma_dot_d: float,
+    gamma_dot_d: float | np.ndarray,
     a: float,
     b: float,
 ) -> np.ndarray:
     """Matrix form of the coordination law:
     ``-b (rate error) - a L gamma - alpha``.  The Laplacian's sparsity
-    makes row ``i`` depend only on vehicle ``i``'s in-neighbors."""
-    return -b * (gamma_dot - gamma_dot_d) - a * (lap @ gamma) - alpha
+    makes row ``i`` depend only on vehicle ``i``'s in-neighbors.  One
+    sample, shape ``(n,)``, or a stack, ``(..., n)``, with one Laplacian or
+    one per sample: each sample costs one matrix-vector product, so its
+    bits do not depend on the stack it is in."""
+    consensus = np.matmul(lap, gamma[..., None])[..., 0]
+    return -b * (gamma_dot - gamma_dot_d) - a * consensus - alpha
 
 
 def coordination_error(
@@ -174,39 +179,39 @@ def feasibility_check(
     gamma_dot: np.ndarray,
     gamma_ddot: np.ndarray,
     bounds: tuple[float, float],
-    t: float = 0.0,
+    t: float | np.ndarray = 0.0,
     active: np.ndarray | None = None,
 ) -> list[Violation]:
     """Flag virtual-time rates outside ``[1 - gamma_dot_max,
     1 + gamma_dot_max]`` and accelerations beyond ``gamma_ddot_max``, where
     ``bounds = (gamma_dot_max, gamma_ddot_max)``.
 
-    ``active`` restricts the check to vehicles still flying the mission.
-    Records are ordered by vehicle, a rate record before an acceleration
-    record of the same vehicle.  An empty list means feasible.  When every
-    vehicle is inside the envelope, a test on Python lists (cheaper than
-    numpy calls for a handful of vehicles) returns the empty list before the
-    scan; a NaN fails that test and is scanned (and not flagged).
-    """
+    ``gamma_dot`` and ``gamma_ddot`` hold one sample, shape ``(n,)``, or a
+    stack, ``(..., n)``; ``t``, the time of each sample, broadcasts against
+    ``gamma_dot.shape[:-1]``.  ``active`` restricts the check to vehicles
+    still flying the mission.  Records are ordered by sample, then by
+    vehicle, a rate record before an acceleration record of the same
+    vehicle.  A NaN is not flagged.  An empty list means feasible."""
     gamma_dot_max, gamma_ddot_max = bounds
     if gamma_dot_max <= 0 or gamma_ddot_max <= 0:
         raise ValueError("feasibility bounds must be positive")
     if gamma_dot_max >= 1:
         raise ValueError("gamma_dot_max must be < 1 so rates stay positive")
-    lo, hi = 1.0 - gamma_dot_max, 1.0 + gamma_dot_max
-    if all(lo <= r <= hi for r in gamma_dot.tolist()) and all(
-        -gamma_ddot_max <= a <= gamma_ddot_max for a in gamma_ddot.tolist()
-    ):
-        return []
-    bad_rate = (gamma_dot < lo) | (gamma_dot > hi)
+    bad_rate = (gamma_dot < 1.0 - gamma_dot_max) | (gamma_dot > 1.0 + gamma_dot_max)
     bad_accel = np.abs(gamma_ddot) > gamma_ddot_max
     flagged = bad_rate | bad_accel
     if active is not None:
         flagged &= active
+    at = np.flatnonzero(flagged)  # sample-major: by time, then vehicle
+    sample, vehicle = np.divmod(at, gamma_dot.shape[-1])
+    times = np.broadcast_to(t, gamma_dot.shape[:-1]).reshape(-1)[sample]
+    rates, accels, is_rate, is_accel = (
+        a.reshape(-1)[at].tolist() for a in (gamma_dot, gamma_ddot, bad_rate, bad_accel)
+    )
     violations: list[Violation] = []
-    for i in flagged.nonzero()[0]:
-        if bad_rate[i]:
-            violations.append(Violation(int(i) + 1, t, "rate", float(gamma_dot[i])))
-        if bad_accel[i]:
-            violations.append(Violation(int(i) + 1, t, "accel", float(gamma_ddot[i])))
+    for k, (i, time) in enumerate(zip((vehicle + 1).tolist(), times.tolist())):
+        if is_rate[k]:
+            violations.append(Violation(i, time, "rate", rates[k]))
+        if is_accel[k]:
+            violations.append(Violation(i, time, "accel", accels[k]))
     return violations

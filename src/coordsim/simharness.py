@@ -9,9 +9,9 @@ schedule in the bidirectional baseline.  It is held constant across each
 step and changes at step boundaries, before arrival clamping.  The desired
 mission rate, a function of time alone, is evaluated for a block of
 ``RATE_BLOCK`` steps at a time, at each step's RK4 stage times and new
-sample time.  The coordination error of the log is also filled per block of
-``RATE_BLOCK`` rows, after the loop, from the logged virtual times and
-rates; until then its column holds each row's desired rate.
+sample time.  The loop logs the state alone; one pass after it derives
+every measured column and the feasibility records from the logged state,
+``RATE_BLOCK`` rows per kernel call.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -30,7 +30,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from . import coordctrl, switchlaw, vehicle
-from ._einsum import einsum
 from .coordalg import (
     SwitchingCertificate,
     build_certificate,
@@ -40,7 +39,7 @@ from .coordalg import (
 from .coordctrl import MissionRateProfile, Violation, smoothstep_profile
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacian
 from .errors import ConfigError, check_finite
-from .vehicle import LaneSweepFamily, saturate
+from .vehicle import LaneSweepFamily, row_norms, saturate
 
 MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
@@ -50,8 +49,8 @@ MAX_STEPS = 1_000_000
 # baseline run's windows at once raised its peak memory by half
 PE_CHUNK = 256
 # steps per call of the mission-rate profile in run_scenario, and log rows
-# per call of coordination_error after its loop: one call per block, not per
-# RK4 stage or row, and no temporaries the size of the whole log
+# per call of each kernel in its post-pass: one call per block, not per RK4
+# stage or row, and no temporaries the size of the whole log
 RATE_BLOCK = 256
 
 
@@ -184,14 +183,9 @@ class ScenarioConfig:
         return cls(**kwargs)
 
     def to_dict(self) -> dict:
-        d = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if name == "topology_family":
-                value = [g.to_dict() for g in value]
-            elif name == "gusts":
-                value = [g.to_dict() for g in value]
-            d[name] = value
+        d = {name: getattr(self, name) for name in self.__dataclass_fields__}
+        for name in ("topology_family", "gusts"):
+            d[name] = [g.to_dict() for g in d[name]]
         return d
 
     def trajectory_family(self) -> LaneSweepFamily:
@@ -300,12 +294,11 @@ def default_directed_config(**overrides) -> ScenarioConfig:
 
 
 def default_bidirectional_config(**overrides) -> ScenarioConfig:
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         mode=MODE_BIDIRECTIONAL,
         topology_family=mirror_family(default_directed_family()),
         **overrides,
     )
-    return cfg
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -357,16 +350,14 @@ class SimWorld:
 
     The smooth state is one packed array ``x = [gamma | gamma_dot | p | v]``
     of ``8 n`` floats, updated in place; ``gamma``, ``gamma_dot``, ``p`` and
-    ``v`` are views of it.  ``dx`` and ``e`` are the state derivative and
-    the path errors at ``x``.  ``any_arrived`` is set once some entry of
-    ``arrived`` is; until then the arrival masks are skipped.  ``sigma``
-    and ``rate`` are the topology index and the desired mission rate in
-    force at ``t``."""
+    ``v`` are views of it, ``dx`` is its derivative and ``sigma`` the
+    topology index in force at ``t``.  ``any_arrived`` is set once some
+    entry of ``arrived`` is; until then the arrival masks are skipped."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
     profile: MissionRateProfile
-    laplacians: tuple[np.ndarray, ...]
+    laplacians: np.ndarray  # (m, n, n), one per topology
     cert: SwitchingCertificate | None
     # (row, acceleration, window) of each gust
     gusts: list[tuple[int, np.ndarray, tuple[float, float]]]
@@ -374,10 +365,8 @@ class SimWorld:
     step_idx: int = 0
     t: float = 0.0
     sigma: int = 1
-    rate: float = 1.0
     x: np.ndarray = None
     dx: np.ndarray = None
-    e: np.ndarray = None
     arrived: np.ndarray = None
     any_arrived: bool = False
     gamma: np.ndarray = field(init=False, repr=False)
@@ -432,9 +421,8 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     cert = certify(config)
     fam = config.trajectory_family()
     profile = config.mission_profile()
-    laps = tuple(laplacian(d).astype(float) for d in config.topology_family)
-    for m in laps:
-        m.setflags(write=False)
+    laps = np.stack([laplacian(d) for d in config.topology_family]).astype(float)
+    laps.setflags(write=False)
 
     n = config.n
     x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1, v = 0 unless configured
@@ -457,11 +445,10 @@ def init_world(config: ScenarioConfig) -> SimWorld:
             (g.vehicle - 1, np.asarray(g.accel, float), g.window) for g in config.gusts
         ],
         sigma=int(_topology_schedule(config, cert, 0)[0][0]),
-        rate=float(profile.rate(0.0)),
         x=x,
         arrived=np.zeros(n, dtype=bool),
     )
-    world.dx, world.e = _rhs(world, 0.0, x, world.rate)
+    world.dx = _rhs(world, 0.0, x, float(profile.rate(0.0)))
     return world
 
 
@@ -481,23 +468,28 @@ def _check_finite(world: SimWorld) -> None:
         check_finite(name, arr, world.t)
 
 
-def _rhs(
-    world: SimWorld, t: float, x: np.ndarray, rate: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coupled smooth dynamics of the packed state ``x`` at time ``t``
-    under the active topology and the desired mission rate ``rate``:
-    ``(x', path errors)``.  The virtual time of an arrived vehicle is held
-    (its derivatives are 0)."""
+def _coordination(world: SimWorld, gamma, gamma_dot, p, lap, rate):
+    """``(path errors, desired velocities, virtual-time accelerations)`` of
+    one sample of the state, or of a stack with a Laplacian and a desired
+    mission rate per sample."""
+    cfg = world.config
+    tp, tv = world.fam.pos_vel_all(gamma)
+    e = tp - p
+    alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
+    return e, tv, coordctrl.coordination_accel_matrix(
+        gamma, gamma_dot, lap, alpha, rate, cfg.a, cfg.b
+    )
+
+
+def _rhs(world: SimWorld, t: float, x: np.ndarray, rate: float) -> np.ndarray:
+    """Coupled smooth dynamics ``x'`` of the packed state ``x`` at time
+    ``t`` under the active topology and the desired mission rate ``rate``;
+    the virtual time of an arrived vehicle is held (its derivatives are 0)."""
     cfg = world.config
     n = cfg.n
     gamma, gamma_dot, v_flat = x[:n], x[n : 2 * n], x[5 * n :]
-    tp, tv = world.fam.pos_vel_all(gamma)
-    e = tp - x[2 * n : 5 * n].reshape(n, 3)
-    alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
-    lap = world.laplacians[world.sigma - 1]
-    gamma_ddot = coordctrl.coordination_accel_matrix(
-        gamma, gamma_dot, lap, alpha, rate, cfg.a, cfg.b
-    )
+    lap, p = world.laplacians[world.sigma - 1], x[2 * n : 5 * n].reshape(n, 3)
+    e, tv, gamma_ddot = _coordination(world, gamma, gamma_dot, p, lap, rate)
     if world.any_arrived:
         gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
         gamma_ddot[world.arrived] = 0.0
@@ -507,7 +499,7 @@ def _rhs(
     )
     for row, gvec, window in world.gusts:
         u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-    return np.concatenate((gamma_dot, gamma_ddot, v_flat, u.ravel())), e
+    return np.concatenate((gamma_dot, gamma_ddot, v_flat, u.ravel()))
 
 
 def _step_rates(
@@ -528,17 +520,17 @@ def step(
 ) -> SimWorld:
     """Advance one step: RK4 on the coupled smooth dynamics with the
     topology held fixed (``world.dx`` is its first stage), then the speed
-    limit, the switch to topology ``sigma`` and arrival clamping;
-    ``world.dx`` and ``world.e`` are then evaluated at the new state.
-    ``rates`` holds the desired mission rate at ``t + dt/2``, at
-    ``t + dt`` and at the new sample time (a column of ``_step_rates``)."""
+    limit, the switch to topology ``sigma``, arrival clamping and
+    ``world.dx`` at the new state.  ``rates`` holds the desired mission
+    rate at ``t + dt/2``, at ``t + dt`` and at the new sample time (a
+    column of ``_step_rates``)."""
     cfg = world.config
     t0, x, k1 = world.t, world.x, world.dx
     rate_mid, rate_end, rate_new = rates
     h = 0.5 * dt
-    k2 = _rhs(world, t0 + h, x + h * k1, rate_mid)[0]
-    k3 = _rhs(world, t0 + h, x + h * k2, rate_mid)[0]
-    k4 = _rhs(world, t0 + dt, x + dt * k3, rate_end)[0]
+    k2 = _rhs(world, t0 + h, x + h * k1, rate_mid)
+    k3 = _rhs(world, t0 + h, x + h * k2, rate_mid)
+    k4 = _rhs(world, t0 + dt, x + dt * k3, rate_end)
     x += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)  # in place: the views follow
 
     world.step_idx += 1
@@ -547,7 +539,6 @@ def step(
     saturate(world.v, cfg.speed_limit)  # speed limit, direction preserved
 
     world.sigma = sigma
-    world.rate = rate_new
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly
@@ -558,7 +549,7 @@ def step(
         world.gamma_dot[world.arrived] = rate_new
 
     _check_finite(world)
-    world.dx, world.e = _rhs(world, world.t, world.x, rate_new)
+    world.dx = _rhs(world, world.t, world.x, rate_new)
     return world
 
 
@@ -574,13 +565,12 @@ class MetricsLog:
     ``table`` has one row per logged sample and the columns of
     ``metrics.csv``: ``t``, ``sigma``, ``xi_norm``, then ``n`` columns each
     of ``gamma``, ``gamma_dot`` and ``epf_norm``, then ``px, py, pz`` per
-    vehicle.  The named per-step arrays are views of it.  ``xi_norm`` is
-    filled after the loop, ``RATE_BLOCK`` rows per call of
-    ``coordctrl.coordination_error``, each row with the bits of a call on
-    that row alone.  The log ends at arrival (``tau_f``) or at ``t_max``.
-    The switch log, arrival, observed dwell, final coordination error and
-    communication amount are derived from the table; edge counts and
-    Laplacians come from ``config.topology_family``."""
+    vehicle; the named per-step arrays are views of it.  The loop logs the
+    state, ``_measure`` the other columns and ``violations``.  The log ends
+    at arrival (``tau_f``) or at ``t_max``.  The switch log, arrival,
+    observed dwell, final coordination error and communication amount are
+    derived from the table; edge counts and Laplacians come from
+    ``config.topology_family``."""
 
     config: ScenarioConfig
     table: np.ndarray
@@ -664,8 +654,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     """Run one scenario to arrival or ``t_max``; deterministic for a fixed
     config (the baseline schedule is seeded)."""
     world = init_world(config)
-    n = config.n
-    dt = config.dt
+    n, dt = config.n, config.dt
     n_steps = int(round(config.t_max / dt))
     q = world.cert.q if world.cert is not None else (
         build_projection(n) if n >= 2 else None
@@ -673,26 +662,10 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
 
     sigma, aux_v = _topology_schedule(config, world.cert, n_steps)
     table = np.empty((n_steps + 1, 3 + 6 * n))
-    violations: list[Violation] = []
-    bounds = (config.gamma_dot_max, config.gamma_ddot_max)
-
-    def record(k: int) -> None:
-        """Write log row ``k`` from the world's state, with the desired
-        mission rate in the ``xi_norm`` column, and check its feasibility."""
-        row, x, t = table[k], world.x, world.t
-        row[0] = t
-        row[2] = world.rate
-        row[3 : 3 + 2 * n] = x[: 2 * n]  # gamma, gamma_dot
-        row[3 + 2 * n : 3 + 3 * n] = np.sqrt(einsum("ij,ij->i", world.e, world.e))
-        row[3 + 3 * n :] = x[2 * n : 5 * n]  # positions
-        active = ~world.arrived if world.any_arrived else None
-        violations.extend(
-            coordctrl.feasibility_check(
-                world.gamma_dot, world.dx[n : 2 * n], bounds, t, active
-            )
-        )
-
-    record(0)
+    # the logged state: views of the table's columns and of the world's x
+    log_rates, log_pos = table[:, 3 : 3 + 2 * n], table[:, 3 + 3 * n :]
+    rates_now, pos_now = world.x[: 2 * n], world.x[2 * n : 5 * n]
+    log_rates[0], log_pos[0] = rates_now, pos_now
     for k in range(n_steps):
         j = k % RATE_BLOCK
         if j == 0:
@@ -700,36 +673,50 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
                 world.profile, k, min(RATE_BLOCK, n_steps - k), dt
             )
         step(world, dt, int(sigma[k + 1]), (r_mid[j], r_end[j], r_new[j]))
-        record(k + 1)
+        log_rates[k + 1], log_pos[k + 1] = rates_now, pos_now
         if world.all_arrived:
             break
 
     rows = world.step_idx + 1
     table = table[:rows]
     table[:, 1] = sigma[:rows]
-    for lo in range(0, rows, RATE_BLOCK):
-        # each row's desired rate becomes its coordination error norm
-        block = table[lo : lo + RATE_BLOCK]
-        block[:, 2] = coordctrl.coordination_error(
-            block[:, 3 : 3 + n], block[:, 3 + n : 3 + 2 * n], q, block[:, 2:3]
-        )[2]
     log = MetricsLog(
         config=config,
         table=table,
         aux_v=aux_v[:rows] if aux_v is not None else None,
         tau_f=world.t if world.all_arrived else None,
-        violations=violations,
+        violations=_measure(world, table, q),
         certificate=world.cert,
-        final_state={
-            "gamma": world.gamma,
-            "gamma_dot": world.gamma_dot,
-            "p": world.p,
-            "v": world.v,
-        },
+        final_state=dict(gamma=world.gamma, gamma_dot=world.gamma_dot, p=world.p, v=world.v),
     )
     if config.mode == MODE_BIDIRECTIONAL and n >= 2:
         log.lambda_hat_t, log.lambda_hat = pe_connectivity(log, config.pe_window, q)
     return log
+
+
+def _measure(world: SimWorld, table: np.ndarray, q) -> list[Violation]:
+    """Fill the ``t``, ``xi_norm`` and ``epf_norm`` columns of the log
+    ``table`` from its state and ``sigma`` columns, ``RATE_BLOCK`` rows per
+    kernel call, and return the feasibility records of its rows.  A vehicle
+    whose virtual time reached ``t_f`` has arrived and is not checked (its
+    acceleration, 0 in ``_rhs``, is not read)."""
+    cfg, n = world.config, world.config.n
+    bounds = (cfg.gamma_dot_max, cfg.gamma_ddot_max)
+    violations: list[Violation] = []
+    for lo in range(0, len(table), RATE_BLOCK):
+        block = table[lo : lo + RATE_BLOCK]
+        t = np.arange(lo, lo + len(block)) * cfg.dt
+        rate = world.profile.rate(t)[:, None]
+        gamma, gamma_dot = block[:, 3 : 3 + n], block[:, 3 + n : 3 + 2 * n]
+        lap = world.laplacians[block[:, 1].astype(int) - 1]
+        p = block[:, 3 + 3 * n :].reshape(-1, n, 3)
+        e, _, gamma_ddot = _coordination(world, gamma, gamma_dot, p, lap, rate)
+        block[:, 0] = t
+        block[:, 2] = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]
+        block[:, 3 + 2 * n : 3 + 3 * n] = row_norms(e)
+        flying = gamma < cfg.t_f  # the logged state is finite
+        violations += coordctrl.feasibility_check(gamma_dot, gamma_ddot, bounds, t, flying)
+    return violations
 
 
 def pe_connectivity(

@@ -39,10 +39,8 @@ class LaneSweepFamily:
         self.t_f = float(t_f)
         self.n = len(self.offsets)
         # (position, velocity) rows with the columns that do not depend on
-        # gamma already filled: altitude 2, down-range rate 1, climb rate 0
-        self._pos_vel = np.zeros((2, self.n, 3))
-        self._pos_vel[0, :, 2] = 2.0
-        self._pos_vel[1, :, 0] = 1.0
+        # gamma: altitude 2, down-range rate 1, climb rate 0
+        self._pos_vel = np.array([[[0.0, 0.0, 2.0]], [[1.0, 0.0, 0.0]]])
         self._pos_vel.setflags(write=False)
 
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
@@ -73,15 +71,17 @@ class LaneSweepFamily:
         return math.sqrt(1.0 + float(vy2.max())) - math.sqrt(1.0 + float(vy2.min()))
 
     def pos_vel_all(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Position and velocity at the float64 virtual times ``gammas`` of
-        shape ``(n,)``, sharing one exponential evaluation; the hot path of
-        the simulation loop."""
+        """Position and velocity, shape ``gammas.shape + (3,)``, at the
+        float64 virtual times ``gammas`` of one sample, shape ``(n,)`` (the
+        hot path of the simulation loop), or of a stack, ``(..., n)``, each
+        sample with the bits of a call on it alone."""
         env = np.exp(-0.6 * gammas)
-        out = self._pos_vel.copy()
-        pos, vel = out[0], out[1]
-        pos[:, 0] = gammas
-        pos[:, 1] = self.offsets - env * (5.0 + 3.0 * gammas) * self.sines
-        vel[:, 1] = 1.8 * gammas * env * self.sines
+        out = np.empty(gammas.shape[:-1] + (2, self.n, 3))
+        out[...] = self._pos_vel
+        pos, vel = out[..., 0, :, :], out[..., 1, :, :]
+        pos[..., 0] = gammas
+        pos[..., 1] = self.offsets - env * (5.0 + 3.0 * gammas) * self.sines
+        vel[..., 1] = 1.8 * gammas * env * self.sines
         return pos, vel
 
 
@@ -104,6 +104,12 @@ def pf_control_all(
     return u
 
 
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm along the last axis of ``rows``; every row has the
+    bits of a call on that row alone, whatever the stack."""
+    return np.sqrt(einsum("...j,...j->...", rows, rows))
+
+
 def saturate(rows: np.ndarray, limit: float) -> None:
     """Scale in place every row of ``rows`` whose norm exceeds ``limit`` to
     norm ``limit``, keeping its direction.  The factor
@@ -111,7 +117,7 @@ def saturate(rows: np.ndarray, limit: float) -> None:
     so it is applied only when some norm is over it (or NaN).  The test
     runs on a Python list: for a handful of rows that is cheaper than a
     numpy reduction."""
-    norms = np.sqrt(einsum("ij,ij->i", rows, rows))
+    norms = row_norms(rows)
     if not all(norm <= limit for norm in norms.tolist()):
         rows *= (limit / np.maximum(norms, limit))[:, None]
 

@@ -61,6 +61,16 @@ class TestPathErrorFeedback:
         assert np.allclose(batch, singles, atol=1e-14)
         by_hand = [v[i] @ e[i] / (np.linalg.norm(v[i]) + 1.2) for i in range(6)]
         assert np.allclose(batch, by_hand, atol=1e-14)
+        # a stack of samples, shape (rows, n, 3): every sample has the bytes
+        # of the call on that sample alone
+        for n in range(1, 11):
+            scale = rng.choice([1e-6, 1.0, 1e3], (40, 1, 1))
+            v, e = rng.normal(size=(2, 40, n, 3)) * scale
+            stack = path_error_feedback_all(v, e, 1.2)
+            assert stack.shape == (40, n)
+            assert stack.tobytes() == np.stack(
+                [path_error_feedback_all(v[k], e[k], 1.2) for k in range(40)]
+            ).tobytes()
 
 
 def loop_form_accel(gamma, gamma_dot, topology, e_pf, traj_vel, gamma_dot_d, a, b, delta):
@@ -127,6 +137,31 @@ class TestCoordinationAccel:
         a1 = accel(topo, gamma, gamma_dot, e, tv, 1.0, 0.75, 1.82, 1.2)
         a2 = accel(topo, gamma + 17.3, gamma_dot, e, tv, 1.0, 0.75, 1.82, 1.2)
         assert np.allclose(a1, a2, atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_stack_equals_each_sample(self, n):
+        # rows of a log-like table, each with its own Laplacian and desired
+        # rate: the stacked call gives every row the bytes of the call on
+        # that row alone
+        rng = np.random.default_rng(27)
+        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+        laps = [
+            laplacian(Digraph(n, [ij for ij in pairs if rng.random() < 0.4])).astype(float)
+            for _ in range(3)
+        ]
+        lap = np.stack(laps)[rng.integers(0, 3, 200)]
+        scale = rng.choice([1e-6, 1.0, 1e3], (200, 1))
+        gamma, gamma_dot, alpha = rng.normal(size=(3, 200, n)) * scale
+        rate = rng.uniform(0.9, 1.2, (200, 1))
+        stack = coordination_accel_matrix(gamma, gamma_dot, lap, alpha, rate, 0.75, 1.82)
+        assert stack.shape == (200, n)
+        by_row = [
+            coordination_accel_matrix(
+                gamma[k], gamma_dot[k], lap[k], alpha[k], rate[k, 0], 0.75, 1.82
+            )
+            for k in range(200)
+        ]
+        assert stack.tobytes() == np.stack(by_row).tobytes()
 
     def test_dimension_mismatch(self):
         lap = laplacian(Digraph(3)).astype(float)
@@ -221,10 +256,12 @@ class TestFeasibility:
 
     @settings(max_examples=300)
     @given(data=st.data())
-    def test_early_return_matches_full_scan(self, data):
+    def test_matches_hand_scan(self, data):
         # values at the edges of the envelope, NaN, infinities and signed
-        # zeros, with and without an active mask: the list equals a scan of
-        # every vehicle by hand
+        # zeros, with and without an active mask, for one sample at a scalar
+        # time and for a stack of samples with a time and a mask per row:
+        # the list equals a scan of every vehicle by hand, by time, then
+        # vehicle, a rate record first
         gmax = data.draw(st.sampled_from([0.1, 0.3, 0.5, 0.9]))
         gddmax = data.draw(st.sampled_from([0.5, 5.0]))
         n = data.draw(st.integers(1, 4))
@@ -240,20 +277,43 @@ class TestFeasibility:
             st.sampled_from([gddmax, -gddmax, 0.0, -0.0, nan, inf, -inf]),
             st.floats(-2 * gddmax, 2 * gddmax),
         )
-        gd = np.array(data.draw(st.lists(rate, min_size=n, max_size=n)))
-        gdd = np.array(data.draw(st.lists(accel, min_size=n, max_size=n)))
-        active = data.draw(
-            st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array)
-        )
-        expected = []
-        for i in range(n):
-            if active is not None and not active[i]:
-                continue
-            if gd[i] < 1.0 - gmax or gd[i] > 1.0 + gmax:
-                expected.append(Violation(i + 1, 0.5, "rate", float(gd[i])))
-            if abs(gdd[i]) > gddmax:
-                expected.append(Violation(i + 1, 0.5, "accel", float(gdd[i])))
-        assert feasibility_check(gd, gdd, (gmax, gddmax), 0.5, active) == expected
+
+        def scan(gd, gdd, times, active):
+            expected = []
+            for k, t in enumerate(times):
+                for i in range(n):
+                    if active is not None and not active[k][i]:
+                        continue
+                    if gd[k][i] < 1.0 - gmax or gd[k][i] > 1.0 + gmax:
+                        expected.append(Violation(i + 1, t, "rate", float(gd[k][i])))
+                    if abs(gdd[k][i]) > gddmax:
+                        expected.append(Violation(i + 1, t, "accel", float(gdd[k][i])))
+            return expected
+
+        def draw(rows):
+            shape = (rows, n) if rows else (n,)
+            size = rows * n if rows else n
+            gd = np.array(data.draw(st.lists(rate, min_size=size, max_size=size))).reshape(shape)
+            gdd = np.array(data.draw(st.lists(accel, min_size=size, max_size=size))).reshape(shape)
+            active = data.draw(
+                st.none()
+                | st.lists(st.booleans(), min_size=size, max_size=size).map(
+                    lambda a: np.array(a).reshape(shape)
+                )
+            )
+            return gd, gdd, active
+
+        gd, gdd, active = draw(0)
+        mask = None if active is None else [active]
+        found = feasibility_check(gd, gdd, (gmax, gddmax), 0.5, active)
+        assert found == scan([gd], [gdd], [0.5], mask)
+
+        rows = data.draw(st.integers(1, 5))
+        gd, gdd, active = draw(rows)
+        times = sorted(data.draw(st.lists(st.floats(0.0, 60.0), min_size=rows, max_size=rows)))
+        found = feasibility_check(gd, gdd, (gmax, gddmax), np.array(times), active)
+        assert found == scan(gd, gdd, times, active)
+        assert all(type(v.time) is float and type(v.value) is float for v in found)
 
 
 class TestCoordinationContraction:

@@ -2,6 +2,8 @@
 ``np.einsum(..., optimize=False)`` runs that same kernel; a numpy that breaks
 the premise fails here rather than shifting the bits of every run."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -30,15 +32,17 @@ def rows_cases():
 
 
 CASES = rows_cases()
+# the row dot as the kernels spell it, and its two-index form
+SPECS = ("...j,...j->...", "ij,ij->i")
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_row_dots_match_numpy_einsum_bit_for_bit(name):
     a = CASES[name]
     b = a[::-1].copy() * -1.5 if a.size else a.copy()
-    for x, y in ((a, a), (a, b)):
-        got = einsum("ij,ij->i", x, y)
-        want = np.einsum("ij,ij->i", x, y, optimize=False)
+    for (x, y), spec in itertools.product(((a, a), (a, b)), SPECS):
+        got = einsum(spec, x, y)
+        want = np.einsum(spec, x, y, optimize=False)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # tells -0.0 from 0.0, keeps NaN bits
 
@@ -51,5 +55,6 @@ def test_random_strided_rows_match_numpy_einsum():
         base[rng.random(base.shape) < 0.1] = -0.0
         x = base[:: int(rng.integers(1, 3))][:n, :: int(rng.integers(1, 4))][:, :3]
         y = base[::-1][:n, -3:]
-        got = einsum("ij,ij->i", x, y)
-        assert got.tobytes() == np.einsum("ij,ij->i", x, y, optimize=False).tobytes()
+        for spec in SPECS:
+            got = einsum(spec, x, y)
+            assert got.tobytes() == np.einsum(spec, x, y, optimize=False).tobytes()

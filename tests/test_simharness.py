@@ -33,6 +33,7 @@ from coordsim.simharness import (
     write_outputs,
 )
 from coordsim.switchlaw import schedule
+from coordsim.vehicle import row_norms
 
 
 class TestConfig:
@@ -447,6 +448,59 @@ class TestClosedLoopFeasibility:
         )
 
 
+def violation_digest(violations) -> str:
+    """sha256 over ``vehicle, time.hex(), bound, value.hex()`` of every
+    record, in order."""
+    h = hashlib.sha256()
+    for v in violations:
+        h.update(f"{v.vehicle},{v.time.hex()},{v.bound},{v.value.hex()}\n".encode())
+    return h.hexdigest()
+
+
+# (config, count, digest) of full violation lists, recorded before the
+# feasibility check moved out of the RK4 loop: both bounds on the directed
+# mission, both bounds across the ramp while vehicles arrive (the arrival
+# mask), and the acceleration bound on the baseline.  The digests hold for
+# the platform they were recorded on (x86-64, numpy 2.4).
+PINNED_VIOLATIONS = {
+    "directed-tight-both": (
+        lambda: default_directed_config(t_max=3.0, gamma_dot_max=0.05, gamma_ddot_max=0.3),
+        11194,
+        "13967eccc542e5f7b1253200cb78fe3b4d2c7e001434d6cd2fb82fd60c47262d",
+    ),
+    "ramp-arrival-tight": (
+        lambda: default_directed_config(
+            t_max=4.0, t_f=3.0, ramp_start=1.0, ramp_duration=2.5, rate_final=1.2,
+            gamma_dot_max=0.1, gamma_ddot_max=0.3,
+        ),
+        8086,
+        "fdd0ada6fe576f2c3c7fdecf7a0e82eda429a8742244ccd9a61ca754f8207a89",
+    ),
+    "baseline-tight": (
+        lambda: default_bidirectional_config(t_max=4.0, gamma_ddot_max=0.3),
+        1714,
+        "9ef0c817a20a668bad9b53c4ef969e2eed410164b37a4497a717d4801340ea85",
+    ),
+}
+
+
+class TestViolationPin:
+    @pytest.mark.parametrize("name", sorted(PINNED_VIOLATIONS))
+    def test_violations_match_pinned_digest(self, name):
+        make_config, count, digest = PINNED_VIOLATIONS[name]
+        log = run_scenario(make_config())
+        assert len(log.violations) == count
+        assert violation_digest(log.violations) == digest
+        if name == "ramp-arrival-tight":
+            # arrived vehicles leave the check: no record after a vehicle's
+            # virtual time reached t_f
+            arrival = {
+                i + 1: float(log.t[np.argmax(log.gamma[:, i] >= 3.0)]) for i in range(5)
+            }
+            assert log.tau_f is not None
+            assert all(v.time < arrival[v.vehicle] for v in log.violations)
+
+
 class TestOutputs:
     def test_files_and_determinism(self, tmp_path):
         cfg = default_directed_config(t_max=1.0)
@@ -636,9 +690,10 @@ class TestRateBlocks:
 
 
 class TestXiNormColumn:
-    # the column is filled RATE_BLOCK rows at a time after the loop; each
-    # row must hold the bits of coordination_error on that row alone, at the
-    # desired rate of its sample time
+    # the xi_norm and epf_norm columns are filled RATE_BLOCK rows at a time
+    # after the loop; each row must hold the bits of coordination_error, and
+    # of the path-error norm, on that row alone, at the desired rate of its
+    # sample time
     @pytest.mark.parametrize(
         "make_config",
         [
@@ -660,6 +715,11 @@ class TestXiNormColumn:
             for k in range(rows)
         ]
         assert np.array_equal(log.xi_norm, by_row)
+        fam = cfg.trajectory_family()
+        epf = [
+            row_norms(fam.pos_vel_all(log.gamma[k])[0] - log.positions[k]) for k in range(rows)
+        ]
+        assert log.epf_norm.tobytes() == np.array(epf).tobytes()
         if cfg.n == 1:
             assert q is None and np.array_equal(log.xi_norm, np.abs(log.gamma_dot[:, 0] - 1.2))
 

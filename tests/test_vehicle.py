@@ -46,6 +46,18 @@ class TestTrajectoryFamily:
             pos, vel = lane(i + 1, gammas[i])
             assert np.allclose(batch_p[i], pos, atol=1e-12)
             assert np.allclose(batch_v[i], vel, atol=1e-12)
+        # a stack of samples, shape (rows, n): every sample has the bytes of
+        # the call on that sample alone
+        rng = np.random.default_rng(5)
+        for n in range(1, 11):
+            fam = LaneSweepFamily(n=n)
+            stack = rng.uniform(0.0, 60.0, (40, n))
+            stack[::7] = 0.0
+            pos, vel = fam.pos_vel_all(stack)
+            assert pos.shape == vel.shape == (40, n, 3)
+            rows = [fam.pos_vel_all(g) for g in stack]
+            assert pos.tobytes() == np.stack([p for p, _ in rows]).tobytes()
+            assert vel.tobytes() == np.stack([v for _, v in rows]).tobytes()
 
     def test_pos_vel_fast_path(self, family):
         # the loop's shared-exponential path agrees with the speed grid's
