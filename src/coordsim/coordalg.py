@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .digraph import Digraph, jointly_connected, laplacian
+from .digraph import Digraph, jointly_connected, laplacians
 from .errors import NumericError, SynthesisError
 
 # Eigenvalue "zero" in connectivity counting; Hurwitz margin.  Integer
@@ -203,6 +203,7 @@ class SwitchingCertificate:
     Synthesized once per family by :func:`build_certificate`:
 
     - ``q``: projection used throughout,
+    - ``laplacians``: float ``(m, n, n)`` stack of the Laplacians ``L_i``,
     - ``reduced_laplacians``: per-topology ``Q L_i Q^T``,
     - ``p``: Lyapunov solution (symmetric positive definite),
     - ``h_matrices``: ``(-Lbar_i)^T P + P (-Lbar_i)``, symmetric; they sum
@@ -221,6 +222,7 @@ class SwitchingCertificate:
     """
 
     q: ProjectionMatrix
+    laplacians: np.ndarray
     reduced_laplacians: tuple[np.ndarray, ...]
     p: np.ndarray
     h_matrices: tuple[np.ndarray, ...]
@@ -256,32 +258,33 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
     ]
     norms = _spectral_norms([*reduced_laplacians, *nus])
     m = len(reduced_laplacians)
+    ratio = a / b
+    # denominators multiply left to right, so shared leading products keep the bits
     terms = [
-        (1.0 - mu * lambda_max_p, nu, norm_lbar)
+        (1.0 - mu * lambda_max_p, nu, ratio * norm_lbar)
         for mu, norm_lbar, nu in zip(mu_list, norms[:m], norms[m:])
         if norm_lbar != 0.0  # empty topology: both terms infinite, non-binding
     ]
     if not terms:
         return math.inf
 
-    ratio = a / b
-
     def g(theta: float) -> float:
         log_theta = math.log(theta)
+        scale = ratio * theta * theta
         best = math.inf
-        for margin, nu, norm_lbar in terms:
-            t1 = margin / (ratio * theta * theta * nu) if nu > 0 else math.inf
-            t2 = log_theta / (ratio * norm_lbar)
-            best = min(best, t1, t2)
+        for margin, nu, ratio_lbar in terms:
+            t1 = margin / (scale * nu) if nu > 0 else math.inf
+            best = min(best, t1, log_theta / ratio_lbar)
         return best
 
     # g on the whole grid at once, with g's operations in g's order
     grid, log_grid = _THETA_GRID, _LOG_THETA_GRID
+    scale = ratio * grid * grid
     values = np.full(len(grid), math.inf)
-    for margin, nu, norm_lbar in terms:
+    for margin, nu, ratio_lbar in terms:
         if nu > 0:
-            values = np.minimum(values, margin / (ratio * grid * grid * nu))
-        values = np.minimum(values, log_grid / (ratio * norm_lbar))
+            values = np.minimum(values, margin / (scale * nu))
+        values = np.minimum(values, log_grid / ratio_lbar)
     best = int(np.argmax(values))
     lo = grid[max(best - 1, 0)]
     hi = grid[min(best + 1, len(grid) - 1)]
@@ -327,8 +330,8 @@ def build_certificate(
 
     m = len(family)
     q = build_projection(n)
-    laplacians = [laplacian(d).astype(float) for d in family]
-    reduced = [reduced_laplacian(q, l) for l in laplacians]
+    laps = laplacians(family).astype(float)
+    reduced = [reduced_laplacian(q, l) for l in laps]
     p = solve_lyapunov(sum(reduced), m)
 
     eig_p = np.linalg.eigvalsh(p)
@@ -346,12 +349,13 @@ def build_certificate(
         h_matrices.append(0.5 * (h + h.T))
 
     dwell = _dwell_time(reduced, h_matrices, mu_list, lambda_max_p, a, b)
-    max_norm = max(_spectral_norms(laplacians))
+    max_norm = max(_spectral_norms(laps))
 
-    for arr in (*reduced, p, *h_matrices):
+    for arr in (laps, *reduced, p, *h_matrices):
         arr.setflags(write=False)
     return SwitchingCertificate(
         q=q,
+        laplacians=laps,
         reduced_laplacians=tuple(reduced),
         p=p,
         h_matrices=tuple(h_matrices),

@@ -45,19 +45,20 @@ class MissionRateProfile:
         spaced over ``[0, t_max]``; raises ConfigError."""
         ts = np.linspace(0.0, t_max, RATE_CHECK_SAMPLES)
         rates = np.broadcast_to(self.rate(ts), ts.shape)
-        accels = np.broadcast_to(self.accel(ts), ts.shape)
+        rate_min, rate_max = rates.min(), rates.max()
+        accel_peak = np.abs(np.broadcast_to(self.accel(ts), ts.shape)).max()
         lo, hi = 1.0 - self.rate_dev_max, 1.0 + self.rate_dev_max
-        if rates.min() < lo - 1e-12 or rates.max() > hi + 1e-12:
+        if rate_min < lo - 1e-12 or rate_max > hi + 1e-12:
             raise ConfigError(
                 f"mission rate leaves its declared band [{lo}, {hi}]: "
-                f"observed [{rates.min():.6g}, {rates.max():.6g}]"
+                f"observed [{rate_min:.6g}, {rate_max:.6g}]"
             )
-        if np.abs(accels).max() > self.accel_max + 1e-12:
+        if accel_peak > self.accel_max + 1e-12:
             raise ConfigError(
                 f"mission rate acceleration exceeds declared bound {self.accel_max}: "
-                f"observed {np.abs(accels).max():.6g}"
+                f"observed {accel_peak:.6g}"
             )
-        if rates.min() <= 0:
+        if rate_min <= 0:
             raise ConfigError("mission rate must stay positive")
 
 

@@ -79,13 +79,19 @@ def adjacency(d: Digraph) -> np.ndarray:
 
 
 def laplacian(d: Digraph) -> np.ndarray:
-    """In-degree Laplacian ``L = diag(in-degrees) - adjacency``.
+    """In-degree Laplacian ``L = diag(in-degrees) - adjacency``: integer, row
+    sums exactly zero, off-diagonal entries 0 or -1."""
+    return laplacians([d])[0]
 
-    Row sums are exactly zero in integer arithmetic; off-diagonal entries
-    are 0 or -1.
-    """
-    a = adjacency(d)
-    return np.diag(a.sum(axis=1)) - a
+
+def laplacians(ds: list[Digraph]) -> np.ndarray:
+    """Stack of ``laplacian(d)`` for ``ds`` of one node count: integers, no -0.0."""
+    m, n = len(ds), ds[0].n
+    out = np.zeros((m, n, n), dtype=np.int64)
+    edges = [(k * n + i - 1) * n + j - 1 for k, d in enumerate(ds) for (i, j) in d.edges]
+    out.ravel()[edges] = -1
+    out.reshape(m, n * n)[:, :: n + 1] = -out.sum(axis=2)  # the diagonals
+    return out
 
 
 def contains_spanning_tree(d: Digraph) -> bool:

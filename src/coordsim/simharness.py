@@ -37,7 +37,7 @@ from .coordalg import (
     reduced_laplacian,
 )
 from .coordctrl import MissionRateProfile, Violation, smoothstep_profile
-from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacian
+from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacians
 from .errors import ConfigError, check_finite
 from .vehicle import LaneSweepFamily, row_norms, saturate
 
@@ -45,6 +45,8 @@ MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
 # cap on t_max / dt: the per-step log is preallocated for the whole run
 MAX_STEPS = 1_000_000
+# cap on n in directed mode: synthesis solves an (n-1)^2 x (n-1)^2 system
+MAX_SYNTHESIS_N = 40
 # windows per stacked eigensolve in pe_connectivity: stacking all of a
 # baseline run's windows at once raised its peak memory by half
 PE_CHUNK = 256
@@ -139,7 +141,7 @@ class ScenarioConfig:
     phi0: list[float] | None = field(
         default_factory=lambda: [0.9, 1.7, 1.1, 0.1]
     )
-    dt: float = _num(1e-3, 0)
+    dt: float = _num(1e-3, np.finfo(float).tiny)  # normal: 1 / (n dt) is finite
     t_max: float = _num(60.0, 0)
     rng_seed: int = _num(1, -1)
     random_switch_period: float = _num(0.3, 0)
@@ -210,9 +212,8 @@ class ScenarioConfig:
     def validate(self) -> None:
         """Raise ConfigError, naming the field, on the first violated
         precondition."""
-        for f in fields(self):
-            if "range" in f.metadata:
-                _check_number(f.name, getattr(self, f.name), f.type, *f.metadata["range"])
+        for name, kind, lo, hi in _RANGE_FIELDS:
+            _check_number(name, getattr(self, name), kind, lo, hi)
         if self.t_max / self.dt > MAX_STEPS:
             raise ConfigError(
                 f"dt={self.dt} with t_max={self.t_max} needs more than {MAX_STEPS} steps"
@@ -234,8 +235,9 @@ class ScenarioConfig:
                 raise ConfigError("phi0 must be nonzero")
             _check_array("mu_list", self.mu_list, (len(self.topology_family),))
         if self.mode == MODE_BIDIRECTIONAL:
-            if self.random_switch_period < self.dt:
-                raise ConfigError("random_switch_period must be at least dt")
+            for name in ("random_switch_period", "pe_window"):
+                if getattr(self, name) < self.dt:
+                    raise ConfigError(f"{name} must be at least dt")
             _require_symmetric(self.topology_family)
         for name in ("traj_offsets", "traj_angles"):
             if getattr(self, name) is not None:
@@ -253,9 +255,7 @@ class ScenarioConfig:
                 raise ConfigError(f"gust window {g.window} must be increasing")
         self.mission_profile().validate(self.t_max)
         # the convergence analysis wants delta above the spread of desired
-        # speeds; warn (tuning hint), do not reject.  One column of sample
-        # times serves every vehicle; speed_spread says why the spread has
-        # the bits of the norm of each vehicle's velocity at each sample.
+        # speeds; warn (tuning hint), do not reject
         fam = self.trajectory_family()
         spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
         if self.delta <= spread:
@@ -263,6 +263,12 @@ class ScenarioConfig:
                 f"delta={self.delta} does not exceed the desired-speed spread "
                 f"{spread:.3g}; convergence margins may shrink"
             )
+
+
+# (name, type, lo, hi) of each ranged numeric field, checked first by validate
+_RANGE_FIELDS = [
+    (f.name, f.type, *f.metadata["range"]) for f in fields(ScenarioConfig) if f.metadata
+]
 
 
 def _parse_entries(name: str, parse, entries) -> list:
@@ -395,6 +401,8 @@ def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
     config.validate()
     if config.mode != MODE_DIRECTED or config.n < 2:
         return None
+    if config.n > MAX_SYNTHESIS_N:  # refused before synthesis allocates
+        raise ConfigError(f"n={config.n} exceeds MAX_SYNTHESIS_N={MAX_SYNTHESIS_N}")
     try:
         cert = build_certificate(
             config.topology_family, config.mu_list, config.a, config.b
@@ -421,8 +429,13 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     cert = certify(config)
     fam = config.trajectory_family()
     profile = config.mission_profile()
-    laps = np.stack([laplacian(d) for d in config.topology_family]).astype(float)
-    laps.setflags(write=False)
+    if cert is not None:  # certify checked the switching law's forms at phi0
+        laps = cert.laplacians
+        sigma = switchlaw._argmin_quadratic(np.asarray(config.phi0, float), cert.h_matrices)
+    else:
+        laps = laplacians(config.topology_family).astype(float)
+        laps.setflags(write=False)
+        sigma = int(_topology_schedule(config, None, 0)[0][0])
 
     n = config.n
     x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1, v = 0 unless configured
@@ -444,7 +457,7 @@ def init_world(config: ScenarioConfig) -> SimWorld:
         gusts=[
             (g.vehicle - 1, np.asarray(g.accel, float), g.window) for g in config.gusts
         ],
-        sigma=int(_topology_schedule(config, cert, 0)[0][0]),
+        sigma=sigma,
         x=x,
         arrived=np.zeros(n, dtype=bool),
     )
@@ -738,9 +751,8 @@ def pe_connectivity(
         )
         return np.empty(0), np.empty(0)
     n = log.config.n
-    reduced = np.stack(
-        [reduced_laplacian(q, laplacian(d).astype(float)) for d in log.config.topology_family]
-    )
+    laps = laplacians(log.config.topology_family).astype(float)
+    reduced = np.stack([reduced_laplacian(q, l) for l in laps])
     projected = 0.5 * (reduced + reduced.transpose(0, 2, 1))
 
     seg_start, seg_end, seg_sigma = _segments(log)

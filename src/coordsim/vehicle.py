@@ -48,8 +48,7 @@ class LaneSweepFamily:
         against the ``n`` vehicles: shape ``(..., n)`` gives each vehicle
         its own time, ``(..., 1)`` one time shared by all of them.  Returns
         shape ``np.broadcast_shapes(gammas.shape, (n,)) + (3,)``."""
-        g = np.asarray(gammas, dtype=float)
-        vy = 1.8 * g * np.exp(-0.6 * g) * self.sines
+        vy = _lateral_rate(np.asarray(gammas, dtype=float)) * self.sines
         out = np.empty(vy.shape + (3,))
         out[..., 0] = 1.0
         out[..., 1] = vy
@@ -62,11 +61,15 @@ class LaneSweepFamily:
 
         The desired velocity is ``[1, vy, 0]``, whose norm as
         ``np.linalg.norm`` takes it is ``sqrt((1 + vy*vy) + 0)``, the same
-        bits as ``sqrt(1 + vy*vy)``.  Adding 1 and taking the square root
-        are monotone, so the extreme speeds are the speeds at the extremes
-        of ``vy*vy``: the result has the bits of the norm of every sampled
-        velocity, and NaN propagates as it would there."""
-        vy = self.velocity_all(np.asarray(times, dtype=float)[:, None])[..., 1]
+        bits as ``sqrt(1 + vy*vy)``, monotone in ``vy*vy``.  Vehicle ``i``
+        has ``vy = fl(w_t s_i)``, ``w_t = 1.8 t exp(-0.6 t)``; rounded products
+        and squares never shrink as ``|w_t|`` grows, so every ``vy*vy`` is
+        extreme at the argmax and argmin of ``|w_t|``, the two times
+        ``velocity_all`` is evaluated at, with the bits of the norm of every
+        sample; a NaN, which both searches pick first, propagates."""
+        times = np.asarray(times, dtype=float)
+        w = np.abs(_lateral_rate(times))
+        vy = self.velocity_all(times[[np.argmax(w), np.argmin(w)], None])[..., 1]
         vy2 = vy * vy
         return math.sqrt(1.0 + float(vy2.max())) - math.sqrt(1.0 + float(vy2.min()))
 
@@ -83,6 +86,10 @@ class LaneSweepFamily:
         pos[..., 1] = self.offsets - env * (5.0 + 3.0 * gammas) * self.sines
         vel[..., 1] = 1.8 * gammas * env * self.sines
         return pos, vel
+
+
+def _lateral_rate(g: np.ndarray) -> np.ndarray:  # per unit sin(angle)
+    return 1.8 * g * np.exp(-0.6 * g)
 
 
 def pf_control_all(

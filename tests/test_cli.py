@@ -9,6 +9,7 @@ import pytest
 
 from coordsim import cli
 from coordsim.simharness import (
+    MAX_SYNTHESIS_N,
     default_bidirectional_config,
     default_directed_config,
 )
@@ -263,6 +264,15 @@ TOPOLOGY_REFUSED = {
 BASELINE_REFUSED = [
     ("mu_list", {"mu_list": "abc"}),
     ("phi0", {"phi0": [NAN]}),
+    # windows below dt overflowed the connectivity scale 1 / (n pe_window)
+    # into a raw LinAlgError after the run; a subnormal dt would let a
+    # window of dt do the same
+    ("pe_window", {"t_max": 0.5, "pe_window": 1e-309}),
+    ("pe_window", {"t_max": 0.5, "pe_window": 1e-320}),
+    (
+        "dt",
+        {"t_max": 1e-307, "dt": 1e-310, "pe_window": 1e-310, "random_switch_period": 1e-310},
+    ),
 ]
 
 
@@ -374,6 +384,21 @@ class TestRefusal:
         if command == "run":
             argv += ["--out", str(tmp_path / "out")]
         assert_refused(argv, "phi0", capsys)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_fleet_above_synthesis_cap_refused(self, tmp_path, capsys, command):
+        # a jointly connected ring one vehicle past the cap: refused naming
+        # n before its Lyapunov system is built
+        n = MAX_SYNTHESIS_N + 1
+        ring = [[i % n + 1, i] for i in range(1, n + 1)]
+        override = {
+            "n": n,
+            "topology_family": [{"n": n, "edges": ring[k::3]} for k in range(3)],
+            "mu_list": [0.001] * 3,
+            "phi0": [1.0] * (n - 1),
+        }
+        path = shipped_with(tmp_path, override)
+        assert_refused(command_argv(command, path, tmp_path), "n", capsys)
 
     def test_json_refusal_is_one_document(self, tmp_path, capsys):
         path = shipped_with(tmp_path, {"mu_list": [0.5] * 3})

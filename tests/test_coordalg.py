@@ -1,10 +1,13 @@
 import hashlib
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import lambertw
 
 from coordsim.coordalg import (
@@ -19,8 +22,9 @@ from coordsim.coordalg import (
     solve_lyapunov,
     validate_gains,
 )
-from coordsim.digraph import Digraph, contains_spanning_tree, laplacian
+from coordsim.digraph import Digraph, adjacency, contains_spanning_tree, laplacian
 from coordsim.errors import SynthesisError
+from coordsim.simharness import MAX_SYNTHESIS_N
 from conftest import random_digraph, random_jointly_connected_family
 
 
@@ -247,6 +251,50 @@ class TestCertificateBits:
             )
             sha.update(np.array(scalars, dtype=float).tobytes())
         assert sha.hexdigest() == self.DIGEST
+
+
+class TestSynthesisProperties:
+    """The certificate's guarantees on random jointly connected families
+    (no law run), and its Laplacian stack against the edge lists."""
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), m=st.integers(1, 6))
+    def test_certificate_invariants(self, seed, n, m):
+        family = random_jointly_connected_family(np.random.default_rng(seed), n=n, m=m)
+        cert = build_certificate(family, [0.01] * m, 0.75, 1.82)
+
+        assert np.array_equal(cert.p, cert.p.T)
+        assert np.linalg.eigvalsh(cert.p)[0] > 0
+        assert np.linalg.norm(sum(cert.h_matrices) + m * np.eye(n - 1)) <= 1e-10
+        assert 0 < cert.dwell_bound < math.inf
+
+        # diag(in-degrees) - adjacency from the edge loop of adjacency(),
+        # widened to float: +0.0 off the edges and on empty rows
+        by_topology = []
+        for d in family:
+            a = adjacency(d)
+            by_topology.append((np.diag(a.sum(axis=1)) - a).astype(float))
+        assert cert.laplacians.shape == (m, n, n) and cert.laplacians.dtype == float
+        assert cert.laplacians.tobytes() == np.stack(by_topology).tobytes()
+        widened = [laplacian(d).astype(float) for d in family]
+        assert cert.laplacians.tobytes() == np.stack(widened).tobytes()
+
+
+class TestSynthesisCap:
+    def test_synthesis_at_the_cap_stays_small(self):
+        # a directed ring of MAX_SYNTHESIS_N vehicles dealt over three
+        # topologies; the (n-1)^2 x (n-1)^2 Lyapunov system is the peak
+        n = MAX_SYNTHESIS_N
+        assert n >= 10
+        ring = [(i % n + 1, i) for i in range(1, n + 1)]
+        family = [Digraph(n, ring[k::3]) for k in range(3)]
+        tracemalloc.start()
+        try:
+            cert = build_certificate(family, [0.001] * 3, 0.75, 1.82)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < cert.dwell_bound < math.inf
+        assert peak < 100 * 2**20
 
 
 def scalar_family_quantities(family, mu_list, a, b):

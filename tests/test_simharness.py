@@ -1,7 +1,9 @@
 import hashlib
+import importlib.util
 import json
 import warnings
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -738,3 +740,50 @@ class TestBaselineRun:
         cfg2 = default_bidirectional_config(t_max=6.0, rng_seed=2)
         log1, log2 = run_scenario(cfg1), run_scenario(cfg2)
         assert not np.array_equal(log1.sigma, log2.sigma)
+
+
+def _bench_sweep():
+    """``bench/sweep.py``, the generator of the ``family-sweep`` scenarios,
+    loaded by path under a private name."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "sweep.py"
+    spec = importlib.util.spec_from_file_location("_coordsim_bench_sweep", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def setup_pin_configs() -> list[ScenarioConfig]:
+    """Both shipped configs and the 40 ``family-sweep`` scenarios of each of
+    the seeds 0, 1 and 2 (n 3-10, m 2-6, gusts)."""
+    shipped = Path(__file__).resolve().parents[1] / "configs"
+    raws = [
+        json.loads((shipped / name).read_text())
+        for name in ("directed.json", "bidirectional.json")
+    ]
+    sweep = _bench_sweep()
+    raws += [raw for seed in range(3) for raw in sweep.generate(seed, 40, 50)]
+    return [ScenarioConfig.from_dict(raw) for raw in raws]
+
+
+class TestSetupPin:
+    # sha256 over what the set-up hands the loop: init_world's Laplacian
+    # stack, initial topology index and first RK4 stage, and the
+    # desired-speed spread that validate checks delta against, for every
+    # config of setup_pin_configs().  Recorded before the set-up dropped its
+    # duplicate work; the digest holds for the platform it was recorded on
+    # (x86-64, numpy 2.4).
+    DIGEST = "4bf236b5a053129ae25275b879d3388e4d4999d2fb83cb53efd66aed91334c1f"
+
+    def test_setup_digest(self):
+        sha = hashlib.sha256()
+        configs = setup_pin_configs()
+        assert len(configs) == 122
+        for cfg in configs:
+            world = init_world(cfg)
+            fam = cfg.trajectory_family()
+            spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
+            sha.update(world.laplacians.tobytes())
+            sha.update(np.int64(world.sigma).tobytes())
+            sha.update(world.dx.tobytes())
+            sha.update(np.float64(spread).tobytes())
+        assert sha.hexdigest() == self.DIGEST

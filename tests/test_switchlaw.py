@@ -17,6 +17,7 @@ def make_cert(h_matrices, mu_list, lambda_max_p, n, reduced=None):
         reduced = tuple(np.zeros((k, k)) for _ in h_matrices)
     return SwitchingCertificate(
         q=build_projection(n),
+        laplacians=np.zeros((len(h_matrices), n, n)),
         reduced_laplacians=tuple(reduced),
         p=np.eye(k),
         h_matrices=tuple(h_matrices),
