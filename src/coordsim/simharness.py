@@ -5,13 +5,13 @@ followers into one fixed-step RK4 loop.  Two signals read nothing the
 vehicles do, so they are evaluated outside the step and handed to it.  The
 topology of every step is fixed before the loop starts: by the
 state-feedback switching law in directed mode and by a seeded random
-schedule in the bidirectional baseline.  It is held constant across each
-step and changes at step boundaries, before arrival clamping.  The desired
-mission rate, a function of time alone, is evaluated for a block of
-``RATE_BLOCK`` steps at a time, at each step's RK4 stage times and new
-sample time.  The loop logs the state alone; one pass after it derives
-every measured column and the feasibility records from the logged state,
-``RATE_BLOCK`` rows per kernel call.
+schedule in the bidirectional baseline.  Each step evaluates all four RK4
+stages under the topology it is handed, so a topology changes only at a
+step boundary.  The desired mission rate, a function of time alone, is
+evaluated for a block of ``RATE_BLOCK`` steps at a time, at each step's
+RK4 stage times.  The loop logs the state alone; one pass after it
+derives every measured column and the feasibility records from the logged
+state, ``RATE_BLOCK`` rows per kernel call.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -45,7 +45,8 @@ MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
 # cap on t_max / dt: the per-step log is preallocated for the whole run
 MAX_STEPS = 1_000_000
-# cap on n in directed mode: synthesis solves an (n-1)^2 x (n-1)^2 system
+# cap on n in every mode: synthesis solves an (n-1)^2 x (n-1)^2 system, and
+# a run's preallocated log has 6 n + 3 columns
 MAX_SYNTHESIS_N = 40
 # windows per stacked eigensolve in pe_connectivity: stacking all of a
 # baseline run's windows at once raised its peak memory by half
@@ -87,8 +88,12 @@ def _check_number(name: str, value, kind: str, lo=None, hi=None) -> None:
     """Refuse ``value`` unless it is a finite ``kind`` inside ``(lo, hi)``."""
     if isinstance(value, bool) or not isinstance(value, _NUMERIC_TYPES[kind]):
         raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
+    try:
+        finite = kind == "int" or math.isfinite(value)
+    except OverflowError:  # an integer literal beyond the float range
+        finite = False
     if not (
-        (isinstance(value, numbers.Integral) or math.isfinite(value))
+        finite
         and (lo is None or value > lo)
         and (hi is None or value < hi)
     ):
@@ -214,6 +219,8 @@ class ScenarioConfig:
         precondition."""
         for name, kind, lo, hi in _RANGE_FIELDS:
             _check_number(name, getattr(self, name), kind, lo, hi)
+        if self.n > MAX_SYNTHESIS_N:  # refused before anything is sized by n
+            raise ConfigError(f"n={self.n} exceeds MAX_SYNTHESIS_N={MAX_SYNTHESIS_N}")
         if self.t_max / self.dt > MAX_STEPS:
             raise ConfigError(
                 f"dt={self.dt} with t_max={self.t_max} needs more than {MAX_STEPS} steps"
@@ -314,6 +321,8 @@ def load_config(path: str) -> ScenarioConfig:
             raw = json.load(f)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
@@ -356,9 +365,8 @@ class SimWorld:
 
     The smooth state is one packed array ``x = [gamma | gamma_dot | p | v]``
     of ``8 n`` floats, updated in place; ``gamma``, ``gamma_dot``, ``p`` and
-    ``v`` are views of it, ``dx`` is its derivative and ``sigma`` the
-    topology index in force at ``t``.  ``any_arrived`` is set once some
-    entry of ``arrived`` is; until then the arrival masks are skipped."""
+    ``v`` are views of it.  ``any_arrived`` is set once some entry of
+    ``arrived`` is; until then the arrival masks are skipped."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -370,9 +378,7 @@ class SimWorld:
     # dynamic state
     step_idx: int = 0
     t: float = 0.0
-    sigma: int = 1
     x: np.ndarray = None
-    dx: np.ndarray = None
     arrived: np.ndarray = None
     any_arrived: bool = False
     gamma: np.ndarray = field(init=False, repr=False)
@@ -401,8 +407,6 @@ def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
     config.validate()
     if config.mode != MODE_DIRECTED or config.n < 2:
         return None
-    if config.n > MAX_SYNTHESIS_N:  # refused before synthesis allocates
-        raise ConfigError(f"n={config.n} exceeds MAX_SYNTHESIS_N={MAX_SYNTHESIS_N}")
     try:
         cert = build_certificate(
             config.topology_family, config.mu_list, config.a, config.b
@@ -426,16 +430,15 @@ def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
 
 
 def init_world(config: ScenarioConfig) -> SimWorld:
+    """The state of a run at ``t = 0`` and the objects its steps read; the
+    topology and the desired rate of each step are handed to ``step``."""
     cert = certify(config)
     fam = config.trajectory_family()
-    profile = config.mission_profile()
-    if cert is not None:  # certify checked the switching law's forms at phi0
+    if cert is not None:
         laps = cert.laplacians
-        sigma = switchlaw._argmin_quadratic(np.asarray(config.phi0, float), cert.h_matrices)
     else:
         laps = laplacians(config.topology_family).astype(float)
         laps.setflags(write=False)
-        sigma = int(_topology_schedule(config, None, 0)[0][0])
 
     n = config.n
     x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1, v = 0 unless configured
@@ -448,21 +451,18 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     if config.initial_velocities is not None:
         x[5 * n :] = np.ravel(config.initial_velocities)
 
-    world = SimWorld(
+    return SimWorld(
         config=config,
         fam=fam,
-        profile=profile,
+        profile=config.mission_profile(),
         laplacians=laps,
         cert=cert,
         gusts=[
             (g.vehicle - 1, np.asarray(g.accel, float), g.window) for g in config.gusts
         ],
-        sigma=sigma,
         x=x,
         arrived=np.zeros(n, dtype=bool),
     )
-    world.dx = _rhs(world, 0.0, x, float(profile.rate(0.0)))
-    return world
 
 
 def _check_finite(world: SimWorld) -> None:
@@ -494,14 +494,17 @@ def _coordination(world: SimWorld, gamma, gamma_dot, p, lap, rate):
     )
 
 
-def _rhs(world: SimWorld, t: float, x: np.ndarray, rate: float) -> np.ndarray:
+def _rhs(
+    world: SimWorld, t: float, x: np.ndarray, lap: np.ndarray, rate: float
+) -> np.ndarray:
     """Coupled smooth dynamics ``x'`` of the packed state ``x`` at time
-    ``t`` under the active topology and the desired mission rate ``rate``;
-    the virtual time of an arrived vehicle is held (its derivatives are 0)."""
+    ``t`` under the topology with Laplacian ``lap`` and the desired mission
+    rate ``rate``; the virtual time of an arrived vehicle is held (its
+    derivatives are 0)."""
     cfg = world.config
     n = cfg.n
     gamma, gamma_dot, v_flat = x[:n], x[n : 2 * n], x[5 * n :]
-    lap, p = world.laplacians[world.sigma - 1], x[2 * n : 5 * n].reshape(n, 3)
+    p = x[2 * n : 5 * n].reshape(n, 3)
     e, tv, gamma_ddot = _coordination(world, gamma, gamma_dot, p, lap, rate)
     if world.any_arrived:
         gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
@@ -518,40 +521,38 @@ def _rhs(world: SimWorld, t: float, x: np.ndarray, rate: float) -> np.ndarray:
 def _step_rates(
     profile: MissionRateProfile, k0: int, count: int, dt: float
 ) -> np.ndarray:
-    """Desired mission rates of steps ``k0 .. k0 + count - 1``, one column
-    per step, from one profile call: rows at ``k dt + dt/2`` (the middle
-    RK4 stages), at ``k dt + dt`` (the last stage) and at ``(k + 1) dt``
-    (the new sample), each time formed as ``step`` forms it."""
-    t = np.arange(k0, k0 + count) * dt
-    return profile.rate(
-        np.stack((t + 0.5 * dt, t + dt, np.arange(k0 + 1, k0 + count + 1) * dt))
-    )
+    """Desired mission rates of steps ``k0 .. k0 + count - 1`` and of the
+    sample after the last, one column per step plus one, from one profile
+    call: rows at ``k dt`` (the first RK4 stage, and the new sample of the
+    step before), at ``k dt + dt/2`` (the middle stages) and at
+    ``k dt + dt`` (the last stage), each time formed as ``step`` forms it."""
+    t = np.arange(k0, k0 + count + 1) * dt
+    return profile.rate(np.stack((t, t + 0.5 * dt, t + dt)))
 
 
 def step(
-    world: SimWorld, dt: float, sigma: int, rates: tuple[float, float, float]
+    world: SimWorld, sigma: int, rates: tuple[float, float, float, float]
 ) -> SimWorld:
-    """Advance one step: RK4 on the coupled smooth dynamics with the
-    topology held fixed (``world.dx`` is its first stage), then the speed
-    limit, the switch to topology ``sigma``, arrival clamping and
-    ``world.dx`` at the new state.  ``rates`` holds the desired mission
-    rate at ``t + dt/2``, at ``t + dt`` and at the new sample time (a
-    column of ``_step_rates``)."""
+    """Advance one step of ``dt``: RK4 on the coupled smooth dynamics with
+    topology ``sigma`` held over the whole step, then the speed limit and
+    arrival clamping.  ``rates`` holds the desired mission rate at ``t``,
+    at ``t + dt/2``, at ``t + dt`` and at the new sample time (rows 0, 1
+    and 2 of a column of ``_step_rates`` and row 0 of the next)."""
     cfg = world.config
-    t0, x, k1 = world.t, world.x, world.dx
-    rate_mid, rate_end, rate_new = rates
+    dt = cfg.dt
+    t0, x, lap = world.t, world.x, world.laplacians[sigma - 1]
+    rate_now, rate_mid, rate_end, rate_new = rates
     h = 0.5 * dt
-    k2 = _rhs(world, t0 + h, x + h * k1, rate_mid)
-    k3 = _rhs(world, t0 + h, x + h * k2, rate_mid)
-    k4 = _rhs(world, t0 + dt, x + dt * k3, rate_end)
+    k1 = _rhs(world, t0, x, lap, rate_now)
+    k2 = _rhs(world, t0 + h, x + h * k1, lap, rate_mid)
+    k3 = _rhs(world, t0 + h, x + h * k2, lap, rate_mid)
+    k4 = _rhs(world, t0 + dt, x + dt * k3, lap, rate_end)
     x += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)  # in place: the views follow
 
     world.step_idx += 1
     world.t = world.step_idx * dt
 
     saturate(world.v, cfg.speed_limit)  # speed limit, direction preserved
-
-    world.sigma = sigma
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly
@@ -562,7 +563,6 @@ def step(
         world.gamma_dot[world.arrived] = rate_new
 
     _check_finite(world)
-    world.dx = _rhs(world, world.t, world.x, rate_new)
     return world
 
 
@@ -682,10 +682,10 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     for k in range(n_steps):
         j = k % RATE_BLOCK
         if j == 0:
-            r_mid, r_end, r_new = _step_rates(
+            r_now, r_mid, r_end = _step_rates(
                 world.profile, k, min(RATE_BLOCK, n_steps - k), dt
             )
-        step(world, dt, int(sigma[k + 1]), (r_mid[j], r_end[j], r_new[j]))
+        step(world, int(sigma[k]), (r_now[j], r_mid[j], r_end[j], r_now[j + 1]))
         log_rates[k + 1], log_pos[k + 1] = rates_now, pos_now
         if world.all_arrived:
             break

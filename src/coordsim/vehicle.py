@@ -48,12 +48,7 @@ class LaneSweepFamily:
         against the ``n`` vehicles: shape ``(..., n)`` gives each vehicle
         its own time, ``(..., 1)`` one time shared by all of them.  Returns
         shape ``np.broadcast_shapes(gammas.shape, (n,)) + (3,)``."""
-        vy = _lateral_rate(np.asarray(gammas, dtype=float)) * self.sines
-        out = np.empty(vy.shape + (3,))
-        out[..., 0] = 1.0
-        out[..., 1] = vy
-        out[..., 2] = 0.0
-        return out
+        return self.pos_vel_all(np.asarray(gammas, dtype=float))[1]
 
     def speed_spread(self, times: np.ndarray) -> float:
         """Largest minus smallest desired speed over all vehicles at the
@@ -77,7 +72,8 @@ class LaneSweepFamily:
         """Position and velocity, shape ``gammas.shape + (3,)``, at the
         float64 virtual times ``gammas`` of one sample, shape ``(n,)`` (the
         hot path of the simulation loop), or of a stack, ``(..., n)``, each
-        sample with the bits of a call on it alone."""
+        sample with the bits of a call on it alone; a last axis of 1 shares
+        one time among all vehicles."""
         env = np.exp(-0.6 * gammas)
         out = np.empty(gammas.shape[:-1] + (2, self.n, 3))
         out[...] = self._pos_vel

@@ -247,6 +247,9 @@ REFUSED = [
     ("kp", {"kp": True}),
     ("traj_offsets", {"traj_offsets": [1, 2]}),
     ("ramp_start", {"ramp_start": NAN}),
+    # integer literals beyond the float range
+    pytest.param("dt", {"dt": 10**400}, id="dt-int-overflow"),
+    pytest.param("kp", {"kp": 10**400}, id="kp-int-overflow"),
 ]
 
 
@@ -309,7 +312,7 @@ def assert_refused(argv, field, capsys):
 
 class TestRefusal:
     @pytest.mark.parametrize("command", ["validate", "run", "compare"])
-    @pytest.mark.parametrize("field, override", REFUSED, ids=[f for f, _ in REFUSED])
+    @pytest.mark.parametrize("field, override", REFUSED, ids=[getattr(case, "id", None) or case[0] for case in REFUSED])
     def test_refused_with_field_named(self, tmp_path, capsys, command, field, override):
         path = shipped_with(tmp_path, override)
         assert_refused(command_argv(command, path, tmp_path), field, capsys)
@@ -385,20 +388,45 @@ class TestRefusal:
             argv += ["--out", str(tmp_path / "out")]
         assert_refused(argv, "phi0", capsys)
 
-    @pytest.mark.parametrize("command", ["validate", "run"])
-    def test_fleet_above_synthesis_cap_refused(self, tmp_path, capsys, command):
-        # a jointly connected ring one vehicle past the cap: refused naming
-        # n before its Lyapunov system is built
+    @pytest.mark.parametrize(
+        "command, shipped",
+        [
+            ("validate", "directed.json"),
+            ("run", "directed.json"),
+            ("validate", "bidirectional.json"),
+            ("run", "bidirectional.json"),
+        ],
+        ids=["validate", "run", "validate-baseline", "run-baseline"],
+    )
+    def test_fleet_above_synthesis_cap_refused(self, tmp_path, capsys, command, shipped):
+        # a jointly connected ring one vehicle past the cap (mirrored for
+        # the baseline): refused naming n before its Lyapunov system or its
+        # log is sized
         n = MAX_SYNTHESIS_N + 1
         ring = [[i % n + 1, i] for i in range(1, n + 1)]
+        family = [ring[k::3] for k in range(3)]
+        if shipped == "bidirectional.json":
+            family = [[e for i, j in edges for e in ([i, j], [j, i])] for edges in family]
         override = {
             "n": n,
-            "topology_family": [{"n": n, "edges": ring[k::3]} for k in range(3)],
+            "topology_family": [{"n": n, "edges": edges} for edges in family],
             "mu_list": [0.001] * 3,
             "phi0": [1.0] * (n - 1),
         }
-        path = shipped_with(tmp_path, override)
+        path = shipped_with(tmp_path, override, shipped)
         assert_refused(command_argv(command, path, tmp_path), "n", capsys)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_not_utf8_refused(self, tmp_path, capsys, command):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"n": 5, "mode": "\xff"}')
+        argv = command_argv(command, str(path), tmp_path) + ["--json"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        doc = json.loads(captured.out)
+        assert doc["ok"] is False and str(path) in doc["error"]
+        assert not (tmp_path / "out").exists()
 
     def test_json_refusal_is_one_document(self, tmp_path, capsys):
         path = shipped_with(tmp_path, {"mu_list": [0.5] * 3})

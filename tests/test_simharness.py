@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coordsim import simharness
+from coordsim import simharness, switchlaw
 from coordsim.coordalg import build_projection
-from coordsim.coordctrl import coordination_error
+from coordsim.coordctrl import MissionRateProfile, coordination_error
 from coordsim.digraph import Digraph
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
@@ -109,6 +109,14 @@ class TestConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             default_directed_config().validate()
+
+
+def first_step(world):
+    """``world`` after step 0, under the schedule's first topology."""
+    cfg = world.config
+    sigma = int(_topology_schedule(cfg, world.cert, 0)[0][0])
+    rates = _step_rates(world.profile, 0, 1, cfg.dt)
+    return step(world, sigma, (*rates[:, 0], rates[0, 1]))
 
 
 def baseline_sigma(**overrides) -> np.ndarray:
@@ -299,8 +307,7 @@ class TestStepMechanics:
             initial_positions=[[0.0, 0.0, 2.0]],
             initial_velocities=[[1.0, 0.0, 0.0]],
         )
-        world = init_world(cfg)
-        step(world, cfg.dt, world.sigma, tuple(_step_rates(world.profile, 0, 1, cfg.dt)[:, 0]))
+        world = first_step(init_world(cfg))
         assert abs(world.gamma[0] - cfg.dt) < 1e-15
         assert abs(world.gamma_dot[0] - 1.0) < 1e-15
         assert np.allclose(world.p[0], [cfg.dt, 0.0, 2.0], atol=1e-12)
@@ -339,10 +346,8 @@ class TestStepMechanics:
         free = init_world(
             default_directed_config(initial_velocities=v0, speed_limit=1e12)
         )
-        dt = clamped.config.dt
-        rates = tuple(_step_rates(clamped.profile, 0, 1, dt)[:, 0])
-        step(clamped, dt, clamped.sigma, rates)
-        step(free, dt, free.sigma, rates)
+        first_step(clamped)
+        first_step(free)
         limit = clamped.config.speed_limit
         speeds = np.linalg.norm(clamped.v, axis=1)
         assert speeds[2] == pytest.approx(limit, rel=0, abs=1e-12)
@@ -359,6 +364,40 @@ class TestStepMechanics:
         )
         with pytest.raises(NumericError, match="non-finite"):
             run_scenario(cfg)
+
+
+class TestWorldHoldsState:
+    # init_world builds the state alone; each step evaluates its own four
+    # RK4 stages under the topology and desired rates it is handed
+    @pytest.mark.parametrize(
+        "make_config",
+        [default_directed_config, default_bidirectional_config],
+        ids=["directed", "baseline"],
+    )
+    def test_four_rhs_calls_per_step_and_none_in_set_up(self, make_config, monkeypatch):
+        rhs_calls, rate_calls = [], []
+        rhs = simharness._rhs
+        monkeypatch.setattr(simharness, "_rhs", lambda *a: rhs_calls.append(a[1]) or rhs(*a))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("init_world evaluated the topology schedule")
+
+        def counted_profile(config):
+            profile = ScenarioConfig.mission_profile(config)
+            return replace(profile, rate=lambda t: rate_calls.append(t) or profile.rate(t))
+
+        cfg = make_config(t_max=0.037, pe_window=0.02)
+        with monkeypatch.context() as m:
+            for name in ("schedule", "advance", "_argmin_quadratic"):
+                m.setattr(switchlaw, name, forbidden)
+            m.setattr(simharness, "_topology_schedule", forbidden)
+            # admission's own check of the profile is not set-up work
+            m.setattr(MissionRateProfile, "validate", lambda self, t_max: None)
+            m.setattr(cfg, "mission_profile", lambda: counted_profile(cfg))
+            init_world(cfg)
+        assert rhs_calls == [] and rate_calls == []
+        log = run_scenario(cfg)
+        assert len(log.t) == 38 and len(rhs_calls) == 4 * 37
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -683,11 +722,14 @@ class TestRateBlocks:
         profile = default_directed_config(ramp_start=1.0, ramp_duration=2.5).mission_profile()
         dt = 1e-3
         rates = _step_rates(profile, 990, 40, dt)
-        assert rates.shape == (3, 40)
+        assert rates.shape == (3, 41)
         for j, k in enumerate(range(990, 1030)):
             t = k * dt
-            assert rates[:, j].tolist() == [
-                profile.rate(t + 0.5 * dt), profile.rate(t + dt), profile.rate((k + 1) * dt)
+            assert [*rates[:, j], rates[0, j + 1]] == [
+                profile.rate(t),
+                profile.rate(t + 0.5 * dt),
+                profile.rate(t + dt),
+                profile.rate((k + 1) * dt),
             ]
 
 
@@ -766,11 +808,12 @@ def setup_pin_configs() -> list[ScenarioConfig]:
 
 
 class TestSetupPin:
-    # sha256 over what the set-up hands the loop: init_world's Laplacian
-    # stack, initial topology index and first RK4 stage, and the
-    # desired-speed spread that validate checks delta against, for every
-    # config of setup_pin_configs().  Recorded before the set-up dropped its
-    # duplicate work; the digest holds for the platform it was recorded on
+    # sha256 over what the loop starts from: init_world's Laplacian stack,
+    # the schedule's first topology index, the first RK4 stage of step 0,
+    # and the desired-speed spread that validate checks delta against, for
+    # every config of setup_pin_configs().  Recorded before the set-up
+    # dropped its duplicate work, when init_world computed the index and the
+    # stage itself; the digest holds for the platform it was recorded on
     # (x86-64, numpy 2.4).
     DIGEST = "4bf236b5a053129ae25275b879d3388e4d4999d2fb83cb53efd66aed91334c1f"
 
@@ -780,10 +823,14 @@ class TestSetupPin:
         assert len(configs) == 122
         for cfg in configs:
             world = init_world(cfg)
+            sigma = int(_topology_schedule(cfg, world.cert, 0)[0][0])
+            lap = world.laplacians[sigma - 1]
+            rate = _step_rates(world.profile, 0, 1, cfg.dt)[0, 0]
+            k1 = simharness._rhs(world, 0.0, world.x, lap, rate)
             fam = cfg.trajectory_family()
             spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
             sha.update(world.laplacians.tobytes())
-            sha.update(np.int64(world.sigma).tobytes())
-            sha.update(world.dx.tobytes())
+            sha.update(np.int64(sigma).tobytes())
+            sha.update(k1.tobytes())
             sha.update(np.float64(spread).tobytes())
         assert sha.hexdigest() == self.DIGEST
