@@ -244,24 +244,32 @@ def _spectral_norms(matrices) -> np.ndarray:
     return np.linalg.svd(np.stack(matrices), compute_uv=False)[:, 0]
 
 
+def _quotient(num: float, den: float) -> float:
+    """``num / den`` for a positive or +0.0 ``den``, with numpy's value at
+    ``den == 0`` (``inf`` for a positive ``num``) where Python raises
+    ZeroDivisionError."""
+    return num / den if den else num * math.inf
+
+
 # At extreme gain ratios a/b a term's denominator overflows to inf or
 # underflows to 0; the term is then 0 or inf, the value the search uses.
 @np.errstate(over="ignore", divide="ignore")
 def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
     """Supremum over theta > 1 of the per-topology minimum of the two
-    dwell terms; log-grid on (1, 1e4] then golden-section refinement."""
+    dwell terms; log-grid on (1, 1e4] then golden-section refinement.  The
+    refinement runs on Python floats, which round as float64 does."""
     k = reduced_laplacians[0].shape[0]
     eye = np.eye(k)
     nus = [
         lbar.T @ (h + eye) + (h + eye) @ lbar
         for lbar, h in zip(reduced_laplacians, h_matrices)
     ]
-    norms = _spectral_norms([*reduced_laplacians, *nus])
+    norms = _spectral_norms([*reduced_laplacians, *nus]).tolist()
     m = len(reduced_laplacians)
-    ratio = a / b
+    ratio = float(a / b)
     # denominators multiply left to right, so shared leading products keep the bits
     terms = [
-        (1.0 - mu * lambda_max_p, nu, ratio * norm_lbar)
+        (float(1.0 - mu * lambda_max_p), nu, ratio * norm_lbar)
         for mu, norm_lbar, nu in zip(mu_list, norms[:m], norms[m:])
         if norm_lbar != 0.0  # empty topology: both terms infinite, non-binding
     ]
@@ -273,8 +281,8 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
         scale = ratio * theta * theta
         best = math.inf
         for margin, nu, ratio_lbar in terms:
-            t1 = margin / (scale * nu) if nu > 0 else math.inf
-            best = min(best, t1, log_theta / ratio_lbar)
+            t1 = _quotient(margin, scale * nu) if nu > 0 else math.inf
+            best = min(best, t1, _quotient(log_theta, ratio_lbar))
         return best
 
     # g on the whole grid at once, with g's operations in g's order
@@ -286,8 +294,8 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
             values = np.minimum(values, margin / (scale * nu))
         values = np.minimum(values, log_grid / ratio_lbar)
     best = int(np.argmax(values))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, len(grid) - 1)]
+    lo = float(grid[max(best - 1, 0)])
+    hi = float(grid[min(best + 1, len(grid) - 1)])
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = g(x1), g(x2)
@@ -300,7 +308,7 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
             f1 = g(x1)
-    return float(max(f1, f2))
+    return max(f1, f2)
 
 
 def build_certificate(

@@ -117,8 +117,9 @@ def path_error_feedback_all(
     acceleration: the error component along the desired velocity ``v_i``,
     scaled by ``|v_i| / (|v_i| + delta) < 1``, so its magnitude never
     exceeds ``|e_i|``.  Rows are independent: every row of an ``(n, 3)``
-    sample or an ``(..., n, 3)`` stack has the bits of a call on it alone."""
-    if delta <= 0:
+    sample or an ``(..., n, 3)`` stack has the bits of a call on it alone.
+    ``delta`` may be a float or a 0-d float64 array."""
+    if float(delta) <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     dots = einsum("...j,...j->...", traj_velocities, e_pf_all)
     return dots / (row_norms(traj_velocities) + delta)
@@ -130,17 +131,19 @@ def coordination_accel_matrix(
     lap: np.ndarray,
     alpha: np.ndarray,
     gamma_dot_d: float | np.ndarray,
-    a: float,
-    b: float,
+    a: float | np.ndarray,
+    neg_b: float | np.ndarray,
 ) -> np.ndarray:
     """Matrix form of the coordination law:
-    ``-b (rate error) - a L gamma - alpha``.  The Laplacian's sparsity
-    makes row ``i`` depend only on vehicle ``i``'s in-neighbors.  One
-    sample, shape ``(n,)``, or a stack, ``(..., n)``, with one Laplacian or
-    one per sample: each sample costs one matrix-vector product, so its
-    bits do not depend on the stack it is in."""
+    ``-b (rate error) - a L gamma - alpha``, given the rate gain negated,
+    ``neg_b = -b``, so that a caller holding the gains as 0-d arrays pays
+    no negation per call.  The Laplacian's sparsity makes row ``i`` depend
+    only on vehicle ``i``'s in-neighbors.  One sample, shape ``(n,)``, or a
+    stack, ``(..., n)``, with one Laplacian or one per sample: each sample
+    costs one matrix-vector product, so its bits do not depend on the stack
+    it is in."""
     consensus = np.matmul(lap, gamma[..., None])[..., 0]
-    return -b * (gamma_dot - gamma_dot_d) - a * consensus - alpha
+    return neg_b * (gamma_dot - gamma_dot_d) - a * consensus - alpha
 
 
 def coordination_error(

@@ -255,11 +255,15 @@ class ScenarioConfig:
         for k, g in enumerate(self.gusts):
             _check_number(f"gusts[{k}].vehicle", g.vehicle, "int")
             if not (1 <= g.vehicle <= self.n):
-                raise ConfigError(f"gust vehicle {g.vehicle} outside 1..{self.n}")
+                raise ConfigError(
+                    f"gusts[{k}].vehicle: gust vehicle {g.vehicle} outside 1..{self.n}"
+                )
             _check_array(f"gusts[{k}].accel", g.accel, (3,))
             _check_array(f"gusts[{k}].window", g.window, (2,))
             if g.window[0] >= g.window[1]:
-                raise ConfigError(f"gust window {g.window} must be increasing")
+                raise ConfigError(
+                    f"gusts[{k}].window: gust window {g.window} must be increasing"
+                )
         self.mission_profile().validate(self.t_max)
         # the convergence analysis wants delta above the spread of desired
         # speeds; warn (tuning hint), do not reject
@@ -366,7 +370,13 @@ class SimWorld:
     The smooth state is one packed array ``x = [gamma | gamma_dot | p | v]``
     of ``8 n`` floats, updated in place; ``gamma``, ``gamma_dot``, ``p`` and
     ``v`` are views of it.  ``any_arrived`` is set once some entry of
-    ``arrived`` is; until then the arrival masks are skipped."""
+    ``arrived`` is; until then the arrival masks are skipped.
+
+    The coefficients the dynamics multiply by are built once, as 0-d
+    float64 arrays: an operation on an array with one costs less than with
+    a Python float or a NumPy scalar, with the same IEEE result.  They are
+    the gains ``kp``, ``kd``, ``a``, ``neg_b`` (``-b``) and ``delta``, and
+    ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -385,11 +395,22 @@ class SimWorld:
     gamma_dot: np.ndarray = field(init=False, repr=False)
     p: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
+    kp: np.ndarray = field(init=False, repr=False)
+    kd: np.ndarray = field(init=False, repr=False)
+    a: np.ndarray = field(init=False, repr=False)
+    neg_b: np.ndarray = field(init=False, repr=False)
+    delta: np.ndarray = field(init=False, repr=False)
+    rk4: tuple[np.ndarray, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        x, n = self.x, self.config.n
+        x, cfg, n = self.x, self.config, self.config.n
         self.gamma, self.gamma_dot = x[:n], x[n : 2 * n]
         self.p, self.v = x[2 * n : 5 * n].reshape(n, 3), x[5 * n :].reshape(n, 3)
+        self.kp, self.kd, self.a, self.neg_b, self.delta = (
+            np.array(c, dtype=float) for c in (cfg.kp, cfg.kd, cfg.a, -cfg.b, cfg.delta)
+        )
+        dt = cfg.dt
+        self.rk4 = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, 2, dt / 6.0))
 
     @property
     def all_arrived(self) -> bool:
@@ -485,22 +506,26 @@ def _coordination(world: SimWorld, gamma, gamma_dot, p, lap, rate):
     """``(path errors, desired velocities, virtual-time accelerations)`` of
     one sample of the state, or of a stack with a Laplacian and a desired
     mission rate per sample."""
-    cfg = world.config
     tp, tv = world.fam.pos_vel_all(gamma)
     e = tp - p
-    alpha = coordctrl.path_error_feedback_all(tv, e, cfg.delta)
+    alpha = coordctrl.path_error_feedback_all(tv, e, world.delta)
     return e, tv, coordctrl.coordination_accel_matrix(
-        gamma, gamma_dot, lap, alpha, rate, cfg.a, cfg.b
+        gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b
     )
 
 
 def _rhs(
-    world: SimWorld, t: float, x: np.ndarray, lap: np.ndarray, rate: float
+    world: SimWorld,
+    t: float,
+    x: np.ndarray,
+    lap: np.ndarray,
+    rate: np.ndarray,
+    out: np.ndarray,
 ) -> np.ndarray:
     """Coupled smooth dynamics ``x'`` of the packed state ``x`` at time
     ``t`` under the topology with Laplacian ``lap`` and the desired mission
-    rate ``rate``; the virtual time of an arrived vehicle is held (its
-    derivatives are 0)."""
+    rate ``rate``, written into ``out`` (``8 n`` floats) and returned; the
+    virtual time of an arrived vehicle is held (its derivatives are 0)."""
     cfg = world.config
     n = cfg.n
     gamma, gamma_dot, v_flat = x[:n], x[n : 2 * n], x[5 * n :]
@@ -511,11 +536,13 @@ def _rhs(
         gamma_ddot[world.arrived] = 0.0
     target_vel = tv * gamma_dot[:, None]
     u = vehicle.pf_control_all(
-        e, v_flat.reshape(n, 3), target_vel, cfg.kp, cfg.kd, cfg.accel_limit
+        e, v_flat.reshape(n, 3), target_vel, world.kp, world.kd, cfg.accel_limit
     )
     for row, gvec, window in world.gusts:
         u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-    return np.concatenate((gamma_dot, gamma_ddot, v_flat, u.ravel()))
+    out[:n], out[n : 2 * n], out[2 * n : 5 * n] = gamma_dot, gamma_ddot, v_flat
+    out[5 * n :] = u.ravel()
+    return out
 
 
 def _step_rates(
@@ -531,23 +558,27 @@ def _step_rates(
 
 
 def step(
-    world: SimWorld, sigma: int, rates: tuple[float, float, float, float]
+    world: SimWorld, sigma: int, rates: tuple[np.ndarray, ...]
 ) -> SimWorld:
     """Advance one step of ``dt``: RK4 on the coupled smooth dynamics with
     topology ``sigma`` held over the whole step, then the speed limit and
     arrival clamping.  ``rates`` holds the desired mission rate at ``t``,
     at ``t + dt/2``, at ``t + dt`` and at the new sample time (rows 0, 1
-    and 2 of a column of ``_step_rates`` and row 0 of the next)."""
+    and 2 of a column of ``_step_rates`` and row 0 of the next), as 0-d
+    arrays or floats.  The four stage derivatives fill the rows of one
+    array."""
     cfg = world.config
     dt = cfg.dt
     t0, x, lap = world.t, world.x, world.laplacians[sigma - 1]
     rate_now, rate_mid, rate_end, rate_new = rates
+    half, full, two, sixth = world.rk4
     h = 0.5 * dt
-    k1 = _rhs(world, t0, x, lap, rate_now)
-    k2 = _rhs(world, t0 + h, x + h * k1, lap, rate_mid)
-    k3 = _rhs(world, t0 + h, x + h * k2, lap, rate_mid)
-    k4 = _rhs(world, t0 + dt, x + dt * k3, lap, rate_end)
-    x += dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)  # in place: the views follow
+    k = np.empty((4, len(x)))
+    k1 = _rhs(world, t0, x, lap, rate_now, k[0])
+    k2 = _rhs(world, t0 + h, x + half * k1, lap, rate_mid, k[1])
+    k3 = _rhs(world, t0 + h, x + half * k2, lap, rate_mid, k[2])
+    k4 = _rhs(world, t0 + dt, x + full * k3, lap, rate_end, k[3])
+    x += sixth * (k1 + two * k2 + two * k3 + k4)  # in place: the views follow
 
     world.step_idx += 1
     world.t = world.step_idx * dt
@@ -685,7 +716,12 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
             r_now, r_mid, r_end = _step_rates(
                 world.profile, k, min(RATE_BLOCK, n_steps - k), dt
             )
-        step(world, int(sigma[k]), (r_now[j], r_mid[j], r_end[j], r_now[j + 1]))
+        # each rate as a 0-d view: cheaper to operate on than a NumPy scalar
+        step(
+            world,
+            int(sigma[k]),
+            (r_now[j, ...], r_mid[j, ...], r_end[j, ...], r_now[j + 1, ...]),
+        )
         log_rates[k + 1], log_pos[k + 1] = rates_now, pos_now
         if world.all_arrived:
             break

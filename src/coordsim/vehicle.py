@@ -15,6 +15,16 @@ import numpy as np
 
 from ._einsum import einsum
 
+# The coefficients of pos_vel_all as read-only 0-d float64 arrays: an
+# operation on an array with one costs less than with a Python float, with
+# the same IEEE result.
+_DECAY, _THREE, _FIVE, _RATE = (np.array(c) for c in (-0.6, 3.0, 5.0, 1.8))
+for _c in (_DECAY, _THREE, _FIVE, _RATE):
+    _c.setflags(write=False)
+# 1 - 2**-50, exact in float64: the margin of saturate's squared-norm test
+_SQUARE_MARGIN = 1.0 - 2.0**-50
+_TINY = float(np.finfo(float).tiny)  # smallest normal float64
+
 
 class LaneSweepFamily:
     """Trajectory family: fly down-range at unit rate while a decaying
@@ -74,13 +84,14 @@ class LaneSweepFamily:
         hot path of the simulation loop), or of a stack, ``(..., n)``, each
         sample with the bits of a call on it alone; a last axis of 1 shares
         one time among all vehicles."""
-        env = np.exp(-0.6 * gammas)
+        env = np.exp(_DECAY * gammas)
         out = np.empty(gammas.shape[:-1] + (2, self.n, 3))
         out[...] = self._pos_vel
         pos, vel = out[..., 0, :, :], out[..., 1, :, :]
         pos[..., 0] = gammas
-        pos[..., 1] = self.offsets - env * (5.0 + 3.0 * gammas) * self.sines
-        vel[..., 1] = 1.8 * gammas * env * self.sines
+        # each lateral column is the output of its last operation: no temporary
+        np.subtract(self.offsets, env * (_FIVE + _THREE * gammas) * self.sines, pos[..., 1])
+        np.multiply(_RATE * gammas * env, self.sines, vel[..., 1])
         return pos, vel
 
 
@@ -99,8 +110,8 @@ def pf_control_all(
     """PD acceleration command of every vehicle toward its virtual target,
     ``kp e + kd (target_vel - v)`` row by row, where ``e = target_pos - p``
     is the path error, saturated to norm ``a_max`` with its direction
-    preserved."""
-    if kp <= 0 or kd <= 0 or a_max <= 0:
+    preserved.  The gains may be floats or 0-d float64 arrays."""
+    if float(kp) <= 0 or float(kd) <= 0 or float(a_max) <= 0:
         raise ValueError("pf gains and acceleration limit must be positive")
     u = kp * e + kd * (target_vel - v)
     saturate(u, a_max)
@@ -115,14 +126,32 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 def saturate(rows: np.ndarray, limit: float) -> None:
     """Scale in place every row of ``rows`` whose norm exceeds ``limit`` to
-    norm ``limit``, keeping its direction.  The factor
-    ``limit / max(norm, limit)`` is exactly 1.0 on a row under the limit,
-    so it is applied only when some norm is over it (or NaN).  The test
-    runs on a Python list: for a handful of rows that is cheaper than a
-    numpy reduction."""
-    norms = row_norms(rows)
-    if not all(norm <= limit for norm in norms.tolist()):
-        rows *= (limit / np.maximum(norms, limit))[:, None]
+    norm ``limit``, keeping its direction: each row is multiplied by
+    ``limit / max(norm, limit)``, the norm as ``row_norms`` takes it.
+
+    That factor is exactly 1.0 on a row with ``norm <= limit``, so the
+    multiply is skipped when every squared norm ``s`` (the row dot that
+    ``row_norms`` takes the root of) satisfies
+    ``s <= bound = fl(fl(limit*limit) * (1 - 2**-50))``.  While ``bound`` is
+    a normal float, each of its two roundings is within a relative
+    ``2**-53``, so ``bound < limit**2`` exactly; then ``sqrt(s) < limit``,
+    and the correctly rounded ``fl(sqrt(s))`` cannot exceed a positive
+    ``limit``.  A ``limit`` that is not positive, a ``bound`` that
+    overflows or falls below the normal range, and any NaN take the
+    norm-and-factor path: the sum of the squared norms is NaN exactly when
+    one of them is (none is negative), wherever Python's ``max`` stops."""
+    squares = einsum("...j,...j->...", rows, rows)
+    lim = float(limit)
+    bound = lim * lim * _SQUARE_MARGIN
+    listed = squares.tolist()
+    if (
+        lim > 0
+        and _TINY <= bound < math.inf
+        and max(listed, default=0.0) <= bound
+        and sum(listed) < math.inf
+    ):
+        return
+    rows *= (limit / np.maximum(np.sqrt(squares), limit))[:, None]
 
 
 def apply_disturbance(

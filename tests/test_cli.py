@@ -244,6 +244,17 @@ REFUSED = [
     ("mu_list", {"mu_list": [0.5] * 3}),
     ("phi0", {"phi0": [NAN, 1, 1, 1]}),
     ("vehicle", {"gusts": [{"vehicle": "1", "accel": [0, 1, 0], "window": [1, 2]}]}),
+    pytest.param(
+        "gusts[0].vehicle",
+        {"gusts": [{"vehicle": 9, "accel": [0, 1, 0], "window": [1, 2]}]},
+        id="gust-vehicle-outside-fleet",
+    ),
+    pytest.param(
+        "gusts[1].window",
+        {"gusts": [{"vehicle": 1, "accel": [0, 1, 0], "window": [1, 2]},
+                   {"vehicle": 2, "accel": [0, 1, 0], "window": [2, 1]}]},
+        id="gust-window-decreasing",
+    ),
     ("kp", {"kp": True}),
     ("traj_offsets", {"traj_offsets": [1, 2]}),
     ("ramp_start", {"ramp_start": NAN}),

@@ -337,6 +337,23 @@ class TestDwellTime:
         expected = math.log(1e4) / ((a / b) * norm_lbar)
         assert abs(cert.dwell_bound - expected) / expected <= 1e-4
 
+    @pytest.mark.parametrize(
+        "a, b, bound",
+        [
+            # a/b underflows to 0: every term divides by 0, as numpy does
+            (1e-300, 1e300, math.inf),
+            # a/b overflows to inf: every term is 0
+            (1e300, 1e-300, 0.0),
+            (1e-300, 1.0, float.fromhex("0x1.2056a351f20f1p+992")),
+            (1e300, 1.0, float.fromhex("0x1.02a20a5294f10p-1001")),
+        ],
+    )
+    def test_extreme_gain_ratio_bits(self, default_family, a, b, bound):
+        # the bounds numpy scalars gave before the refinement ran on Python
+        # floats, with no ZeroDivisionError where a denominator is 0
+        dwell = build_certificate(default_family, [0.2638] * 3, a, b).dwell_bound
+        assert type(dwell) is float and dwell.hex() == bound.hex()
+
     def test_monotone_in_gain_ratio(self, default_family):
         etas = [
             build_certificate(default_family, [0.2638] * 3, a, 1.82).dwell_bound

@@ -89,7 +89,7 @@ def accel(topology, gamma, gamma_dot, e_pf, traj_vel, gamma_dot_d, a, b, delta):
     """The coordination law as the simulation evaluates it."""
     alpha = path_error_feedback_all(traj_vel, e_pf, delta)
     lap = laplacian(topology).astype(float)
-    return coordination_accel_matrix(gamma, gamma_dot, lap, alpha, gamma_dot_d, a, b)
+    return coordination_accel_matrix(gamma, gamma_dot, lap, alpha, gamma_dot_d, a, -b)
 
 
 class TestCoordinationAccel:
@@ -153,11 +153,11 @@ class TestCoordinationAccel:
         scale = rng.choice([1e-6, 1.0, 1e3], (200, 1))
         gamma, gamma_dot, alpha = rng.normal(size=(3, 200, n)) * scale
         rate = rng.uniform(0.9, 1.2, (200, 1))
-        stack = coordination_accel_matrix(gamma, gamma_dot, lap, alpha, rate, 0.75, 1.82)
+        stack = coordination_accel_matrix(gamma, gamma_dot, lap, alpha, rate, 0.75, -1.82)
         assert stack.shape == (200, n)
         by_row = [
             coordination_accel_matrix(
-                gamma[k], gamma_dot[k], lap[k], alpha[k], rate[k, 0], 0.75, 1.82
+                gamma[k], gamma_dot[k], lap[k], alpha[k], rate[k, 0], 0.75, -1.82
             )
             for k in range(200)
         ]
@@ -166,7 +166,7 @@ class TestCoordinationAccel:
     def test_dimension_mismatch(self):
         lap = laplacian(Digraph(3)).astype(float)
         with pytest.raises(ValueError):
-            coordination_accel_matrix(np.zeros(2), np.ones(2), lap, np.zeros(2), 1.0, 1.0, 1.0)
+            coordination_accel_matrix(np.zeros(2), np.ones(2), lap, np.zeros(2), 1.0, 1.0, -1.0)
 
 
 class TestCoordinationError:
@@ -345,7 +345,7 @@ class TestCoordinationContraction:
             lap = laps[sigma[k] - 1]
 
             def law(g, gd):
-                return coordination_accel_matrix(g, gd, lap, zero_alpha, 1.0, a, b)
+                return coordination_accel_matrix(g, gd, lap, zero_alpha, 1.0, a, -b)
 
             k1g, k1d = gamma_dot, law(gamma, gamma_dot)
             k2g, k2d = gamma_dot + dt / 2 * k1d, law(

@@ -1,7 +1,9 @@
+import gc
 import hashlib
 import importlib.util
 import json
 import warnings
+import weakref
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -398,6 +400,33 @@ class TestWorldHoldsState:
         assert rhs_calls == [] and rate_calls == []
         log = run_scenario(cfg)
         assert len(log.t) == 38 and len(rhs_calls) == 4 * 37
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [default_directed_config, default_bidirectional_config],
+        ids=["directed", "baseline"],
+    )
+    def test_world_freed_by_reference_count(self, make_config, monkeypatch):
+        # a reference cycle through the world would keep every finished
+        # run's state alive until the cyclic collector runs
+        worlds = []
+
+        def init_and_watch(config):
+            world = init_world(config)
+            worlds.append(weakref.ref(world))
+            return world
+
+        monkeypatch.setattr(simharness, "init_world", init_and_watch)
+        gusts = [GustEvent(2, (0.0, 1.0, 0.0), (0.01, 0.03))]
+        cfg = make_config(t_max=0.05, pe_window=0.02, gusts=gusts)
+        gc.collect()
+        gc.disable()
+        try:
+            log = run_scenario(cfg)
+            assert len(worlds) == 1 and worlds[0]() is None
+        finally:
+            gc.enable()
+        assert len(log.t) == 51
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -826,7 +855,7 @@ class TestSetupPin:
             sigma = int(_topology_schedule(cfg, world.cert, 0)[0][0])
             lap = world.laplacians[sigma - 1]
             rate = _step_rates(world.profile, 0, 1, cfg.dt)[0, 0]
-            k1 = simharness._rhs(world, 0.0, world.x, lap, rate)
+            k1 = simharness._rhs(world, 0.0, world.x, lap, rate, np.empty_like(world.x))
             fam = cfg.trajectory_family()
             spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
             sha.update(world.laplacians.tobytes())

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coordsim.vehicle import LaneSweepFamily, apply_disturbance, pf_control_all, saturate
+from coordsim.vehicle import (
+    LaneSweepFamily,
+    apply_disturbance,
+    pf_control_all,
+    row_norms,
+    saturate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +213,38 @@ def branch_free(rows, limit):
     return rows * (limit / np.maximum(norms, limit))[:, None]
 
 
+@st.composite
+def rows_around_a_limit(draw):
+    """``(rows, limit)``: a limit of 1e-300, 1.3e-160, 1 or 1e300 (whose
+    square underflows to 0, is subnormal and rounded up, is exact or
+    overflows), and rows of norm exactly the limit or one ulp off it,
+    directions scaled to about the limit, signed zero, NaN and infinite
+    rows."""
+    limit = draw(st.sampled_from([1e-300, 1.3e-160, 1.0, 1e300]))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = [draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
+        axis = draw(st.integers(0, 2))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        # scaled rows weighted up, so that many draws have every row but a
+        # NaN under the limit, where the multiply is skipped
+        kind = draw(st.sampled_from(["axis", "scaled", "scaled", "scaled", "zero", "nan", "inf"]))
+        if kind == "axis":  # norm the limit, or one ulp above or below it
+            row[axis] = sign * math.nextafter(limit, draw(st.sampled_from([0.0, limit, math.inf])))
+        elif kind == "scaled":
+            direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+            norm = math.hypot(*direction)
+            scale = limit * draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) / (norm or 1.0)
+            row = [c * scale for c in direction]
+            row[axis] = math.nextafter(row[axis], draw(st.sampled_from([-math.inf, row[axis], math.inf])))
+        elif kind == "nan":
+            row[axis] = math.nan
+        elif kind == "inf":
+            row[axis] = sign * math.inf
+        rows.append(row)
+    return np.array(rows), limit
+
+
 class TestSaturate:
     # rows under, at (norm 5) and over the limit 5, with signed zeros
     UNDER = [[1.0, -2.0, 2.0], [-0.0, 0.0, -0.0], [0.0, -0.0, 4.999999999999999]]
@@ -231,6 +269,17 @@ class TestSaturate:
             expected = branch_free(rows, 5.0)
             saturate(rows, 5.0)
             assert rows.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400)
+    @given(case=rows_around_a_limit())
+    def test_same_bytes_as_unconditional_factor(self, case):
+        # the squared-norm test skips the multiply only where the factor is
+        # exactly 1.0; inf rows multiply inf by a factor of 0
+        rows, limit = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = rows * (limit / np.maximum(row_norms(rows), limit))[:, None]
+            saturate(rows, limit)
+        assert rows.tobytes() == expected.tobytes()
 
     def test_nan_row_scaled_as_branch_free(self):
         rows = np.array([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [0.0, 2.0, 0.0]])
