@@ -23,7 +23,6 @@ from .coordctrl import (
     coordination_error,
     feasibility_check,
     path_error_feedback_all,
-    smoothstep_profile,
 )
 from .digraph import (
     Digraph,

@@ -11,7 +11,7 @@ when all ``gamma_i`` agree and all rates match the desired rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,94 +20,44 @@ from .coordalg import ProjectionMatrix
 from .errors import ConfigError
 from .vehicle import row_norms
 
-# grid size of MissionRateProfile.validate's check of the declared bounds
-RATE_CHECK_SAMPLES = 10_000
-
 
 @dataclass(frozen=True)
 class MissionRateProfile:
-    """Desired mission rate ``rate(t)`` with its derivative and declared
-    bounds ``1 - rate_dev_max <= rate <= 1 + rate_dev_max`` and
-    ``|accel| <= accel_max``.
+    """Desired mission rate: constant ``base``, then one cubic-smoothstep
+    ramp to ``final`` over ``[ramp_start, ramp_start + ramp_duration]``.
 
-    ``rate`` and ``accel`` are array functions of time: given a float or an
-    array of times they return float64 arrays of the same shape, entry by
-    entry the value at that time, so a whole grid or a block of step times
-    costs one call."""
+    The ramp is monotone and C1: its acceleration peaks at ``1.5 |final -
+    base| / ramp_duration`` mid-ramp and vanishes at both ends.  ``rate``
+    takes a float or an array of times and returns a float64 array of
+    their shape, so a block of step times costs one call: exactly ``base``
+    up to ``ramp_start``, exactly ``final`` from the ramp's end on, and the
+    polynomial on the times inside the ramp only."""
 
-    rate: Callable[[np.ndarray], np.ndarray]
-    accel: Callable[[np.ndarray], np.ndarray]
-    rate_dev_max: float
-    accel_max: float
+    base: float
+    final: float
+    ramp_start: float
+    ramp_duration: float
+
+    def __post_init__(self) -> None:
+        if self.ramp_duration <= 0:
+            raise ConfigError("ramp_duration must be positive")
+
+    def rate(self, t) -> np.ndarray:
+        base, final = float(self.base), float(self.final)  # integer configs
+        t = np.asarray(t, dtype=float)
+        before = t <= self.ramp_start
+        inside = ~(before | (t >= self.ramp_start + self.ramp_duration))
+        out = np.where(before, base, final)
+        u = (t[inside] - self.ramp_start) / self.ramp_duration
+        out[inside] = base + (final - base) * (3.0 * u * u - 2.0 * u * u * u)
+        return out
 
     def validate(self, t_max: float) -> None:
-        """Check the declared bounds on ``RATE_CHECK_SAMPLES`` times evenly
-        spaced over ``[0, t_max]``; raises ConfigError."""
-        ts = np.linspace(0.0, t_max, RATE_CHECK_SAMPLES)
-        rates = np.broadcast_to(self.rate(ts), ts.shape)
-        rate_min, rate_max = rates.min(), rates.max()
-        accel_peak = np.abs(np.broadcast_to(self.accel(ts), ts.shape)).max()
-        lo, hi = 1.0 - self.rate_dev_max, 1.0 + self.rate_dev_max
-        if rate_min < lo - 1e-12 or rate_max > hi + 1e-12:
-            raise ConfigError(
-                f"mission rate leaves its declared band [{lo}, {hi}]: "
-                f"observed [{rate_min:.6g}, {rate_max:.6g}]"
-            )
-        if accel_peak > self.accel_max + 1e-12:
-            raise ConfigError(
-                f"mission rate acceleration exceeds declared bound {self.accel_max}: "
-                f"observed {accel_peak:.6g}"
-            )
-        if rate_min <= 0:
-            raise ConfigError("mission rate must stay positive")
-
-
-def smoothstep_profile(
-    base: float = 1.0,
-    final: float = 1.1,
-    ramp_start: float = 28.0,
-    ramp_duration: float = 8.0,
-) -> MissionRateProfile:
-    """Constant ``base`` rate, one cubic-smoothstep ramp to ``final``.
-
-    The ramp is C1: rate acceleration peaks at ``1.5 |final-base| /
-    ramp_duration`` mid-ramp and vanishes at both ends.  Times up to
-    ``ramp_start`` give exactly ``base``, times from the ramp's end on
-    exactly ``final``; the polynomial is evaluated on the times inside the
-    ramp only.
-    """
-    if ramp_duration <= 0:
-        raise ConfigError("ramp_duration must be positive")
-    base, final = float(base), float(final)  # integer configs: float outputs
-    delta = final - base
-    ramp_end = ramp_start + ramp_duration
-
-    def ramp(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(t as an array, times up to ramp_start, the in-ramp mask)``."""
-        t = np.asarray(t, dtype=float)
-        before = t <= ramp_start
-        return t, before, ~(before | (t >= ramp_end))
-
-    def rate(t) -> np.ndarray:
-        t, before, inside = ramp(t)
-        out = np.where(before, base, final)
-        u = (t[inside] - ramp_start) / ramp_duration
-        out[inside] = base + delta * (3.0 * u * u - 2.0 * u * u * u)
-        return out
-
-    def accel(t) -> np.ndarray:
-        t, _, inside = ramp(t)
-        out = np.zeros(t.shape)
-        u = (t[inside] - ramp_start) / ramp_duration
-        out[inside] = delta * 6.0 * u * (1.0 - u) / ramp_duration
-        return out
-
-    return MissionRateProfile(
-        rate=rate,
-        accel=accel,
-        rate_dev_max=max(abs(base - 1.0), abs(final - 1.0)),
-        accel_max=1.5 * abs(delta) / ramp_duration,
-    )
+        """Refuse a rate that is not positive on ``[0, t_max]``; raises
+        ConfigError.  The ramp is monotone, so the rate on ``[0, t_max]``
+        lies between its values at the two ends, and those two decide."""
+        if self.rate(np.array([0.0, t_max])).min() <= 0:
+            raise ConfigError(f"mission rate must stay positive on [0, {t_max}]")
 
 
 def path_error_feedback_all(

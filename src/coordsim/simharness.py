@@ -36,7 +36,7 @@ from .coordalg import (
     build_projection,
     reduced_laplacian,
 )
-from .coordctrl import MissionRateProfile, Violation, smoothstep_profile
+from .coordctrl import MissionRateProfile, Violation
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacians
 from .errors import ConfigError, check_finite
 from .vehicle import LaneSweepFamily, row_norms, saturate
@@ -45,6 +45,11 @@ MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
 # cap on t_max / dt: the per-step log is preallocated for the whole run
 MAX_STEPS = 1_000_000
+# RK4 multiplies the rate mode -b of the coordination law by
+# R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24 per step, z = -b dt; |R(z)| <= 1 on
+# the negative real axis down to the negative root of R(z) = 1, that is of
+# z^3 + 4 z^2 + 12 z + 24 = 0, so b dt must stay below its magnitude
+RK4_STABILITY_LIMIT = 2.785293563405282
 # cap on n in every mode: synthesis solves an (n-1)^2 x (n-1)^2 system, and
 # a run's preallocated log has 6 n + 3 columns
 MAX_SYNTHESIS_N = 40
@@ -201,7 +206,7 @@ class ScenarioConfig:
         )
 
     def mission_profile(self) -> MissionRateProfile:
-        return smoothstep_profile(
+        return MissionRateProfile(
             self.rate_base, self.rate_final, self.ramp_start, self.ramp_duration
         )
 
@@ -224,6 +229,11 @@ class ScenarioConfig:
         if self.t_max / self.dt > MAX_STEPS:
             raise ConfigError(
                 f"dt={self.dt} with t_max={self.t_max} needs more than {MAX_STEPS} steps"
+            )
+        if self.b * self.dt >= RK4_STABILITY_LIMIT:
+            raise ConfigError(
+                f"b={self.b} with dt={self.dt}: b*dt must stay below RK4's "
+                f"stability limit {RK4_STABILITY_LIMIT}"
             )
         if self.mode not in (MODE_DIRECTED, MODE_BIDIRECTIONAL):
             raise ConfigError(f"unknown mode {self.mode!r}")

@@ -261,6 +261,9 @@ REFUSED = [
     # integer literals beyond the float range
     pytest.param("dt", {"dt": 10**400}, id="dt-int-overflow"),
     pytest.param("kp", {"kp": 10**400}, id="kp-int-overflow"),
+    # b dt = 2.8, past RK4's stability limit 2.7853 on the rate mode -b: a
+    # run diverged instead
+    ("b", {"b": 2800}),
 ]
 
 
@@ -287,6 +290,7 @@ BASELINE_REFUSED = [
         "dt",
         {"t_max": 1e-307, "dt": 1e-310, "pe_window": 1e-310, "random_switch_period": 1e-310},
     ),
+    ("b", {"b": 2800}),
 ]
 
 
@@ -389,6 +393,12 @@ class TestRefusal:
         assert re.search(r"\bdt=", proc.stdout), proc.stdout
         assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("shipped", ["directed.json", "bidirectional.json"])
+    def test_b_dt_inside_rk4_limit_admitted(self, tmp_path, capsys, shipped):
+        # b dt = 2.78, just inside RK4's stability limit 2.7853
+        path = shipped_with(tmp_path, {"b": 2780}, shipped)
+        assert cli.main(["validate", "--config", path]) == 0, capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_phi0_refused(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib.util
 import json
+import math
 import warnings
 import weakref
 from dataclasses import fields, replace
@@ -16,6 +17,7 @@ from coordsim.coordctrl import MissionRateProfile, coordination_error
 from coordsim.digraph import Digraph
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
+    RK4_STABILITY_LIMIT,
     GustEvent,
     _check_finite,
     _step_rates,
@@ -83,6 +85,20 @@ class TestConfig:
         cfg = default_directed_config(dt=0.05)
         with pytest.raises(ConfigError, match="dwell"):
             init_world(cfg)
+
+    def test_b_dt_refused_from_the_rk4_stability_limit(self):
+        # RK4's growth factor on x' = -b x is 1 at z = -b dt = -limit, and
+        # inside (-1, 1) just above it
+        def growth(z):
+            return 1 + z + z * z / 2 + z**3 / 6 + z**4 / 24
+
+        z = -RK4_STABILITY_LIMIT
+        assert abs(growth(z) - 1) < 1e-14
+        assert abs(growth(z * (1 - 1e-9))) < 1 < abs(growth(z * (1 + 1e-9)))
+        for make in (default_directed_config, default_bidirectional_config):
+            with pytest.raises(ConfigError, match=r"b=.* dt="):
+                make(b=RK4_STABILITY_LIMIT, dt=1.0).validate()
+        default_directed_config(b=math.nextafter(RK4_STABILITY_LIMIT, 0), dt=1.0).validate()
 
     def test_every_numeric_field_declares_a_range(self):
         numeric = [
@@ -384,18 +400,19 @@ class TestWorldHoldsState:
         def forbidden(*args, **kwargs):
             raise AssertionError("init_world evaluated the topology schedule")
 
-        def counted_profile(config):
-            profile = ScenarioConfig.mission_profile(config)
-            return replace(profile, rate=lambda t: rate_calls.append(t) or profile.rate(t))
-
         cfg = make_config(t_max=0.037, pe_window=0.02)
+        rate = MissionRateProfile.rate
         with monkeypatch.context() as m:
             for name in ("schedule", "advance", "_argmin_quadratic"):
                 m.setattr(switchlaw, name, forbidden)
             m.setattr(simharness, "_topology_schedule", forbidden)
             # admission's own check of the profile is not set-up work
             m.setattr(MissionRateProfile, "validate", lambda self, t_max: None)
-            m.setattr(cfg, "mission_profile", lambda: counted_profile(cfg))
+            m.setattr(
+                MissionRateProfile,
+                "rate",
+                lambda self, t: rate_calls.append(t) or rate(self, t),
+            )
             init_world(cfg)
         assert rhs_calls == [] and rate_calls == []
         log = run_scenario(cfg)
