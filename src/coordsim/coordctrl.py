@@ -31,7 +31,8 @@ class MissionRateProfile:
     takes a float or an array of times and returns a float64 array of
     their shape, so a block of step times costs one call: exactly ``base``
     up to ``ramp_start``, exactly ``final`` from the ramp's end on, and the
-    polynomial on the times inside the ramp only."""
+    polynomial on the times inside the ramp only, clamped to
+    ``[min(base, final), max(base, final)]``."""
 
     base: float
     final: float
@@ -49,13 +50,17 @@ class MissionRateProfile:
         inside = ~(before | (t >= self.ramp_start + self.ramp_duration))
         out = np.where(before, base, final)
         u = (t[inside] - self.ramp_start) / self.ramp_duration
-        out[inside] = base + (final - base) * (3.0 * u * u - 2.0 * u * u * u)
+        ramp = base + (final - base) * (3.0 * u * u - 2.0 * u * u * u)
+        # near the ramp's end the smoothstep rounds to 1 or just above, and
+        # base + (final - base) need not round back into the band
+        out[inside] = ramp.clip(min(base, final), max(base, final))
         return out
 
     def validate(self, t_max: float) -> None:
         """Refuse a rate that is not positive on ``[0, t_max]``; raises
-        ConfigError.  The ramp is monotone, so the rate on ``[0, t_max]``
-        lies between its values at the two ends, and those two decide."""
+        ConfigError.  The ramp is monotone and clamped to its end values,
+        so the rate on ``[0, t_max]`` lies between its values at the two
+        ends, and those two decide."""
         if self.rate(np.array([0.0, t_max])).min() <= 0:
             raise ConfigError(f"mission rate must stay positive on [0, {t_max}]")
 

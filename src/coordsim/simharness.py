@@ -269,6 +269,11 @@ class ScenarioConfig:
                     f"gusts[{k}].vehicle: gust vehicle {g.vehicle} outside 1..{self.n}"
                 )
             _check_array(f"gusts[{k}].accel", g.accel, (3,))
+            # Python floats: an overflowing square is inf, with no warning
+            if not math.isfinite(sum(float(x) * float(x) for x in g.accel)):
+                raise ConfigError(
+                    f"gusts[{k}].accel: squared norm of {g.accel} overflows"
+                )
             _check_array(f"gusts[{k}].window", g.window, (2,))
             if g.window[0] >= g.window[1]:
                 raise ConfigError(

@@ -4,9 +4,9 @@ An auxiliary linear system ``phi' = -(a/b) Lbar_sigma phi`` decides the
 topology.  While its quadratic decay certificate
 ``phi^T H_sigma phi <= -mu_sigma lambda_max(P) phi^T phi`` holds, the
 active topology stays put; the first sampled violation triggers a switch
-to the topology minimizing ``phi^T H_i phi``.  The minimizing index always
-satisfies its own threshold (the ``H_i`` sum to ``-m I`` and every
-``mu_i lambda_max(P) < 1``), so one re-selection per violation suffices.
+to the exact argmin of ``phi^T H_i phi``, an exact tie going to the smallest
+index.  It meets its own threshold at every scale of ``phi`` (the ``H_i`` sum
+to ``-m I``, every ``mu_i lambda_max(P) < 1``): one re-selection suffices.
 
 The law reads nothing the vehicles do, so the whole switching signal is
 fixed by ``(cert, phi0, a, b, dt)``: :func:`schedule` computes it for every
@@ -28,20 +28,11 @@ import numpy as np
 from .coordalg import SwitchingCertificate
 from .errors import NumericError, check_finite
 
-# Quadratic-form values within this absolute tolerance of the minimum tie;
-# ties resolve to the smallest index.
-TIE_TOL = 1e-12
-
 
 def _argmin_quadratic(phi: np.ndarray, h_matrices) -> int:
-    """Smallest 1-based index minimizing ``phi^T H_i phi`` (ties within
-    ``TIE_TOL`` resolve to the smallest index)."""
-    values = [float(phi @ h @ phi) for h in h_matrices]
-    vmin = min(values)
-    for i, v in enumerate(values):
-        if v <= vmin + TIE_TOL:
-            return i + 1
-    raise AssertionError("unreachable")
+    """1-based exact argmin of ``phi^T H_i phi``, which meets its own
+    threshold at every scale; an exact tie goes to the smallest index."""
+    return int(np.argmin([float(phi @ h @ phi) for h in h_matrices])) + 1
 
 
 def advance(
@@ -103,14 +94,13 @@ def schedule(
         raise ValueError(f"dt must be positive, got {dt}")
     check_finite("phi", phi0, 0.0)
     mats = tuple(-(a / b) * lbar for lbar in cert.reduced_laplacians)
-    p = cert.p
     sigma = np.empty(n_steps + 1, dtype=np.int64)
     aux_v = np.empty(n_steps + 1)
     phi, sig = phi0, _argmin_quadratic(phi0, cert.h_matrices)
     for k in range(n_steps + 1):
         if k > 0:
             phi, sig = advance(phi, sig, mats, cert, dt)
-        v = float(phi @ p @ phi)
+        v = float(phi @ cert.p @ phi)
         if not math.isfinite(v):  # P > 0: a non-finite phi shows here
             check_finite("phi", phi, k * dt)
             raise NumericError(f"auxiliary energy phi^T P phi overflows at t={k * dt:.6g}")

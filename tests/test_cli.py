@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -264,6 +265,18 @@ REFUSED = [
     # b dt = 2.8, past RK4's stability limit 2.7853 on the rate mode -b: a
     # run diverged instead
     ("b", {"b": 2800}),
+    # gust accelerations whose squared norm overflows: the first ran into a
+    # non-finite velocity (exit 2), the second into a raw numpy warning
+    pytest.param(
+        "gusts[0].accel",
+        {"gusts": [{"vehicle": 1, "accel": [1e308, 1e308, 0], "window": [1, 2]}]},
+        id="gust-accel-1e308",
+    ),
+    pytest.param(
+        "gusts[0].accel",
+        {"gusts": [{"vehicle": 1, "accel": [1e160, 0, 0], "window": [1, 2]}]},
+        id="gust-accel-1e160",
+    ),
 ]
 
 
@@ -399,6 +412,16 @@ class TestRefusal:
         # b dt = 2.78, just inside RK4's stability limit 2.7853
         path = shipped_with(tmp_path, {"b": 2780}, shipped)
         assert cli.main(["validate", "--config", path]) == 0, capsys.readouterr().out
+
+    def test_large_finite_gust_runs_quietly(self, tmp_path, capsys):
+        # the squared norm of [1e150, 0, 0] is finite: admitted, and the run
+        # through the gust raises no numpy warning
+        gust = {"vehicle": 1, "accel": [1e150, 0, 0], "window": [0.5, 1.0]}
+        path = shipped_with(tmp_path, {"gusts": [gust], "t_max": 2.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 0, capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_phi0_refused(self, tmp_path, capsys, command):

@@ -422,8 +422,8 @@ class TestMissionRateProfile:
     # by about 2 ulp(max(base, final)) / h; the slack allows 4
     @settings(max_examples=200)
     @given(
-        base=st.floats(0.05, 20.0),
-        final=st.floats(0.05, 20.0),
+        base=st.floats(1e-300, 20.0),
+        final=st.floats(1e-300, 20.0),
         ramp_start=st.floats(-100.0, 100.0),
         ramp_duration=st.floats(1e-3, 100.0),
     )
@@ -431,7 +431,12 @@ class TestMissionRateProfile:
         p = MissionRateProfile(base, final, ramp_start, ramp_duration)
         ts = ramp_start + ramp_duration * np.linspace(-0.25, 1.25, 3001)
         rates = p.rate(ts)
-        assert min(base, final) <= rates.min() and rates.max() <= max(base, final)
+        # the band also on the 1,000 floats below the ramp's end, where the
+        # smoothstep rounds to 1 or just above
+        end = ramp_start + ramp_duration
+        edge = p.rate(end - np.spacing(end) * np.arange(1, 1001))
+        for r in (rates, edge):
+            assert min(base, final) <= r.min() and r.max() <= max(base, final)
         slopes = np.abs(np.diff(rates) / np.diff(ts))
         rounding = 4 * np.spacing(max(base, final)) / np.diff(ts).min()
         assert slopes.max() <= 1.5 * abs(final - base) / ramp_duration + rounding
