@@ -42,7 +42,7 @@ from .simharness import (
     run_scenario,
     write_outputs,
 )
-from .switchlaw import advance, schedule
+from .switchlaw import schedule
 from .vehicle import LaneSweepFamily, apply_disturbance, pf_control_all
 
 __version__ = "0.1.0"

@@ -210,12 +210,19 @@ class ScenarioConfig:
             self.rate_base, self.rate_final, self.ramp_start, self.ramp_duration
         )
 
-    def default_initial_positions(self, fam: LaneSweepFamily) -> np.ndarray:
-        # on the ground, two meters short of the trajectory start line
-        p0 = np.zeros((self.n, 3))
-        p0[:, 0] = -2.0
-        p0[:, 1] = fam.offsets
-        return p0
+    def initial_pos_vel(self, fam: LaneSweepFamily) -> tuple[np.ndarray, np.ndarray]:
+        """Initial positions and velocities, ``(n, 3)`` each: as configured,
+        else on the ground two meters short of the trajectory start line,
+        and at rest."""
+        if self.initial_positions is None:
+            p0 = np.zeros((self.n, 3))
+            p0[:, 0] = -2.0
+            p0[:, 1] = fam.offsets
+        else:
+            p0 = np.asarray(self.initial_positions, float)
+        if self.initial_velocities is None:
+            return p0, np.zeros((self.n, 3))
+        return p0, np.asarray(self.initial_velocities, float)
 
     # -- validation -----------------------------------------------------------
 
@@ -280,9 +287,22 @@ class ScenarioConfig:
                     f"gusts[{k}].window: gust window {g.window} must be increasing"
                 )
         self.mission_profile().validate(self.t_max)
+        fam = self.trajectory_family()
+        # the PD command kp e + kd (target_vel - v) of the first RK4 stage:
+        # vehicle.saturate scales a row whose squared norm overflows to zero
+        tp, tv = fam.pos_vel_all(np.zeros(self.n))
+        p0, v0 = self.initial_pos_vel(fam)
+        with np.errstate(over="ignore", invalid="ignore"):
+            up, ud = self.kp * (tp - p0), self.kd * (tv - v0)
+            norms = row_norms(np.concatenate([up, ud, up + ud]))
+        if not np.isfinite(norms).all():
+            term, i = divmod(int(np.argmin(np.isfinite(norms))), self.n)
+            raise ConfigError(
+                f"{('kp', 'kd', 'kp, kd')[term]}: the first PD command of vehicle {i + 1} "
+                f"(kp={self.kp}, kd={self.kd}) has a squared norm that overflows"
+            )
         # the convergence analysis wants delta above the spread of desired
         # speeds; warn (tuning hint), do not reject
-        fam = self.trajectory_family()
         spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
         if self.delta <= spread:
             warnings.warn(
@@ -477,15 +497,11 @@ def init_world(config: ScenarioConfig) -> SimWorld:
         laps.setflags(write=False)
 
     n = config.n
-    x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1, v = 0 unless configured
+    x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1
     x[n : 2 * n] = 1.0
-    x[2 * n : 5 * n] = np.ravel(
-        config.default_initial_positions(fam)
-        if config.initial_positions is None
-        else config.initial_positions
-    )
-    if config.initial_velocities is not None:
-        x[5 * n :] = np.ravel(config.initial_velocities)
+    p0, v0 = config.initial_pos_vel(fam)
+    x[2 * n : 5 * n] = p0.ravel()
+    x[5 * n :] = v0.ravel()
 
     return SimWorld(
         config=config,

@@ -5,6 +5,7 @@ scenarios are shared module-scoped fixtures so the whole suite stays
 within its runtime budget.
 """
 
+import hashlib
 import math
 import time
 
@@ -234,6 +235,35 @@ def test_switch_log_is_the_logged_sigma_changes(mode, directed_run, bidirectiona
         sigma, _ = schedule(np.array(PHI0), log.certificate, A, B, dt, int(round(60.0 / dt)))
         assert np.count_nonzero(np.diff(sigma)) == 46
         assert len(log.switch_log) == 37
+
+
+# sha256 of the output files of the two full shipped missions
+# (configs/directed.json and configs/bidirectional.json, which the fixtures
+# run), recorded while the switching law still integrated its auxiliary
+# system one staged RK4 step at a time
+MISSION_DIGESTS = {
+    "directed": {
+        "metrics.csv": "32435f72ce3f238b96e2028603b5169f9b63e6ae65167b2e29150037d8f0f0fb",
+        "switches.csv": "e9c7ab02b3948c5dfb11dcf007050eac058e1e4945c8c6aa6ac63eeabb3a783c",
+        "summary.json": "6290f13e170f7e27410f49ca752b6342424a0ecbf66bea8a2319f28a11e76edb",
+    },
+    "bidirectional": {
+        "metrics.csv": "fcbb80474b8c85d409ed0e7cfae8520a4b3f1ffc95645770be2b0c00bec99b10",
+        "switches.csv": "2e3cf8246639f8a765373168818e711855ee234184261f82c8f83a594129d44e",
+        "summary.json": "bc1afc44779abb8bd7ca6bec6957782e7cee910db3fc92e516cec1efbaf5751a",
+    },
+}
+
+
+@pytest.mark.parametrize("mode", sorted(MISSION_DIGESTS))
+def test_full_missions_pinned(mode, directed_run, bidirectional_run, tmp_path):
+    log = directed_run[0] if mode == "directed" else bidirectional_run
+    write_outputs(log, str(tmp_path))
+    digests = MISSION_DIGESTS[mode]
+    observed = {
+        f: hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in digests
+    }
+    assert observed == digests
 
 
 def test_criterion_09_integrator_order():

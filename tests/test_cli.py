@@ -277,6 +277,14 @@ REFUSED = [
         {"gusts": [{"vehicle": 1, "accel": [1e160, 0, 0], "window": [1, 2]}]},
         id="gust-accel-1e160",
     ),
+    # PD gains whose first-stage command overflows: kp = 1e308 ran into a
+    # non-finite gamma (exit 2) after raw numpy warnings; the others ran,
+    # with vehicle.saturate scaling every overflowing command to zero
+    pytest.param("kp", {"kp": 1e308}, id="kp-1e308"),
+    pytest.param("kp", {"kp": 1e200}, id="kp-1e200"),
+    pytest.param("kd", {"kd": 1e308}, id="kd-1e308"),
+    # each term's squared norm finite, their sum's not
+    pytest.param("kp, kd", {"kp": 2.5e153, "kd": 1e154}, id="kp-kd-sum"),
 ]
 
 
@@ -304,6 +312,7 @@ BASELINE_REFUSED = [
         {"t_max": 1e-307, "dt": 1e-310, "pe_window": 1e-310, "random_switch_period": 1e-310},
     ),
     ("b", {"b": 2800}),
+    ("kp", {"kp": 1e308}),
 ]
 
 
@@ -418,6 +427,15 @@ class TestRefusal:
         # through the gust raises no numpy warning
         gust = {"vehicle": 1, "accel": [1e150, 0, 0], "window": [0.5, 1.0]}
         path = shipped_with(tmp_path, {"gusts": [gust], "t_max": 2.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 0, capsys.readouterr().out
+
+    def test_large_finite_gains_run_quietly(self, tmp_path, capsys):
+        # every first-stage PD command has a finite squared norm: admitted,
+        # and the run raises no numpy warning
+        path = shipped_with(tmp_path, {"kp": 1e150, "kd": 1e150, "t_max": 2.0})
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             argv = ["run", "--config", path, "--out", str(tmp_path / "out")]

@@ -1,3 +1,6 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -6,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import random_jointly_connected_family
 from coordsim.coordalg import SwitchingCertificate, build_certificate, build_projection
 from coordsim.digraph import Digraph
-from coordsim.switchlaw import advance, schedule
+from coordsim.simharness import certify, load_config
+from coordsim.switchlaw import CHUNK, _powers, advance, schedule
 
 
 def make_cert(h_matrices, mu_list, lambda_max_p, n, reduced=None):
@@ -64,32 +68,33 @@ class TestInit:
 
 
 def run_law(cert, phi0, a, b, dt, t_end):
-    """The law stepped by hand with ``advance``: the final ``phi``, the
-    switch log and one ``(t, V, phi^T H_sigma phi, threshold, sigma)``
-    sample per step.  The per-step ``sigma`` and ``V`` must be those of
-    ``schedule``."""
+    """The law stepped by hand with ``advance``, chunk by chunk as
+    ``schedule`` steps it: the final ``phi``, the switch log and one
+    ``(t, V, phi^T H_sigma phi, threshold, sigma)`` sample per step.  V and
+    the threshold test's two forms are taken with the einsums of
+    ``schedule`` and ``advance``; at a switch, the argmin's own form and
+    threshold as ``_argmin_quadratic`` evaluates them.  The per-step
+    ``sigma`` and ``V`` must be those of ``schedule``."""
     n_steps = int(round(t_end / dt))
     sigma, aux_v = schedule(phi0, cert, a, b, dt, n_steps)
-    mats = tuple(-(a / b) * lbar for lbar in cert.reduced_laplacians)
+    powers = _powers(cert, a, b, dt, min(CHUNK, n_steps))
     phi, sig = np.asarray(phi0, float), int(sigma[0])
     switch_log, samples = [], []
-    for k in range(1, n_steps + 1):
-        t = k * dt
-        phi, new = advance(phi, sig, mats, cert, dt)
+    while len(samples) < n_steps:
+        phis, new = advance(phi, sig, powers[:, : n_steps - len(samples)], cert)
+        v = np.einsum("ki,ij,kj->k", phis, cert.p, phis)
+        quad = np.einsum("ki,ij,kj->k", phis, cert.h_matrices[sig - 1], phis)
+        norm2 = np.einsum("ki,ki->k", phis, phis)
+        threshold = -cert.mu_list[sig - 1] * cert.lambda_max_p * norm2
+        phi = phis[-1]
         if new != sig:
-            switch_log.append((t, sig, new))
-            sig = new
-        h = cert.h_matrices[sig - 1]
-        mu = cert.mu_list[sig - 1]
-        samples.append(
-            (
-                t,
-                float(phi @ cert.p @ phi),
-                float(phi @ h @ phi),
-                -mu * cert.lambda_max_p * float(phi @ phi),
-                sig,
-            )
-        )
+            switch_log.append(((len(samples) + len(phis)) * dt, sig, new))
+            quad[-1] = float(phi @ cert.h_matrices[new - 1] @ phi)
+            threshold[-1] = -cert.mu_list[new - 1] * cert.lambda_max_p * float(phi @ phi)
+        sigmas = [sig] * (len(phis) - 1) + [new]
+        for row in zip(v.tolist(), quad.tolist(), threshold.tolist(), sigmas):
+            samples.append(((len(samples) + 1) * dt, *row))
+        sig = new
     assert sigma.tolist() == [int(sigma[0])] + [s[4] for s in samples]
     assert aux_v.tolist() == [float(aux_v[0])] + [s[1] for s in samples]
     return phi, switch_log, samples
@@ -184,22 +189,46 @@ class TestAdvance:
             schedule(np.array([0.9, 1.7, 1.1, 0.1]), default_cert, 0.75, 1.82, 0.0, 1)
 
     def test_rk4_matches_linear_propagator(self, default_cert):
-        # one step of the generic RK4 equals the 4th-order Taylor propagator
-        # of the frozen linear system
-        dt = 1e-3
+        # advance's first sample, one power of the 4th-order Taylor
+        # propagator of the frozen linear system, equals one classical RK4
+        # step evaluated stage by stage
+        a, b, dt = 0.75, 1.82, 1e-3
         phi0 = np.array([0.9, 1.7, 1.1, 0.1])
         sigma = initial_index(phi0, default_cert)
-        mats = tuple(-(0.75 / 1.82) * lbar for lbar in default_cert.reduced_laplacians)
-        a_mat = -(0.75 / 1.82) * default_cert.reduced_laplacians[sigma - 1]
-        expected = (
-            np.eye(4)
-            + dt * a_mat
-            + dt**2 / 2 * a_mat @ a_mat
-            + dt**3 / 6 * a_mat @ a_mat @ a_mat
-            + dt**4 / 24 * a_mat @ a_mat @ a_mat @ a_mat
-        ) @ phi0
-        phi, _ = advance(phi0, sigma, mats, default_cert, dt)
-        assert np.allclose(phi, expected, atol=1e-15)
+        mat = -(a / b) * default_cert.reduced_laplacians[sigma - 1]
+        k1 = mat @ phi0
+        k2 = mat @ (phi0 + 0.5 * dt * k1)
+        k3 = mat @ (phi0 + 0.5 * dt * k2)
+        k4 = mat @ (phi0 + dt * k3)
+        expected = phi0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        phis, _ = advance(phi0, sigma, _powers(default_cert, a, b, dt, 1), default_cert)
+        assert phis.shape == (1, 4)
+        assert np.allclose(phis[0], expected, atol=1e-15)
+
+
+class TestSwitchTimeDrift:
+    """Switches take effect at step boundaries, so their times drift with
+    ``dt``: about first order, the k-th switch within ``k dt`` of its time
+    at a fine step.  Checked on the shipped directed family to its arrival
+    time; the plain ``k dt`` bound fails at ``dt`` 2e-3 (ratio 0.97) and
+    4e-3 (1.15), so it is asserted only at the shipped step and below."""
+
+    T_END = 48.942
+
+    def switches(self, cert, dt):
+        sigma, _ = schedule(
+            np.array([0.9, 1.7, 1.1, 0.1]), cert, 0.75, 1.82, dt, int(round(self.T_END / dt))
+        )
+        ks = np.flatnonzero(np.diff(sigma)) + 1
+        return ks * dt, [(int(sigma[k - 1]), int(sigma[k])) for k in ks]
+
+    @pytest.mark.parametrize("dt", [1e-3, 5e-4])
+    def test_kth_switch_within_k_steps(self, dt, default_cert):
+        ref_times, ref_pairs = self.switches(default_cert, 2.5e-4)
+        times, pairs = self.switches(default_cert, dt)
+        assert len(ref_pairs) == 37 and pairs == ref_pairs
+        k = np.arange(1, len(times) + 1)
+        assert np.all(np.abs(times - ref_times) <= k * dt)
 
 
 class TestRandomizedInvariants:
@@ -243,3 +272,47 @@ class TestRandomizedInvariants:
         # threshold too; so every sample does
         for _t, _v, quad, threshold, _sigma in samples:
             assert quad <= threshold
+
+
+def sigma_pin_cases():
+    """``(cert, phi0, a, b, dt, n_steps)`` of the schedules ``SIGMA_DIGEST``
+    pins: 40 seeded random jointly connected families (n 3-10, m 2-6, 2,000
+    steps of a tenth of the dwell bound), the 60,000 steps of
+    ``configs/directed.json``, and the ``a = 3`` schedule of
+    ``test_law_holds_at_small_scale``."""
+    rng = np.random.default_rng(1999)
+    a, b = 0.75, 1.82
+    for _ in range(40):
+        n, m = int(rng.integers(3, 11)), int(rng.integers(2, 7))
+        family = random_jointly_connected_family(rng, n=n, m=m)
+        lambda_max_p = build_certificate(family, [1e-9] * m, a, b).lambda_max_p
+        mu = float(rng.uniform(0.05, 0.95)) / lambda_max_p
+        cert = build_certificate(family, [mu] * m, a, b)
+        phi0 = rng.uniform(-2.0, 2.0, size=n - 1)
+        yield cert, phi0, a, b, cert.dwell_bound / 10, 2000
+    config = load_config(str(Path(__file__).resolve().parents[1] / "configs" / "directed.json"))
+    n_steps = int(round(config.t_max / config.dt))
+    yield certify(config), np.array(config.phi0), config.a, config.b, config.dt, n_steps
+    cert = build_certificate(config.topology_family, [0.2638] * 3, 3.0, 1.82)
+    dt = cert.dwell_bound / 10
+    yield cert, np.array(config.phi0), 3.0, 1.82, dt, int(round(100.0 / dt))
+
+
+# sha256 of the sigma arrays of sigma_pin_cases, recorded with the law that
+# integrated the auxiliary system one staged RK4 step at a time: the
+# schedule's topology at every step boundary is part of every directed run,
+# so this is never re-recorded
+SIGMA_DIGEST = "56f229a683bc47fcf230b2fc2ca5fe020486df80470a6369cec740eca12f9404"
+
+
+class TestSigmaPin:
+    def test_sigma_bits_pinned(self):
+        h = hashlib.sha256()
+        switches = []
+        for cert, phi0, a, b, dt, n_steps in sigma_pin_cases():
+            sigma, _ = schedule(phi0, cert, a, b, dt, n_steps)
+            h.update(sigma.astype("<i8").tobytes())
+            switches.append(int(np.count_nonzero(np.diff(sigma))))
+        assert len(switches) == 42
+        assert switches[-2:] == [46, 317]
+        assert h.hexdigest() == SIGMA_DIGEST
