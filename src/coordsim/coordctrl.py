@@ -18,7 +18,6 @@ import numpy as np
 from ._einsum import einsum
 from .coordalg import ProjectionMatrix
 from .errors import ConfigError
-from .vehicle import row_norms
 
 
 @dataclass(frozen=True)
@@ -66,18 +65,26 @@ class MissionRateProfile:
 
 
 def path_error_feedback_all(
-    traj_velocities: np.ndarray, e_pf_all: np.ndarray, delta: float
+    errors_velocities: np.ndarray, delta: float, out: np.ndarray | None = None
 ) -> np.ndarray:
     """Feedback of each vehicle's path-following error on its virtual-time
     acceleration: the error component along the desired velocity ``v_i``,
     scaled by ``|v_i| / (|v_i| + delta) < 1``, so its magnitude never
-    exceeds ``|e_i|``.  Rows are independent: every row of an ``(n, 3)``
-    sample or an ``(..., n, 3)`` stack has the bits of a call on it alone.
-    ``delta`` may be a float or a 0-d float64 array."""
+    exceeds ``|e_i|``.
+
+    ``errors_velocities`` stacks the path errors and the desired
+    velocities, ``[e | v]``, shape ``(2, n, 3)`` for one sample or
+    ``(2, ..., n, 3)`` for a stack; one row dot of both against ``v``
+    gives ``e . v`` and ``|v|^2``.  Rows are independent: every row has
+    the bits of a call on it alone.  ``delta`` may be a float or a 0-d
+    float64 array.  The result, ``(..., n)``, is written into ``out`` when
+    given, and returned."""
     if float(delta) <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    dots = einsum("...j,...j->...", traj_velocities, e_pf_all)
-    return dots / (row_norms(traj_velocities) + delta)
+    dots = einsum("k...ij,...ij->k...i", errors_velocities, errors_velocities[1])
+    norms = dots[1]
+    np.add(np.sqrt(norms, norms), delta, norms)
+    return np.divide(dots[0], norms, out)
 
 
 def coordination_accel_matrix(
@@ -88,6 +95,7 @@ def coordination_accel_matrix(
     gamma_dot_d: float | np.ndarray,
     a: float | np.ndarray,
     neg_b: float | np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix form of the coordination law:
     ``-b (rate error) - a L gamma - alpha``, given the rate gain negated,
@@ -96,9 +104,16 @@ def coordination_accel_matrix(
     only on vehicle ``i``'s in-neighbors.  One sample, shape ``(n,)``, or a
     stack, ``(..., n)``, with one Laplacian or one per sample: each sample
     costs one matrix-vector product, so its bits do not depend on the stack
-    it is in."""
-    consensus = np.matmul(lap, gamma[..., None])[..., 0]
-    return neg_b * (gamma_dot - gamma_dot_d) - a * consensus - alpha
+    it is in.  The result is written into ``out`` when given, which first
+    holds the consensus term, and returned."""
+    if out is None:
+        out = np.matmul(lap, gamma[..., None])[..., 0]
+    else:
+        np.matmul(lap, gamma[..., None], out[..., None])
+    np.multiply(a, out, out)
+    rate_term = np.multiply(neg_b, np.subtract(gamma_dot, gamma_dot_d))
+    np.subtract(rate_term, out, out)
+    return np.subtract(out, alpha, out)
 
 
 def coordination_error(

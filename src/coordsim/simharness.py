@@ -226,9 +226,10 @@ class ScenarioConfig:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[LaneSweepFamily, MissionRateProfile]:
         """Raise ConfigError, naming the field, on the first violated
-        precondition."""
+        precondition; return the trajectory family and the mission-rate
+        profile it admitted, which the run then uses."""
         for name, kind, lo, hi in _RANGE_FIELDS:
             _check_number(name, getattr(self, name), kind, lo, hi)
         if self.n > MAX_SYNTHESIS_N:  # refused before anything is sized by n
@@ -286,7 +287,8 @@ class ScenarioConfig:
                 raise ConfigError(
                     f"gusts[{k}].window: gust window {g.window} must be increasing"
                 )
-        self.mission_profile().validate(self.t_max)
+        profile = self.mission_profile()
+        profile.validate(self.t_max)
         fam = self.trajectory_family()
         # the PD command kp e + kd (target_vel - v) of the first RK4 stage:
         # vehicle.saturate scales a row whose squared norm overflows to zero
@@ -309,6 +311,7 @@ class ScenarioConfig:
                 f"delta={self.delta} does not exceed the desired-speed spread "
                 f"{spread:.3g}; convergence margins may shrink"
             )
+        return fam, profile
 
 
 # (name, type, lo, hi) of each ranged numeric field, checked first by validate
@@ -398,6 +401,21 @@ def _topology_schedule(
 # ---------------------------------------------------------------------------
 
 
+def _split(state: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
+    """Views of the packed ``8 n`` array ``state = [gamma | gamma_dot | p |
+    v]``, or of a derivative row in the same layout, or of a stack of them
+    (``(..., 8 n)``): ``gamma``, ``gamma_dot``, ``gamma_dot`` as an
+    ``(n, 1)`` column, and ``p`` and ``v`` as ``(n, 3)`` rows."""
+    gamma_dot, rows = state[..., n : 2 * n], state.shape[:-1] + (n, 3)
+    return (
+        state[..., :n],
+        gamma_dot,
+        gamma_dot[..., None],
+        state[..., 2 * n : 5 * n].reshape(rows),
+        state[..., 5 * n :].reshape(rows),
+    )
+
+
 @dataclass
 class SimWorld:
     """Mutable state of one run plus the immutable objects it needs.
@@ -411,7 +429,20 @@ class SimWorld:
     float64 arrays: an operation on an array with one costs less than with
     a Python float or a NumPy scalar, with the same IEEE result.  They are
     the gains ``kp``, ``kd``, ``a``, ``neg_b`` (``-b``) and ``delta``, and
-    ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step."""
+    ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step.
+
+    A step writes the arrays it forms into one workspace, also built once:
+    ``stage``, the state at which a stage is evaluated, and ``k``, the four
+    stage derivatives, which the RK4 combination then sums in place (the
+    rows of one ``(5, 8 n)`` block); ``pe``, the ``(2, n, 3)`` stack
+    ``[path error | desired velocity]`` of a stage (``pe_rows`` its two
+    rows), and ``alpha``, its ``n`` path-error feedbacks.  ``x_views``,
+    ``stage_views`` and ``k_views`` (one per row of ``k``) are the
+    ``_split`` views of those arrays, taken once per run and handed to
+    ``_rhs`` by ``step``.  A stage hands these buffers to the kernels
+    as ``out``; what it still allocates before arrival are the kernels'
+    inner temporaries: the row dots, the rate term of the coordination
+    law, ``kp e`` and the squared norms of the saturation test."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -436,11 +467,27 @@ class SimWorld:
     neg_b: np.ndarray = field(init=False, repr=False)
     delta: np.ndarray = field(init=False, repr=False)
     rk4: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    # workspace
+    stage: np.ndarray = field(init=False, repr=False)
+    k: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    pe: np.ndarray = field(init=False, repr=False)
+    pe_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
+    alpha: np.ndarray = field(init=False, repr=False)
+    x_views: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    stage_views: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    k_views: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         x, cfg, n = self.x, self.config, self.config.n
-        self.gamma, self.gamma_dot = x[:n], x[n : 2 * n]
-        self.p, self.v = x[2 * n : 5 * n].reshape(n, 3), x[5 * n :].reshape(n, 3)
+        # one block: the stage state, then the four stage derivatives
+        block = np.empty((5, 8 * n))
+        rows, row_views = tuple(block), tuple(zip(*_split(block, n)))
+        self.stage, self.k = rows[0], rows[1:]
+        self.stage_views, self.k_views = row_views[0], row_views[1:]
+        self.x_views = _split(x, n)
+        self.gamma, self.gamma_dot, _, self.p, self.v = self.x_views
+        self.pe, self.alpha = np.empty((2, n, 3)), np.empty(n)
+        self.pe_rows = tuple(self.pe)
         self.kp, self.kd, self.a, self.neg_b, self.delta = (
             np.array(c, dtype=float) for c in (cfg.kp, cfg.kd, cfg.a, -cfg.b, cfg.delta)
         )
@@ -452,17 +499,14 @@ class SimWorld:
         return self.any_arrived and bool(self.arrived.all())
 
 
-def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
-    """Admit ``config`` or raise ConfigError naming the field: run
-    ``validate``, then, for a directed scenario with ``n >= 2``, synthesize
-    its certificate and check the inputs only it can judge (every ``mu_i``
-    inside ``(0, 1/lambda_max(P))``, ``dt <= dwell_bound / 10``, and
-    ``phi0^T phi0``, ``phi0^T P phi0`` and every ``phi0^T H_i phi0``
-    finite, which the switching law evaluates).  Returns the certificate,
-    or None when the scenario has none."""
-    config.validate()
+def _admit(
+    config: ScenarioConfig,
+) -> tuple[SwitchingCertificate | None, LaneSweepFamily, MissionRateProfile]:
+    """``(certificate, trajectory family, mission-rate profile)`` of an
+    admitted ``config``; see ``certify``."""
+    fam, profile = config.validate()
     if config.mode != MODE_DIRECTED or config.n < 2:
-        return None
+        return None, fam, profile
     try:
         cert = build_certificate(
             config.topology_family, config.mu_list, config.a, config.b
@@ -482,14 +526,25 @@ def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
             f"phi0={config.phi0!r} is too large: the quadratic forms of the "
             "switching law overflow"
         )
-    return cert
+    return cert, fam, profile
+
+
+def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
+    """Admit ``config`` or raise ConfigError naming the field: run
+    ``validate``, then, for a directed scenario with ``n >= 2``, synthesize
+    its certificate and check the inputs only it can judge (every ``mu_i``
+    inside ``(0, 1/lambda_max(P))``, ``dt <= dwell_bound / 10``, and
+    ``phi0^T phi0``, ``phi0^T P phi0`` and every ``phi0^T H_i phi0``
+    finite, which the switching law evaluates).  Returns the certificate,
+    or None when the scenario has none."""
+    return _admit(config)[0]
 
 
 def init_world(config: ScenarioConfig) -> SimWorld:
-    """The state of a run at ``t = 0`` and the objects its steps read; the
-    topology and the desired rate of each step are handed to ``step``."""
-    cert = certify(config)
-    fam = config.trajectory_family()
+    """The state of a run at ``t = 0``, the objects its steps read and the
+    workspace they write; the topology and the desired rate of each step
+    are handed to ``step``."""
+    cert, fam, profile = _admit(config)
     if cert is not None:
         laps = cert.laplacians
     else:
@@ -506,7 +561,7 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     return SimWorld(
         config=config,
         fam=fam,
-        profile=config.mission_profile(),
+        profile=profile,
         laplacians=laps,
         cert=cert,
         gusts=[
@@ -533,18 +588,6 @@ def _check_finite(world: SimWorld) -> None:
         check_finite(name, arr, world.t)
 
 
-def _coordination(world: SimWorld, gamma, gamma_dot, p, lap, rate):
-    """``(path errors, desired velocities, virtual-time accelerations)`` of
-    one sample of the state, or of a stack with a Laplacian and a desired
-    mission rate per sample."""
-    tp, tv = world.fam.pos_vel_all(gamma)
-    e = tp - p
-    alpha = coordctrl.path_error_feedback_all(tv, e, world.delta)
-    return e, tv, coordctrl.coordination_accel_matrix(
-        gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b
-    )
-
-
 def _rhs(
     world: SimWorld,
     t: float,
@@ -552,27 +595,40 @@ def _rhs(
     lap: np.ndarray,
     rate: np.ndarray,
     out: np.ndarray,
+    x_views: tuple[np.ndarray, ...] | None = None,
+    out_views: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """Coupled smooth dynamics ``x'`` of the packed state ``x`` at time
     ``t`` under the topology with Laplacian ``lap`` and the desired mission
     rate ``rate``, written into ``out`` (``8 n`` floats) and returned; the
-    virtual time of an arrived vehicle is held (its derivatives are 0)."""
-    cfg = world.config
-    n = cfg.n
-    gamma, gamma_dot, v_flat = x[:n], x[n : 2 * n], x[5 * n :]
-    p = x[2 * n : 5 * n].reshape(n, 3)
-    e, tv, gamma_ddot = _coordination(world, gamma, gamma_dot, p, lap, rate)
+    virtual time of an arrived vehicle is held (its derivatives are 0).
+    ``x_views`` and ``out_views`` are ``_split(x, n)`` and ``_split(out,
+    n)``; ``step`` passes the workspace's, taken at set-up, and they are
+    taken here when omitted."""
+    n = world.config.n
+    gamma, gamma_dot, gamma_dot_col, p, v = x_views or _split(x, n)
+    d_gamma, d_gamma_dot, _, d_p, d_v = out_views or _split(out, n)
+    e, tv = world.pe_rows
+    world.fam.pos_vel_all(gamma, world.pe)
+    np.subtract(e, p, e)
+    alpha = coordctrl.path_error_feedback_all(world.pe, world.delta, world.alpha)
+    gamma_ddot = coordctrl.coordination_accel_matrix(
+        gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b, d_gamma_dot
+    )
     if world.any_arrived:
         gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
+        gamma_dot_col = gamma_dot[:, None]
         gamma_ddot[world.arrived] = 0.0
-    target_vel = tv * gamma_dot[:, None]
-    u = vehicle.pf_control_all(
-        e, v_flat.reshape(n, 3), target_vel, world.kp, world.kd, cfg.accel_limit
-    )
+    # the target velocity is formed in the command's slot, which it
+    # becomes, from the rates spread over the rows of the velocity slot
+    # (v is copied there last): a same-shape multiply, not a broadcast one
+    d_p[...] = gamma_dot_col
+    np.multiply(tv, d_p, d_v)
+    u = vehicle.pf_control_all(e, v, d_v, world.kp, world.kd, world.config.accel_limit, d_v)
     for row, gvec, window in world.gusts:
         u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-    out[:n], out[n : 2 * n], out[2 * n : 5 * n] = gamma_dot, gamma_ddot, v_flat
-    out[5 * n :] = u.ravel()
+    d_gamma[...] = gamma_dot
+    d_p[...] = v
     return out
 
 
@@ -596,20 +652,29 @@ def step(
     arrival clamping.  ``rates`` holds the desired mission rate at ``t``,
     at ``t + dt/2``, at ``t + dt`` and at the new sample time (rows 0, 1
     and 2 of a column of ``_step_rates`` and row 0 of the next), as 0-d
-    arrays or floats.  The four stage derivatives fill the rows of one
-    array."""
+    arrays or floats.  Each stage state and the combination are formed in
+    the world's workspace."""
     cfg = world.config
     dt = cfg.dt
-    t0, x, lap = world.t, world.x, world.laplacians[sigma - 1]
+    t0, x, stage, lap = world.t, world.x, world.stage, world.laplacians[sigma - 1]
+    k1, k2, k3, k4 = world.k
+    x_views, stage_views = world.x_views, world.stage_views
+    kv1, kv2, kv3, kv4 = world.k_views
     rate_now, rate_mid, rate_end, rate_new = rates
     half, full, two, sixth = world.rk4
     h = 0.5 * dt
-    k = np.empty((4, len(x)))
-    k1 = _rhs(world, t0, x, lap, rate_now, k[0])
-    k2 = _rhs(world, t0 + h, x + half * k1, lap, rate_mid, k[1])
-    k3 = _rhs(world, t0 + h, x + half * k2, lap, rate_mid, k[2])
-    k4 = _rhs(world, t0 + dt, x + full * k3, lap, rate_end, k[3])
-    x += sixth * (k1 + two * k2 + two * k3 + k4)  # in place: the views follow
+    _rhs(world, t0, x, lap, rate_now, k1, x_views, kv1)
+    np.add(x, np.multiply(half, k1, stage), stage)
+    _rhs(world, t0 + h, stage, lap, rate_mid, k2, stage_views, kv2)
+    np.add(x, np.multiply(half, k2, stage), stage)
+    _rhs(world, t0 + h, stage, lap, rate_mid, k3, stage_views, kv3)
+    np.add(x, np.multiply(full, k3, stage), stage)
+    _rhs(world, t0 + dt, stage, lap, rate_end, k4, stage_views, kv4)
+    # x += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
+    np.add(k1, np.multiply(two, k2, k2), k1)
+    np.add(k1, np.multiply(two, k3, k3), k1)
+    np.add(k1, k4, k1)
+    np.add(x, np.multiply(sixth, k1, k1), x)  # in place: the views follow
 
     world.step_idx += 1
     world.t = world.step_idx * dt
@@ -790,10 +855,15 @@ def _measure(world: SimWorld, table: np.ndarray, q) -> list[Violation]:
         gamma, gamma_dot = block[:, 3 : 3 + n], block[:, 3 + n : 3 + 2 * n]
         lap = world.laplacians[block[:, 1].astype(int) - 1]
         p = block[:, 3 + 3 * n :].reshape(-1, n, 3)
-        e, _, gamma_ddot = _coordination(world, gamma, gamma_dot, p, lap, rate)
+        pe = world.fam.pos_vel_all(gamma)
+        np.subtract(pe[0], p, pe[0])  # [path errors | desired velocities]
+        alpha = coordctrl.path_error_feedback_all(pe, world.delta)
+        gamma_ddot = coordctrl.coordination_accel_matrix(
+            gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b
+        )
         block[:, 0] = t
         block[:, 2] = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]
-        block[:, 3 + 2 * n : 3 + 3 * n] = row_norms(e)
+        block[:, 3 + 2 * n : 3 + 3 * n] = row_norms(pe[0])
         flying = gamma < cfg.t_f  # the logged state is finite
         violations += coordctrl.feasibility_check(gamma_dot, gamma_ddot, bounds, t, flying)
     return violations

@@ -45,12 +45,17 @@ def _argmin_quadratic(phi: np.ndarray, h_matrices) -> int:
 
 def _powers(cert: SwitchingCertificate, a: float, b: float, dt: float, k: int) -> np.ndarray:
     """``(m, k, n-1, n-1)`` stack of ``T_i^1 .. T_i^k``, ``T_i`` one RK4 step
-    of ``phi' = -(a/b) Lbar_i phi``, built by doubling."""
+    of ``phi' = -(a/b) Lbar_i phi``, built by doubling in place: the last
+    power held times the first ones, as many as are still missing."""
     z = -(a / b) * dt * np.array(cert.reduced_laplacians)
     eye = np.eye(cert.n - 1)
-    powers = (eye + z @ (eye + z @ (eye + z @ (eye + z / 4) / 3) / 2))[:, None]
-    while powers.shape[1] < k:
-        powers = np.concatenate([powers, powers[:, -1:] @ powers], axis=1)
+    powers = np.empty((len(z), max(k, 1)) + eye.shape)
+    powers[:, 0] = eye + z @ (eye + z @ (eye + z @ (eye + z / 4) / 3) / 2)
+    held = 1
+    while held < k:
+        more = min(held, k - held)
+        np.matmul(powers[:, held - 1 : held], powers[:, :more], powers[:, held : held + more])
+        held += more
     return powers[:, :k]
 
 

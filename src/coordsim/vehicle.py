@@ -50,7 +50,7 @@ class LaneSweepFamily:
         self.n = len(self.offsets)
         # (position, velocity) rows with the columns that do not depend on
         # gamma: altitude 2, down-range rate 1, climb rate 0
-        self._pos_vel = np.array([[[0.0, 0.0, 2.0]], [[1.0, 0.0, 0.0]]])
+        self._pos_vel = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
         self._pos_vel.setflags(write=False)
 
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
@@ -78,21 +78,33 @@ class LaneSweepFamily:
         vy2 = vy * vy
         return math.sqrt(1.0 + float(vy2.max())) - math.sqrt(1.0 + float(vy2.min()))
 
-    def pos_vel_all(self, gammas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Position and velocity, shape ``gammas.shape + (3,)``, at the
-        float64 virtual times ``gammas`` of one sample, shape ``(n,)`` (the
-        hot path of the simulation loop), or of a stack, ``(..., n)``, each
-        sample with the bits of a call on it alone; a last axis of 1 shares
-        one time among all vehicles."""
-        env = np.exp(_DECAY * gammas)
-        out = np.empty(gammas.shape[:-1] + (2, self.n, 3))
-        out[...] = self._pos_vel
-        pos, vel = out[..., 0, :, :], out[..., 1, :, :]
-        pos[..., 0] = gammas
-        # each lateral column is the output of its last operation: no temporary
-        np.subtract(self.offsets, env * (_FIVE + _THREE * gammas) * self.sines, pos[..., 1])
-        np.multiply(_RATE * gammas * env, self.sines, vel[..., 1])
-        return pos, vel
+    def pos_vel_all(self, gammas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Positions and velocities ``[pos | vel]``, shape
+        ``(2,) + gammas.shape[:-1] + (n, 3)``, so ``pos, vel = ...``
+        unpacks them, at the float64 virtual times ``gammas`` of one
+        sample, shape ``(n,)`` (the hot path of the simulation loop), or of
+        a stack, ``(..., n)``, each sample with the bits of a call on it
+        alone; a last axis of 1 shares one time among all vehicles.
+
+        The result is written into ``out`` when given, and returned; its
+        down-range position column holds the envelope ``exp(-0.6 gamma)``
+        until the last write, so no temporary is allocated."""
+        if out is None:
+            out = np.empty((2,) + gammas.shape[:-1] + (self.n, 3))
+        out.swapaxes(0, -2)[...] = self._pos_vel
+        env, lat, rate = out[0, ..., 0], out[0, ..., 1], out[1, ..., 1]
+        np.exp(np.multiply(_DECAY, gammas, env), env)
+        # offsets - env (5 + 3 gamma) sin, then 1.8 gamma env sin
+        np.multiply(_THREE, gammas, lat)
+        np.add(_FIVE, lat, lat)
+        np.multiply(env, lat, lat)
+        np.multiply(lat, self.sines, lat)
+        np.subtract(self.offsets, lat, lat)
+        np.multiply(_RATE, gammas, rate)
+        np.multiply(rate, env, rate)
+        np.multiply(rate, self.sines, rate)
+        env[...] = gammas
+        return out
 
 
 def _lateral_rate(g: np.ndarray) -> np.ndarray:  # per unit sin(angle)
@@ -106,16 +118,22 @@ def pf_control_all(
     kp: float,
     kd: float,
     a_max: float,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """PD acceleration command of every vehicle toward its virtual target,
     ``kp e + kd (target_vel - v)`` row by row, where ``e = target_pos - p``
     is the path error, saturated to norm ``a_max`` with its direction
-    preserved.  The gains may be floats or 0-d float64 arrays."""
+    preserved.  One sample, ``(n, 3)``, or a stack, ``(..., n, 3)``.  The
+    gains may be floats or 0-d float64 arrays.  The command is written
+    into ``out`` when given (it may be ``target_vel`` itself), and
+    returned."""
     if float(kp) <= 0 or float(kd) <= 0 or float(a_max) <= 0:
         raise ValueError("pf gains and acceleration limit must be positive")
-    u = kp * e + kd * (target_vel - v)
-    saturate(u, a_max)
-    return u
+    out = np.subtract(target_vel, v, out)
+    np.multiply(kd, out, out)
+    np.add(np.multiply(kp, e), out, out)
+    saturate(out, a_max)
+    return out
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -125,9 +143,11 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def saturate(rows: np.ndarray, limit: float) -> None:
-    """Scale in place every row of ``rows`` whose norm exceeds ``limit`` to
-    norm ``limit``, keeping its direction: each row is multiplied by
-    ``limit / max(norm, limit)``, the norm as ``row_norms`` takes it.
+    """Scale in place every row of ``rows``, ``(..., 3)``, whose norm
+    exceeds ``limit`` to norm ``limit``, keeping its direction: each row is
+    multiplied by ``limit / max(norm, limit)``, the norm as ``row_norms``
+    takes it, so every row of a stack has the bits of a call on its own
+    sample.
 
     That factor is exactly 1.0 on a row with ``norm <= limit``, so the
     multiply is skipped when every squared norm ``s`` (the row dot that
@@ -143,7 +163,7 @@ def saturate(rows: np.ndarray, limit: float) -> None:
     squares = einsum("...j,...j->...", rows, rows)
     lim = float(limit)
     bound = lim * lim * _SQUARE_MARGIN
-    listed = squares.tolist()
+    listed = squares.ravel().tolist()
     if (
         lim > 0
         and _TINY <= bound < math.inf
@@ -151,7 +171,7 @@ def saturate(rows: np.ndarray, limit: float) -> None:
         and sum(listed) < math.inf
     ):
         return
-    rows *= (limit / np.maximum(np.sqrt(squares), limit))[:, None]
+    rows *= (limit / np.maximum(np.sqrt(squares), limit))[..., None]
 
 
 def apply_disturbance(

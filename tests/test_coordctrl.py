@@ -33,10 +33,11 @@ class TestState:
 class TestPathErrorFeedback:
     def test_zero_error(self):
         v = np.array([[1.0, 2, 3], [0.0, 0, 0]])
-        assert np.array_equal(path_error_feedback_all(v, np.zeros((2, 3)), 1.2), [0.0, 0.0])
+        alpha = path_error_feedback_all(np.stack((np.zeros((2, 3)), v)), 1.2)
+        assert np.array_equal(alpha, [0.0, 0.0])
 
     def test_direct_substitution(self):
-        value = path_error_feedback_all(np.array([[1.0, 0, 0]]), np.array([[1.0, 0, 0]]), 1.0)
+        value = path_error_feedback_all(np.array([[[1.0, 0, 0]], [[1.0, 0, 0]]]), 1.0)
         assert abs(value[0] - 0.5) < 1e-15
 
     def test_bounded_by_error_norm(self):
@@ -44,12 +45,12 @@ class TestPathErrorFeedback:
         v = rng.normal(size=(200, 3)) * rng.uniform(0, 10, size=(200, 1))
         e = rng.normal(size=(200, 3)) * rng.uniform(0, 10, size=(200, 1))
         for delta in rng.uniform(0.01, 5, size=10):
-            alpha = path_error_feedback_all(v, e, delta)
+            alpha = path_error_feedback_all(np.stack((e, v)), delta)
             assert np.all(np.abs(alpha) <= np.linalg.norm(e, axis=1) + 1e-12)
 
     def test_rejects_nonpositive_delta(self):
         with pytest.raises(ValueError, match="delta"):
-            path_error_feedback_all(np.ones((2, 3)), np.ones((2, 3)), 0.0)
+            path_error_feedback_all(np.ones((2, 2, 3)), 0.0)
 
     def test_vectorized_matches_scalar(self):
         # every row is the single-vehicle law: a batch of one gives the
@@ -57,8 +58,11 @@ class TestPathErrorFeedback:
         rng = np.random.default_rng(22)
         v = rng.normal(size=(6, 3))
         e = rng.normal(size=(6, 3))
-        batch = path_error_feedback_all(v, e, 1.2)
-        singles = [path_error_feedback_all(v[i : i + 1], e[i : i + 1], 1.2)[0] for i in range(6)]
+        batch = path_error_feedback_all(np.stack((e, v)), 1.2)
+        singles = [
+            path_error_feedback_all(np.stack((e[i : i + 1], v[i : i + 1])), 1.2)[0]
+            for i in range(6)
+        ]
         assert np.allclose(batch, singles, atol=1e-14)
         by_hand = [v[i] @ e[i] / (np.linalg.norm(v[i]) + 1.2) for i in range(6)]
         assert np.allclose(batch, by_hand, atol=1e-14)
@@ -67,10 +71,10 @@ class TestPathErrorFeedback:
         for n in range(1, 11):
             scale = rng.choice([1e-6, 1.0, 1e3], (40, 1, 1))
             v, e = rng.normal(size=(2, 40, n, 3)) * scale
-            stack = path_error_feedback_all(v, e, 1.2)
+            stack = path_error_feedback_all(np.stack((e, v)), 1.2)
             assert stack.shape == (40, n)
             assert stack.tobytes() == np.stack(
-                [path_error_feedback_all(v[k], e[k], 1.2) for k in range(40)]
+                [path_error_feedback_all(np.stack((e[k], v[k])), 1.2) for k in range(40)]
             ).tobytes()
 
 
@@ -88,7 +92,7 @@ def loop_form_accel(gamma, gamma_dot, topology, e_pf, traj_vel, gamma_dot_d, a, 
 
 def accel(topology, gamma, gamma_dot, e_pf, traj_vel, gamma_dot_d, a, b, delta):
     """The coordination law as the simulation evaluates it."""
-    alpha = path_error_feedback_all(traj_vel, e_pf, delta)
+    alpha = path_error_feedback_all(np.stack((e_pf, traj_vel)), delta)
     lap = laplacian(topology).astype(float)
     return coordination_accel_matrix(gamma, gamma_dot, lap, alpha, gamma_dot_d, a, -b)
 
@@ -337,7 +341,7 @@ class TestCoordinationContraction:
         gamma = np.array([0.5, 0.1, -0.2, 0.3, -0.4])
         gamma_dot = np.ones(5)
         # zero path errors: no path-error feedback
-        zero_alpha = path_error_feedback_all(np.ones((5, 3)), np.zeros((5, 3)), 1.2)
+        zero_alpha = path_error_feedback_all(np.stack((np.zeros((5, 3)), np.ones((5, 3)))), 1.2)
         ts, xis = [], []
         for k in range(n_steps):
             t = k * dt

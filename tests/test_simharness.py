@@ -13,7 +13,12 @@ import pytest
 
 from coordsim import simharness, switchlaw
 from coordsim.coordalg import build_projection
-from coordsim.coordctrl import MissionRateProfile, coordination_error
+from coordsim.coordctrl import (
+    MissionRateProfile,
+    coordination_accel_matrix,
+    coordination_error,
+    path_error_feedback_all,
+)
 from coordsim.digraph import Digraph
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
@@ -39,7 +44,13 @@ from coordsim.simharness import (
     write_outputs,
 )
 from coordsim.switchlaw import schedule
-from coordsim.vehicle import row_norms
+from coordsim.vehicle import (
+    LaneSweepFamily,
+    apply_disturbance,
+    pf_control_all,
+    row_norms,
+    saturate,
+)
 
 
 class TestConfig:
@@ -444,6 +455,128 @@ class TestWorldHoldsState:
         finally:
             gc.enable()
         assert len(log.t) == 51
+
+
+def allocating_step(world, sigma, rates):
+    """``(x, arrived)`` after one step from ``world``, by an RK4 step built
+    from the kernels' allocating calls: every stage state, kernel result,
+    derivative and sum a fresh array, as before the workspace."""
+    cfg, n = world.config, world.config.n
+    dt, t0, lap = cfg.dt, world.t, world.laplacians[sigma - 1]
+    arrived = world.arrived.copy()
+
+    def rhs(t, x, rate):
+        gamma, gamma_dot = x[:n], x[n : 2 * n]
+        p, v = x[2 * n : 5 * n].reshape(n, 3), x[5 * n :].reshape(n, 3)
+        target_pos, target_vel = world.fam.pos_vel_all(gamma)
+        e = target_pos - p
+        alpha = path_error_feedback_all(np.stack((e, target_vel)), world.delta)
+        gamma_ddot = coordination_accel_matrix(
+            gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b
+        )
+        if world.any_arrived:
+            gamma_dot = np.where(arrived, 0.0, gamma_dot)
+            gamma_ddot[arrived] = 0.0
+        u = pf_control_all(
+            e, v, target_vel * gamma_dot[:, None], world.kp, world.kd, cfg.accel_limit
+        )
+        for row, gvec, window in world.gusts:
+            u[row] = apply_disturbance(u[row], t, gvec, window)
+        return np.concatenate((gamma_dot, gamma_ddot, v.ravel(), u.ravel()))
+
+    half, full, two, sixth = world.rk4
+    rate_now, rate_mid, rate_end, rate_new = rates
+    x = world.x.copy()
+    k1 = rhs(t0, x, rate_now)
+    k2 = rhs(t0 + 0.5 * dt, x + half * k1, rate_mid)
+    k3 = rhs(t0 + 0.5 * dt, x + half * k2, rate_mid)
+    k4 = rhs(t0 + dt, x + full * k3, rate_end)
+    x = x + sixth * (k1 + two * k2 + two * k3 + k4)
+    saturate(x[5 * n :].reshape(n, 3), cfg.speed_limit)
+    gamma = x[:n]
+    if world.any_arrived or gamma.max() >= cfg.t_f:
+        arrived |= gamma >= cfg.t_f
+        gamma[arrived] = cfg.t_f
+        x[n : 2 * n][arrived] = rate_new
+    return x, arrived
+
+
+class TestStepWorkspace:
+    # step forms every stage in the world's workspace; it must give the
+    # bytes of the step built from allocating calls, and each kernel given
+    # out the bytes of its call without it
+    @pytest.mark.parametrize("arrivals", [False, True], ids=["flying", "arrived"])
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_step_bytes_equal_the_allocating_step(self, n, arrivals):
+        chain = [(i, i + 1) for i in range(1, n)]
+        cfg = ScenarioConfig(
+            n=n,
+            mode=simharness.MODE_BIDIRECTIONAL,
+            topology_family=mirror_family([Digraph(n, chain)]),
+            mu_list=[0.2],
+            phi0=[1.0] * (n - 1),
+            t_f=20.0,
+            # at t = 0.7 the first gust is inside its window, the second not
+            gusts=[
+                GustEvent(1, (0.0, 30.0, -5.0), (0.5, 1.0)),
+                GustEvent(n, (4.0, 0.0, 0.0), (2.0, 3.0)),
+            ],
+        )
+        rng = np.random.default_rng(100 * n + arrivals)
+        fast = far = 0
+        for trial in range(5):
+            world = init_world(cfg)
+            world.step_idx, world.t = 700, 0.7
+            world.gamma[:] = rng.uniform(0.0, cfg.t_f, n)
+            world.gamma_dot[:] = rng.uniform(0.5, 1.5, n)
+            if arrivals:
+                world.arrived[:] = rng.random(n) < 0.4
+                world.arrived[0] = True
+                world.any_arrived = True
+                world.gamma[world.arrived] = cfg.t_f
+            # path errors and speeds of 0.01 to 10 times their scale: some
+            # commands and some speeds saturate
+            scale = rng.choice([0.01, 1.0, 10.0], (2, n, 1))
+            world.p[:] = world.fam.pos_vel_all(world.gamma)[0] + rng.normal(size=(n, 3)) * scale[0]
+            world.v[:] = rng.normal(size=(n, 3)) * 3.0 * scale[1]
+            fast += (row_norms(world.v) > cfg.speed_limit).any()
+            errors = world.fam.pos_vel_all(world.gamma)[0] - world.p
+            far += (cfg.kp * row_norms(errors) > 2 * cfg.accel_limit).any()
+            rates = tuple(np.array(r) for r in rng.uniform(0.9, 1.2, 4))
+            x, arrived = allocating_step(world, 1, rates)
+            step(world, 1, rates)
+            assert world.x.tobytes() == x.tobytes()
+            assert np.array_equal(world.arrived, arrived)
+            assert world.any_arrived == arrived.any() and world.t == 701 * cfg.dt
+        assert fast and far  # the speed limit and the command's limit both scaled
+
+    @pytest.mark.parametrize("stack", [(), (7,)], ids=["sample", "stack"])
+    def test_kernels_given_out_return_it_with_the_same_bytes(self, stack):
+        rng = np.random.default_rng(len(stack))
+        n = 6
+        fam = LaneSweepFamily(n=n)
+
+        def check(kernel, *args):
+            expected = kernel(*args)
+            out = np.full_like(expected, np.nan)  # nothing is read from out
+            assert kernel(*args, out) is out
+            assert out.tobytes() == expected.tobytes()
+            return expected
+
+        gamma = rng.uniform(0.0, 50.0, stack + (n,))
+        pe = check(fam.pos_vel_all, gamma)
+        pe[0] -= rng.normal(size=stack + (n, 3)) * rng.choice([0.01, 10.0], stack + (n, 1))
+        alpha = check(path_error_feedback_all, pe, 1.2)
+        laps = rng.integers(-1, 2, (7, n, n)).astype(float)
+        lap = laps if stack else laps[0]
+        gamma_dot = rng.uniform(0.5, 1.5, stack + (n,))
+        check(coordination_accel_matrix, gamma, gamma_dot, lap, alpha, 1.1, 0.75, -1.82)
+        e, v, target = pe[0], rng.normal(size=stack + (n, 3)) * 3.0, pe[1] * 1.1
+        u = check(pf_control_all, e, v, target, 4.0, 4.0, 10.0)
+        assert (row_norms(u) == 10.0).any()  # some commands saturate
+        # the command may overwrite the target velocity it is formed from
+        assert pf_control_all(e, v, target, 4.0, 4.0, 10.0, target) is target
+        assert target.tobytes() == u.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

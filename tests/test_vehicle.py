@@ -213,6 +213,32 @@ def branch_free(rows, limit):
     return rows * (limit / np.maximum(norms, limit))[:, None]
 
 
+LIMITS = [1e-300, 1.3e-160, 1.0, 1e300]
+
+
+def draw_row(draw, limit):
+    """One row of ``rows_around_a_limit``."""
+    row = [draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
+    axis = draw(st.integers(0, 2))
+    sign = draw(st.sampled_from([1.0, -1.0]))
+    # scaled rows weighted up, so that many draws have every row but a
+    # NaN under the limit, where the multiply is skipped
+    kind = draw(st.sampled_from(["axis", "scaled", "scaled", "scaled", "zero", "nan", "inf"]))
+    if kind == "axis":  # norm the limit, or one ulp above or below it
+        row[axis] = sign * math.nextafter(limit, draw(st.sampled_from([0.0, limit, math.inf])))
+    elif kind == "scaled":
+        direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+        norm = math.hypot(*direction)
+        scale = limit * draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) / (norm or 1.0)
+        row = [c * scale for c in direction]
+        row[axis] = math.nextafter(row[axis], draw(st.sampled_from([-math.inf, row[axis], math.inf])))
+    elif kind == "nan":
+        row[axis] = math.nan
+    elif kind == "inf":
+        row[axis] = sign * math.inf
+    return row
+
+
 @st.composite
 def rows_around_a_limit(draw):
     """``(rows, limit)``: a limit of 1e-300, 1.3e-160, 1 or 1e300 (whose
@@ -220,29 +246,26 @@ def rows_around_a_limit(draw):
     overflows), and rows of norm exactly the limit or one ulp off it,
     directions scaled to about the limit, signed zero, NaN and infinite
     rows."""
-    limit = draw(st.sampled_from([1e-300, 1.3e-160, 1.0, 1e300]))
-    rows = []
-    for _ in range(draw(st.integers(1, 4))):
-        row = [draw(st.sampled_from([0.0, -0.0])) for _ in range(3)]
-        axis = draw(st.integers(0, 2))
-        sign = draw(st.sampled_from([1.0, -1.0]))
-        # scaled rows weighted up, so that many draws have every row but a
-        # NaN under the limit, where the multiply is skipped
-        kind = draw(st.sampled_from(["axis", "scaled", "scaled", "scaled", "zero", "nan", "inf"]))
-        if kind == "axis":  # norm the limit, or one ulp above or below it
-            row[axis] = sign * math.nextafter(limit, draw(st.sampled_from([0.0, limit, math.inf])))
-        elif kind == "scaled":
-            direction = draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
-            norm = math.hypot(*direction)
-            scale = limit * draw(st.sampled_from([0.25, 0.5, 1.0, 2.0])) / (norm or 1.0)
-            row = [c * scale for c in direction]
-            row[axis] = math.nextafter(row[axis], draw(st.sampled_from([-math.inf, row[axis], math.inf])))
-        elif kind == "nan":
-            row[axis] = math.nan
-        elif kind == "inf":
-            row[axis] = sign * math.inf
-        rows.append(row)
+    limit = draw(st.sampled_from(LIMITS))
+    rows = [draw_row(draw, limit) for _ in range(draw(st.integers(1, 4)))]
     return np.array(rows), limit
+
+
+@st.composite
+def stacks_around_a_limit(draw):
+    """``(stack, limit)``: one to four samples of the same one to four rows
+    of ``rows_around_a_limit`` about one limit, shape ``(samples, rows, 3)``."""
+    limit = draw(st.sampled_from(LIMITS))
+    samples, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stack = [[draw_row(draw, limit) for _ in range(rows)] for _ in range(samples)]
+    return np.array(stack), limit
+
+
+def saturated_per_sample(stack, limit):
+    expected = stack.copy()
+    for sample in expected:
+        saturate(sample, limit)
+    return expected
 
 
 class TestSaturate:
@@ -280,6 +303,32 @@ class TestSaturate:
             expected = rows * (limit / np.maximum(row_norms(rows), limit))[:, None]
             saturate(rows, limit)
         assert rows.tobytes() == expected.tobytes()
+
+    @settings(max_examples=400)
+    @given(case=stacks_around_a_limit())
+    def test_stack_same_bytes_as_one_call_per_sample(self, case):
+        # a stack takes the factor path when any sample needs it; the
+        # factor is then exactly 1.0 on the samples that alone skip it
+        stack, limit = case
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = saturated_per_sample(stack, limit)
+            saturate(stack, limit)
+        assert stack.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "samples",
+        [(UNDER[:2], UNDER[1::-1]), (UNDER[:2], UNDER[1:]), (UNDER[:2], AT, OVER)],
+        ids=["skip", "factor-one-ulp-under", "factor-at-over"],
+    )
+    def test_stack_skip_and_factor_paths(self, samples):
+        # every squared norm of the first stack is at most the bound, so
+        # the multiply is skipped; the others hold a row of norm 5 or one
+        # ulp under it, above the bound, and scale every sample, which then
+        # keeps the bytes of its own call (skipped for UNDER[:2])
+        stack = np.array(samples)
+        expected = saturated_per_sample(stack, 5.0)
+        saturate(stack, 5.0)
+        assert stack.tobytes() == expected.tobytes()
 
     def test_nan_row_scaled_as_branch_free(self):
         rows = np.array([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [0.0, 2.0, 0.0]])
