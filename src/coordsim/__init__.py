@@ -43,6 +43,6 @@ from .simharness import (
     write_outputs,
 )
 from .switchlaw import schedule
-from .vehicle import LaneSweepFamily, apply_disturbance, pf_control_all
+from .vehicle import LaneSweepFamily, PDGains, apply_disturbance, pf_control_all
 
 __version__ = "0.1.0"

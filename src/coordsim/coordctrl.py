@@ -78,13 +78,34 @@ def path_error_feedback_all(
     gives ``e . v`` and ``|v|^2``.  Rows are independent: every row has
     the bits of a call on it alone.  ``delta`` may be a float or a 0-d
     float64 array.  The result, ``(..., n)``, is written into ``out`` when
-    given, and returned."""
+    given, and returned.  This is ``_feedback_into`` with fresh dots."""
     if float(delta) <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    dots = einsum("k...ij,...ij->k...i", errors_velocities, errors_velocities[1])
-    norms = dots[1]
+    dots = np.empty(errors_velocities.shape[:-1])
+    if out is None:
+        out = np.empty(dots.shape[1:])
+    return _feedback_into(
+        errors_velocities, errors_velocities[1], delta, dots, dots[0], dots[1], out
+    )
+
+
+def _feedback_into(
+    errors_velocities: np.ndarray,
+    velocities: np.ndarray,
+    delta: float | np.ndarray,
+    dots: np.ndarray,
+    along: np.ndarray,
+    norms: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """``path_error_feedback_all`` on views: ``velocities`` is
+    ``errors_velocities[1]``, the row dots go into ``dots``, shape
+    ``errors_velocities.shape[:-1]``, whose rows are ``along`` (``e . v``)
+    and ``norms`` (``|v|^2``, then ``|v| + delta``); ``delta`` is not
+    checked.  Returns ``out``."""
+    einsum("k...ij,...ij->k...i", errors_velocities, velocities, out=dots)
     np.add(np.sqrt(norms, norms), delta, norms)
-    return np.divide(dots[0], norms, out)
+    return np.divide(along, norms, out)
 
 
 def coordination_accel_matrix(
@@ -104,15 +125,40 @@ def coordination_accel_matrix(
     only on vehicle ``i``'s in-neighbors.  One sample, shape ``(n,)``, or a
     stack, ``(..., n)``, with one Laplacian or one per sample: each sample
     costs one matrix-vector product, so its bits do not depend on the stack
-    it is in.  The result is written into ``out`` when given, which first
-    holds the consensus term, and returned."""
+    it is in.  The result is written into ``out`` when given (one sample's
+    ``out`` must be C-contiguous), and returned.  This is ``_accel_into``
+    with a fresh scratch row."""
     if out is None:
-        out = np.matmul(lap, gamma[..., None])[..., 0]
+        out = np.empty(np.broadcast_shapes(lap.shape[:-1], gamma.shape))
+    return _accel_into(
+        gamma, gamma_dot, lap, alpha, gamma_dot_d, a, neg_b, out, np.empty(out.shape)
+    )
+
+
+def _accel_into(
+    gamma: np.ndarray,
+    gamma_dot: np.ndarray,
+    lap: np.ndarray,
+    alpha: np.ndarray,
+    gamma_dot_d: float | np.ndarray,
+    a: float | np.ndarray,
+    neg_b: float | np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    """``coordination_accel_matrix`` into ``out``, which first holds the
+    consensus term, with the rate term formed in ``scratch``, an array of
+    ``out``'s shape.  One sample's ``L gamma`` is ``np.dot``, BLAS's
+    matrix-vector product; a stack's is ``matmul``, which gives each
+    sample those same bits.  Returns ``out``."""
+    if out.ndim == 1:
+        np.dot(lap, gamma, out)
     else:
         np.matmul(lap, gamma[..., None], out[..., None])
     np.multiply(a, out, out)
-    rate_term = np.multiply(neg_b, np.subtract(gamma_dot, gamma_dot_d))
-    np.subtract(rate_term, out, out)
+    np.subtract(gamma_dot, gamma_dot_d, scratch)
+    np.multiply(neg_b, scratch, scratch)
+    np.subtract(scratch, out, out)
     return np.subtract(out, alpha, out)
 
 

@@ -26,6 +26,7 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +40,7 @@ from .coordalg import (
 from .coordctrl import MissionRateProfile, Violation
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacians
 from .errors import ConfigError, check_finite
-from .vehicle import LaneSweepFamily, row_norms, saturate
+from .vehicle import LaneSweepFamily, row_norms
 
 MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
@@ -50,6 +51,16 @@ MAX_STEPS = 1_000_000
 # the negative real axis down to the negative root of R(z) = 1, that is of
 # z^3 + 4 z^2 + 12 z + 24 = 0, so b dt must stay below its magnitude
 RK4_STABILITY_LIMIT = 2.785293563405282
+# radius of the largest left half-disc {|z| <= r, Re z <= 0} inside RK4's
+# stability region |R(z)| <= 1: the boundary |R(z)| = 1 comes closest to the
+# origin in the left half-plane at z = r exp(i theta), theta = 2.14229 (122.7
+# degrees), where the circle |z| = r touches it, so |R(r exp(i theta))|^2 = 1
+# and its theta-derivative vanishes.  Solved to 40 digits, r =
+# 2.6155876882352939243; pinned truncated, below it
+RK4_HALF_DISC_RADIUS = 2.615587688235293
+# growth |R(s dt)| - 1 of a coordination mode taken as rounding, not
+# instability (see _check_coordination_modes)
+MODE_GROWTH_SLACK = 1e-12
 # cap on n in every mode: synthesis solves an (n-1)^2 x (n-1)^2 system, and
 # a run's preallocated log has 6 n + 3 columns
 MAX_SYNTHESIS_N = 40
@@ -264,6 +275,13 @@ class ScenarioConfig:
                 if getattr(self, name) < self.dt:
                     raise ConfigError(f"{name} must be at least dt")
             _require_symmetric(self.topology_family)
+        # every coordination mode s, a root of s^2 + b s + a lambda for an
+        # eigenvalue lambda of a Laplacian, has |s| <= b + sqrt(a |lambda|),
+        # and Gershgorin gives |lambda| <= 2 (n - 1): when that bound times dt
+        # fits the half-disc, every stable mode lies in RK4's region
+        a, b, dt = float(self.a), float(self.b), float(self.dt)
+        if (b + math.sqrt(2.0 * a * (self.n - 1))) * dt > RK4_HALF_DISC_RADIUS:
+            _check_coordination_modes(self.topology_family, a, b, dt)
         for name in ("traj_offsets", "traj_angles"):
             if getattr(self, name) is not None:
                 _check_array(name, getattr(self, name), (self.n,))
@@ -332,6 +350,40 @@ def _parse_entries(name: str, parse, entries) -> list:
         except (TypeError, KeyError, ValueError) as exc:
             raise ConfigError(f"{name}[{k}]: {type(exc).__name__}: {exc}") from exc
     return parsed
+
+
+def _check_coordination_modes(family: list[Digraph], a: float, b: float, dt: float) -> None:
+    """Refuse, naming ``a`` and ``dt``, a coordination mode of some topology
+    of ``family`` that is stable (``Re s < 0``) but outside RK4's region
+    (``|R(s dt)| > 1``), or that is not finite.  The modes of a topology are
+    the roots ``s`` of ``s^2 + b s + a lambda`` over the eigenvalues
+    ``lambda`` of its Laplacian: ``s_2 = (-b - sqrt(b^2 - 4 a lambda)) / 2``,
+    whose real part is at most ``-b / 2``, and ``s_1 = a lambda / s_2``,
+    with no cancellation.
+
+    ``R`` is evaluated to about ``1e-14`` where ``|s dt|`` is below 3, so a
+    growth up to ``1 + MODE_GROWTH_SLACK`` is taken as rounding: the rate
+    mode ``-b`` with ``b dt`` one ulp inside ``RK4_STABILITY_LIMIT`` is such
+    a case, and a mode that did grow by that much per step would grow by
+    about one part in a million over ``MAX_STEPS`` steps."""
+    lam = np.linalg.eigvals(laplacians(family).astype(float))
+    with np.errstate(all="ignore"):
+        s2 = -0.5 * (b + np.sqrt(b * b - 4.0 * a * lam.astype(complex)))
+        modes = np.stack((a * lam / s2, s2), axis=-1)  # (m, n, 2)
+        z = modes * dt
+        growth = np.abs(1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0))))
+        outside = (modes.real < 0) & (growth > 1.0 + MODE_GROWTH_SLACK)
+        finite = np.isfinite(modes)
+    if not (finite.all() and not outside.any()):
+        k, i, j = np.argwhere(~finite | outside)[0]
+        where = f"of topology_family[{k}] (a root of s^2 + b s + a lambda, b={b})"
+        if not finite[k, i, j]:
+            raise ConfigError(f"a={a} with dt={dt}: a coordination mode {where} overflows")
+        raise ConfigError(
+            f"a={a} with dt={dt}: the coordination mode s={complex(modes[k, i, j]):.6g} "
+            f"{where} is stable but outside RK4's stability region: "
+            f"|R(s dt)| = {growth[k, i, j]:.6g} > 1"
+        )
 
 
 def _require_symmetric(family: list[Digraph]) -> None:
@@ -425,24 +477,26 @@ class SimWorld:
     ``v`` are views of it.  ``any_arrived`` is set once some entry of
     ``arrived`` is; until then the arrival masks are skipped.
 
-    The coefficients the dynamics multiply by are built once, as 0-d
-    float64 arrays: an operation on an array with one costs less than with
-    a Python float or a NumPy scalar, with the same IEEE result.  They are
-    the gains ``kp``, ``kd``, ``a``, ``neg_b`` (``-b``) and ``delta``, and
-    ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step.
+    Everything a stage would otherwise derive per call is built once, at
+    set-up, so a stage runs only ufunc calls on views bound here:
 
-    A step writes the arrays it forms into one workspace, also built once:
-    ``stage``, the state at which a stage is evaluated, and ``k``, the four
-    stage derivatives, which the RK4 combination then sums in place (the
-    rows of one ``(5, 8 n)`` block); ``pe``, the ``(2, n, 3)`` stack
-    ``[path error | desired velocity]`` of a stage (``pe_rows`` its two
-    rows), and ``alpha``, its ``n`` path-error feedbacks.  ``x_views``,
-    ``stage_views`` and ``k_views`` (one per row of ``k``) are the
-    ``_split`` views of those arrays, taken once per run and handed to
-    ``_rhs`` by ``step``.  A stage hands these buffers to the kernels
-    as ``out``; what it still allocates before arrival are the kernels'
-    inner temporaries: the row dots, the rate term of the coordination
-    law, ``kp e`` and the squared norms of the saturation test."""
+    - the coefficients, as 0-d float64 arrays (an operation on an array
+      with one costs less than with a Python float or a NumPy scalar, with
+      the same IEEE result): ``a``, ``neg_b`` (``-b``), ``delta`` and
+      ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step;
+    - ``gains``, the path follower's checked ``vehicle.PDGains``, and
+      ``speed_bound``, the speed limit's ``vehicle.square_bound``;
+    - the workspace: ``stage``, the state a stage is evaluated at, and
+      ``k``, the four stage derivatives, the rows of one ``(5, 8 n)``
+      array (``k_block`` the ``k`` rows as one array, ``k_middle`` those
+      of ``k2`` and ``k3``; the RK4 combination sums ``k_block`` into
+      ``stage``), and ``buffers``, the ``_StageBuffers`` the kernels of a
+      stage write;
+    - the ``_split`` views of ``x``, ``stage`` and each ``k`` row:
+      ``x_views``, ``stage_views`` and ``k_views``.
+
+    Before arrival, the only array a stage computes into fresh memory is
+    the saturation test's squared norms."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -461,18 +515,18 @@ class SimWorld:
     gamma_dot: np.ndarray = field(init=False, repr=False)
     p: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
-    kp: np.ndarray = field(init=False, repr=False)
-    kd: np.ndarray = field(init=False, repr=False)
     a: np.ndarray = field(init=False, repr=False)
     neg_b: np.ndarray = field(init=False, repr=False)
     delta: np.ndarray = field(init=False, repr=False)
     rk4: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    gains: vehicle.PDGains = field(init=False, repr=False)
+    speed_bound: float = field(init=False, repr=False)
     # workspace
     stage: np.ndarray = field(init=False, repr=False)
     k: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    pe: np.ndarray = field(init=False, repr=False)
-    pe_rows: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
-    alpha: np.ndarray = field(init=False, repr=False)
+    k_block: np.ndarray = field(init=False, repr=False)
+    k_middle: np.ndarray = field(init=False, repr=False)
+    buffers: "_StageBuffers" = field(init=False, repr=False)
     x_views: tuple[np.ndarray, ...] = field(init=False, repr=False)
     stage_views: tuple[np.ndarray, ...] = field(init=False, repr=False)
     k_views: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False)
@@ -483,20 +537,50 @@ class SimWorld:
         block = np.empty((5, 8 * n))
         rows, row_views = tuple(block), tuple(zip(*_split(block, n)))
         self.stage, self.k = rows[0], rows[1:]
+        self.k_block, self.k_middle = block[1:], block[2:4]
         self.stage_views, self.k_views = row_views[0], row_views[1:]
         self.x_views = _split(x, n)
         self.gamma, self.gamma_dot, _, self.p, self.v = self.x_views
-        self.pe, self.alpha = np.empty((2, n, 3)), np.empty(n)
-        self.pe_rows = tuple(self.pe)
-        self.kp, self.kd, self.a, self.neg_b, self.delta = (
-            np.array(c, dtype=float) for c in (cfg.kp, cfg.kd, cfg.a, -cfg.b, cfg.delta)
+        targets, dots = np.empty((4, n, 3)), np.empty((2, n))
+        self.buffers = _StageBuffers(
+            targets[0:2], targets[1:3], *targets, *self.fam._target_views(targets[2:4]),
+            dots, *dots, np.empty(n), np.empty(n),
+        )
+        self.a, self.neg_b, self.delta = (
+            np.array(c, dtype=float) for c in (cfg.a, -cfg.b, cfg.delta)
         )
         dt = cfg.dt
         self.rk4 = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, 2, dt / 6.0))
+        self.gains = vehicle.PDGains(cfg.kp, cfg.kd, cfg.accel_limit, n)
+        self.speed_bound = vehicle.square_bound(cfg.speed_limit)
 
     @property
     def all_arrived(self) -> bool:
         return self.any_arrived and bool(self.arrived.all())
+
+
+class _StageBuffers(NamedTuple):
+    """What the kernels of one RK4 stage write, bound once per run: the
+    ``(4, n, 3)`` stack ``[target_vel - v | e | v_d | p_d]`` (its columns
+    that do not depend on gamma written at set-up) and its views, the
+    ``(2, n)`` row dots of the path-error feedback and their rows, the
+    feedback ``alpha`` and the scratch row of the coordination law's rate
+    term."""
+
+    pd_stack: np.ndarray  # [target_vel - v | e], for pf_control_all
+    feedback_stack: np.ndarray  # [e | v_d], for the path-error feedback
+    vel_error: np.ndarray  # target_vel - v
+    e: np.ndarray
+    v_d: np.ndarray
+    p_d: np.ndarray
+    downrange: np.ndarray  # then the views of LaneSweepFamily._target_views
+    lateral: np.ndarray
+    lateral_rate: np.ndarray
+    dots: np.ndarray
+    along: np.ndarray  # e . v_d
+    norms: np.ndarray  # |v_d|^2
+    alpha: np.ndarray
+    scratch: np.ndarray
 
 
 def _admit(
@@ -604,27 +688,33 @@ def _rhs(
     virtual time of an arrived vehicle is held (its derivatives are 0).
     ``x_views`` and ``out_views`` are ``_split(x, n)`` and ``_split(out,
     n)``; ``step`` passes the workspace's, taken at set-up, and they are
-    taken here when omitted."""
+    taken here when omitted.  The kernels' arithmetic runs in their private
+    forms on the world's ``buffers``; ``pf_control_all`` is called as the
+    public kernel."""
     n = world.config.n
     gamma, gamma_dot, gamma_dot_col, p, v = x_views or _split(x, n)
     d_gamma, d_gamma_dot, _, d_p, d_v = out_views or _split(out, n)
-    e, tv = world.pe_rows
-    world.fam.pos_vel_all(gamma, world.pe)
-    np.subtract(e, p, e)
-    alpha = coordctrl.path_error_feedback_all(world.pe, world.delta, world.alpha)
-    gamma_ddot = coordctrl.coordination_accel_matrix(
-        gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b, d_gamma_dot
+    (
+        pd_stack, feedback_stack, vel_error, e, v_d, p_d, downrange, lateral,
+        lateral_rate, dots, along, norms, alpha, scratch,
+    ) = world.buffers
+    world.fam._pos_vel_into(gamma, downrange, lateral, lateral_rate)
+    np.subtract(p_d, p, e)
+    coordctrl._feedback_into(feedback_stack, v_d, world.delta, dots, along, norms, alpha)
+    gamma_ddot = coordctrl._accel_into(
+        gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b, d_gamma_dot, scratch
     )
     if world.any_arrived:
         gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
         gamma_dot_col = gamma_dot[:, None]
         gamma_ddot[world.arrived] = 0.0
-    # the target velocity is formed in the command's slot, which it
-    # becomes, from the rates spread over the rows of the velocity slot
-    # (v is copied there last): a same-shape multiply, not a broadcast one
+    # the target velocity, from the rates spread over the rows of the
+    # position slot (v is copied there last): a same-shape multiply, not a
+    # broadcast one
     d_p[...] = gamma_dot_col
-    np.multiply(tv, d_p, d_v)
-    u = vehicle.pf_control_all(e, v, d_v, world.kp, world.kd, world.config.accel_limit, d_v)
+    np.multiply(v_d, d_p, vel_error)
+    np.subtract(vel_error, v, vel_error)
+    u = vehicle.pf_control_all(pd_stack, world.gains, d_v)
     for row, gvec, window in world.gusts:
         u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
     d_gamma[...] = gamma_dot
@@ -670,20 +760,25 @@ def step(
     _rhs(world, t0 + h, stage, lap, rate_mid, k3, stage_views, kv3)
     np.add(x, np.multiply(full, k3, stage), stage)
     _rhs(world, t0 + dt, stage, lap, rate_end, k4, stage_views, kv4)
-    # x += dt/6 (k1 + 2 k2 + 2 k3 + k4), summed left to right
-    np.add(k1, np.multiply(two, k2, k2), k1)
-    np.add(k1, np.multiply(two, k3, k3), k1)
-    np.add(k1, k4, k1)
-    np.add(x, np.multiply(sixth, k1, k1), x)  # in place: the views follow
+    # x += dt/6 (((k1 + 2 k2) + 2 k3) + k4): the k rows summed in order by
+    # one reduction started from -0.0, the identity that keeps a sum of
+    # signed zeros bit for bit (add.reduce's default start is +0.0)
+    doubled, ks = world.k_middle, world.k_block
+    np.multiply(two, doubled, doubled)
+    np.add.reduce(ks, 0, None, stage, False, -0.0)
+    np.add(x, np.multiply(sixth, stage, stage), x)  # in place: the views follow
 
     world.step_idx += 1
     world.t = world.step_idx * dt
 
-    saturate(world.v, cfg.speed_limit)  # speed limit, direction preserved
+    # speed limit, direction preserved
+    vehicle._saturate(world.v, cfg.speed_limit, world.speed_bound)
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
-    # desired rate so the coordination metric closes out cleanly
-    if world.any_arrived or world.gamma.max() >= cfg.t_f:
+    # desired rate so the coordination metric closes out cleanly.  Python's
+    # max may skip a NaN numpy's would return; the NaN then fails
+    # _check_finite below all the same.
+    if world.any_arrived or max(world.gamma.tolist()) >= cfg.t_f:
         world.arrived |= world.gamma >= cfg.t_f
         world.any_arrived = True
         world.gamma[world.arrived] = cfg.t_f

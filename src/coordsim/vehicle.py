@@ -48,10 +48,10 @@ class LaneSweepFamily:
         self.sines = np.sin(self.angles)
         self.t_f = float(t_f)
         self.n = len(self.offsets)
-        # (position, velocity) rows with the columns that do not depend on
-        # gamma: altitude 2, down-range rate 1, climb rate 0
-        self._pos_vel = np.array([[0.0, 0.0, 2.0], [1.0, 0.0, 0.0]])
-        self._pos_vel.setflags(write=False)
+        # (velocity, position) rows with the columns that do not depend on
+        # gamma: down-range rate 1, climb rate 0, altitude 2
+        self._vel_pos = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        self._vel_pos.setflags(write=False)
 
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
         """Desired velocities at virtual times ``gammas``, which broadcast
@@ -82,57 +82,92 @@ class LaneSweepFamily:
         """Positions and velocities ``[pos | vel]``, shape
         ``(2,) + gammas.shape[:-1] + (n, 3)``, so ``pos, vel = ...``
         unpacks them, at the float64 virtual times ``gammas`` of one
-        sample, shape ``(n,)`` (the hot path of the simulation loop), or of
-        a stack, ``(..., n)``, each sample with the bits of a call on it
-        alone; a last axis of 1 shares one time among all vehicles.
+        sample, shape ``(n,)``, or of a stack, ``(..., n)``, each sample
+        with the bits of a call on it alone; a last axis of 1 shares one
+        time among all vehicles.  The result is written into ``out`` when
+        given, and returned.
 
-        The result is written into ``out`` when given, and returned; its
-        down-range position column holds the envelope ``exp(-0.6 gamma)``
-        until the last write, so no temporary is allocated."""
+        This is ``_pos_vel_into`` on the views ``_target_views`` takes of
+        ``out``; the simulation loop calls the two itself, the views taken
+        once per run."""
         if out is None:
             out = np.empty((2,) + gammas.shape[:-1] + (self.n, 3))
-        out.swapaxes(0, -2)[...] = self._pos_vel
-        env, lat, rate = out[0, ..., 0], out[0, ..., 1], out[1, ..., 1]
-        np.exp(np.multiply(_DECAY, gammas, env), env)
-        # offsets - env (5 + 3 gamma) sin, then 1.8 gamma env sin
-        np.multiply(_THREE, gammas, lat)
-        np.add(_FIVE, lat, lat)
-        np.multiply(env, lat, lat)
-        np.multiply(lat, self.sines, lat)
-        np.subtract(self.offsets, lat, lat)
-        np.multiply(_RATE, gammas, rate)
-        np.multiply(rate, env, rate)
-        np.multiply(rate, self.sines, rate)
-        env[...] = gammas
+        self._pos_vel_into(gammas, *self._target_views(out[::-1]))
         return out
+
+    def _target_views(self, vel_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Write the columns that do not depend on gamma (down-range rate 1,
+        climb rate 0, altitude 2) into ``vel_pos``, a ``(2, ..., n, 3)``
+        stack ``[vel | pos]``, and return the views ``_pos_vel_into``
+        writes the rest through: the down-range position, the lateral
+        position and the lateral rate."""
+        vel_pos.swapaxes(0, -2)[...] = self._vel_pos
+        return vel_pos[1, ..., 0], vel_pos[1, ..., 1], vel_pos[0, ..., 1]
+
+    def _pos_vel_into(
+        self, gammas: np.ndarray, downrange: np.ndarray, lateral: np.ndarray, rate: np.ndarray
+    ) -> None:
+        """The columns of ``pos_vel_all`` that depend on ``gammas``, written
+        through the views of ``_target_views``.  The down-range column
+        holds the envelope ``exp(-0.6 gamma)`` until the last write, so
+        nothing is allocated."""
+        np.exp(np.multiply(_DECAY, gammas, downrange), downrange)
+        # offsets - env (5 + 3 gamma) sin, then 1.8 gamma env sin
+        np.multiply(_THREE, gammas, lateral)
+        np.add(_FIVE, lateral, lateral)
+        np.multiply(downrange, lateral, lateral)
+        np.multiply(lateral, self.sines, lateral)
+        np.subtract(self.offsets, lateral, lateral)
+        np.multiply(_RATE, gammas, rate)
+        np.multiply(rate, downrange, rate)
+        np.multiply(rate, self.sines, rate)
+        downrange[...] = gammas
 
 
 def _lateral_rate(g: np.ndarray) -> np.ndarray:  # per unit sin(angle)
     return 1.8 * g * np.exp(-0.6 * g)
 
 
+class PDGains:
+    """Gains of the path-following PD law of ``n`` vehicles and its
+    acceleration limit, checked once: ``kp``, ``kd`` and ``a_max`` must be
+    positive.  ``column`` is the read-only ``[kd, kp]`` gain column spread
+    over the ``(2, n, 3)`` stack ``[target_vel - v | e]`` of one sample, so
+    one same-shape multiply applies both gains (a broadcast one costs
+    more); ``bound`` is ``saturate``'s squared-norm bound for ``a_max``."""
+
+    __slots__ = ("a_max", "column", "bound")
+
+    def __init__(self, kp: float, kd: float, a_max: float, n: int) -> None:
+        if float(kp) <= 0 or float(kd) <= 0 or float(a_max) <= 0:
+            raise ValueError("pf gains and acceleration limit must be positive")
+        self.a_max = a_max
+        self.column = np.empty((2, n, 3))
+        self.column[0], self.column[1] = kd, kp
+        self.column.setflags(write=False)
+        self.bound = square_bound(a_max)
+
+
 def pf_control_all(
-    e: np.ndarray,
-    v: np.ndarray,
-    target_vel: np.ndarray,
-    kp: float,
-    kd: float,
-    a_max: float,
-    out: np.ndarray | None = None,
+    stack: np.ndarray, gains: PDGains, out: np.ndarray | None = None
 ) -> np.ndarray:
     """PD acceleration command of every vehicle toward its virtual target,
     ``kp e + kd (target_vel - v)`` row by row, where ``e = target_pos - p``
-    is the path error, saturated to norm ``a_max`` with its direction
-    preserved.  One sample, ``(n, 3)``, or a stack, ``(..., n, 3)``.  The
-    gains may be floats or 0-d float64 arrays.  The command is written
-    into ``out`` when given (it may be ``target_vel`` itself), and
+    is the path error, saturated to norm ``gains.a_max`` with its direction
+    preserved.
+
+    ``stack`` is ``[target_vel - v | e]``, shape ``(2, n, 3)`` for one
+    sample or ``(2, ..., n, 3)`` for a stack; one multiply by
+    ``gains.column`` turns it, in place, into ``[kd (target_vel - v) | kp
+    e]``, so the caller's stack is scratch.  The command is written into
+    ``out`` when given (it may be either row of ``stack``), and
     returned."""
-    if float(kp) <= 0 or float(kd) <= 0 or float(a_max) <= 0:
-        raise ValueError("pf gains and acceleration limit must be positive")
-    out = np.subtract(target_vel, v, out)
-    np.multiply(kd, out, out)
-    np.add(np.multiply(kp, e), out, out)
-    saturate(out, a_max)
+    column = gains.column
+    if stack.ndim != 3:
+        column = column.reshape((2,) + (1,) * (stack.ndim - 3) + column.shape[1:])
+    np.multiply(column, stack, stack)
+    out = np.add(stack[1], stack[0], out)
+    _saturate(out, gains.a_max, gains.bound)
     return out
 
 
@@ -140,6 +175,15 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm along the last axis of ``rows``; every row has the
     bits of a call on that row alone, whatever the stack."""
     return np.sqrt(einsum("...j,...j->...", rows, rows))
+
+
+def square_bound(limit: float) -> float:
+    """``saturate``'s bound on the squared row norms for ``limit``:
+    ``fl(fl(limit*limit) * (1 - 2**-50))`` while that is a normal float and
+    ``limit`` is positive, else ``-inf``, which no squared norm meets."""
+    lim = float(limit)
+    bound = lim * lim * _SQUARE_MARGIN
+    return bound if lim > 0 and _TINY <= bound < math.inf else -math.inf
 
 
 def saturate(rows: np.ndarray, limit: float) -> None:
@@ -151,25 +195,25 @@ def saturate(rows: np.ndarray, limit: float) -> None:
 
     That factor is exactly 1.0 on a row with ``norm <= limit``, so the
     multiply is skipped when every squared norm ``s`` (the row dot that
-    ``row_norms`` takes the root of) satisfies
-    ``s <= bound = fl(fl(limit*limit) * (1 - 2**-50))``.  While ``bound`` is
-    a normal float, each of its two roundings is within a relative
-    ``2**-53``, so ``bound < limit**2`` exactly; then ``sqrt(s) < limit``,
-    and the correctly rounded ``fl(sqrt(s))`` cannot exceed a positive
-    ``limit``.  A ``limit`` that is not positive, a ``bound`` that
-    overflows or falls below the normal range, and any NaN take the
-    norm-and-factor path: the sum of the squared norms is NaN exactly when
-    one of them is (none is negative), wherever Python's ``max`` stops."""
+    ``row_norms`` takes the root of) satisfies ``s <= square_bound(limit)
+    = fl(fl(limit*limit) * (1 - 2**-50))``.  While that bound is a normal
+    float, each of its two roundings is within a relative ``2**-53``, so
+    it is below ``limit**2`` exactly; then ``sqrt(s) < limit``, and the
+    correctly rounded ``fl(sqrt(s))`` cannot exceed a positive ``limit``.
+    A ``limit`` that is not positive, a bound that overflows or falls
+    below the normal range (``square_bound`` gives ``-inf``), and any NaN
+    take the norm-and-factor path: the sum of the squared norms is NaN
+    exactly when one of them is (none is negative), wherever Python's
+    ``max`` stops."""
+    _saturate(rows, limit, square_bound(limit))
+
+
+def _saturate(rows: np.ndarray, limit: float, bound: float) -> None:
+    """``saturate`` with its bound ``square_bound(limit)`` computed once by
+    the caller."""
     squares = einsum("...j,...j->...", rows, rows)
-    lim = float(limit)
-    bound = lim * lim * _SQUARE_MARGIN
     listed = squares.ravel().tolist()
-    if (
-        lim > 0
-        and _TINY <= bound < math.inf
-        and max(listed, default=0.0) <= bound
-        and sum(listed) < math.inf
-    ):
+    if max(listed, default=bound) <= bound and sum(listed) < math.inf:
         return
     rows *= (limit / np.maximum(np.sqrt(squares), limit))[..., None]
 

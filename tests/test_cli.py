@@ -313,6 +313,9 @@ BASELINE_REFUSED = [
     ),
     ("b", {"b": 2800}),
     ("kp", {"kp": 1e308}),
+    # a lambda overflows, so the coordination modes are not finite: the run
+    # printed raw numpy warnings, then exited 2 with a non-finite gamma
+    ("a", {"a": 1e308}),
 ]
 
 

@@ -3,6 +3,7 @@ import hashlib
 import importlib.util
 import json
 import math
+import re
 import warnings
 import weakref
 from dataclasses import fields, replace
@@ -19,9 +20,10 @@ from coordsim.coordctrl import (
     coordination_error,
     path_error_feedback_all,
 )
-from coordsim.digraph import Digraph
+from coordsim.digraph import Digraph, laplacians
 from coordsim.errors import ConfigError, NumericError
 from coordsim.simharness import (
+    RK4_HALF_DISC_RADIUS,
     RK4_STABILITY_LIMIT,
     GustEvent,
     _check_finite,
@@ -46,6 +48,7 @@ from coordsim.simharness import (
 from coordsim.switchlaw import schedule
 from coordsim.vehicle import (
     LaneSweepFamily,
+    PDGains,
     apply_disturbance,
     pf_control_all,
     row_norms,
@@ -110,6 +113,77 @@ class TestConfig:
             with pytest.raises(ConfigError, match=r"b=.* dt="):
                 make(b=RK4_STABILITY_LIMIT, dt=1.0).validate()
         default_directed_config(b=math.nextafter(RK4_STABILITY_LIMIT, 0), dt=1.0).validate()
+
+    def test_rk4_half_disc_radius(self):
+        # the half-disc {|z| <= r, Re z <= 0} lies inside |R(z)| <= 1, and
+        # the circle |z| = r touches the boundary at theta = 2.14229
+        def growth(z):
+            return np.abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24)
+
+        theta = np.linspace(np.pi / 2, 3 * np.pi / 2, 20001)
+        radii = np.linspace(0.0, RK4_HALF_DISC_RADIUS, 201)[:, None]
+        assert growth(radii * np.exp(1j * theta)).max() <= 1 + 1e-14
+        touch = np.exp(1j * 2.142288561027110)
+        assert abs(growth(RK4_HALF_DISC_RADIUS * touch) - 1) < 1e-14
+        assert growth(RK4_HALF_DISC_RADIUS * (1 + 1e-8) * touch) > 1
+        # the radius sits between the reach on the imaginary and real axes
+        assert RK4_HALF_DISC_RADIUS < RK4_STABILITY_LIMIT < 2 * math.sqrt(2)
+
+    @pytest.mark.parametrize(
+        "a, dt, refused",
+        [
+            (1e308, 1e-3, True),  # a lambda overflows: non-finite modes
+            (2.0**70, 1e-3, True),
+            (1e4, 0.03, True),  # |s dt| about 5 near the imaginary axis
+            (1e3, 0.03, False),  # past the screen, every mode inside
+        ],
+    )
+    def test_coordination_modes_outside_rk4_region_refused(self, a, dt, refused):
+        cfg = default_bidirectional_config(a=a, dt=dt)
+        bound = (cfg.b + math.sqrt(2 * a * (cfg.n - 1))) * dt
+        assert bound > RK4_HALF_DISC_RADIUS  # the eigensolve decides
+        if refused:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConfigError, match="^" + re.escape(f"a={float(a)!r} with dt={dt!r}: ")):
+                    cfg.validate()
+        else:
+            cfg.validate()
+
+    def test_coordination_modes_match_a_direct_root_scan(self):
+        # random digraphs (complex Laplacian spectra) and gains: validate
+        # refuses exactly when np.roots finds a stable mode s with
+        # |R(s dt)| > 1; draws within 1e-6 of the boundary are skipped
+        rng = np.random.default_rng(20)
+        decided = {True: 0, False: 0}
+        for _ in range(120):
+            n = int(rng.integers(2, 9))
+            family = [random_digraph(n, rng) for _ in range(int(rng.integers(1, 4)))]
+            family.append(Digraph(n, [(i, i + 1) for i in range(1, n)]))  # a spanning chain
+            a, b = 10 ** rng.uniform(-1, 4), 10 ** rng.uniform(-1, 2.5)
+            dt = float(rng.uniform(0.1, 1.0) * RK4_STABILITY_LIMIT / b)
+            cfg = default_directed_config(
+                n=n, topology_family=family, a=a, b=b, dt=dt, t_max=dt,
+                mu_list=[0.1] * len(family), phi0=[1.0] * (n - 1),
+            )
+            growths = []
+            for lam in np.linalg.eigvals(laplacians(family).astype(float)).ravel():
+                for s in np.roots([1.0, b, a * lam]):
+                    z = s * dt
+                    if s.real < 0:
+                        growths.append(abs(1 + z + z * z / 2 + z**3 / 6 + z**4 / 24))
+            if min(abs(g - 1) for g in growths) < 1e-6:
+                continue
+            expected = max(growths) > 1
+            try:
+                cfg.validate()
+                refused = False
+            except ConfigError as exc:
+                assert str(exc).startswith(f"a={a!r} with dt={dt!r}: ")
+                refused = True
+            assert refused == expected
+            decided[expected] += 1
+        assert min(decided.values()) >= 10
 
     def test_every_numeric_field_declares_a_range(self):
         numeric = [
@@ -477,9 +551,7 @@ def allocating_step(world, sigma, rates):
         if world.any_arrived:
             gamma_dot = np.where(arrived, 0.0, gamma_dot)
             gamma_ddot[arrived] = 0.0
-        u = pf_control_all(
-            e, v, target_vel * gamma_dot[:, None], world.kp, world.kd, cfg.accel_limit
-        )
+        u = pf_control_all(np.stack((target_vel * gamma_dot[:, None] - v, e)), world.gains)
         for row, gvec, window in world.gusts:
             u[row] = apply_disturbance(u[row], t, gvec, window)
         return np.concatenate((gamma_dot, gamma_ddot, v.ravel(), u.ravel()))
@@ -501,13 +573,20 @@ def allocating_step(world, sigma, rates):
     return x, arrived
 
 
+def random_digraph(n, rng):
+    """A random directed graph on ``n`` nodes with a one-way edge."""
+    edges = {(int(i), int(j)) for i, j in rng.integers(1, n + 1, (2 * n, 2)) if i != j}
+    edges.add((1, 2))
+    edges.discard((2, 1))
+    return Digraph(n, edges)
+
+
 class TestStepWorkspace:
     # step forms every stage in the world's workspace; it must give the
     # bytes of the step built from allocating calls, and each kernel given
     # out the bytes of its call without it
-    @pytest.mark.parametrize("arrivals", [False, True], ids=["flying", "arrived"])
-    @pytest.mark.parametrize("n", range(2, 11))
-    def test_step_bytes_equal_the_allocating_step(self, n, arrivals):
+    @staticmethod
+    def check_steps(n, arrivals, directed):
         chain = [(i, i + 1) for i in range(1, n)]
         cfg = ScenarioConfig(
             n=n,
@@ -526,6 +605,8 @@ class TestStepWorkspace:
         fast = far = 0
         for trial in range(5):
             world = init_world(cfg)
+            if directed:  # a one-way Laplacian in place of the chain's
+                world.laplacians = laplacians([random_digraph(n, rng)]).astype(float)
             world.step_idx, world.t = 700, 0.7
             world.gamma[:] = rng.uniform(0.0, cfg.t_f, n)
             world.gamma_dot[:] = rng.uniform(0.5, 1.5, n)
@@ -550,6 +631,41 @@ class TestStepWorkspace:
             assert world.any_arrived == arrived.any() and world.t == 701 * cfg.dt
         assert fast and far  # the speed limit and the command's limit both scaled
 
+    @pytest.mark.parametrize("arrivals", [False, True], ids=["flying", "arrived"])
+    @pytest.mark.parametrize("n", [*range(2, 11), 16, 40])
+    def test_step_bytes_equal_the_allocating_step(self, n, arrivals):
+        self.check_steps(n, arrivals, directed=False)
+
+    @pytest.mark.parametrize("arrivals", [False, True], ids=["flying", "arrived"])
+    @pytest.mark.parametrize("n", [2, 3, 5, 10, 16, 40])
+    def test_directed_laplacian_step_bytes_equal_the_allocating_step(self, n, arrivals):
+        self.check_steps(n, arrivals, directed=True)
+
+    def test_combination_is_the_chained_sum_with_signed_zeros(self, monkeypatch):
+        # stage derivatives and a state full of signed zeros: step's one
+        # reduction must give x + dt/6 (((k1 + 2 k2) + 2 k3) + k4) bit for bit
+        rng = np.random.default_rng(7)
+        world = init_world(default_bidirectional_config())
+        size = world.x.size
+        ks = rng.normal(size=(4, size)) * 0.1
+        ks[rng.random(ks.shape) < 0.5] = -0.0
+        ks[:, :3] = -0.0  # entries whose four derivatives are all -0.0
+        world.x[rng.random(size) < 0.5] = -0.0
+        world.x[:3] = -0.0
+        rows = iter(ks)
+
+        def fake_rhs(world, t, x, lap, rate, out, *views):
+            out[...] = next(rows)
+            return out
+
+        monkeypatch.setattr(simharness, "_rhs", fake_rhs)
+        half, full, two, sixth = world.rk4
+        total = np.add(np.add(np.add(ks[0], two * ks[1]), two * ks[2]), ks[3])
+        expected = world.x + sixth * total
+        step(world, 1, (1.0, 1.0, 1.0, 1.0))
+        assert world.x.tobytes() == expected.tobytes()
+        assert np.signbit(world.x[:3]).all()
+
     @pytest.mark.parametrize("stack", [(), (7,)], ids=["sample", "stack"])
     def test_kernels_given_out_return_it_with_the_same_bytes(self, stack):
         rng = np.random.default_rng(len(stack))
@@ -572,11 +688,20 @@ class TestStepWorkspace:
         gamma_dot = rng.uniform(0.5, 1.5, stack + (n,))
         check(coordination_accel_matrix, gamma, gamma_dot, lap, alpha, 1.1, 0.75, -1.82)
         e, v, target = pe[0], rng.normal(size=stack + (n, 3)) * 3.0, pe[1] * 1.1
-        u = check(pf_control_all, e, v, target, 4.0, 4.0, 10.0)
+        # pf_control_all scales the stack it is given in place: a fresh copy
+        # for each call
+        pd, gains = np.stack((target - v, e)), PDGains(4.0, 4.0, 10.0, n)
+        u = pf_control_all(pd.copy(), gains)
+        out = np.full_like(u, np.nan)
+        assert pf_control_all(pd.copy(), gains, out) is out
+        assert out.tobytes() == u.tobytes()
         assert (row_norms(u) == 10.0).any()  # some commands saturate
-        # the command may overwrite the target velocity it is formed from
-        assert pf_control_all(e, v, target, 4.0, 4.0, 10.0, target) is target
-        assert target.tobytes() == u.tobytes()
+        # the command may overwrite either row of the stack it is formed from
+        for row in (0, 1):
+            scratch = pd.copy()
+            into = scratch[row]
+            assert pf_control_all(scratch, gains, into) is into
+            assert into.tobytes() == u.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coordsim.vehicle import (
     LaneSweepFamily,
+    PDGains,
     apply_disturbance,
     pf_control_all,
     row_norms,
@@ -166,7 +167,8 @@ class TestPfControl:
     def test_zero_at_target_with_matched_velocity(self):
         p = np.array([[1.0, 2, 3], [-4.0, 0, 2]])
         v = np.array([[0.5, 0, 0], [1.0, 0.3, 0]])
-        u = pf_control_all(p.copy() - p, v, v.copy(), 4.0, 4.0, 10.0)  # at the target
+        # at the target: [target_vel - v | e]
+        u = pf_control_all(np.stack((v.copy() - v, p.copy() - p)), PDGains(4.0, 4.0, 10.0, 2))
         assert np.allclose(u, 0.0, atol=1e-15)
 
     def test_saturation_norm(self):
@@ -174,13 +176,15 @@ class TestPfControl:
         p = rng.normal(size=(100, 3)) * 10
         v = rng.normal(size=(100, 3)) * 5
         e = rng.normal(size=(100, 3)) * 10 - p
-        u = pf_control_all(e, v, rng.normal(size=(100, 3)), 4.0, 4.0, 10.0)
+        target_vel = rng.normal(size=(100, 3))
+        u = pf_control_all(np.stack((target_vel - v, e)), PDGains(4.0, 4.0, 10.0, 100))
         assert np.linalg.norm(u, axis=1).max() <= 10.0 + 1e-12
 
     def test_saturation_preserves_direction(self):
         target = np.array([[100.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
         # vehicles at rest at the origin: the path error is the target
-        u = pf_control_all(target, np.zeros((2, 3)), np.zeros((2, 3)), 4.0, 4.0, 10.0)
+        rest = np.zeros((2, 3))  # target velocity and velocity
+        u = pf_control_all(np.stack((rest - rest, target)), PDGains(4.0, 4.0, 10.0, 2))
         assert np.allclose(u, [[10.0, 0.0, 0.0], [2.0, 0.0, 0.0]], atol=1e-12)
 
     def test_batch_matches_single(self):
@@ -191,10 +195,11 @@ class TestPfControl:
         v = rng.normal(size=(4, 3))
         tp = rng.normal(size=(4, 3)) * 10
         tv = rng.normal(size=(4, 3))
-        batch = pf_control_all(tp - p, v, tv, 4.0, 4.0, 10.0)
+        batch = pf_control_all(np.stack((tv - v, tp - p)), PDGains(4.0, 4.0, 10.0, 4))
         for i in range(4):
             row = slice(i, i + 1)
-            single = pf_control_all(tp[row] - p[row], v[row], tv[row], 4.0, 4.0, 10.0)[0]
+            pd = np.stack((tv[row] - v[row], tp[row] - p[row]))
+            single = pf_control_all(pd, PDGains(4.0, 4.0, 10.0, 1))[0]
             assert np.allclose(batch[i], single, atol=1e-13)
             by_hand = 4.0 * (tp[i] - p[i]) + 4.0 * (tv[i] - v[i])
             by_hand *= min(1.0, 10.0 / np.linalg.norm(by_hand))
@@ -204,7 +209,7 @@ class TestPfControl:
         z = np.zeros((1, 3))
         for kp, kd, a_max in ((-1.0, 4.0, 10.0), (4.0, 0.0, 10.0), (4.0, 4.0, 0.0)):
             with pytest.raises(ValueError):
-                pf_control_all(np.ones((1, 3)), z, z, kp, kd, a_max)
+                pf_control_all(np.stack((z - z, np.ones((1, 3)))), PDGains(kp, kd, a_max, 1))
 
 
 def branch_free(rows, limit):
