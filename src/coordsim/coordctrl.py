@@ -120,18 +120,20 @@ def coordination_accel_matrix(
 ) -> np.ndarray:
     """Matrix form of the coordination law:
     ``-b (rate error) - a L gamma - alpha``, given the rate gain negated,
-    ``neg_b = -b``, so that a caller holding the gains as 0-d arrays pays
-    no negation per call.  The Laplacian's sparsity makes row ``i`` depend
-    only on vehicle ``i``'s in-neighbors.  One sample, shape ``(n,)``, or a
+    ``neg_b = -b``.  The Laplacian's sparsity makes row ``i`` depend only
+    on vehicle ``i``'s in-neighbors.  One sample, shape ``(n,)``, or a
     stack, ``(..., n)``, with one Laplacian or one per sample: each sample
     costs one matrix-vector product, so its bits do not depend on the stack
-    it is in.  The result is written into ``out`` when given (one sample's
-    ``out`` must be C-contiguous), and returned.  This is ``_accel_into``
-    with a fresh scratch row."""
+    it is in.  ``a`` and ``neg_b`` are floats or 0-d arrays.  The result is
+    written into ``out`` when given, and returned.  This is
+    ``_accel_into`` with a fresh scratch and the gain column ``[a, neg_b]``
+    broadcast over it."""
     if out is None:
         out = np.empty(np.broadcast_shapes(lap.shape[:-1], gamma.shape))
+    gains = np.array([a, neg_b], dtype=float).reshape((2,) + (1,) * out.ndim)
+    scratch = np.empty((2,) + out.shape)
     return _accel_into(
-        gamma, gamma_dot, lap, alpha, gamma_dot_d, a, neg_b, out, np.empty(out.shape)
+        gamma, gamma_dot, lap, alpha, gamma_dot_d, gains, out, scratch, *scratch
     )
 
 
@@ -141,24 +143,29 @@ def _accel_into(
     lap: np.ndarray,
     alpha: np.ndarray,
     gamma_dot_d: float | np.ndarray,
-    a: float | np.ndarray,
-    neg_b: float | np.ndarray,
+    gains: np.ndarray,
     out: np.ndarray,
     scratch: np.ndarray,
+    consensus: np.ndarray,
+    rate_error: np.ndarray,
 ) -> np.ndarray:
-    """``coordination_accel_matrix`` into ``out``, which first holds the
-    consensus term, with the rate term formed in ``scratch``, an array of
-    ``out``'s shape.  One sample's ``L gamma`` is ``np.dot``, BLAS's
-    matrix-vector product; a stack's is ``matmul``, which gives each
-    sample those same bits.  Returns ``out``."""
-    if out.ndim == 1:
-        np.dot(lap, gamma, out)
+    """``coordination_accel_matrix`` into ``out``.  ``scratch`` is a
+    C-contiguous ``(2,) + out.shape`` array whose rows are ``consensus``
+    and ``rate_error``: they take ``L gamma`` and ``gamma_dot -
+    gamma_dot_d``, and one multiply by ``gains``, ``[a | neg_b]`` in a
+    shape that broadcasts against ``scratch`` (the loop holds it as a
+    same-shape ``(2, n)`` array), scales both; ``out`` is then
+    ``neg_b (gamma_dot - gamma_dot_d) - a L gamma - alpha``, with the
+    roundings of the two scalar multiplies.  One sample's ``L gamma`` is
+    ``np.dot``, BLAS's matrix-vector product; a stack's is ``matmul``,
+    which gives each sample those same bits.  Returns ``out``."""
+    if consensus.ndim == 1:
+        np.dot(lap, gamma, consensus)
     else:
-        np.matmul(lap, gamma[..., None], out[..., None])
-    np.multiply(a, out, out)
-    np.subtract(gamma_dot, gamma_dot_d, scratch)
-    np.multiply(neg_b, scratch, scratch)
-    np.subtract(scratch, out, out)
+        np.matmul(lap, gamma[..., None], consensus[..., None])
+    np.subtract(gamma_dot, gamma_dot_d, rate_error)
+    np.multiply(gains, scratch, scratch)
+    np.subtract(rate_error, consensus, out)
     return np.subtract(out, alpha, out)
 
 

@@ -484,8 +484,12 @@ class SimWorld:
       with one costs less than with a Python float or a NumPy scalar, with
       the same IEEE result): ``a``, ``neg_b`` (``-b``), ``delta`` and
       ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step;
+    - ``coord_gains``, the coordination law's ``(2, n)`` gain rows ``[a |
+      -b]``, one same-shape multiply for both of its gains;
     - ``gains``, the path follower's checked ``vehicle.PDGains``, and
-      ``speed_bound``, the speed limit's ``vehicle.square_bound``;
+      ``speed_bound`` and ``speed_total_bound``, the speed limit's
+      ``vehicle.square_bound`` and its ``vehicle.dot_bound`` over the
+      ``3 n`` entries of ``v``;
     - the workspace: ``stage``, the state a stage is evaluated at, and
       ``k``, the four stage derivatives, the rows of one ``(5, 8 n)``
       array (``k_block`` the ``k`` rows as one array, ``k_middle`` those
@@ -495,8 +499,9 @@ class SimWorld:
     - the ``_split`` views of ``x``, ``stage`` and each ``k`` row:
       ``x_views``, ``stage_views`` and ``k_views``.
 
-    Before arrival, the only array a stage computes into fresh memory is
-    the saturation test's squared norms."""
+    Before arrival, a stage computes into fresh memory only when its
+    command fails the saturation's one-dot test, into the squared norms
+    of the row-dot test."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -519,8 +524,10 @@ class SimWorld:
     neg_b: np.ndarray = field(init=False, repr=False)
     delta: np.ndarray = field(init=False, repr=False)
     rk4: tuple[np.ndarray, ...] = field(init=False, repr=False)
+    coord_gains: np.ndarray = field(init=False, repr=False)
     gains: vehicle.PDGains = field(init=False, repr=False)
     speed_bound: float = field(init=False, repr=False)
+    speed_total_bound: float = field(init=False, repr=False)
     # workspace
     stage: np.ndarray = field(init=False, repr=False)
     k: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -541,18 +548,22 @@ class SimWorld:
         self.stage_views, self.k_views = row_views[0], row_views[1:]
         self.x_views = _split(x, n)
         self.gamma, self.gamma_dot, _, self.p, self.v = self.x_views
-        targets, dots = np.empty((4, n, 3)), np.empty((2, n))
+        targets, dots, law = np.empty((4, n, 3)), np.empty((2, n)), np.empty((2, n))
         self.buffers = _StageBuffers(
             targets[0:2], targets[1:3], *targets, *self.fam._target_views(targets[2:4]),
-            dots, *dots, np.empty(n), np.empty(n),
+            dots, *dots, np.empty(n), law, law[0], law[1],
         )
         self.a, self.neg_b, self.delta = (
             np.array(c, dtype=float) for c in (cfg.a, -cfg.b, cfg.delta)
         )
+        self.coord_gains = np.empty((2, n))
+        self.coord_gains[0], self.coord_gains[1] = self.a, self.neg_b
+        self.coord_gains.setflags(write=False)
         dt = cfg.dt
         self.rk4 = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, 2, dt / 6.0))
         self.gains = vehicle.PDGains(cfg.kp, cfg.kd, cfg.accel_limit, n)
         self.speed_bound = vehicle.square_bound(cfg.speed_limit)
+        self.speed_total_bound = vehicle.dot_bound(cfg.speed_limit, 3 * n)
 
     @property
     def all_arrived(self) -> bool:
@@ -563,9 +574,10 @@ class _StageBuffers(NamedTuple):
     """What the kernels of one RK4 stage write, bound once per run: the
     ``(4, n, 3)`` stack ``[target_vel - v | e | v_d | p_d]`` (its columns
     that do not depend on gamma written at set-up) and its views, the
-    ``(2, n)`` row dots of the path-error feedback and their rows, the
-    feedback ``alpha`` and the scratch row of the coordination law's rate
-    term."""
+    ``(2, n)`` scratch of the lateral chain, its rows and its envelope
+    scratch, the ``(2, n)`` row dots of the path-error feedback and their
+    rows, the feedback ``alpha``, and the ``(2, n)`` scratch of the
+    coordination law and its rows."""
 
     pd_stack: np.ndarray  # [target_vel - v | e], for pf_control_all
     feedback_stack: np.ndarray  # [e | v_d], for the path-error feedback
@@ -573,14 +585,20 @@ class _StageBuffers(NamedTuple):
     e: np.ndarray
     v_d: np.ndarray
     p_d: np.ndarray
-    downrange: np.ndarray  # then the views of LaneSweepFamily._target_views
+    chain: np.ndarray  # then the views of LaneSweepFamily._target_views
+    chain_lateral: np.ndarray
+    chain_rate: np.ndarray
+    envelope: np.ndarray
+    downrange: np.ndarray
     lateral: np.ndarray
     lateral_rate: np.ndarray
     dots: np.ndarray
     along: np.ndarray  # e . v_d
     norms: np.ndarray  # |v_d|^2
     alpha: np.ndarray
-    scratch: np.ndarray
+    law: np.ndarray  # [L gamma | gamma_dot - rate], for the coordination law
+    consensus: np.ndarray
+    rate_error: np.ndarray
 
 
 def _admit(
@@ -695,14 +713,18 @@ def _rhs(
     gamma, gamma_dot, gamma_dot_col, p, v = x_views or _split(x, n)
     d_gamma, d_gamma_dot, _, d_p, d_v = out_views or _split(out, n)
     (
-        pd_stack, feedback_stack, vel_error, e, v_d, p_d, downrange, lateral,
-        lateral_rate, dots, along, norms, alpha, scratch,
+        pd_stack, feedback_stack, vel_error, e, v_d, p_d, chain, chain_lateral, chain_rate,
+        envelope, downrange, lateral, lateral_rate, dots, along, norms, alpha, law,
+        consensus, rate_error,
     ) = world.buffers
-    world.fam._pos_vel_into(gamma, downrange, lateral, lateral_rate)
+    world.fam._pos_vel_into(
+        gamma, chain, chain_lateral, chain_rate, envelope, downrange, lateral, lateral_rate
+    )
     np.subtract(p_d, p, e)
     coordctrl._feedback_into(feedback_stack, v_d, world.delta, dots, along, norms, alpha)
     gamma_ddot = coordctrl._accel_into(
-        gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b, d_gamma_dot, scratch
+        gamma, gamma_dot, lap, alpha, rate, world.coord_gains, d_gamma_dot, law,
+        consensus, rate_error,
     )
     if world.any_arrived:
         gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
@@ -772,7 +794,7 @@ def step(
     world.t = world.step_idx * dt
 
     # speed limit, direction preserved
-    vehicle._saturate(world.v, cfg.speed_limit, world.speed_bound)
+    vehicle._saturate(world.v, cfg.speed_limit, world.speed_bound, world.speed_total_bound)
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly.  Python's
@@ -901,6 +923,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     log_rates, log_pos = table[:, 3 : 3 + 2 * n], table[:, 3 + 3 * n :]
     rates_now, pos_now = world.x[: 2 * n], world.x[2 * n : 5 * n]
     log_rates[0], log_pos[0] = rates_now, pos_now
+    topologies = sigma.tolist()  # a list index costs less than int(sigma[k])
     for k in range(n_steps):
         j = k % RATE_BLOCK
         if j == 0:
@@ -910,7 +933,7 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         # each rate as a 0-d view: cheaper to operate on than a NumPy scalar
         step(
             world,
-            int(sigma[k]),
+            topologies[k],
             (r_now[j, ...], r_mid[j, ...], r_end[j, ...], r_now[j + 1, ...]),
         )
         log_rates[k + 1], log_pos[k + 1] = rates_now, pos_now

@@ -15,15 +15,21 @@ import numpy as np
 
 from ._einsum import einsum
 
-# The coefficients of pos_vel_all as read-only 0-d float64 arrays: an
+# The decay of pos_vel_all's envelope as a read-only 0-d float64 array: an
 # operation on an array with one costs less than with a Python float, with
 # the same IEEE result.
-_DECAY, _THREE, _FIVE, _RATE = (np.array(c) for c in (-0.6, 3.0, 5.0, 1.8))
-for _c in (_DECAY, _THREE, _FIVE, _RATE):
-    _c.setflags(write=False)
+_DECAY = np.array(-0.6)
+_DECAY.setflags(write=False)
+# the lateral chain's coefficient and offset columns, [3 | 1.8] and
+# [5 | -0.0], spread over the vehicles by LaneSweepFamily
+_CHAIN_COLUMNS = np.array([[[3.0], [1.8]], [[5.0], [-0.0]]])
 # 1 - 2**-50, exact in float64: the margin of saturate's squared-norm test
 _SQUARE_MARGIN = 1.0 - 2.0**-50
 _TINY = float(np.finfo(float).tiny)  # smallest normal float64
+# dot_bound's domain: squared-norm bounds from 2**-960 up and at most
+# 2**20 terms, where its margin covers every rounding and underflow
+_DOT_BOUND_MIN = 2.0**-960
+_DOT_TERMS_MAX = 2**20
 
 
 class LaneSweepFamily:
@@ -52,6 +58,13 @@ class LaneSweepFamily:
         # gamma: down-range rate 1, climb rate 0, altitude 2
         self._vel_pos = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         self._vel_pos.setflags(write=False)
+        # the read-only (2, n) rows of the lateral chain: coefficients
+        # [3 | 1.8], offsets [5 | -0.0] (adding -0.0 is exact for every
+        # float, -0.0 too) and the sines [sin | sin]
+        chain = np.empty((3, 2, self.n))
+        chain[:2], chain[2] = _CHAIN_COLUMNS, self.sines
+        chain.setflags(write=False)
+        self._chain = chain[0], chain[1], chain[2]
 
     def velocity_all(self, gammas: np.ndarray) -> np.ndarray:
         """Desired velocities at virtual times ``gammas``, which broadcast
@@ -71,11 +84,14 @@ class LaneSweepFamily:
         and squares never shrink as ``|w_t|`` grows, so every ``vy*vy`` is
         extreme at the argmax and argmin of ``|w_t|``, the two times
         ``velocity_all`` is evaluated at, with the bits of the norm of every
-        sample; a NaN, which both searches pick first, propagates."""
+        sample; a NaN, which both searches pick first, propagates.  Times
+        so large that ``1.8 t`` overflows give ``inf * 0``, a NaN, without
+        a warning."""
         times = np.asarray(times, dtype=float)
-        w = np.abs(_lateral_rate(times))
-        vy = self.velocity_all(times[[np.argmax(w), np.argmin(w)], None])[..., 1]
-        vy2 = vy * vy
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.abs(1.8 * times * np.exp(-0.6 * times))
+            vy = self.velocity_all(times[[np.argmax(w), np.argmin(w)], None])[..., 1]
+            vy2 = vy * vy
         return math.sqrt(1.0 + float(vy2.max())) - math.sqrt(1.0 + float(vy2.min()))
 
     def pos_vel_all(self, gammas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -88,44 +104,66 @@ class LaneSweepFamily:
         given, and returned.
 
         This is ``_pos_vel_into`` on the views ``_target_views`` takes of
-        ``out``; the simulation loop calls the two itself, the views taken
-        once per run."""
+        ``out`` and of a fresh scratch; the simulation loop calls the two
+        itself, the views taken once per run."""
         if out is None:
             out = np.empty((2,) + gammas.shape[:-1] + (self.n, 3))
         self._pos_vel_into(gammas, *self._target_views(out[::-1]))
         return out
 
-    def _target_views(self, vel_pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _target_views(self, vel_pos: np.ndarray) -> tuple[np.ndarray, ...]:
         """Write the columns that do not depend on gamma (down-range rate 1,
         climb rate 0, altitude 2) into ``vel_pos``, a ``(2, ..., n, 3)``
         stack ``[vel | pos]``, and return the views ``_pos_vel_into``
-        writes the rest through: the down-range position, the lateral
-        position and the lateral rate."""
+        writes the rest through: a fresh contiguous ``(2, ..., n)``
+        scratch for the lateral chain, its two rows, a scratch of the same
+        shape for the envelope, then the down-range position, the lateral
+        position and the lateral rate of ``vel_pos``."""
         vel_pos.swapaxes(0, -2)[...] = self._vel_pos
-        return vel_pos[1, ..., 0], vel_pos[1, ..., 1], vel_pos[0, ..., 1]
+        scratch = np.empty((2,) + vel_pos.shape[:-1])
+        chain, envelope = scratch[0], scratch[1]
+        return (
+            chain, chain[0], chain[1], envelope,
+            vel_pos[1, ..., 0], vel_pos[1, ..., 1], vel_pos[0, ..., 1],
+        )
 
     def _pos_vel_into(
-        self, gammas: np.ndarray, downrange: np.ndarray, lateral: np.ndarray, rate: np.ndarray
+        self,
+        gammas: np.ndarray,
+        chain: np.ndarray,
+        chain_lateral: np.ndarray,
+        chain_rate: np.ndarray,
+        envelope: np.ndarray,
+        downrange: np.ndarray,
+        lateral: np.ndarray,
+        rate: np.ndarray,
     ) -> None:
         """The columns of ``pos_vel_all`` that depend on ``gammas``, written
-        through the views of ``_target_views``.  The down-range column
-        holds the envelope ``exp(-0.6 gamma)`` until the last write, so
-        nothing is allocated."""
-        np.exp(np.multiply(_DECAY, gammas, downrange), downrange)
-        # offsets - env (5 + 3 gamma) sin, then 1.8 gamma env sin
-        np.multiply(_THREE, gammas, lateral)
-        np.add(_FIVE, lateral, lateral)
-        np.multiply(downrange, lateral, lateral)
-        np.multiply(lateral, self.sines, lateral)
-        np.subtract(self.offsets, lateral, lateral)
-        np.multiply(_RATE, gammas, rate)
-        np.multiply(rate, downrange, rate)
-        np.multiply(rate, self.sines, rate)
+        through the views of ``_target_views``.
+
+        The lateral position ``offsets - env (5 + 3 gamma) sin`` and rate
+        ``1.8 gamma env sin``, ``env = exp(-0.6 gamma)``, run as one chain
+        on the contiguous rows ``chain = [gamma | gamma]``: one ``exp``
+        gives ``env`` in both rows of ``envelope``, then ``chain * [3 |
+        1.8] + [5 | -0.0]``, times ``env``, times ``[sin | sin]``.  Each
+        row takes the roundings of its own chain of scalar operations
+        (adding ``-0.0`` is exact), and a contiguous operation costs about
+        a third of one on a strided view.  The rows are then scattered
+        into ``lateral`` and ``rate``; on a stack, the constant rows
+        broadcast over its samples."""
+        coef, shift, sines = self._chain
+        if chain.ndim != 2:
+            spread = (2,) + (1,) * (chain.ndim - 2) + (self.n,)
+            coef, shift, sines = coef.reshape(spread), shift.reshape(spread), sines.reshape(spread)
+        chain[...] = gammas
+        np.exp(np.multiply(_DECAY, chain, envelope), envelope)
+        np.multiply(coef, chain, chain)
+        np.add(chain, shift, chain)
+        np.multiply(envelope, chain, chain)
+        np.multiply(chain, sines, chain)
+        np.subtract(self.offsets, chain_lateral, lateral)
+        rate[...] = chain_rate
         downrange[...] = gammas
-
-
-def _lateral_rate(g: np.ndarray) -> np.ndarray:  # per unit sin(angle)
-    return 1.8 * g * np.exp(-0.6 * g)
 
 
 class PDGains:
@@ -134,9 +172,12 @@ class PDGains:
     positive.  ``column`` is the read-only ``[kd, kp]`` gain column spread
     over the ``(2, n, 3)`` stack ``[target_vel - v | e]`` of one sample, so
     one same-shape multiply applies both gains (a broadcast one costs
-    more); ``bound`` is ``saturate``'s squared-norm bound for ``a_max``."""
+    more); ``bound`` is ``saturate``'s squared-norm bound for ``a_max``
+    and ``total_bound`` its ``dot_bound`` over the ``3 n`` entries of one
+    sample's command, so a step's saturation tests take no bound of their
+    own."""
 
-    __slots__ = ("a_max", "column", "bound")
+    __slots__ = ("a_max", "column", "bound", "total_bound")
 
     def __init__(self, kp: float, kd: float, a_max: float, n: int) -> None:
         if float(kp) <= 0 or float(kd) <= 0 or float(a_max) <= 0:
@@ -146,6 +187,7 @@ class PDGains:
         self.column[0], self.column[1] = kd, kp
         self.column.setflags(write=False)
         self.bound = square_bound(a_max)
+        self.total_bound = dot_bound(a_max, 3 * n)
 
 
 def pf_control_all(
@@ -162,12 +204,14 @@ def pf_control_all(
     e]``, so the caller's stack is scratch.  The command is written into
     ``out`` when given (it may be either row of ``stack``), and
     returned."""
-    column = gains.column
-    if stack.ndim != 3:
-        column = column.reshape((2,) + (1,) * (stack.ndim - 3) + column.shape[1:])
+    column, total_bound = gains.column, gains.total_bound
+    if stack.shape != column.shape:  # a stack, or gains of one vehicle spread over more
+        if stack.ndim != 3:
+            column = column.reshape((2,) + (1,) * (stack.ndim - 3) + column.shape[1:])
+        total_bound = dot_bound(gains.a_max, stack[0].size)
     np.multiply(column, stack, stack)
     out = np.add(stack[1], stack[0], out)
-    _saturate(out, gains.a_max, gains.bound)
+    _saturate(out, gains.a_max, gains.bound, total_bound)
     return out
 
 
@@ -186,6 +230,18 @@ def square_bound(limit: float) -> float:
     return bound if lim > 0 and _TINY <= bound < math.inf else -math.inf
 
 
+def dot_bound(limit: float, terms: int) -> float:
+    """``saturate``'s bound on the dot of all the entries of its rows,
+    ``terms`` of them, with themselves: ``fl(B * (1 - (terms + 4) 2**-52))``
+    for ``B = square_bound(limit)`` while ``B >= 2**-960`` and ``terms <=
+    2**20``, else ``-inf``, which no dot meets.  ``saturate`` derives why a
+    dot at most this bound proves every row's squared norm at most ``B``."""
+    bound = square_bound(limit)
+    if not (bound >= _DOT_BOUND_MIN and terms <= _DOT_TERMS_MAX):
+        return -math.inf
+    return bound * (1.0 - (terms + 4) * 2.0**-52)
+
+
 def saturate(rows: np.ndarray, limit: float) -> None:
     """Scale in place every row of ``rows``, ``(..., 3)``, whose norm
     exceeds ``limit`` to norm ``limit``, keeping its direction: each row is
@@ -195,7 +251,7 @@ def saturate(rows: np.ndarray, limit: float) -> None:
 
     That factor is exactly 1.0 on a row with ``norm <= limit``, so the
     multiply is skipped when every squared norm ``s`` (the row dot that
-    ``row_norms`` takes the root of) satisfies ``s <= square_bound(limit)
+    ``row_norms`` takes the root of) satisfies ``s <= B = square_bound(limit)
     = fl(fl(limit*limit) * (1 - 2**-50))``.  While that bound is a normal
     float, each of its two roundings is within a relative ``2**-53``, so
     it is below ``limit**2`` exactly; then ``sqrt(s) < limit``, and the
@@ -204,13 +260,43 @@ def saturate(rows: np.ndarray, limit: float) -> None:
     below the normal range (``square_bound`` gives ``-inf``), and any NaN
     take the norm-and-factor path: the sum of the squared norms is NaN
     exactly when one of them is (none is negative), wherever Python's
-    ``max`` stops."""
-    _saturate(rows, limit, square_bound(limit))
+    ``max`` stops.
+
+    Before the row dots, one BLAS dot of all ``k`` entries with themselves,
+    ``d = np.vdot(rows, rows)``, is tested against ``T = dot_bound(limit,
+    k)``, a sufficient test only: ``d <= T`` proves every ``s <= B`` and
+    skips the multiply; otherwise the row-dot test above runs unchanged
+    (a NaN or an infinity makes ``d`` NaN or inf, which fails ``<=``).
+    With ``u = 2**-53``, ``eta = 2**-1074`` and round-to-nearest, a
+    rounding of ``y >= 0`` lies in ``[y (1 - u) - eta/2, y (1 + u) +
+    eta/2]`` in the normal and the subnormal range alike.  Let ``S`` be the
+    exact sum of the ``k`` squares and ``S_i <= S`` that of row ``i``.
+
+    - ``d``, in whatever order BLAS sums, with or without FMA, and even
+      through an extended accumulator rounded once more at the end, is a
+      tree of at most ``2 k`` roundings of nonnegative values with at
+      most ``k + 1`` of them on the path of any square (Higham, *Accuracy
+      and Stability of Numerical Algorithms*, 2nd ed., section 3.1), so
+      ``d >= (1 - u)**(k + 1) S - k eta``.
+    - ``s_i``, einsum's 3-term row dot, has at most three roundings on
+      each path and five in all, so ``s_i <= (1 + u)**3 S_i + 3 eta``.
+    - ``T <= B c (1 + u)`` with ``c = 1 - 2 (k + 4) u``, exact in float64,
+      and ``T >= 2**-961``.
+
+    So ``d <= T`` gives ``s_i <= (1 + u)**4 c (1 + k eta / T) B / (1 -
+    u)**(k + 1) + 3 eta``.  For ``k <= 2**20`` the factor of ``B`` is at
+    most ``1 - (k + 3) u + 4 (k + 5)**2 u**2 + 2**-93 < 1 - (k + 3) u / 2``,
+    and ``B (k + 3) u / 2 >= 2**-1013 > 3 eta``: ``s_i < B``.  ``B <
+    2**-960`` or ``k > 2**20`` give ``T = -inf`` and the row-dot test
+    alone."""
+    _saturate(rows, limit, square_bound(limit), dot_bound(limit, rows.size))
 
 
-def _saturate(rows: np.ndarray, limit: float, bound: float) -> None:
-    """``saturate`` with its bound ``square_bound(limit)`` computed once by
-    the caller."""
+def _saturate(rows: np.ndarray, limit: float, bound: float, total_bound: float) -> None:
+    """``saturate`` with its bounds ``square_bound(limit)`` and
+    ``dot_bound(limit, rows.size)`` computed once by the caller."""
+    if np.vdot(rows, rows) <= total_bound:
+        return
     squares = einsum("...j,...j->...", rows, rows)
     listed = squares.ravel().tolist()
     if max(listed, default=bound) <= bound and sum(listed) < math.inf:

@@ -3,13 +3,25 @@ straightforward form: these pins compare the two spellings byte for byte on
 random data, so a numpy or BLAS whose dispatch breaks an identity fails here
 rather than shifting the bits of every run."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coordsim._einsum import einsum
+from coordsim.coordctrl import _accel_into, coordination_accel_matrix
 from coordsim.digraph import Digraph, laplacians
 from coordsim.simharness import MAX_SYNTHESIS_N
-from coordsim.vehicle import PDGains, pf_control_all, row_norms, saturate
+from coordsim.vehicle import (
+    LaneSweepFamily,
+    PDGains,
+    dot_bound,
+    pf_control_all,
+    row_norms,
+    saturate,
+)
 
 
 def random_laplacian(n, rng, symmetric):
@@ -109,3 +121,200 @@ def test_stacked_gains_match_the_two_gain_command():
         got = pf_control_all(np.stack((target_vel - v, e)), PDGains(kp, kd, a_max, n))
         assert got.tobytes() == want.tobytes()
     assert 50 < saturated < 350  # both the skip and the scaling
+
+
+# limits whose squares underflow, sit at and just above dot_bound's
+# smallest bound 2**-960, are subnormal, ordinary, near the top, overflow
+DOT_LIMITS = [1e-300, 2.0**-480, 2.0**-480 * (1 + 2.0**-40), 1.3e-160, 0.3, 1.0, 5.0, 10.0,
+              1e150, 1e300]
+
+
+@st.composite
+def rows_for_the_dot_test(draw):
+    """``(rows, limit)``: ``n`` rows, 1 to 40, about a limit of
+    ``DOT_LIMITS``.  Up to three rows have a norm some ulps off the limit,
+    from about ``n + 10`` ulps under it (where the one dot first passes)
+    to a few over; the rest are zero, tiny (subnormal entries, or ``2**-30``
+    of the limit), or share the limit's square so that the sum of all the
+    squares lies some ulps off it; any entry may be NaN or infinite."""
+    limit = draw(st.sampled_from(DOT_LIMITS))
+    n = draw(st.integers(1, MAX_SYNTHESIS_N))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rest = draw(st.sampled_from(["zero", "subnormal", "tiny", "share"]))
+    if rest == "zero":
+        rows = np.zeros((n, 3))
+        rows[rng.random((n, 3)) < 0.5] = -0.0
+    elif rest == "subnormal":
+        rows = rng.integers(-3, 4, (n, 3)) * 5e-324
+    else:
+        rows = rng.normal(size=(n, 3))
+        rows /= np.sqrt((rows * rows).sum())  # one unit of squares in all
+        scale = 2.0**-30 if rest == "tiny" else 1.0 + draw(st.integers(-3 * n - 30, 8)) * 2.0**-53
+        rows *= limit * scale
+    for _ in range(draw(st.integers(0 if rest == "share" else 1, 3))):
+        i, axis = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
+        ulps = draw(st.one_of(st.integers(-6, 6), st.integers(-3 * n - 30, -n)))
+        norm = limit * (1.0 + ulps * 2.0**-53)
+        if draw(st.booleans()):  # on an axis: the norm is exact
+            rows[i] = 0.0
+            rows[i, axis] = norm * draw(st.sampled_from([1.0, -1.0]))
+        else:
+            direction = rng.normal(size=3)
+            rows[i] = direction * (norm / math.hypot(*direction))
+    special = draw(st.sampled_from([None, None, None, math.nan, math.inf, -math.inf]))
+    if special is not None:
+        rows[draw(st.integers(0, n - 1)), draw(st.integers(0, 2))] = special
+    return rows, limit
+
+
+@settings(max_examples=600, deadline=None)
+@given(case=rows_for_the_dot_test())
+def test_dot_fast_path_never_skips_a_factor_that_is_not_one(case):
+    # saturate skips the multiply when one dot of every entry is at most
+    # dot_bound: then the unconditional factor is exactly 1.0 on every row
+    rows, limit = case
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        factor = limit / np.maximum(row_norms(rows), limit)
+        expected = rows * factor[:, None]
+        if np.vdot(rows, rows) <= dot_bound(limit, rows.size):
+            assert (factor == 1.0).all()
+        saturate(rows, limit)
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_dot_fast_path_is_taken_and_refused_near_the_limit():
+    # rows whose squares sum to some ulps under the limit's square, every
+    # factor 1.0: the one dot passes on some, and on the others the row-dot
+    # test still skips the multiply with the same bytes
+    rng = np.random.default_rng(35)
+    passed = refused = 0
+    for trial in range(2000):
+        n = int(rng.integers(1, MAX_SYNTHESIS_N + 1))
+        limit = float(rng.choice([0.3, 1.0, 5.0, 10.0]))
+        rows = rng.normal(size=(n, 3))
+        rows *= limit / np.sqrt((rows * rows).sum())
+        rows *= 1.0 - int(rng.integers(0, 6 * n + 60)) * 2.0**-53
+        factor = limit / np.maximum(row_norms(rows), limit)
+        if not (factor == 1.0).all():
+            continue
+        if np.vdot(rows, rows) <= dot_bound(limit, rows.size):
+            passed += 1
+        else:
+            refused += 1
+        expected = rows.copy()
+        saturate(rows, limit)
+        assert rows.tobytes() == expected.tobytes()
+    assert passed > 100 and refused > 100
+
+
+def signed_gammas(rng, shape):
+    """Virtual times over the mission range and far beyond, with signed
+    zeros."""
+    gammas = rng.uniform(0.0, 60.0, shape) * rng.choice([1e-3, 1.0, 30.0], shape)
+    gammas[rng.random(shape) < 0.2] *= -1.0
+    gammas[rng.random(shape) < 0.1] = 0.0
+    gammas[rng.random(shape) < 0.1] = -0.0
+    return gammas
+
+
+def test_exp_on_contiguous_rows_matches_the_strided_column():
+    # the envelope was one exp on a strided column of the target stack; the
+    # lateral chain takes it on both contiguous rows of a (2, ..., n) array
+    rng = np.random.default_rng(36)
+    decay = np.array(-0.6)
+    for n in range(1, MAX_SYNTHESIS_N + 1):
+        for stack in [(), (3,), (256,)]:
+            gammas = signed_gammas(rng, stack + (n,))
+            column = np.empty((2,) + stack + (n, 3))[1, ..., 0]
+            rows = np.empty((2,) + stack + (n,))
+            rows[...] = gammas
+            with np.errstate(over="ignore"):
+                np.exp(np.multiply(decay, gammas, column), column)
+                np.exp(np.multiply(decay, rows, rows), rows)
+            assert rows[0].tobytes() == column.tobytes()
+            assert rows[1].tobytes() == column.tobytes()
+
+
+def test_stacked_law_gains_match_two_scalar_multiplies():
+    # [a | -b] times [L gamma | gamma_dot - rate] in one multiply, against
+    # a (L gamma) and -b (gamma_dot - rate) as two; then the whole law
+    # against its six-call spelling, one sample (np.dot) and stacks (matmul)
+    rng = np.random.default_rng(37)
+    for n in range(1, MAX_SYNTHESIS_N + 1):
+        for trial in range(6):
+            a, neg_b = (np.array(g) for g in 10 ** rng.uniform(-3, 4, 2) * [1.0, -1.0])
+            scratch = rng.normal(size=(2, n)) * rng.choice([1e-300, 1e-3, 1.0, 1e3], (2, n))
+            scratch[rng.random((2, n)) < 0.2] = -0.0
+            scratch[rng.random((2, n)) < 0.1] = 0.0
+            gains = np.empty((2, n))
+            gains[0], gains[1] = a, neg_b
+            got = np.multiply(gains, scratch)
+            assert got[0].tobytes() == np.multiply(a, scratch[0]).tobytes()
+            assert got[1].tobytes() == np.multiply(neg_b, scratch[1]).tobytes()
+
+            stack = () if trial % 2 else (int(rng.integers(1, 5)),)
+            lap = random_laplacian(n, rng, symmetric=False)
+            gamma = signed_gammas(rng, stack + (n,))
+            gamma_dot, alpha = rng.uniform(0.5, 1.5, (2,) + stack + (n,))
+            rate = np.array(rng.uniform(0.9, 1.2))
+            want = six_call_law(gamma, gamma_dot, lap, alpha, rate, a, neg_b)
+            assert coordination_accel_matrix(
+                gamma, gamma_dot, lap, alpha, rate, a, neg_b
+            ).tobytes() == want.tobytes()
+            if not stack:  # the loop's form: same-shape gains, bound views
+                law, out = np.empty((2, n)), np.empty(n)
+                _accel_into(gamma, gamma_dot, lap, alpha, rate, gains, out, law, *law)
+                assert out.tobytes() == want.tobytes()
+
+
+def six_call_law(gamma, gamma_dot, lap, alpha, rate, a, neg_b):
+    """The coordination law as it was formed before the stacked gains:
+    ``neg_b (gamma_dot - rate) - a (L gamma) - alpha``, one multiply per
+    gain."""
+    out = np.empty(gamma.shape)
+    if out.ndim == 1:
+        np.dot(lap, gamma, out)
+    else:
+        np.matmul(lap, gamma[..., None], out[..., None])
+    np.multiply(a, out, out)
+    scratch = np.subtract(gamma_dot, rate)
+    np.multiply(neg_b, scratch, scratch)
+    np.subtract(scratch, out, out)
+    return np.subtract(out, alpha, out)
+
+
+def two_chain_pos_vel(fam, gammas):
+    """``[pos | vel]`` as ``pos_vel_all`` formed it before the stacked
+    lateral chain: the lateral position and rate as two chains of 1-D
+    operations on the strided columns of the result."""
+    out = np.empty((2,) + gammas.shape[:-1] + (fam.n, 3))
+    vel_pos = out[::-1]
+    vel_pos.swapaxes(0, -2)[...] = [[1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]
+    downrange, lateral, rate = vel_pos[1, ..., 0], vel_pos[1, ..., 1], vel_pos[0, ..., 1]
+    decay, three, five, rate_coef = (np.array(c) for c in (-0.6, 3.0, 5.0, 1.8))
+    np.exp(np.multiply(decay, gammas, downrange), downrange)
+    np.multiply(three, gammas, lateral)
+    np.add(five, lateral, lateral)
+    np.multiply(downrange, lateral, lateral)
+    np.multiply(lateral, fam.sines, lateral)
+    np.subtract(fam.offsets, lateral, lateral)
+    np.multiply(rate_coef, gammas, rate)
+    np.multiply(rate, downrange, rate)
+    np.multiply(rate, fam.sines, rate)
+    downrange[...] = gammas
+    return out
+
+
+def test_stacked_lateral_chain_matches_the_two_chains():
+    rng = np.random.default_rng(38)
+    for n in range(1, MAX_SYNTHESIS_N + 1):
+        fam = LaneSweepFamily(
+            rng.normal(size=n) * 5.0, rng.uniform(-math.pi, math.pi, n), n=n
+        )
+        for shape in [(n,), (4, n), (256, n), (3, 1), (2, 5, 1)]:
+            gammas = signed_gammas(rng, shape)
+            gammas.flat[:2] = 0.0, -0.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = two_chain_pos_vel(fam, gammas)
+                got = fam.pos_vel_all(gammas)
+            assert got.tobytes() == want.tobytes()

@@ -50,9 +50,9 @@ from coordsim.vehicle import (
     LaneSweepFamily,
     PDGains,
     apply_disturbance,
+    dot_bound,
     pf_control_all,
     row_norms,
-    saturate,
 )
 
 
@@ -148,6 +148,14 @@ class TestConfig:
                 with pytest.raises(ConfigError, match="^" + re.escape(f"a={float(a)!r} with dt={dt!r}: ")):
                     cfg.validate()
         else:
+            cfg.validate()
+
+    def test_huge_t_f_validates_quietly(self):
+        # far on speed_spread's grid over [0, t_f], 1.8 t overflows where
+        # exp(-0.6 t) is 0: the spread is inf * 0, a NaN, with no raw warning
+        cfg = default_directed_config(t_f=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             cfg.validate()
 
     def test_coordination_modes_match_a_direct_root_scan(self):
@@ -531,10 +539,18 @@ class TestWorldHoldsState:
         assert len(log.t) == 51
 
 
+def scaled_to_limit(rows, limit):
+    """Every row of ``rows`` times ``limit / max(norm, limit)``: the
+    saturation without either of its tests for a factor of 1.0."""
+    return rows * (limit / np.maximum(row_norms(rows), limit))[..., None]
+
+
 def allocating_step(world, sigma, rates):
     """``(x, arrived)`` after one step from ``world``, by an RK4 step built
     from the kernels' allocating calls: every stage state, kernel result,
-    derivative and sum a fresh array, as before the workspace."""
+    derivative and sum a fresh array, as before the workspace.  The PD
+    command and the speed limit take the unconditional factor of
+    ``scaled_to_limit``, so the saturation's tests are checked too."""
     cfg, n = world.config, world.config.n
     dt, t0, lap = cfg.dt, world.t, world.laplacians[sigma - 1]
     arrived = world.arrived.copy()
@@ -551,7 +567,9 @@ def allocating_step(world, sigma, rates):
         if world.any_arrived:
             gamma_dot = np.where(arrived, 0.0, gamma_dot)
             gamma_ddot[arrived] = 0.0
-        u = pf_control_all(np.stack((target_vel * gamma_dot[:, None] - v, e)), world.gains)
+        u = scaled_to_limit(
+            cfg.kp * e + cfg.kd * (target_vel * gamma_dot[:, None] - v), cfg.accel_limit
+        )
         for row, gvec, window in world.gusts:
             u[row] = apply_disturbance(u[row], t, gvec, window)
         return np.concatenate((gamma_dot, gamma_ddot, v.ravel(), u.ravel()))
@@ -564,7 +582,7 @@ def allocating_step(world, sigma, rates):
     k3 = rhs(t0 + 0.5 * dt, x + half * k2, rate_mid)
     k4 = rhs(t0 + dt, x + full * k3, rate_end)
     x = x + sixth * (k1 + two * k2 + two * k3 + k4)
-    saturate(x[5 * n :].reshape(n, 3), cfg.speed_limit)
+    x[5 * n :] = scaled_to_limit(x[5 * n :].reshape(n, 3), cfg.speed_limit).ravel()
     gamma = x[:n]
     if world.any_arrived or gamma.max() >= cfg.t_f:
         arrived |= gamma >= cfg.t_f
@@ -586,9 +604,9 @@ class TestStepWorkspace:
     # bytes of the step built from allocating calls, and each kernel given
     # out the bytes of its call without it
     @staticmethod
-    def check_steps(n, arrivals, directed):
+    def workspace_config(n):
         chain = [(i, i + 1) for i in range(1, n)]
-        cfg = ScenarioConfig(
+        return ScenarioConfig(
             n=n,
             mode=simharness.MODE_BIDIRECTIONAL,
             topology_family=mirror_family([Digraph(n, chain)]),
@@ -601,6 +619,10 @@ class TestStepWorkspace:
                 GustEvent(n, (4.0, 0.0, 0.0), (2.0, 3.0)),
             ],
         )
+
+    @classmethod
+    def check_steps(cls, n, arrivals, directed):
+        cfg = cls.workspace_config(n)
         rng = np.random.default_rng(100 * n + arrivals)
         fast = far = 0
         for trial in range(5):
@@ -640,6 +662,60 @@ class TestStepWorkspace:
     @pytest.mark.parametrize("n", [2, 3, 5, 10, 16, 40])
     def test_directed_laplacian_step_bytes_equal_the_allocating_step(self, n, arrivals):
         self.check_steps(n, arrivals, directed=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 16, 40])
+    def test_boundary_speeds_and_commands_keep_the_allocating_bytes(self, n):
+        # one vehicle fast and far off its target, the others slow and close:
+        # limits chosen so that its speed after the step, or its command in
+        # the first stage, lands at limit (1 - 2**-52), limit and
+        # limit (1 + 2**-52), and so that the dot of all the speeds, or of
+        # all the first commands, lands within a few ulps of dot_bound
+        cfg = self.workspace_config(n)
+        rng = np.random.default_rng(200 + n)
+        world = init_world(cfg)
+        world.step_idx, world.t = 700, 0.7
+        world.gamma[:] = rng.uniform(0.0, cfg.t_f, n)
+        world.gamma_dot[:] = rng.uniform(0.5, 1.5, n)
+        target_pos, target_vel = world.fam.pos_vel_all(world.gamma)
+        world.p[:] = target_pos + rng.normal(size=(n, 3)) * 0.01
+        world.v[:] = rng.normal(size=(n, 3)) * 0.1
+        fast = int(rng.integers(n))
+        for rows, size in ((world.v, 4.0), (world.p, -3.0)):
+            direction = rng.normal(size=3)
+            rows[fast] += direction * (size / math.hypot(*direction))
+        state = world.x.copy()
+        rates = tuple(np.array(r) for r in rng.uniform(0.9, 1.2, 4))
+        e = target_pos - world.p
+        command = cfg.kp * e + cfg.kd * (target_vel * world.gamma_dot[:, None] - world.v)
+        # the step's velocities before the speed limit, which does not bind
+        free = init_world(replace(cfg, speed_limit=1e100))
+        free.step_idx, free.t, free.x[:] = 700, 0.7, state
+        speeds = allocating_step(free, 1, rates)[0][5 * n :].reshape(n, 3)
+
+        def limits_at_the_edges(rows):
+            # the fast row's norm one ulp under, at and over the limit, then
+            # the two limits on either side of the smallest one whose
+            # dot_bound admits the dot of all the rows, found by bisection
+            norm, dot = float(row_norms(rows)[fast]), float(np.vdot(rows, rows))
+            lo, hi = math.sqrt(dot) * (1 - 2.0**-30), math.sqrt(dot) * (1 + 2.0**-30)
+            assert dot_bound(lo, 3 * n) < dot <= dot_bound(hi, 3 * n)
+            while math.nextafter(lo, hi) < hi:
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if dot <= dot_bound(mid, 3 * n) else (mid, hi)
+            edge = [math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, math.inf)]
+            return [norm * (1 + 2.0**-52), norm, norm * (1 - 2.0**-52), *edge]
+
+        decided = set()
+        for field, rows in (("speed_limit", speeds), ("accel_limit", command)):
+            for limit in limits_at_the_edges(rows):
+                world = init_world(replace(cfg, **{field: limit}))
+                world.step_idx, world.t, world.x[:] = 700, 0.7, state
+                decided.add(bool(np.vdot(rows, rows) <= dot_bound(limit, 3 * n)))
+                x, arrived = allocating_step(world, 1, rates)
+                step(world, 1, rates)
+                assert world.x.tobytes() == x.tobytes()
+                assert np.array_equal(world.arrived, arrived)
+        assert decided == {False, True}  # the one dot both passes and fails
 
     def test_combination_is_the_chained_sum_with_signed_zeros(self, monkeypatch):
         # stage derivatives and a state full of signed zeros: step's one
