@@ -487,9 +487,7 @@ class SimWorld:
     - ``coord_gains``, the coordination law's ``(2, n)`` gain rows ``[a |
       -b]``, one same-shape multiply for both of its gains;
     - ``gains``, the path follower's checked ``vehicle.PDGains``, and
-      ``speed_bound`` and ``speed_total_bound``, the speed limit's
-      ``vehicle.square_bound`` and its ``vehicle.dot_bound`` over the
-      ``3 n`` entries of ``v``;
+      ``speed_bound``, the speed limit's ``vehicle.dot_bound``;
     - the workspace: ``stage``, the state a stage is evaluated at, and
       ``k``, the four stage derivatives, the rows of one ``(5, 8 n)``
       array (``k_block`` the ``k`` rows as one array, ``k_middle`` those
@@ -500,8 +498,8 @@ class SimWorld:
       ``x_views``, ``stage_views`` and ``k_views``.
 
     Before arrival, a stage computes into fresh memory only when its
-    command fails the saturation's one-dot test, into the squared norms
-    of the row-dot test."""
+    command fails the saturation's one-dot test, into its norms and
+    factors."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -527,7 +525,6 @@ class SimWorld:
     coord_gains: np.ndarray = field(init=False, repr=False)
     gains: vehicle.PDGains = field(init=False, repr=False)
     speed_bound: float = field(init=False, repr=False)
-    speed_total_bound: float = field(init=False, repr=False)
     # workspace
     stage: np.ndarray = field(init=False, repr=False)
     k: tuple[np.ndarray, ...] = field(init=False, repr=False)
@@ -562,8 +559,7 @@ class SimWorld:
         dt = cfg.dt
         self.rk4 = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, 2, dt / 6.0))
         self.gains = vehicle.PDGains(cfg.kp, cfg.kd, cfg.accel_limit, n)
-        self.speed_bound = vehicle.square_bound(cfg.speed_limit)
-        self.speed_total_bound = vehicle.dot_bound(cfg.speed_limit, 3 * n)
+        self.speed_bound = vehicle.dot_bound(cfg.speed_limit)
 
     @property
     def all_arrived(self) -> bool:
@@ -794,7 +790,7 @@ def step(
     world.t = world.step_idx * dt
 
     # speed limit, direction preserved
-    vehicle._saturate(world.v, cfg.speed_limit, world.speed_bound, world.speed_total_bound)
+    vehicle._saturate(world.v, cfg.speed_limit, world.speed_bound)
 
     # arrival clamping: virtual time pinned at t_f, rate pinned to the
     # desired rate so the coordination metric closes out cleanly.  Python's

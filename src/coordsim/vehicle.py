@@ -23,13 +23,14 @@ _DECAY.setflags(write=False)
 # the lateral chain's coefficient and offset columns, [3 | 1.8] and
 # [5 | -0.0], spread over the vehicles by LaneSweepFamily
 _CHAIN_COLUMNS = np.array([[[3.0], [1.8]], [[5.0], [-0.0]]])
-# 1 - 2**-50, exact in float64: the margin of saturate's squared-norm test
-_SQUARE_MARGIN = 1.0 - 2.0**-50
-_TINY = float(np.finfo(float).tiny)  # smallest normal float64
-# dot_bound's domain: squared-norm bounds from 2**-960 up and at most
-# 2**20 terms, where its margin covers every rounding and underflow
+# dot_bound's domain: squared-norm bounds from 2**-960 up and dots of at
+# most 2**20 terms, where its margin covers every rounding and underflow
 _DOT_BOUND_MIN = 2.0**-960
 _DOT_TERMS_MAX = 2**20
+# 1 - 2**-50 and 1 - (2**20 + 4) 2**-52, exact in float64: dot_bound's
+# margins for the row norms and for the rounding of the one dot
+_SQUARE_MARGIN = 1.0 - 2.0**-50
+_DOT_MARGIN = 1.0 - (_DOT_TERMS_MAX + 4) * 2.0**-52
 
 
 class LaneSweepFamily:
@@ -172,12 +173,10 @@ class PDGains:
     positive.  ``column`` is the read-only ``[kd, kp]`` gain column spread
     over the ``(2, n, 3)`` stack ``[target_vel - v | e]`` of one sample, so
     one same-shape multiply applies both gains (a broadcast one costs
-    more); ``bound`` is ``saturate``'s squared-norm bound for ``a_max``
-    and ``total_bound`` its ``dot_bound`` over the ``3 n`` entries of one
-    sample's command, so a step's saturation tests take no bound of their
-    own."""
+    more); ``bound`` is ``dot_bound(a_max)``, so a step's saturation tests
+    take no bound of their own."""
 
-    __slots__ = ("a_max", "column", "bound", "total_bound")
+    __slots__ = ("a_max", "column", "bound")
 
     def __init__(self, kp: float, kd: float, a_max: float, n: int) -> None:
         if float(kp) <= 0 or float(kd) <= 0 or float(a_max) <= 0:
@@ -186,8 +185,7 @@ class PDGains:
         self.column = np.empty((2, n, 3))
         self.column[0], self.column[1] = kd, kp
         self.column.setflags(write=False)
-        self.bound = square_bound(a_max)
-        self.total_bound = dot_bound(a_max, 3 * n)
+        self.bound = dot_bound(a_max)
 
 
 def pf_control_all(
@@ -204,14 +202,12 @@ def pf_control_all(
     e]``, so the caller's stack is scratch.  The command is written into
     ``out`` when given (it may be either row of ``stack``), and
     returned."""
-    column, total_bound = gains.column, gains.total_bound
-    if stack.shape != column.shape:  # a stack, or gains of one vehicle spread over more
-        if stack.ndim != 3:
-            column = column.reshape((2,) + (1,) * (stack.ndim - 3) + column.shape[1:])
-        total_bound = dot_bound(gains.a_max, stack[0].size)
+    column = gains.column
+    if stack.ndim != 3:
+        column = column.reshape((2,) + (1,) * (stack.ndim - 3) + column.shape[1:])
     np.multiply(column, stack, stack)
     out = np.add(stack[1], stack[0], out)
-    _saturate(out, gains.a_max, gains.bound, total_bound)
+    _saturate(out, gains.a_max, gains.bound)
     return out
 
 
@@ -221,25 +217,18 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(einsum("...j,...j->...", rows, rows))
 
 
-def square_bound(limit: float) -> float:
-    """``saturate``'s bound on the squared row norms for ``limit``:
-    ``fl(fl(limit*limit) * (1 - 2**-50))`` while that is a normal float and
-    ``limit`` is positive, else ``-inf``, which no squared norm meets."""
+def dot_bound(limit: float) -> float:
+    """``saturate``'s bound on the dot of all the entries of its rows with
+    themselves: ``fl(B * (1 - (2**20 + 4) 2**-52))`` for ``B =
+    fl(fl(limit*limit) * (1 - 2**-50))`` while ``limit`` is positive and
+    ``2**-960 <= B < inf``, else ``-inf``, which no dot meets.
+    ``saturate`` derives why a dot of at most ``2**20`` terms at most this
+    bound proves that every row's factor is exactly 1.0."""
     lim = float(limit)
     bound = lim * lim * _SQUARE_MARGIN
-    return bound if lim > 0 and _TINY <= bound < math.inf else -math.inf
-
-
-def dot_bound(limit: float, terms: int) -> float:
-    """``saturate``'s bound on the dot of all the entries of its rows,
-    ``terms`` of them, with themselves: ``fl(B * (1 - (terms + 4) 2**-52))``
-    for ``B = square_bound(limit)`` while ``B >= 2**-960`` and ``terms <=
-    2**20``, else ``-inf``, which no dot meets.  ``saturate`` derives why a
-    dot at most this bound proves every row's squared norm at most ``B``."""
-    bound = square_bound(limit)
-    if not (bound >= _DOT_BOUND_MIN and terms <= _DOT_TERMS_MAX):
+    if not (lim > 0 and _DOT_BOUND_MIN <= bound < math.inf):
         return -math.inf
-    return bound * (1.0 - (terms + 4) * 2.0**-52)
+    return bound * _DOT_MARGIN
 
 
 def saturate(rows: np.ndarray, limit: float) -> None:
@@ -250,23 +239,18 @@ def saturate(rows: np.ndarray, limit: float) -> None:
     sample.
 
     That factor is exactly 1.0 on a row with ``norm <= limit``, so the
-    multiply is skipped when every squared norm ``s`` (the row dot that
-    ``row_norms`` takes the root of) satisfies ``s <= B = square_bound(limit)
-    = fl(fl(limit*limit) * (1 - 2**-50))``.  While that bound is a normal
-    float, each of its two roundings is within a relative ``2**-53``, so
-    it is below ``limit**2`` exactly; then ``sqrt(s) < limit``, and the
-    correctly rounded ``fl(sqrt(s))`` cannot exceed a positive ``limit``.
-    A ``limit`` that is not positive, a bound that overflows or falls
-    below the normal range (``square_bound`` gives ``-inf``), and any NaN
-    take the norm-and-factor path: the sum of the squared norms is NaN
-    exactly when one of them is (none is negative), wherever Python's
-    ``max`` stops.
+    multiply is skipped when one BLAS dot of all ``k <= K = 2**20`` entries
+    with themselves, ``d = np.vdot(rows, rows)``, is at most ``T =
+    dot_bound(limit)``.  The test is sufficient only: every other call
+    takes the factor, a NaN or an infinity too (``d`` is then NaN or inf,
+    which fails ``<=``).  Let ``B = fl(fl(limit*limit) * (1 - 2**-50))``.
+    Where ``T`` is finite, ``B >= 2**-960`` is a normal float, each of its
+    two roundings is within a relative ``2**-53``, so it is below
+    ``limit**2`` exactly; then a row whose squared norm ``s`` (the row dot
+    that ``row_norms`` takes the root of) is at most ``B`` has ``sqrt(s) <
+    limit``, and the correctly rounded ``fl(sqrt(s))`` cannot exceed
+    ``limit``.  It remains to show that ``d <= T`` proves every ``s <= B``.
 
-    Before the row dots, one BLAS dot of all ``k`` entries with themselves,
-    ``d = np.vdot(rows, rows)``, is tested against ``T = dot_bound(limit,
-    k)``, a sufficient test only: ``d <= T`` proves every ``s <= B`` and
-    skips the multiply; otherwise the row-dot test above runs unchanged
-    (a NaN or an infinity makes ``d`` NaN or inf, which fails ``<=``).
     With ``u = 2**-53``, ``eta = 2**-1074`` and round-to-nearest, a
     rounding of ``y >= 0`` lies in ``[y (1 - u) - eta/2, y (1 + u) +
     eta/2]`` in the normal and the subnormal range alike.  Let ``S`` be the
@@ -280,28 +264,24 @@ def saturate(rows: np.ndarray, limit: float) -> None:
       ``d >= (1 - u)**(k + 1) S - k eta``.
     - ``s_i``, einsum's 3-term row dot, has at most three roundings on
       each path and five in all, so ``s_i <= (1 + u)**3 S_i + 3 eta``.
-    - ``T <= B c (1 + u)`` with ``c = 1 - 2 (k + 4) u``, exact in float64,
+    - ``T <= B c (1 + u)`` with ``c = 1 - 2 (K + 4) u``, exact in float64,
       and ``T >= 2**-961``.
 
     So ``d <= T`` gives ``s_i <= (1 + u)**4 c (1 + k eta / T) B / (1 -
-    u)**(k + 1) + 3 eta``.  For ``k <= 2**20`` the factor of ``B`` is at
-    most ``1 - (k + 3) u + 4 (k + 5)**2 u**2 + 2**-93 < 1 - (k + 3) u / 2``,
-    and ``B (k + 3) u / 2 >= 2**-1013 > 3 eta``: ``s_i < B``.  ``B <
-    2**-960`` or ``k > 2**20`` give ``T = -inf`` and the row-dot test
-    alone."""
-    _saturate(rows, limit, square_bound(limit), dot_bound(limit, rows.size))
+    u)**(k + 1) + 3 eta``.  For ``k <= K`` the factor of ``B`` is at most
+    ``1 - (K + 3) u + 4 (K + 5)**2 u**2 + 2**-93 < 1 - (K + 3) u / 2``,
+    and ``B (K + 3) u / 2 >= 2**-994 > 3 eta``: ``s_i < B``.  One margin,
+    that of the largest ``k``, serves every smaller one, which only
+    refuses more."""
+    _saturate(rows, limit, dot_bound(limit))
 
 
-def _saturate(rows: np.ndarray, limit: float, bound: float, total_bound: float) -> None:
-    """``saturate`` with its bounds ``square_bound(limit)`` and
-    ``dot_bound(limit, rows.size)`` computed once by the caller."""
-    if np.vdot(rows, rows) <= total_bound:
+def _saturate(rows: np.ndarray, limit: float, bound: float) -> None:
+    """``saturate`` with its bound ``dot_bound(limit)`` computed once by the
+    caller."""
+    if rows.size <= _DOT_TERMS_MAX and np.vdot(rows, rows) <= bound:
         return
-    squares = einsum("...j,...j->...", rows, rows)
-    listed = squares.ravel().tolist()
-    if max(listed, default=bound) <= bound and sum(listed) < math.inf:
-        return
-    rows *= (limit / np.maximum(np.sqrt(squares), limit))[..., None]
+    rows *= (limit / np.maximum(row_norms(rows), limit))[..., None]
 
 
 def apply_disturbance(

@@ -127,16 +127,25 @@ def test_stacked_gains_match_the_two_gain_command():
 # smallest bound 2**-960, are subnormal, ordinary, near the top, overflow
 DOT_LIMITS = [1e-300, 2.0**-480, 2.0**-480 * (1 + 2.0**-40), 1.3e-160, 0.3, 1.0, 5.0, 10.0,
               1e150, 1e300]
+# dot_bound's margin in ulps (2**-53) of a norm: a sum of squares whose
+# root lies about this far under the limit is where the one dot first passes
+DOT_EDGE_ULPS = 2**20 + 8
+
+
+def near_the_dot_edge(n):
+    """Ulps of a norm a little over and under ``DOT_EDGE_ULPS`` below the
+    limit, for ``n`` rows."""
+    return st.integers(-DOT_EDGE_ULPS - 3 * n - 30, -DOT_EDGE_ULPS + 3 * n + 30)
 
 
 @st.composite
 def rows_for_the_dot_test(draw):
     """``(rows, limit)``: ``n`` rows, 1 to 40, about a limit of
     ``DOT_LIMITS``.  Up to three rows have a norm some ulps off the limit,
-    from about ``n + 10`` ulps under it (where the one dot first passes)
-    to a few over; the rest are zero, tiny (subnormal entries, or ``2**-30``
-    of the limit), or share the limit's square so that the sum of all the
-    squares lies some ulps off it; any entry may be NaN or infinite."""
+    a few over or under it or about ``DOT_EDGE_ULPS`` under it; the rest are
+    zero, tiny (subnormal entries, or ``2**-30`` of the limit), or share the
+    limit's square so that the root of the sum of all the squares lies as
+    far off it; any entry may be NaN or infinite."""
     limit = draw(st.sampled_from(DOT_LIMITS))
     n = draw(st.integers(1, MAX_SYNTHESIS_N))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -149,11 +158,12 @@ def rows_for_the_dot_test(draw):
     else:
         rows = rng.normal(size=(n, 3))
         rows /= np.sqrt((rows * rows).sum())  # one unit of squares in all
-        scale = 2.0**-30 if rest == "tiny" else 1.0 + draw(st.integers(-3 * n - 30, 8)) * 2.0**-53
+        ulps = draw(st.one_of(st.integers(-6, 8), near_the_dot_edge(n)))
+        scale = 2.0**-30 if rest == "tiny" else 1.0 + ulps * 2.0**-53
         rows *= limit * scale
     for _ in range(draw(st.integers(0 if rest == "share" else 1, 3))):
         i, axis = draw(st.integers(0, n - 1)), draw(st.integers(0, 2))
-        ulps = draw(st.one_of(st.integers(-6, 6), st.integers(-3 * n - 30, -n)))
+        ulps = draw(st.one_of(st.integers(-6, 6), near_the_dot_edge(n)))
         norm = limit * (1.0 + ulps * 2.0**-53)
         if draw(st.booleans()):  # on an axis: the norm is exact
             rows[i] = 0.0
@@ -176,16 +186,16 @@ def test_dot_fast_path_never_skips_a_factor_that_is_not_one(case):
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         factor = limit / np.maximum(row_norms(rows), limit)
         expected = rows * factor[:, None]
-        if np.vdot(rows, rows) <= dot_bound(limit, rows.size):
+        if np.vdot(rows, rows) <= dot_bound(limit):
             assert (factor == 1.0).all()
         saturate(rows, limit)
     assert rows.tobytes() == expected.tobytes()
 
 
 def test_dot_fast_path_is_taken_and_refused_near_the_limit():
-    # rows whose squares sum to some ulps under the limit's square, every
-    # factor 1.0: the one dot passes on some, and on the others the row-dot
-    # test still skips the multiply with the same bytes
+    # rows whose squares sum to a little under the limit's square, every
+    # factor 1.0: the one dot passes on some, and on the others the factor
+    # keeps the same bytes
     rng = np.random.default_rng(35)
     passed = refused = 0
     for trial in range(2000):
@@ -193,11 +203,11 @@ def test_dot_fast_path_is_taken_and_refused_near_the_limit():
         limit = float(rng.choice([0.3, 1.0, 5.0, 10.0]))
         rows = rng.normal(size=(n, 3))
         rows *= limit / np.sqrt((rows * rows).sum())
-        rows *= 1.0 - int(rng.integers(0, 6 * n + 60)) * 2.0**-53
+        rows *= 1.0 - int(rng.integers(0, 2 * DOT_EDGE_ULPS)) * 2.0**-53
         factor = limit / np.maximum(row_norms(rows), limit)
         if not (factor == 1.0).all():
             continue
-        if np.vdot(rows, rows) <= dot_bound(limit, rows.size):
+        if np.vdot(rows, rows) <= dot_bound(limit):
             passed += 1
         else:
             refused += 1

@@ -541,7 +541,7 @@ class TestWorldHoldsState:
 
 def scaled_to_limit(rows, limit):
     """Every row of ``rows`` times ``limit / max(norm, limit)``: the
-    saturation without either of its tests for a factor of 1.0."""
+    saturation without its test for a factor of 1.0."""
     return rows * (limit / np.maximum(row_norms(rows), limit))[..., None]
 
 
@@ -550,7 +550,7 @@ def allocating_step(world, sigma, rates):
     from the kernels' allocating calls: every stage state, kernel result,
     derivative and sum a fresh array, as before the workspace.  The PD
     command and the speed limit take the unconditional factor of
-    ``scaled_to_limit``, so the saturation's tests are checked too."""
+    ``scaled_to_limit``, so the saturation's test is checked too."""
     cfg, n = world.config, world.config.n
     dt, t0, lap = cfg.dt, world.t, world.laplacians[sigma - 1]
     arrived = world.arrived.copy()
@@ -698,10 +698,10 @@ class TestStepWorkspace:
             # dot_bound admits the dot of all the rows, found by bisection
             norm, dot = float(row_norms(rows)[fast]), float(np.vdot(rows, rows))
             lo, hi = math.sqrt(dot) * (1 - 2.0**-30), math.sqrt(dot) * (1 + 2.0**-30)
-            assert dot_bound(lo, 3 * n) < dot <= dot_bound(hi, 3 * n)
+            assert dot_bound(lo) < dot <= dot_bound(hi)
             while math.nextafter(lo, hi) < hi:
                 mid = 0.5 * (lo + hi)
-                lo, hi = (lo, mid) if dot <= dot_bound(mid, 3 * n) else (mid, hi)
+                lo, hi = (lo, mid) if dot <= dot_bound(mid) else (mid, hi)
             edge = [math.nextafter(lo, 0.0), lo, hi, math.nextafter(hi, math.inf)]
             return [norm * (1 + 2.0**-52), norm, norm * (1 - 2.0**-52), *edge]
 
@@ -710,7 +710,7 @@ class TestStepWorkspace:
             for limit in limits_at_the_edges(rows):
                 world = init_world(replace(cfg, **{field: limit}))
                 world.step_idx, world.t, world.x[:] = 700, 0.7, state
-                decided.add(bool(np.vdot(rows, rows) <= dot_bound(limit, 3 * n)))
+                decided.add(bool(np.vdot(rows, rows) <= dot_bound(limit)))
                 x, arrived = allocating_step(world, 1, rates)
                 step(world, 1, rates)
                 assert world.x.tobytes() == x.tobytes()
