@@ -78,34 +78,35 @@ def path_error_feedback_all(
     gives ``e . v`` and ``|v|^2``.  Rows are independent: every row has
     the bits of a call on it alone.  ``delta`` may be a float or a 0-d
     float64 array.  The result, ``(..., n)``, is written into ``out`` when
-    given, and returned.  This is ``_feedback_into`` with fresh dots."""
+    given, and returned.  This is ``_bind_feedback`` on the stack and
+    ``out``, called once."""
     if float(delta) <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    dots = np.empty(errors_velocities.shape[:-1])
     if out is None:
-        out = np.empty(dots.shape[1:])
-    return _feedback_into(
-        errors_velocities, errors_velocities[1], delta, dots, dots[0], dots[1], out
-    )
+        out = np.empty(errors_velocities.shape[1:-1])
+    _bind_feedback(errors_velocities, delta, out)()
+    return out
 
 
-def _feedback_into(
-    errors_velocities: np.ndarray,
-    velocities: np.ndarray,
-    delta: float | np.ndarray,
-    dots: np.ndarray,
-    along: np.ndarray,
-    norms: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """``path_error_feedback_all`` on views: ``velocities`` is
-    ``errors_velocities[1]``, the row dots go into ``dots``, shape
-    ``errors_velocities.shape[:-1]``, whose rows are ``along`` (``e . v``)
-    and ``norms`` (``|v|^2``, then ``|v| + delta``); ``delta`` is not
-    checked.  Returns ``out``."""
-    einsum("k...ij,...ij->k...i", errors_velocities, velocities, out=dots)
-    np.add(np.sqrt(norms, norms), delta, norms)
-    return np.divide(along, norms, out)
+def _bind_feedback(
+    errors_velocities: np.ndarray, delta: float | np.ndarray, out: np.ndarray
+):
+    """``path_error_feedback_all`` as a closure of no arguments over its
+    views, which writes into ``out`` the feedback of the current contents
+    of ``errors_velocities``; ``delta`` is not checked.  The row dots go
+    into a fresh scratch of shape ``errors_velocities.shape[:-1]``, whose
+    rows are ``e . v`` and ``|v|^2``, then ``|v| + delta``."""
+    velocities = errors_velocities[1]
+    dots = np.empty(errors_velocities.shape[:-1])
+    along, norms = dots[0], dots[1]
+    add, sqrt, divide = np.add, np.sqrt, np.divide
+
+    def feedback() -> None:
+        einsum("k...ij,...ij->k...i", errors_velocities, velocities, out=dots)
+        add(sqrt(norms, norms), delta, norms)
+        divide(along, norms, out)
+
+    return feedback
 
 
 def coordination_accel_matrix(
@@ -126,47 +127,55 @@ def coordination_accel_matrix(
     costs one matrix-vector product, so its bits do not depend on the stack
     it is in.  ``a`` and ``neg_b`` are floats or 0-d arrays.  The result is
     written into ``out`` when given, and returned.  This is
-    ``_accel_into`` with a fresh scratch and the gain column ``[a, neg_b]``
-    broadcast over it."""
+    ``_bind_accel`` with the gain column ``[a, neg_b]`` broadcast over its
+    scratch, called once."""
     if out is None:
         out = np.empty(np.broadcast_shapes(lap.shape[:-1], gamma.shape))
     gains = np.array([a, neg_b], dtype=float).reshape((2,) + (1,) * out.ndim)
-    scratch = np.empty((2,) + out.shape)
-    return _accel_into(
-        gamma, gamma_dot, lap, alpha, gamma_dot_d, gains, out, scratch, *scratch
-    )
+    _bind_accel(alpha, gains, out.shape)(gamma, gamma_dot, lap, gamma_dot_d, out)
+    return out
 
 
-def _accel_into(
-    gamma: np.ndarray,
-    gamma_dot: np.ndarray,
-    lap: np.ndarray,
-    alpha: np.ndarray,
-    gamma_dot_d: float | np.ndarray,
-    gains: np.ndarray,
-    out: np.ndarray,
-    scratch: np.ndarray,
-    consensus: np.ndarray,
-    rate_error: np.ndarray,
-) -> np.ndarray:
-    """``coordination_accel_matrix`` into ``out``.  ``scratch`` is a
-    C-contiguous ``(2,) + out.shape`` array whose rows are ``consensus``
-    and ``rate_error``: they take ``L gamma`` and ``gamma_dot -
-    gamma_dot_d``, and one multiply by ``gains``, ``[a | neg_b]`` in a
-    shape that broadcasts against ``scratch`` (the loop holds it as a
-    same-shape ``(2, n)`` array), scales both; ``out`` is then
-    ``neg_b (gamma_dot - gamma_dot_d) - a L gamma - alpha``, with the
-    roundings of the two scalar multiplies.  One sample's ``L gamma`` is
-    ``np.dot``, BLAS's matrix-vector product; a stack's is ``matmul``,
-    which gives each sample those same bits.  Returns ``out``."""
-    if consensus.ndim == 1:
-        np.dot(lap, gamma, consensus)
+def _bind_accel(alpha: np.ndarray, gains: np.ndarray, shape: tuple[int, ...]):
+    """``coordination_accel_matrix`` as a closure ``accel(gamma,
+    gamma_dot, lap, gamma_dot_d, out)`` over its views, which writes into
+    ``out``, of ``shape``, the law for the current contents of ``alpha``.
+
+    A fresh C-contiguous ``(2,) + shape`` scratch takes ``L gamma`` and
+    ``gamma_dot - gamma_dot_d`` in its two rows, and one multiply by
+    ``gains``, ``[a | neg_b]`` in a shape that broadcasts against the
+    scratch (the loop binds it as a same-shape ``(2, n)`` array), scales
+    both; ``out`` is then ``neg_b (gamma_dot - gamma_dot_d) - a L gamma -
+    alpha``, with the roundings of the two scalar multiplies.  The product
+    is chosen here, once: one sample's ``L gamma`` is ``np.dot``, BLAS's
+    matrix-vector product; a stack's is ``matmul``, which gives each
+    sample those same bits."""
+    scratch = np.empty((2,) + shape)
+    consensus, rate_error = scratch[0], scratch[1]
+    if len(shape) == 1:
+        product, into = np.dot, consensus
     else:
-        np.matmul(lap, gamma[..., None], consensus[..., None])
-    np.subtract(gamma_dot, gamma_dot_d, rate_error)
-    np.multiply(gains, scratch, scratch)
-    np.subtract(rate_error, consensus, out)
-    return np.subtract(out, alpha, out)
+        into = consensus[..., None]
+
+        def product(lap: np.ndarray, gamma: np.ndarray, into: np.ndarray) -> None:
+            np.matmul(lap, gamma[..., None], into)
+
+    subtract, multiply = np.subtract, np.multiply
+
+    def accel(
+        gamma: np.ndarray,
+        gamma_dot: np.ndarray,
+        lap: np.ndarray,
+        gamma_dot_d: float | np.ndarray,
+        out: np.ndarray,
+    ) -> None:
+        product(lap, gamma, into)
+        subtract(gamma_dot, gamma_dot_d, rate_error)
+        multiply(gains, scratch, scratch)
+        subtract(rate_error, consensus, out)
+        subtract(out, alpha, out)
+
+    return accel
 
 
 def coordination_error(

@@ -9,9 +9,12 @@ schedule in the bidirectional baseline.  Each step evaluates all four RK4
 stages under the topology it is handed, so a topology changes only at a
 step boundary.  The desired mission rate, a function of time alone, is
 evaluated for a block of ``RATE_BLOCK`` steps at a time, at each step's
-RK4 stage times.  The loop logs the state alone; one pass after it
-derives every measured column and the feasibility records from the logged
-state, ``RATE_BLOCK`` rows per kernel call.
+RK4 stage times.  ``init_world`` binds each world's step once: four
+stage closures and a tail over views of its state and workspace, with
+the kernels bound to their scratch, so a step runs its numpy calls and
+little else.  The loop logs the state alone; one pass after it derives
+every measured column and the feasibility records from the logged state,
+``RATE_BLOCK`` rows per kernel call.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -26,7 +29,7 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass, field, fields
-from typing import NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -322,8 +325,10 @@ class ScenarioConfig:
                 f"(kp={self.kp}, kd={self.kd}) has a squared norm that overflows"
             )
         # the convergence analysis wants delta above the spread of desired
-        # speeds; warn (tuning hint), do not reject
-        spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
+        # speeds; warn (tuning hint), do not reject.  The lateral rate
+        # 1.8 t exp(-0.6 t) is 0 at t = 0 and peaks at t = 5/3, the two
+        # times that decide the spread over [0, t_f]
+        spread = fam.speed_spread(np.array([0.0, min(fam.t_f, 5.0 / 3.0)]))
         if self.delta <= spread:
             warnings.warn(
                 f"delta={self.delta} does not exceed the desired-speed spread "
@@ -477,25 +482,25 @@ class SimWorld:
     ``v`` are views of it.  ``any_arrived`` is set once some entry of
     ``arrived`` is; until then the arrival masks are skipped.
 
-    Everything a stage would otherwise derive per call is built once, at
-    set-up, so a stage runs only ufunc calls on views bound here:
+    Everything a step would otherwise derive per call is built once, at
+    set-up:
 
     - the coefficients, as 0-d float64 arrays (an operation on an array
       with one costs less than with a Python float or a NumPy scalar, with
       the same IEEE result): ``a``, ``neg_b`` (``-b``), ``delta`` and
-      ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step;
-    - ``coord_gains``, the coordination law's ``(2, n)`` gain rows ``[a |
-      -b]``, one same-shape multiply for both of its gains;
-    - ``gains``, the path follower's checked ``vehicle.PDGains``, and
-      ``speed_bound``, the speed limit's ``vehicle.dot_bound``;
+      ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step, and
+      ``gains``, the path follower's checked ``vehicle.PDGains``;
     - the workspace: ``stage``, the state a stage is evaluated at, and
       ``k``, the four stage derivatives, the rows of one ``(5, 8 n)``
-      array (``k_block`` the ``k`` rows as one array, ``k_middle`` those
-      of ``k2`` and ``k3``; the RK4 combination sums ``k_block`` into
-      ``stage``), and ``buffers``, the ``_StageBuffers`` the kernels of a
-      stage write;
-    - the ``_split`` views of ``x``, ``stage`` and each ``k`` row:
-      ``x_views``, ``stage_views`` and ``k_views``.
+      array;
+    - the step itself, as closures over views bound here (``_bind_stages``
+      and ``_bind_tail``): ``stages``, whose first reads ``x`` and the
+      other three ``stage``, each writing its own ``k`` row through
+      kernels bound once for all four, and ``tail``, the RK4
+      combination, the speed limit, the arrival test and the finite
+      check.  They hold no reference to the world: ``step`` reads ``t``,
+      ``step_idx``, ``any_arrived`` and the step's Laplacian from it at
+      each call, and hands them on.
 
     Before arrival, a stage computes into fresh memory only when its
     command fails the saturation's one-dot test, into its norms and
@@ -522,79 +527,33 @@ class SimWorld:
     neg_b: np.ndarray = field(init=False, repr=False)
     delta: np.ndarray = field(init=False, repr=False)
     rk4: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    coord_gains: np.ndarray = field(init=False, repr=False)
     gains: vehicle.PDGains = field(init=False, repr=False)
-    speed_bound: float = field(init=False, repr=False)
-    # workspace
+    # workspace and the bound step
     stage: np.ndarray = field(init=False, repr=False)
     k: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    k_block: np.ndarray = field(init=False, repr=False)
-    k_middle: np.ndarray = field(init=False, repr=False)
-    buffers: "_StageBuffers" = field(init=False, repr=False)
-    x_views: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    stage_views: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    k_views: tuple[tuple[np.ndarray, ...], ...] = field(init=False, repr=False)
+    stages: tuple[Callable[..., None], ...] = field(init=False, repr=False)
+    tail: Callable[[bool, np.ndarray, float], bool] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        x, cfg, n = self.x, self.config, self.config.n
-        # one block: the stage state, then the four stage derivatives
-        block = np.empty((5, 8 * n))
-        rows, row_views = tuple(block), tuple(zip(*_split(block, n)))
-        self.stage, self.k = rows[0], rows[1:]
-        self.k_block, self.k_middle = block[1:], block[2:4]
-        self.stage_views, self.k_views = row_views[0], row_views[1:]
-        self.x_views = _split(x, n)
-        self.gamma, self.gamma_dot, _, self.p, self.v = self.x_views
-        targets, dots, law = np.empty((4, n, 3)), np.empty((2, n)), np.empty((2, n))
-        self.buffers = _StageBuffers(
-            targets[0:2], targets[1:3], *targets, *self.fam._target_views(targets[2:4]),
-            dots, *dots, np.empty(n), law, law[0], law[1],
-        )
+        cfg, n = self.config, self.config.n
+        x_views = _split(self.x, n)
+        self.gamma, self.gamma_dot, _, self.p, self.v = x_views
         self.a, self.neg_b, self.delta = (
             np.array(c, dtype=float) for c in (cfg.a, -cfg.b, cfg.delta)
         )
-        self.coord_gains = np.empty((2, n))
-        self.coord_gains[0], self.coord_gains[1] = self.a, self.neg_b
-        self.coord_gains.setflags(write=False)
         dt = cfg.dt
         self.rk4 = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, 2, dt / 6.0))
         self.gains = vehicle.PDGains(cfg.kp, cfg.kd, cfg.accel_limit, n)
-        self.speed_bound = vehicle.dot_bound(cfg.speed_limit)
+        # one block: the stage state, then the four stage derivatives
+        block = np.empty((5, 8 * n))
+        self.stage, self.k = block[0], tuple(block[1:])
+        stage_views = _split(self.stage, n)
+        self.stages = _bind_stages(self, (x_views,) + (stage_views,) * 3, block[1:])
+        self.tail = _bind_tail(self, block)
 
     @property
     def all_arrived(self) -> bool:
         return self.any_arrived and bool(self.arrived.all())
-
-
-class _StageBuffers(NamedTuple):
-    """What the kernels of one RK4 stage write, bound once per run: the
-    ``(4, n, 3)`` stack ``[target_vel - v | e | v_d | p_d]`` (its columns
-    that do not depend on gamma written at set-up) and its views, the
-    ``(2, n)`` scratch of the lateral chain, its rows and its envelope
-    scratch, the ``(2, n)`` row dots of the path-error feedback and their
-    rows, the feedback ``alpha``, and the ``(2, n)`` scratch of the
-    coordination law and its rows."""
-
-    pd_stack: np.ndarray  # [target_vel - v | e], for pf_control_all
-    feedback_stack: np.ndarray  # [e | v_d], for the path-error feedback
-    vel_error: np.ndarray  # target_vel - v
-    e: np.ndarray
-    v_d: np.ndarray
-    p_d: np.ndarray
-    chain: np.ndarray  # then the views of LaneSweepFamily._target_views
-    chain_lateral: np.ndarray
-    chain_rate: np.ndarray
-    envelope: np.ndarray
-    downrange: np.ndarray
-    lateral: np.ndarray
-    lateral_rate: np.ndarray
-    dots: np.ndarray
-    along: np.ndarray  # e . v_d
-    norms: np.ndarray  # |v_d|^2
-    alpha: np.ndarray
-    law: np.ndarray  # [L gamma | gamma_dot - rate], for the coordination law
-    consensus: np.ndarray
-    rate_error: np.ndarray
 
 
 def _admit(
@@ -671,19 +630,22 @@ def init_world(config: ScenarioConfig) -> SimWorld:
 
 
 def _check_finite(world: SimWorld) -> None:
-    """Raise NumericError naming the first non-finite entry of the state.
-    A finite sum of squares proves every entry finite; when it is not (an
-    entry is non-finite, or a huge one overflows), the fields are scanned."""
-    x = world.x
-    if math.isfinite(float(x @ x)):
+    """Raise NumericError naming the first non-finite entry of the state;
+    see ``_check_state``."""
+    _check_state(world.x, (world.gamma, world.gamma_dot, world.p, world.v), world.t)
+
+
+def _check_state(x: np.ndarray, fields: tuple[np.ndarray, ...], t: float) -> None:
+    """Raise NumericError naming the first non-finite entry of the packed
+    state ``x``, whose fields ``(gamma, gamma_dot, p, v)`` are views of it,
+    at time ``t``.  A finite sum of squares, one BLAS dot (which, unlike
+    ``x @ x``, raises no overflow warning), proves every entry finite; when
+    it is not (an entry is non-finite, or a huge one overflows), the fields
+    are scanned."""
+    if math.isfinite(np.vdot(x, x)):
         return
-    for name, arr in (
-        ("gamma", world.gamma),
-        ("gamma_dot", world.gamma_dot),
-        ("position", world.p),
-        ("velocity", world.v),
-    ):
-        check_finite(name, arr, world.t)
+    for name, arr in zip(("gamma", "gamma_dot", "position", "velocity"), fields):
+        check_finite(name, arr, t)
 
 
 def _rhs(
@@ -693,51 +655,117 @@ def _rhs(
     lap: np.ndarray,
     rate: np.ndarray,
     out: np.ndarray,
-    x_views: tuple[np.ndarray, ...] | None = None,
-    out_views: tuple[np.ndarray, ...] | None = None,
+    stage: Callable[..., None] | None = None,
 ) -> np.ndarray:
     """Coupled smooth dynamics ``x'`` of the packed state ``x`` at time
     ``t`` under the topology with Laplacian ``lap`` and the desired mission
     rate ``rate``, written into ``out`` (``8 n`` floats) and returned; the
     virtual time of an arrived vehicle is held (its derivatives are 0).
-    ``x_views`` and ``out_views`` are ``_split(x, n)`` and ``_split(out,
-    n)``; ``step`` passes the workspace's, taken at set-up, and they are
-    taken here when omitted.  The kernels' arithmetic runs in their private
-    forms on the world's ``buffers``; ``pf_control_all`` is called as the
-    public kernel."""
-    n = world.config.n
-    gamma, gamma_dot, gamma_dot_col, p, v = x_views or _split(x, n)
-    d_gamma, d_gamma_dot, _, d_p, d_v = out_views or _split(out, n)
-    (
-        pd_stack, feedback_stack, vel_error, e, v_d, p_d, chain, chain_lateral, chain_rate,
-        envelope, downrange, lateral, lateral_rate, dots, along, norms, alpha, law,
-        consensus, rate_error,
-    ) = world.buffers
-    world.fam._pos_vel_into(
-        gamma, chain, chain_lateral, chain_rate, envelope, downrange, lateral, lateral_rate
-    )
-    np.subtract(p_d, p, e)
-    coordctrl._feedback_into(feedback_stack, v_d, world.delta, dots, along, norms, alpha)
-    gamma_ddot = coordctrl._accel_into(
-        gamma, gamma_dot, lap, alpha, rate, world.coord_gains, d_gamma_dot, law,
-        consensus, rate_error,
-    )
-    if world.any_arrived:
-        gamma_dot = np.where(world.arrived, 0.0, gamma_dot)
-        gamma_dot_col = gamma_dot[:, None]
-        gamma_ddot[world.arrived] = 0.0
-    # the target velocity, from the rates spread over the rows of the
-    # position slot (v is copied there last): a same-shape multiply, not a
-    # broadcast one
-    d_p[...] = gamma_dot_col
-    np.multiply(v_d, d_p, vel_error)
-    np.subtract(vel_error, v, vel_error)
-    u = vehicle.pf_control_all(pd_stack, world.gains, d_v)
-    for row, gvec, window in world.gusts:
-        u[row] = vehicle.apply_disturbance(u[row], t, gvec, window)
-    d_gamma[...] = gamma_dot
-    d_p[...] = v
+    ``stage`` is ``_bind_stages(world, (_split(x, n),), out[None])[0]``:
+    ``step`` passes the world's, bound at set-up, and it is bound here
+    when omitted."""
+    if stage is None:
+        (stage,) = _bind_stages(world, (_split(x, world.config.n),), out[None])
+    stage(t, lap, rate, world.any_arrived)
     return out
+
+
+def _bind_stages(
+    world: SimWorld, sources: tuple[tuple[np.ndarray, ...], ...], rows: np.ndarray
+) -> tuple[Callable[..., None], ...]:
+    """RK4 stages of ``world`` as closures ``stage(t, lap, rate,
+    any_arrived)``, one per state in ``sources``, given as its ``_split``
+    views, and row of ``rows``: each writes ``_rhs`` of the current
+    contents of its state into its row.  They close over views bound
+    here: those of their state, the ``_split`` views of ``rows``, taken
+    once and indexed by row, the world's arrival mask, gusts and gains,
+    and the kernels (``LaneSweepFamily._bind_pos_vel``,
+    ``coordctrl._bind_feedback`` and ``coordctrl._bind_accel``), bound
+    once to a fresh ``(4, n, 3)`` stack ``[target_vel - v | e | v_d |
+    p_d]``: the stages share it, and the kernels' scratch, since each runs
+    to its end before the next starts.  ``vehicle.pf_control_all`` and
+    ``vehicle.apply_disturbance`` are looked up at each call."""
+    n = world.config.n
+    arrived, gusts, gains = world.arrived, world.gusts, world.gains
+    targets = np.empty((4, n, 3))
+    pd_stack, feedback_stack = targets[0:2], targets[1:3]
+    vel_error, e, v_d, p_d = targets
+    alpha = np.empty(n)
+    coord_gains = np.empty((2, n))  # [a | -b]: one same-shape multiply
+    coord_gains[0], coord_gains[1] = world.a, world.neg_b
+    pos_vel = world.fam._bind_pos_vel(targets[2:4])
+    feedback = coordctrl._bind_feedback(feedback_stack, world.delta, alpha)
+    accel = coordctrl._bind_accel(alpha, coord_gains, (n,))
+    subtract, multiply = np.subtract, np.multiply
+
+    def bind(source, d_gamma, d_gamma_dot, _, d_p, d_v) -> Callable[..., None]:
+        gamma, gamma_dot, gamma_dot_col, p, v = source
+
+        def stage(t: float, lap: np.ndarray, rate: np.ndarray, any_arrived: bool) -> None:
+            pos_vel(gamma)
+            subtract(p_d, p, e)
+            feedback()
+            accel(gamma, gamma_dot, lap, rate, d_gamma_dot)
+            rates, rates_col = gamma_dot, gamma_dot_col
+            if any_arrived:
+                rates = np.where(arrived, 0.0, gamma_dot)
+                rates_col = rates[:, None]
+                d_gamma_dot[arrived] = 0.0
+            # the target velocity, from the rates spread over the rows of
+            # the position slot (v is copied there last): a same-shape
+            # multiply, not a broadcast one
+            d_p[...] = rates_col
+            multiply(v_d, d_p, vel_error)
+            subtract(vel_error, v, vel_error)
+            vehicle.pf_control_all(pd_stack, gains, d_v)
+            for row, gvec, window in gusts:
+                d_v[row] = vehicle.apply_disturbance(d_v[row], t, gvec, window)
+            d_gamma[...] = rates
+            d_p[...] = v
+
+        return stage
+
+    return tuple(map(bind, sources, *_split(rows, n)))
+
+
+def _bind_tail(world: SimWorld, block: np.ndarray) -> Callable[[bool, np.ndarray, float], bool]:
+    """The end of a step of ``world`` as a closure ``tail(any_arrived,
+    rate_new, t)``, over ``x``, the arrival mask and the workspace
+    ``block`` ``[stage | k1 | k2 | k3 | k4]``: the RK4 combination into
+    ``x``, the speed limit, arrival clamping with the desired rate
+    ``rate_new`` and the finite check at the new time ``t``.  Returns
+    ``any_arrived`` after the step."""
+    cfg, x, arrived = world.config, world.x, world.arrived
+    fields = gamma, gamma_dot, _, v = world.gamma, world.gamma_dot, world.p, world.v
+    stage, ks, doubled = block[0], block[1:], block[2:4]
+    _, _, two, sixth = world.rk4
+    limit, t_f = cfg.speed_limit, cfg.t_f
+    bound = vehicle.dot_bound(limit)
+    multiply, add, add_rows = np.multiply, np.add, np.add.reduce
+    saturate = vehicle._saturate
+
+    def tail(any_arrived: bool, rate_new: np.ndarray, t: float) -> bool:
+        # x += dt/6 (((k1 + 2 k2) + 2 k3) + k4): the k rows summed in order
+        # by one reduction started from -0.0, the identity that keeps a sum
+        # of signed zeros bit for bit (add.reduce's default start is +0.0)
+        multiply(two, doubled, doubled)
+        add_rows(ks, 0, None, stage, False, -0.0)
+        add(x, multiply(sixth, stage, stage), x)  # in place: the views follow
+        # speed limit, direction preserved
+        saturate(v, limit, bound)
+        # arrival clamping: virtual time pinned at t_f, rate pinned to the
+        # desired rate so the coordination metric closes out cleanly.
+        # Python's max may skip a NaN numpy's would return; the NaN then
+        # fails the finite check below all the same.
+        if any_arrived or max(gamma.tolist()) >= t_f:
+            np.logical_or(arrived, gamma >= t_f, arrived)
+            gamma[arrived] = t_f
+            gamma_dot[arrived] = rate_new
+            any_arrived = True
+        _check_state(x, fields, t)
+        return any_arrived
+
+    return tail
 
 
 def _step_rates(
@@ -760,49 +788,25 @@ def step(
     arrival clamping.  ``rates`` holds the desired mission rate at ``t``,
     at ``t + dt/2``, at ``t + dt`` and at the new sample time (rows 0, 1
     and 2 of a column of ``_step_rates`` and row 0 of the next), as 0-d
-    arrays or floats.  Each stage state and the combination are formed in
-    the world's workspace."""
-    cfg = world.config
-    dt = cfg.dt
-    t0, x, stage, lap = world.t, world.x, world.stage, world.laplacians[sigma - 1]
-    k1, k2, k3, k4 = world.k
-    x_views, stage_views = world.x_views, world.stage_views
-    kv1, kv2, kv3, kv4 = world.k_views
+    arrays or floats.  Each stage runs through ``_rhs`` with its bound
+    closure; the stage states are formed in the world's workspace, and
+    the world's ``tail`` ends the step."""
     rate_now, rate_mid, rate_end, rate_new = rates
-    half, full, two, sixth = world.rk4
+    t0, lap, x, stage = world.t, world.laplacians[sigma - 1], world.x, world.stage
+    (k1, k2, k3, k4), (s1, s2, s3, s4) = world.k, world.stages
+    half, full, _, _ = world.rk4
+    dt = world.config.dt
     h = 0.5 * dt
-    _rhs(world, t0, x, lap, rate_now, k1, x_views, kv1)
+    _rhs(world, t0, x, lap, rate_now, k1, s1)
     np.add(x, np.multiply(half, k1, stage), stage)
-    _rhs(world, t0 + h, stage, lap, rate_mid, k2, stage_views, kv2)
+    _rhs(world, t0 + h, stage, lap, rate_mid, k2, s2)
     np.add(x, np.multiply(half, k2, stage), stage)
-    _rhs(world, t0 + h, stage, lap, rate_mid, k3, stage_views, kv3)
+    _rhs(world, t0 + h, stage, lap, rate_mid, k3, s3)
     np.add(x, np.multiply(full, k3, stage), stage)
-    _rhs(world, t0 + dt, stage, lap, rate_end, k4, stage_views, kv4)
-    # x += dt/6 (((k1 + 2 k2) + 2 k3) + k4): the k rows summed in order by
-    # one reduction started from -0.0, the identity that keeps a sum of
-    # signed zeros bit for bit (add.reduce's default start is +0.0)
-    doubled, ks = world.k_middle, world.k_block
-    np.multiply(two, doubled, doubled)
-    np.add.reduce(ks, 0, None, stage, False, -0.0)
-    np.add(x, np.multiply(sixth, stage, stage), x)  # in place: the views follow
-
+    _rhs(world, t0 + dt, stage, lap, rate_end, k4, s4)
     world.step_idx += 1
     world.t = world.step_idx * dt
-
-    # speed limit, direction preserved
-    vehicle._saturate(world.v, cfg.speed_limit, world.speed_bound)
-
-    # arrival clamping: virtual time pinned at t_f, rate pinned to the
-    # desired rate so the coordination metric closes out cleanly.  Python's
-    # max may skip a NaN numpy's would return; the NaN then fails
-    # _check_finite below all the same.
-    if world.any_arrived or max(world.gamma.tolist()) >= cfg.t_f:
-        world.arrived |= world.gamma >= cfg.t_f
-        world.any_arrived = True
-        world.gamma[world.arrived] = cfg.t_f
-        world.gamma_dot[world.arrived] = rate_new
-
-    _check_finite(world)
+    world.any_arrived = world.tail(world.any_arrived, rate_new, world.t)
     return world
 
 
@@ -976,7 +980,8 @@ def _measure(world: SimWorld, table: np.ndarray, q) -> list[Violation]:
             gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b
         )
         block[:, 0] = t
-        block[:, 2] = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]
+        with np.errstate(over="ignore"):  # a huge rate error's norm is inf
+            block[:, 2] = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]
         block[:, 3 + 2 * n : 3 + 3 * n] = row_norms(pe[0])
         flying = gamma < cfg.t_f  # the logged state is finite
         violations += coordctrl.feasibility_check(gamma_dot, gamma_ddot, bounds, t, flying)

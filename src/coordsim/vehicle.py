@@ -31,6 +31,9 @@ _DOT_TERMS_MAX = 2**20
 # margins for the row norms and for the rounding of the one dot
 _SQUARE_MARGIN = 1.0 - 2.0**-50
 _DOT_MARGIN = 1.0 - (_DOT_TERMS_MAX + 4) * 2.0**-52
+# numpy's functions of the per-stage PD command as module names, for the
+# reason LaneSweepFamily._bind_pos_vel gives
+_add, _multiply, _vdot = np.add, np.multiply, np.vdot
 
 
 class LaneSweepFamily:
@@ -104,67 +107,61 @@ class LaneSweepFamily:
         time among all vehicles.  The result is written into ``out`` when
         given, and returned.
 
-        This is ``_pos_vel_into`` on the views ``_target_views`` takes of
-        ``out`` and of a fresh scratch; the simulation loop calls the two
-        itself, the views taken once per run."""
+        This is ``_bind_pos_vel`` on ``out``, called once on ``gammas``;
+        the simulation loop binds it once per run and calls it each
+        stage."""
         if out is None:
             out = np.empty((2,) + gammas.shape[:-1] + (self.n, 3))
-        self._pos_vel_into(gammas, *self._target_views(out[::-1]))
+        self._bind_pos_vel(out[::-1])(gammas)
         return out
 
-    def _target_views(self, vel_pos: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _bind_pos_vel(self, vel_pos: np.ndarray):
         """Write the columns that do not depend on gamma (down-range rate 1,
         climb rate 0, altitude 2) into ``vel_pos``, a ``(2, ..., n, 3)``
-        stack ``[vel | pos]``, and return the views ``_pos_vel_into``
-        writes the rest through: a fresh contiguous ``(2, ..., n)``
-        scratch for the lateral chain, its two rows, a scratch of the same
-        shape for the envelope, then the down-range position, the lateral
-        position and the lateral rate of ``vel_pos``."""
-        vel_pos.swapaxes(0, -2)[...] = self._vel_pos
-        scratch = np.empty((2,) + vel_pos.shape[:-1])
-        chain, envelope = scratch[0], scratch[1]
-        return (
-            chain, chain[0], chain[1], envelope,
-            vel_pos[1, ..., 0], vel_pos[1, ..., 1], vel_pos[0, ..., 1],
-        )
-
-    def _pos_vel_into(
-        self,
-        gammas: np.ndarray,
-        chain: np.ndarray,
-        chain_lateral: np.ndarray,
-        chain_rate: np.ndarray,
-        envelope: np.ndarray,
-        downrange: np.ndarray,
-        lateral: np.ndarray,
-        rate: np.ndarray,
-    ) -> None:
-        """The columns of ``pos_vel_all`` that depend on ``gammas``, written
-        through the views of ``_target_views``.
+        stack ``[vel | pos]``, and return a closure ``pos_vel(gammas)``
+        that writes the rest at the virtual times ``gammas``, which
+        broadcast against ``vel_pos.shape[1:-1]``: the down-range position,
+        the lateral position and the lateral rate.
 
         The lateral position ``offsets - env (5 + 3 gamma) sin`` and rate
         ``1.8 gamma env sin``, ``env = exp(-0.6 gamma)``, run as one chain
-        on the contiguous rows ``chain = [gamma | gamma]``: one ``exp``
-        gives ``env`` in both rows of ``envelope``, then ``chain * [3 |
-        1.8] + [5 | -0.0]``, times ``env``, times ``[sin | sin]``.  Each
-        row takes the roundings of its own chain of scalar operations
-        (adding ``-0.0`` is exact), and a contiguous operation costs about
-        a third of one on a strided view.  The rows are then scattered
-        into ``lateral`` and ``rate``; on a stack, the constant rows
-        broadcast over its samples."""
+        on the rows of a fresh contiguous ``(2, ..., n)`` scratch ``chain
+        = [gamma | gamma]``: one ``exp`` gives ``env`` in both rows of a
+        second scratch, then ``chain * [3 | 1.8] + [5 | -0.0]``, times
+        ``env``, times ``[sin | sin]``.  Each row takes the roundings of
+        its own chain of scalar operations (adding ``-0.0`` is exact), and
+        a contiguous operation costs about a third of one on a strided
+        view.  The rows are then scattered into the lateral columns; on a
+        stack, the constant rows broadcast over its samples.
+
+        Like every bound kernel, the closure holds numpy's functions as its
+        own variables: numpy's module ``__getattr__`` keeps CPython 3.11
+        from specializing an attribute load on ``np``, so each ``np.add``
+        in a loop is an unspecialized attribute lookup."""
+        vel_pos.swapaxes(0, -2)[...] = self._vel_pos
+        scratch = np.empty((2,) + vel_pos.shape[:-1])
+        chain, envelope = scratch[0], scratch[1]
+        chain_lateral, chain_rate = chain[0], chain[1]
+        downrange, lateral, rate = vel_pos[1, ..., 0], vel_pos[1, ..., 1], vel_pos[0, ..., 1]
         coef, shift, sines = self._chain
         if chain.ndim != 2:
             spread = (2,) + (1,) * (chain.ndim - 2) + (self.n,)
             coef, shift, sines = coef.reshape(spread), shift.reshape(spread), sines.reshape(spread)
-        chain[...] = gammas
-        np.exp(np.multiply(_DECAY, chain, envelope), envelope)
-        np.multiply(coef, chain, chain)
-        np.add(chain, shift, chain)
-        np.multiply(envelope, chain, chain)
-        np.multiply(chain, sines, chain)
-        np.subtract(self.offsets, chain_lateral, lateral)
-        rate[...] = chain_rate
-        downrange[...] = gammas
+        offsets = self.offsets
+        exp, multiply, add, subtract = np.exp, np.multiply, np.add, np.subtract
+
+        def pos_vel(gammas: np.ndarray) -> None:
+            chain[...] = gammas
+            exp(multiply(_DECAY, chain, envelope), envelope)
+            multiply(coef, chain, chain)
+            add(chain, shift, chain)
+            multiply(envelope, chain, chain)
+            multiply(chain, sines, chain)
+            subtract(offsets, chain_lateral, lateral)
+            rate[...] = chain_rate
+            downrange[...] = gammas
+
+        return pos_vel
 
 
 class PDGains:
@@ -205,8 +202,8 @@ def pf_control_all(
     column = gains.column
     if stack.ndim != 3:
         column = column.reshape((2,) + (1,) * (stack.ndim - 3) + column.shape[1:])
-    np.multiply(column, stack, stack)
-    out = np.add(stack[1], stack[0], out)
+    _multiply(column, stack, stack)
+    out = _add(stack[1], stack[0], out)
     _saturate(out, gains.a_max, gains.bound)
     return out
 
@@ -279,7 +276,7 @@ def saturate(rows: np.ndarray, limit: float) -> None:
 def _saturate(rows: np.ndarray, limit: float, bound: float) -> None:
     """``saturate`` with its bound ``dot_bound(limit)`` computed once by the
     caller."""
-    if rows.size <= _DOT_TERMS_MAX and np.vdot(rows, rows) <= bound:
+    if rows.size <= _DOT_TERMS_MAX and _vdot(rows, rows) <= bound:
         return
     rows *= (limit / np.maximum(row_norms(rows), limit))[..., None]
 

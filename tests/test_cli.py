@@ -444,6 +444,18 @@ class TestRefusal:
             argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
             assert cli.main(argv) == 0, capsys.readouterr().out
 
+    @pytest.mark.parametrize("rate_base", [1e154, 1e300])
+    def test_huge_rate_fails_feasibility_quietly(self, tmp_path, capsys, rate_base):
+        # a finite state whose sum of squares overflows, and a coordination
+        # error whose squared norm does: the run ends on the feasibility
+        # check, with no numpy warning on the way
+        path = shipped_with(tmp_path, {"rate_base": rate_base, "t_max": 0.2})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 1
+        assert "feasibility violation: vehicle 1 accel bound at t=0 " in capsys.readouterr().out
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_phi0_refused(self, tmp_path, capsys, command):
         # every entry finite, but phi0^T P phi0 overflows

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coordsim._einsum import einsum
-from coordsim.coordctrl import _accel_into, coordination_accel_matrix
+from coordsim.coordctrl import _bind_accel, coordination_accel_matrix
 from coordsim.digraph import Digraph, laplacians
 from coordsim.simharness import MAX_SYNTHESIS_N
 from coordsim.vehicle import (
@@ -272,8 +272,8 @@ def test_stacked_law_gains_match_two_scalar_multiplies():
                 gamma, gamma_dot, lap, alpha, rate, a, neg_b
             ).tobytes() == want.tobytes()
             if not stack:  # the loop's form: same-shape gains, bound views
-                law, out = np.empty((2, n)), np.empty(n)
-                _accel_into(gamma, gamma_dot, lap, alpha, rate, gains, out, law, *law)
+                out = np.empty(n)
+                _bind_accel(alpha, gains, out.shape)(gamma, gamma_dot, lap, rate, out)
                 assert out.tobytes() == want.tobytes()
 
 

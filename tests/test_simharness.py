@@ -216,6 +216,18 @@ class TestConfig:
         with pytest.warns(UserWarning, match=r"delta=0.3 .* spread 0.383"):
             default_directed_config(delta=0.3).validate()
 
+    @pytest.mark.parametrize("t_f", [1e4, 1e6])
+    def test_long_mission_spread_warns(self, t_f):
+        # the spread is taken at t = 0 and at the lateral rate's peak,
+        # t = 5/3, whatever t_f: a grid over [0, t_f] would step over it
+        with pytest.warns(UserWarning, match=r"delta=0.3 .* spread 0.383"):
+            default_directed_config(delta=0.3, t_f=t_f).validate()
+        fam = LaneSweepFamily(t_f=t_f)
+        fine = fam.speed_spread(np.linspace(0.0, 20.0, 20001))
+        grid = fam.speed_spread(np.linspace(0.0, t_f, 2000))
+        assert fam.speed_spread(np.array([0.0, 5.0 / 3.0])) >= fine > 0.3832
+        assert grid < 0.3
+
     def test_default_delta_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -742,6 +754,36 @@ class TestStepWorkspace:
         assert world.x.tobytes() == expected.tobytes()
         assert np.signbit(world.x[:3]).all()
 
+    @pytest.mark.parametrize("arrivals", [False, True], ids=["flying", "arrived"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 40])
+    def test_bound_stages_equal_stages_bound_on_the_spot(self, n, arrivals):
+        # each of the world's four bound stages, given random contents of
+        # the state it reads, writes the bytes of _rhs with a stage bound on
+        # the spot; at t = 0.7 one gust is inside its window, one outside
+        cfg = self.workspace_config(n)
+        rng = np.random.default_rng(300 * n + arrivals)
+        world = init_world(cfg)
+        lap = laplacians([random_digraph(n, rng)]).astype(float)[0] if n > 1 else np.zeros((1, 1))
+        if arrivals:
+            world.arrived[:] = rng.random(n) < 0.4
+            world.arrived[0] = True
+            world.any_arrived = True
+        sources = (world.x, world.stage, world.stage, world.stage)
+        for bound, source, k in zip(world.stages, sources, world.k):
+            gamma, gamma_dot, _, p, v = simharness._split(source, n)
+            gamma[:] = rng.uniform(0.0, cfg.t_f, n)
+            gamma[world.arrived] = cfg.t_f
+            gamma_dot[:] = rng.uniform(0.5, 1.5, n)
+            scale = rng.choice([0.01, 1.0, 10.0], (2, n, 1))
+            p[:] = world.fam.pos_vel_all(gamma)[0] + rng.normal(size=(n, 3)) * scale[0]
+            v[:] = rng.normal(size=(n, 3)) * 3.0 * scale[1]
+            rate = np.array(rng.uniform(0.9, 1.2))
+            k[:] = np.nan  # nothing is read from the stage's own row
+            assert simharness._rhs(world, 0.7, source, lap, rate, k, bound) is k
+            fresh = simharness._rhs(world, 0.7, source.copy(), lap, rate, np.full_like(k, np.nan))
+            assert k.tobytes() == fresh.tobytes()
+            assert (k[n : 2 * n][world.arrived] == 0.0).all()
+
     @pytest.mark.parametrize("stack", [(), (7,)], ids=["sample", "stack"])
     def test_kernels_given_out_return_it_with_the_same_bytes(self, stack):
         rng = np.random.default_rng(len(stack))
@@ -778,6 +820,19 @@ class TestStepWorkspace:
             into = scratch[row]
             assert pf_control_all(scratch, gains, into) is into
             assert into.tobytes() == u.tobytes()
+
+
+def test_finite_check_raises_no_warning_on_an_overflowing_square():
+    # a finite state whose sum of squares overflows passes, quietly, and a
+    # non-finite entry is named
+    world = init_world(default_directed_config())
+    world.p[0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_finite(world)
+        world.v[1, 2] = np.inf
+        with pytest.raises(NumericError, match=r"non-finite velocity\[\(1, 2\)\] at t=0"):
+            _check_finite(world)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
