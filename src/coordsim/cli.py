@@ -1,11 +1,11 @@
 """Command-line entry point: validate / analyze / run / compare.
 
-Exit codes: 0 success, 1 refused input, 2 numeric failure; ``main``
-holds the one map from error type to exit code.  With ``--json`` exactly
-one JSON document goes to stdout, ``{"ok": false, "error": ...}`` when the
-command fails; human-readable text otherwise.  The ``COORDSIM_LOG``
-environment variable sets the logging level (e.g. DEBUG, INFO, WARNING);
-anything that is not a level name means WARNING.
+Exit codes: 0 success, 1 refused input (a malformed command line too), 2
+numeric failure; ``main`` holds the one map from error type to exit code.
+With ``--json`` exactly one JSON document goes to stdout, ``{"ok": false,
+"error": ...}`` when the command fails; human-readable text otherwise.
+The ``COORDSIM_LOG`` environment variable sets the logging level (e.g.
+DEBUG, INFO, WARNING); anything that is not a level name means WARNING.
 """
 
 from __future__ import annotations
@@ -201,8 +201,17 @@ def cmd_compare(
     return CommandOutcome(0, "\n".join(lines))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser, and subcommand parser, whose errors raise
+    ConfigError: ``main`` refuses a malformed command line with exit 1."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="coordsim",
         description="Multi-vehicle time coordination over switched directed topologies",
     )
@@ -261,13 +270,16 @@ def main(argv=None) -> int:
     if not isinstance(level, int):  # not a level name, e.g. BASIC_FORMAT
         level = logging.WARNING
     logging.basicConfig(level=level, stream=sys.stderr)
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    as_json = "--json" in argv  # until the command line parses
     try:
+        args = build_parser().parse_args(argv)
+        as_json = args.json
         outcome = _dispatch(args)
     except tuple(_FAILURES) as exc:
         code, label = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
         error = json.dumps({"ok": False, "error": str(exc)})
-        outcome = CommandOutcome(code, error if args.json else f"{label}: {exc}")
+        outcome = CommandOutcome(code, error if as_json else f"{label}: {exc}")
     return _emit(outcome)
 
 

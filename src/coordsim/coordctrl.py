@@ -64,9 +64,7 @@ class MissionRateProfile:
             raise ConfigError(f"mission rate must stay positive on [0, {t_max}]")
 
 
-def path_error_feedback_all(
-    errors_velocities: np.ndarray, delta: float, out: np.ndarray | None = None
-) -> np.ndarray:
+def path_error_feedback_all(errors_velocities: np.ndarray, delta: float) -> np.ndarray:
     """Feedback of each vehicle's path-following error on its virtual-time
     acceleration: the error component along the desired velocity ``v_i``,
     scaled by ``|v_i| / (|v_i| + delta) < 1``, so its magnitude never
@@ -77,13 +75,11 @@ def path_error_feedback_all(
     ``(2, ..., n, 3)`` for a stack; one row dot of both against ``v``
     gives ``e . v`` and ``|v|^2``.  Rows are independent: every row has
     the bits of a call on it alone.  ``delta`` may be a float or a 0-d
-    float64 array.  The result, ``(..., n)``, is written into ``out`` when
-    given, and returned.  This is ``_bind_feedback`` on the stack and
-    ``out``, called once."""
+    float64 array.  The result has shape ``(..., n)``.  This is
+    ``_bind_feedback`` on the stack and a fresh result, called once."""
     if float(delta) <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    if out is None:
-        out = np.empty(errors_velocities.shape[1:-1])
+    out = np.empty(errors_velocities.shape[1:-1])
     _bind_feedback(errors_velocities, delta, out)()
     return out
 
@@ -117,7 +113,6 @@ def coordination_accel_matrix(
     gamma_dot_d: float | np.ndarray,
     a: float | np.ndarray,
     neg_b: float | np.ndarray,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Matrix form of the coordination law:
     ``-b (rate error) - a L gamma - alpha``, given the rate gain negated,
@@ -125,12 +120,10 @@ def coordination_accel_matrix(
     on vehicle ``i``'s in-neighbors.  One sample, shape ``(n,)``, or a
     stack, ``(..., n)``, with one Laplacian or one per sample: each sample
     costs one matrix-vector product, so its bits do not depend on the stack
-    it is in.  ``a`` and ``neg_b`` are floats or 0-d arrays.  The result is
-    written into ``out`` when given, and returned.  This is
+    it is in.  ``a`` and ``neg_b`` are floats or 0-d arrays.  This is
     ``_bind_accel`` with the gain column ``[a, neg_b]`` broadcast over its
-    scratch, called once."""
-    if out is None:
-        out = np.empty(np.broadcast_shapes(lap.shape[:-1], gamma.shape))
+    scratch, called once on a fresh result."""
+    out = np.empty(np.broadcast_shapes(lap.shape[:-1], gamma.shape))
     gains = np.array([a, neg_b], dtype=float).reshape((2,) + (1,) * out.ndim)
     _bind_accel(alpha, gains, out.shape)(gamma, gamma_dot, lap, gamma_dot_d, out)
     return out

@@ -9,10 +9,11 @@ schedule in the bidirectional baseline.  Each step evaluates all four RK4
 stages under the topology it is handed, so a topology changes only at a
 step boundary.  The desired mission rate, a function of time alone, is
 evaluated for a block of ``RATE_BLOCK`` steps at a time, at each step's
-RK4 stage times.  ``init_world`` binds each world's step once: four
-stage closures and a tail over views of its state and workspace, with
-the kernels bound to their scratch, so a step runs its numpy calls and
-little else.  The loop logs the state alone; one pass after it derives
+RK4 stage times.  ``init_world`` binds each world's step once, in
+``_bind_step``: four stage closures (``_bind_stages``) and the RK4
+combination over views of its state and workspace, with the kernels
+bound to their scratch, so a step runs its numpy calls and little else.
+The loop logs the state alone; one pass after it derives
 every measured column and the feasibility records from the logged state,
 ``RATE_BLOCK`` rows per kernel call.
 
@@ -482,29 +483,10 @@ class SimWorld:
     ``v`` are views of it.  ``any_arrived`` is set once some entry of
     ``arrived`` is; until then the arrival masks are skipped.
 
-    Everything a step would otherwise derive per call is built once, at
-    set-up:
-
-    - the coefficients, as 0-d float64 arrays (an operation on an array
-      with one costs less than with a Python float or a NumPy scalar, with
-      the same IEEE result): ``a``, ``neg_b`` (``-b``), ``delta`` and
-      ``rk4``, the weights ``(dt/2, dt, 2, dt/6)`` of a step, and
-      ``gains``, the path follower's checked ``vehicle.PDGains``;
-    - the workspace: ``stage``, the state a stage is evaluated at, and
-      ``k``, the four stage derivatives, the rows of one ``(5, 8 n)``
-      array;
-    - the step itself, as closures over views bound here (``_bind_stages``
-      and ``_bind_tail``): ``stages``, whose first reads ``x`` and the
-      other three ``stage``, each writing its own ``k`` row through
-      kernels bound once for all four, and ``tail``, the RK4
-      combination, the speed limit, the arrival test and the finite
-      check.  They hold no reference to the world: ``step`` reads ``t``,
-      ``step_idx``, ``any_arrived`` and the step's Laplacian from it at
-      each call, and hands them on.
-
-    Before arrival, a stage computes into fresh memory only when its
-    command fails the saturation's one-dot test, into its norms and
-    factors."""
+    ``advance``, bound once by ``_bind_step``, is the world's RK4 step: a
+    closure over views of ``x``, the arrival mask and its own workspace,
+    with no reference to the world.  ``step`` reads ``t``, the step's
+    Laplacian and ``any_arrived`` from the world and hands them to it."""
 
     config: ScenarioConfig
     fam: LaneSweepFamily
@@ -523,33 +505,11 @@ class SimWorld:
     gamma_dot: np.ndarray = field(init=False, repr=False)
     p: np.ndarray = field(init=False, repr=False)
     v: np.ndarray = field(init=False, repr=False)
-    a: np.ndarray = field(init=False, repr=False)
-    neg_b: np.ndarray = field(init=False, repr=False)
-    delta: np.ndarray = field(init=False, repr=False)
-    rk4: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    gains: vehicle.PDGains = field(init=False, repr=False)
-    # workspace and the bound step
-    stage: np.ndarray = field(init=False, repr=False)
-    k: tuple[np.ndarray, ...] = field(init=False, repr=False)
-    stages: tuple[Callable[..., None], ...] = field(init=False, repr=False)
-    tail: Callable[[bool, np.ndarray, float], bool] = field(init=False, repr=False)
+    advance: Callable[..., bool] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        cfg, n = self.config, self.config.n
-        x_views = _split(self.x, n)
-        self.gamma, self.gamma_dot, _, self.p, self.v = x_views
-        self.a, self.neg_b, self.delta = (
-            np.array(c, dtype=float) for c in (cfg.a, -cfg.b, cfg.delta)
-        )
-        dt = cfg.dt
-        self.rk4 = tuple(np.array(w, dtype=float) for w in (0.5 * dt, dt, 2, dt / 6.0))
-        self.gains = vehicle.PDGains(cfg.kp, cfg.kd, cfg.accel_limit, n)
-        # one block: the stage state, then the four stage derivatives
-        block = np.empty((5, 8 * n))
-        self.stage, self.k = block[0], tuple(block[1:])
-        stage_views = _split(self.stage, n)
-        self.stages = _bind_stages(self, (x_views,) + (stage_views,) * 3, block[1:])
-        self.tail = _bind_tail(self, block)
+        self.gamma, self.gamma_dot, _, self.p, self.v = _split(self.x, self.config.n)
+        self.advance = _bind_step(self)
 
     @property
     def all_arrived(self) -> bool:
@@ -629,45 +589,17 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     )
 
 
-def _check_finite(world: SimWorld) -> None:
-    """Raise NumericError naming the first non-finite entry of the state;
-    see ``_check_state``."""
-    _check_state(world.x, (world.gamma, world.gamma_dot, world.p, world.v), world.t)
-
-
-def _check_state(x: np.ndarray, fields: tuple[np.ndarray, ...], t: float) -> None:
+def _check_state(x: np.ndarray, n: int, t: float) -> None:
     """Raise NumericError naming the first non-finite entry of the packed
-    state ``x``, whose fields ``(gamma, gamma_dot, p, v)`` are views of it,
-    at time ``t``.  A finite sum of squares, one BLAS dot (which, unlike
-    ``x @ x``, raises no overflow warning), proves every entry finite; when
-    it is not (an entry is non-finite, or a huge one overflows), the fields
-    are scanned."""
+    state ``x`` of ``n`` vehicles at time ``t``.  A finite sum of squares,
+    one BLAS dot (which, unlike ``x @ x``, raises no overflow warning),
+    proves every entry finite; when it is not (an entry is non-finite, or a
+    huge one overflows), the fields of ``x`` are scanned."""
     if math.isfinite(np.vdot(x, x)):
         return
-    for name, arr in zip(("gamma", "gamma_dot", "position", "velocity"), fields):
+    gamma, gamma_dot, _, p, v = _split(x, n)
+    for name, arr in zip(("gamma", "gamma_dot", "position", "velocity"), (gamma, gamma_dot, p, v)):
         check_finite(name, arr, t)
-
-
-def _rhs(
-    world: SimWorld,
-    t: float,
-    x: np.ndarray,
-    lap: np.ndarray,
-    rate: np.ndarray,
-    out: np.ndarray,
-    stage: Callable[..., None] | None = None,
-) -> np.ndarray:
-    """Coupled smooth dynamics ``x'`` of the packed state ``x`` at time
-    ``t`` under the topology with Laplacian ``lap`` and the desired mission
-    rate ``rate``, written into ``out`` (``8 n`` floats) and returned; the
-    virtual time of an arrived vehicle is held (its derivatives are 0).
-    ``stage`` is ``_bind_stages(world, (_split(x, n),), out[None])[0]``:
-    ``step`` passes the world's, bound at set-up, and it is bound here
-    when omitted."""
-    if stage is None:
-        (stage,) = _bind_stages(world, (_split(x, world.config.n),), out[None])
-    stage(t, lap, rate, world.any_arrived)
-    return out
 
 
 def _bind_stages(
@@ -675,26 +607,36 @@ def _bind_stages(
 ) -> tuple[Callable[..., None], ...]:
     """RK4 stages of ``world`` as closures ``stage(t, lap, rate,
     any_arrived)``, one per state in ``sources``, given as its ``_split``
-    views, and row of ``rows``: each writes ``_rhs`` of the current
-    contents of its state into its row.  They close over views bound
-    here: those of their state, the ``_split`` views of ``rows``, taken
-    once and indexed by row, the world's arrival mask, gusts and gains,
-    and the kernels (``LaneSweepFamily._bind_pos_vel``,
-    ``coordctrl._bind_feedback`` and ``coordctrl._bind_accel``), bound
-    once to a fresh ``(4, n, 3)`` stack ``[target_vel - v | e | v_d |
-    p_d]``: the stages share it, and the kernels' scratch, since each runs
-    to its end before the next starts.  ``vehicle.pf_control_all`` and
-    ``vehicle.apply_disturbance`` are looked up at each call."""
-    n = world.config.n
-    arrived, gusts, gains = world.arrived, world.gusts, world.gains
+    views, and row of ``rows``.  Each writes into its row the coupled
+    smooth dynamics ``x'`` of the current contents of its state at time
+    ``t``, under the topology with Laplacian ``lap`` and the desired
+    mission rate ``rate``.  An arrived vehicle's virtual time is held (its
+    rate in the derivative is 0); its rate derivative is not, as only its
+    own row reads it and the step's arrival clamp overwrites that row.
+
+    They close over views bound here: those of their state and of
+    ``rows``, the world's arrival mask and gusts, the coefficients of
+    ``world.config``, and the kernels (``LaneSweepFamily._bind_pos_vel``,
+    ``coordctrl._bind_feedback`` and ``coordctrl._bind_accel``), bound once
+    to a fresh ``(4, n, 3)`` stack ``[target_vel - v | e | v_d | p_d]``,
+    which the stages share with the kernels' scratch, as each runs to its
+    end before the next starts.  Before arrival, a stage allocates only
+    when its command fails the saturation's one-dot test.
+    ``vehicle.pf_control_all`` and ``vehicle.apply_disturbance`` are looked
+    up at each call."""
+    cfg, n = world.config, world.config.n
+    arrived, gusts = world.arrived, world.gusts
+    gains = vehicle.PDGains(cfg.kp, cfg.kd, cfg.accel_limit, n)
     targets = np.empty((4, n, 3))
     pd_stack, feedback_stack = targets[0:2], targets[1:3]
     vel_error, e, v_d, p_d = targets
     alpha = np.empty(n)
     coord_gains = np.empty((2, n))  # [a | -b]: one same-shape multiply
-    coord_gains[0], coord_gains[1] = world.a, world.neg_b
+    coord_gains[0], coord_gains[1] = cfg.a, -cfg.b
     pos_vel = world.fam._bind_pos_vel(targets[2:4])
-    feedback = coordctrl._bind_feedback(feedback_stack, world.delta, alpha)
+    # delta as a 0-d array: an operation on one costs less than on a
+    # Python float, with the same IEEE result
+    feedback = coordctrl._bind_feedback(feedback_stack, np.array(cfg.delta, dtype=float), alpha)
     accel = coordctrl._bind_accel(alpha, coord_gains, (n,))
     subtract, multiply = np.subtract, np.multiply
 
@@ -710,7 +652,6 @@ def _bind_stages(
             if any_arrived:
                 rates = np.where(arrived, 0.0, gamma_dot)
                 rates_col = rates[:, None]
-                d_gamma_dot[arrived] = 0.0
             # the target velocity, from the rates spread over the rows of
             # the position slot (v is copied there last): a same-shape
             # multiply, not a broadcast one
@@ -728,23 +669,37 @@ def _bind_stages(
     return tuple(map(bind, sources, *_split(rows, n)))
 
 
-def _bind_tail(world: SimWorld, block: np.ndarray) -> Callable[[bool, np.ndarray, float], bool]:
-    """The end of a step of ``world`` as a closure ``tail(any_arrived,
-    rate_new, t)``, over ``x``, the arrival mask and the workspace
-    ``block`` ``[stage | k1 | k2 | k3 | k4]``: the RK4 combination into
-    ``x``, the speed limit, arrival clamping with the desired rate
-    ``rate_new`` and the finite check at the new time ``t``.  Returns
+def _bind_step(world: SimWorld) -> Callable[..., bool]:
+    """The RK4 step of ``world`` as a closure ``advance(t, t_new, lap,
+    any_arrived, rates)``, ``rates`` as ``step`` takes them: the four
+    stages of ``_bind_stages`` under the Laplacian ``lap``, the first at
+    ``x`` and time ``t``, the others at a stage state formed in a workspace
+    ``[stage | k1 | k2 | k3 | k4]`` bound here; then the RK4 combination
+    into ``x``, the speed limit, arrival clamping with the desired rate
+    ``rate_new`` and the finite check at the new time ``t_new``.  Returns
     ``any_arrived`` after the step."""
-    cfg, x, arrived = world.config, world.x, world.arrived
-    fields = gamma, gamma_dot, _, v = world.gamma, world.gamma_dot, world.p, world.v
+    cfg, n, x, arrived = world.config, world.config.n, world.x, world.arrived
+    gamma, gamma_dot, v = world.gamma, world.gamma_dot, world.v
+    block = np.empty((5, 8 * n))
     stage, ks, doubled = block[0], block[1:], block[2:4]
-    _, _, two, sixth = world.rk4
-    limit, t_f = cfg.speed_limit, cfg.t_f
+    k1, k2, k3, _ = ks
+    s1, s2, s3, s4 = _bind_stages(world, (_split(x, n),) + (_split(stage, n),) * 3, ks)
+    dt, limit, t_f = cfg.dt, cfg.speed_limit, cfg.t_f
+    h = 0.5 * dt
+    # the weights as 0-d float64 arrays, for the reason of delta's
+    half, full, two, sixth = (np.array(w, dtype=float) for w in (h, dt, 2, dt / 6.0))
     bound = vehicle.dot_bound(limit)
-    multiply, add, add_rows = np.multiply, np.add, np.add.reduce
-    saturate = vehicle._saturate
+    multiply, add, add_rows, saturate = np.multiply, np.add, np.add.reduce, vehicle._saturate
 
-    def tail(any_arrived: bool, rate_new: np.ndarray, t: float) -> bool:
+    def advance(t: float, t_new: float, lap: np.ndarray, any_arrived: bool, rates) -> bool:
+        rate_now, rate_mid, rate_end, rate_new = rates
+        s1(t, lap, rate_now, any_arrived)
+        add(x, multiply(half, k1, stage), stage)
+        s2(t + h, lap, rate_mid, any_arrived)
+        add(x, multiply(half, k2, stage), stage)
+        s3(t + h, lap, rate_mid, any_arrived)
+        add(x, multiply(full, k3, stage), stage)
+        s4(t + dt, lap, rate_end, any_arrived)
         # x += dt/6 (((k1 + 2 k2) + 2 k3) + k4): the k rows summed in order
         # by one reduction started from -0.0, the identity that keeps a sum
         # of signed zeros bit for bit (add.reduce's default start is +0.0)
@@ -762,10 +717,10 @@ def _bind_tail(world: SimWorld, block: np.ndarray) -> Callable[[bool, np.ndarray
             gamma[arrived] = t_f
             gamma_dot[arrived] = rate_new
             any_arrived = True
-        _check_state(x, fields, t)
+        _check_state(x, n, t_new)
         return any_arrived
 
-    return tail
+    return advance
 
 
 def _step_rates(
@@ -780,33 +735,17 @@ def _step_rates(
     return profile.rate(np.stack((t, t + 0.5 * dt, t + dt)))
 
 
-def step(
-    world: SimWorld, sigma: int, rates: tuple[np.ndarray, ...]
-) -> SimWorld:
-    """Advance one step of ``dt``: RK4 on the coupled smooth dynamics with
-    topology ``sigma`` held over the whole step, then the speed limit and
-    arrival clamping.  ``rates`` holds the desired mission rate at ``t``,
-    at ``t + dt/2``, at ``t + dt`` and at the new sample time (rows 0, 1
-    and 2 of a column of ``_step_rates`` and row 0 of the next), as 0-d
-    arrays or floats.  Each stage runs through ``_rhs`` with its bound
-    closure; the stage states are formed in the world's workspace, and
-    the world's ``tail`` ends the step."""
-    rate_now, rate_mid, rate_end, rate_new = rates
-    t0, lap, x, stage = world.t, world.laplacians[sigma - 1], world.x, world.stage
-    (k1, k2, k3, k4), (s1, s2, s3, s4) = world.k, world.stages
-    half, full, _, _ = world.rk4
-    dt = world.config.dt
-    h = 0.5 * dt
-    _rhs(world, t0, x, lap, rate_now, k1, s1)
-    np.add(x, np.multiply(half, k1, stage), stage)
-    _rhs(world, t0 + h, stage, lap, rate_mid, k2, s2)
-    np.add(x, np.multiply(half, k2, stage), stage)
-    _rhs(world, t0 + h, stage, lap, rate_mid, k3, s3)
-    np.add(x, np.multiply(full, k3, stage), stage)
-    _rhs(world, t0 + dt, stage, lap, rate_end, k4, s4)
+def step(world: SimWorld, sigma: int, rates: tuple[np.ndarray, ...]) -> SimWorld:
+    """Advance one step of ``dt`` through the world's bound ``advance``:
+    RK4 on the coupled smooth dynamics with topology ``sigma`` held over
+    the whole step, then the speed limit and arrival clamping.  ``rates``
+    holds the desired mission rate at ``t``, at ``t + dt/2``, at ``t + dt``
+    and at the new sample time (rows 0, 1 and 2 of a column of
+    ``_step_rates`` and row 0 of the next), as 0-d arrays or floats."""
+    t, lap = world.t, world.laplacians[sigma - 1]
     world.step_idx += 1
-    world.t = world.step_idx * dt
-    world.any_arrived = world.tail(world.any_arrived, rate_new, world.t)
+    world.t = world.step_idx * world.config.dt
+    world.any_arrived = world.advance(t, world.t, lap, world.any_arrived, rates)
     return world
 
 
@@ -962,7 +901,7 @@ def _measure(world: SimWorld, table: np.ndarray, q) -> list[Violation]:
     ``table`` from its state and ``sigma`` columns, ``RATE_BLOCK`` rows per
     kernel call, and return the feasibility records of its rows.  A vehicle
     whose virtual time reached ``t_f`` has arrived and is not checked (its
-    acceleration, 0 in ``_rhs``, is not read)."""
+    acceleration is not read)."""
     cfg, n = world.config, world.config.n
     bounds = (cfg.gamma_dot_max, cfg.gamma_ddot_max)
     violations: list[Violation] = []
@@ -975,9 +914,9 @@ def _measure(world: SimWorld, table: np.ndarray, q) -> list[Violation]:
         p = block[:, 3 + 3 * n :].reshape(-1, n, 3)
         pe = world.fam.pos_vel_all(gamma)
         np.subtract(pe[0], p, pe[0])  # [path errors | desired velocities]
-        alpha = coordctrl.path_error_feedback_all(pe, world.delta)
+        alpha = coordctrl.path_error_feedback_all(pe, cfg.delta)
         gamma_ddot = coordctrl.coordination_accel_matrix(
-            gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b
+            gamma, gamma_dot, lap, alpha, rate, cfg.a, -cfg.b
         )
         block[:, 0] = t
         with np.errstate(over="ignore"):  # a huge rate error's norm is inf

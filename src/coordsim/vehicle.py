@@ -98,20 +98,18 @@ class LaneSweepFamily:
             vy2 = vy * vy
         return math.sqrt(1.0 + float(vy2.max())) - math.sqrt(1.0 + float(vy2.min()))
 
-    def pos_vel_all(self, gammas: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def pos_vel_all(self, gammas: np.ndarray) -> np.ndarray:
         """Positions and velocities ``[pos | vel]``, shape
         ``(2,) + gammas.shape[:-1] + (n, 3)``, so ``pos, vel = ...``
         unpacks them, at the float64 virtual times ``gammas`` of one
         sample, shape ``(n,)``, or of a stack, ``(..., n)``, each sample
         with the bits of a call on it alone; a last axis of 1 shares one
-        time among all vehicles.  The result is written into ``out`` when
-        given, and returned.
+        time among all vehicles.
 
-        This is ``_bind_pos_vel`` on ``out``, called once on ``gammas``;
-        the simulation loop binds it once per run and calls it each
-        stage."""
-        if out is None:
-            out = np.empty((2,) + gammas.shape[:-1] + (self.n, 3))
+        This is ``_bind_pos_vel`` on a fresh array, called once on
+        ``gammas``; the simulation loop binds it once per run and calls it
+        each stage."""
+        out = np.empty((2,) + gammas.shape[:-1] + (self.n, 3))
         self._bind_pos_vel(out[::-1])(gammas)
         return out
 

@@ -514,6 +514,49 @@ class TestRefusal:
         assert set(doc) == {"ok", "error"}
 
 
+class TestCommandLine:
+    # a malformed command line is a refused input: exit 1, and with --json
+    # one document on stdout, not argparse's SystemExit(2)
+    @staticmethod
+    def malformed(kind, tmp_path, directed_path):
+        out = str(tmp_path / "out")
+        return {
+            "bad-dt": ["run", "--config", directed_path, "--out", out, "--dt", "abc"],
+            "no-config": ["run", "--out", out],
+            "unknown-command": ["frobnicate", "--config", directed_path],
+            "unknown-flag": ["validate", "--config", directed_path, "--frobnicate"],
+            "no-command": [],
+        }[kind]
+
+    KINDS = ["bad-dt", "no-config", "unknown-command", "unknown-flag", "no-command"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_malformed_command_line_exits_1(self, kind, tmp_path, directed_path, capsys):
+        argv = self.malformed(kind, tmp_path, directed_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("invalid config: coordsim")
+        assert "usage: coordsim" in captured.err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", KINDS[:4])
+    def test_malformed_json_command_line_is_one_document(
+        self, kind, tmp_path, directed_path, capsys
+    ):
+        argv = self.malformed(kind, tmp_path, directed_path) + ["--json"]
+        assert cli.main(argv) == 1
+        doc = json.loads(capsys.readouterr().out)
+        assert set(doc) == {"ok", "error"} and doc["ok"] is False
+        assert doc["error"].startswith("coordsim")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
+    def test_help_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: coordsim")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, directed_path):
         proc = subprocess.run(

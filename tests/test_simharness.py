@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coordsim import simharness, switchlaw
+from coordsim import simharness, switchlaw, vehicle
 from coordsim.coordalg import build_projection
 from coordsim.coordctrl import (
     MissionRateProfile,
@@ -26,7 +26,7 @@ from coordsim.simharness import (
     RK4_HALF_DISC_RADIUS,
     RK4_STABILITY_LIMIT,
     GustEvent,
-    _check_finite,
+    _check_state,
     _step_rates,
     certify,
     MetricsLog,
@@ -497,10 +497,12 @@ class TestWorldHoldsState:
         [default_directed_config, default_bidirectional_config],
         ids=["directed", "baseline"],
     )
-    def test_four_rhs_calls_per_step_and_none_in_set_up(self, make_config, monkeypatch):
-        rhs_calls, rate_calls = [], []
-        rhs = simharness._rhs
-        monkeypatch.setattr(simharness, "_rhs", lambda *a: rhs_calls.append(a[1]) or rhs(*a))
+    def test_four_stages_per_step_and_none_in_set_up(self, make_config, monkeypatch):
+        # every stage forms its PD command through vehicle.pf_control_all,
+        # looked up at each call
+        stage_calls, rate_calls = [], []
+        pf = vehicle.pf_control_all
+        monkeypatch.setattr(vehicle, "pf_control_all", lambda *a: stage_calls.append(a) or pf(*a))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("init_world evaluated the topology schedule")
@@ -519,9 +521,9 @@ class TestWorldHoldsState:
                 lambda self, t: rate_calls.append(t) or rate(self, t),
             )
             init_world(cfg)
-        assert rhs_calls == [] and rate_calls == []
+        assert stage_calls == [] and rate_calls == []
         log = run_scenario(cfg)
-        assert len(log.t) == 38 and len(rhs_calls) == 4 * 37
+        assert len(log.t) == 38 and len(stage_calls) == 4 * 37
 
     @pytest.mark.parametrize(
         "make_config",
@@ -572,10 +574,8 @@ def allocating_step(world, sigma, rates):
         p, v = x[2 * n : 5 * n].reshape(n, 3), x[5 * n :].reshape(n, 3)
         target_pos, target_vel = world.fam.pos_vel_all(gamma)
         e = target_pos - p
-        alpha = path_error_feedback_all(np.stack((e, target_vel)), world.delta)
-        gamma_ddot = coordination_accel_matrix(
-            gamma, gamma_dot, lap, alpha, rate, world.a, world.neg_b
-        )
+        alpha = path_error_feedback_all(np.stack((e, target_vel)), cfg.delta)
+        gamma_ddot = coordination_accel_matrix(gamma, gamma_dot, lap, alpha, rate, cfg.a, -cfg.b)
         if world.any_arrived:
             gamma_dot = np.where(arrived, 0.0, gamma_dot)
             gamma_ddot[arrived] = 0.0
@@ -586,7 +586,7 @@ def allocating_step(world, sigma, rates):
             u[row] = apply_disturbance(u[row], t, gvec, window)
         return np.concatenate((gamma_dot, gamma_ddot, v.ravel(), u.ravel()))
 
-    half, full, two, sixth = world.rk4
+    half, full, two, sixth = 0.5 * dt, dt, 2.0, dt / 6.0
     rate_now, rate_mid, rate_end, rate_new = rates
     x = world.x.copy()
     k1 = rhs(t0, x, rate_now)
@@ -730,87 +730,49 @@ class TestStepWorkspace:
         assert decided == {False, True}  # the one dot both passes and fails
 
     def test_combination_is_the_chained_sum_with_signed_zeros(self, monkeypatch):
-        # stage derivatives and a state full of signed zeros: step's one
+        # stage derivatives and a state full of signed zeros: the step's one
         # reduction must give x + dt/6 (((k1 + 2 k2) + 2 k3) + k4) bit for bit
         rng = np.random.default_rng(7)
-        world = init_world(default_bidirectional_config())
-        size = world.x.size
+        cfg = default_bidirectional_config()
+        size = 8 * cfg.n
         ks = rng.normal(size=(4, size)) * 0.1
         ks[rng.random(ks.shape) < 0.5] = -0.0
         ks[:, :3] = -0.0  # entries whose four derivatives are all -0.0
+
+        def fake_stages(world, sources, rows):
+            # each stage writes its row of ks into its own derivative row
+            def bind(row, k):
+                def stage(t, lap, rate, any_arrived):
+                    row[...] = k
+
+                return stage
+
+            return tuple(map(bind, rows, ks))
+
+        monkeypatch.setattr(simharness, "_bind_stages", fake_stages)
+        world = init_world(cfg)
         world.x[rng.random(size) < 0.5] = -0.0
         world.x[:3] = -0.0
-        rows = iter(ks)
-
-        def fake_rhs(world, t, x, lap, rate, out, *views):
-            out[...] = next(rows)
-            return out
-
-        monkeypatch.setattr(simharness, "_rhs", fake_rhs)
-        half, full, two, sixth = world.rk4
+        two, sixth = 2.0, cfg.dt / 6.0
         total = np.add(np.add(np.add(ks[0], two * ks[1]), two * ks[2]), ks[3])
         expected = world.x + sixth * total
         step(world, 1, (1.0, 1.0, 1.0, 1.0))
         assert world.x.tobytes() == expected.tobytes()
         assert np.signbit(world.x[:3]).all()
 
-    @pytest.mark.parametrize("arrivals", [False, True], ids=["flying", "arrived"])
-    @pytest.mark.parametrize("n", [1, 2, 3, 5, 10, 40])
-    def test_bound_stages_equal_stages_bound_on_the_spot(self, n, arrivals):
-        # each of the world's four bound stages, given random contents of
-        # the state it reads, writes the bytes of _rhs with a stage bound on
-        # the spot; at t = 0.7 one gust is inside its window, one outside
-        cfg = self.workspace_config(n)
-        rng = np.random.default_rng(300 * n + arrivals)
-        world = init_world(cfg)
-        lap = laplacians([random_digraph(n, rng)]).astype(float)[0] if n > 1 else np.zeros((1, 1))
-        if arrivals:
-            world.arrived[:] = rng.random(n) < 0.4
-            world.arrived[0] = True
-            world.any_arrived = True
-        sources = (world.x, world.stage, world.stage, world.stage)
-        for bound, source, k in zip(world.stages, sources, world.k):
-            gamma, gamma_dot, _, p, v = simharness._split(source, n)
-            gamma[:] = rng.uniform(0.0, cfg.t_f, n)
-            gamma[world.arrived] = cfg.t_f
-            gamma_dot[:] = rng.uniform(0.5, 1.5, n)
-            scale = rng.choice([0.01, 1.0, 10.0], (2, n, 1))
-            p[:] = world.fam.pos_vel_all(gamma)[0] + rng.normal(size=(n, 3)) * scale[0]
-            v[:] = rng.normal(size=(n, 3)) * 3.0 * scale[1]
-            rate = np.array(rng.uniform(0.9, 1.2))
-            k[:] = np.nan  # nothing is read from the stage's own row
-            assert simharness._rhs(world, 0.7, source, lap, rate, k, bound) is k
-            fresh = simharness._rhs(world, 0.7, source.copy(), lap, rate, np.full_like(k, np.nan))
-            assert k.tobytes() == fresh.tobytes()
-            assert (k[n : 2 * n][world.arrived] == 0.0).all()
-
     @pytest.mark.parametrize("stack", [(), (7,)], ids=["sample", "stack"])
-    def test_kernels_given_out_return_it_with_the_same_bytes(self, stack):
+    def test_pf_control_given_out_returns_it_with_the_same_bytes(self, stack):
+        # the stage writes the command into its derivative row: given out,
+        # pf_control_all returns it with the bytes of its allocating call
         rng = np.random.default_rng(len(stack))
         n = 6
-        fam = LaneSweepFamily(n=n)
-
-        def check(kernel, *args):
-            expected = kernel(*args)
-            out = np.full_like(expected, np.nan)  # nothing is read from out
-            assert kernel(*args, out) is out
-            assert out.tobytes() == expected.tobytes()
-            return expected
-
-        gamma = rng.uniform(0.0, 50.0, stack + (n,))
-        pe = check(fam.pos_vel_all, gamma)
-        pe[0] -= rng.normal(size=stack + (n, 3)) * rng.choice([0.01, 10.0], stack + (n, 1))
-        alpha = check(path_error_feedback_all, pe, 1.2)
-        laps = rng.integers(-1, 2, (7, n, n)).astype(float)
-        lap = laps if stack else laps[0]
-        gamma_dot = rng.uniform(0.5, 1.5, stack + (n,))
-        check(coordination_accel_matrix, gamma, gamma_dot, lap, alpha, 1.1, 0.75, -1.82)
-        e, v, target = pe[0], rng.normal(size=stack + (n, 3)) * 3.0, pe[1] * 1.1
+        e = rng.normal(size=stack + (n, 3)) * rng.choice([0.01, 10.0], stack + (n, 1))
+        v, target = rng.normal(size=(2,) + stack + (n, 3)) * 3.0
         # pf_control_all scales the stack it is given in place: a fresh copy
         # for each call
         pd, gains = np.stack((target - v, e)), PDGains(4.0, 4.0, 10.0, n)
         u = pf_control_all(pd.copy(), gains)
-        out = np.full_like(u, np.nan)
+        out = np.full_like(u, np.nan)  # nothing is read from out
         assert pf_control_all(pd.copy(), gains, out) is out
         assert out.tobytes() == u.tobytes()
         assert (row_norms(u) == 10.0).any()  # some commands saturate
@@ -829,10 +791,25 @@ def test_finite_check_raises_no_warning_on_an_overflowing_square():
     world.p[0, 0] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _check_finite(world)
+        _check_state(world.x, 5, world.t)
         world.v[1, 2] = np.inf
         with pytest.raises(NumericError, match=r"non-finite velocity\[\(1, 2\)\] at t=0"):
-            _check_finite(world)
+            _check_state(world.x, 5, world.t)
+
+
+@pytest.mark.parametrize(
+    "name, entry, index",
+    [("gamma", (2,), 2), ("gamma_dot", (0,), 5), ("position", (3, 1), 20), ("velocity", (4, 0), 37)],
+    ids=["gamma", "gamma_dot", "position", "velocity"],
+)
+def test_finite_check_names_the_field_and_entry(name, entry, index):
+    # the packed state of 5 vehicles is split into its fields only when the
+    # one dot fails; the first non-finite entry is named in its field
+    x = np.ones(40)
+    x[index] = np.nan
+    x[-1] = np.inf  # a later entry, in the velocity field
+    with pytest.raises(NumericError, match=re.escape(f"non-finite {name}[{entry}] at t=0.5")):
+        _check_state(x, 5, 0.5)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -840,7 +817,7 @@ class TestFiniteCheck:
     def test_huge_finite_state_accepted(self):
         world = init_world(default_directed_config())
         world.p[0, 0] = 1e200  # its square overflows
-        _check_finite(world)
+        _check_state(world.x, 5, world.t)
 
     @pytest.mark.parametrize("huge", [False, True])
     def test_nan_in_phi_named(self, huge, default_cert):
@@ -1261,7 +1238,9 @@ class TestSetupPin:
             sigma = int(_topology_schedule(cfg, world.cert, 0)[0][0])
             lap = world.laplacians[sigma - 1]
             rate = _step_rates(world.profile, 0, 1, cfg.dt)[0, 0]
-            k1 = simharness._rhs(world, 0.0, world.x, lap, rate, np.empty_like(world.x))
+            k1 = np.empty_like(world.x)
+            (stage,) = simharness._bind_stages(world, (simharness._split(world.x, cfg.n),), k1[None])
+            stage(0.0, lap, rate, world.any_arrived)
             fam = cfg.trajectory_family()
             spread = fam.speed_spread(np.linspace(0.0, fam.t_f, 2000))
             sha.update(world.laplacians.tobytes())
