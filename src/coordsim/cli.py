@@ -33,8 +33,16 @@ class CommandOutcome:
 
 
 def _emit(outcome: CommandOutcome) -> int:
-    if outcome.payload:
-        print(outcome.payload)
+    """Print the payload and return the command's exit code, also when the
+    reader has closed stdout: the rest of the output then goes to
+    ``os.devnull``, so the flush at exit cannot fail again."""
+    try:
+        if outcome.payload:
+            print(outcome.payload, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return outcome.exit_code
 
 
@@ -203,7 +211,11 @@ def cmd_compare(
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser, and subcommand parser, whose errors raise
-    ConfigError: ``main`` refuses a malformed command line with exit 1."""
+    ConfigError: ``main`` refuses a malformed command line with exit 1.
+    Flags are never abbreviated, so ``--json`` is known before parsing."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
@@ -217,12 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_out=False):
+    def common(p):
         p.add_argument("--json", action="store_true", help="emit one JSON document")
         p.add_argument("--dt", type=float, default=None, help="override step size")
         p.add_argument("--seed", type=int, default=None, help="override rng seed")
-        if needs_out:
-            p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("validate", help="check a scenario config")
     p.add_argument("--config", required=True)
@@ -234,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="simulate one scenario")
     p.add_argument("--config", required=True)
-    common(p, needs_out=True)
+    common(p)
 
     p = sub.add_parser("compare", help="directed vs bidirectional communication cost")
     p.add_argument("directed", help="directed scenario config")
     p.add_argument("bidirectional", help="bidirectional baseline config")
-    common(p, needs_out=True)
+    common(p)
     return parser
 
 
@@ -271,7 +282,7 @@ def main(argv=None) -> int:
         level = logging.WARNING
     logging.basicConfig(level=level, stream=sys.stderr)
     argv = sys.argv[1:] if argv is None else list(argv)
-    as_json = "--json" in argv  # until the command line parses
+    as_json = "--json" in argv  # until the command line parses; flags are not abbreviated
     try:
         args = build_parser().parse_args(argv)
         as_json = args.json

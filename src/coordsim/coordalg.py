@@ -8,6 +8,13 @@ jointly connected family, and derive from its solution ``P`` the
 quadratic forms ``H_i``, the admissible threshold parameters ``mu_i``,
 and the guaranteed minimum dwell time between switches.
 
+The dwell time is a closed form.  Per topology one dwell term falls in
+theta as ``1/theta^2`` and one rises as ``ln(theta)``, so the supremum
+over ``(1, THETA_CAP]`` of their minimum lies where they cross,
+``theta^2 ln(theta) = c r``, or at the cap; Lambert W solves the crossing
+(derived at ``_dwell_time``).  The argument is the average dwell-time one
+of Hespanha & Morse (CDC 1999).
+
 All matrix norms in the dwell-time and gain formulas are spectral
 (induced 2-) norms.  Eigenvalues of nonsymmetric matrices come from a
 dense general eigensolver; symmetric matrices are explicitly symmetrized
@@ -32,14 +39,9 @@ HURWITZ_TOL = 1e-10
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-# The dwell-time search grid on (1, 1e4] and the logarithm of each point,
-# taken with ``math.log`` as the refinement's ``g`` takes it; read-only.
-_THETA_GRID = np.logspace(math.log10(1.0 + 1e-6), 4.0, 2000)
-_LOG_THETA_GRID = np.fromiter(map(math.log, _THETA_GRID.tolist()), float, len(_THETA_GRID))
-_THETA_GRID.setflags(write=False)
-_LOG_THETA_GRID.setflags(write=False)
+# The dwell-time supremum is taken over theta in (1, THETA_CAP].
+THETA_CAP = 1e4
+_LOG_THETA_CAP = math.log(THETA_CAP)
 
 
 @dataclass(frozen=True)
@@ -217,8 +219,8 @@ class SwitchingCertificate:
       (unreduced) topology Laplacians,
     - ``mu_min``: min of ``mu_list``.
 
-    ``lambda_max_p`` is cached because the switching threshold evaluates
-    it at every step.
+    ``lambda_max_p`` is cached for the ``mu`` cap, the dwell bound and the
+    switching threshold, which reads it once per chunk of the schedule.
     """
 
     q: ProjectionMatrix
@@ -244,20 +246,35 @@ def _spectral_norms(matrices) -> np.ndarray:
     return np.linalg.svd(np.stack(matrices), compute_uv=False)[:, 0]
 
 
-def _quotient(num: float, den: float) -> float:
-    """``num / den`` for a positive or +0.0 ``den``, with numpy's value at
-    ``den == 0`` (``inf`` for a positive ``num``) where Python raises
-    ZeroDivisionError."""
-    return num / den if den else num * math.inf
+def _lambert_w(x: float) -> float:
+    """Principal branch of Lambert W, the ``w >= 0`` with ``w e^w = x``,
+    for ``0 <= x <= 2e9``: Halley's iteration from ``log1p(x)``, which lies
+    above the root, on Python floats."""
+    w = math.log1p(x)
+    for _ in range(32):
+        e = math.exp(w)
+        f = w * e - x
+        step = f / (e * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0))
+        w -= step
+        if abs(step) <= 1e-15 * w:
+            break
+    return w
 
 
-# At extreme gain ratios a/b a term's denominator overflows to inf or
-# underflows to 0; the term is then 0 or inf, the value the search uses.
-@np.errstate(over="ignore", divide="ignore")
 def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
-    """Supremum over theta > 1 of the per-topology minimum of the two
-    dwell terms; log-grid on (1, 1e4] then golden-section refinement.  The
-    refinement runs on Python floats, which round as float64 does."""
+    """Supremum over theta in ``(1, THETA_CAP]`` of the per-topology
+    minimum of the two dwell terms
+    ``t1_i = (1 - mu_i lambda_max(P)) / ((a/b) theta^2 nu_i)`` and
+    ``t2_i = ln(theta) / ((a/b) |Lbar_i|)``, with
+    ``nu_i = |Lbar_i^T (H_i + I) + (H_i + I) Lbar_i|``.  That minimum is
+    ``min(c / theta^2, ln(theta) / r) / (a/b)`` with
+    ``c = min_i (1 - mu_i lambda_max(P)) / nu_i`` over ``nu_i > 0`` and
+    ``r = max_i |Lbar_i|``.  At the crossing ``u = ln(theta)`` solves
+    ``2u e^(2u) = 2 c r``, so the bound is
+    ``min(W(2 c r) / 2, ln THETA_CAP) / ((a/b) r)``.  Empty topologies
+    (``nu_i = 0``) do not bind; past the cap's crossing W is not called.
+    A gain ratio that underflows to 0 gives ``inf``, one that overflows
+    0.0: the limits of the two terms."""
     k = reduced_laplacians[0].shape[0]
     eye = np.eye(k)
     nus = [
@@ -266,49 +283,12 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
     ]
     norms = _spectral_norms([*reduced_laplacians, *nus]).tolist()
     m = len(reduced_laplacians)
-    ratio = float(a / b)
-    # denominators multiply left to right, so shared leading products keep the bits
-    terms = [
-        (float(1.0 - mu * lambda_max_p), nu, ratio * norm_lbar)
-        for mu, norm_lbar, nu in zip(mu_list, norms[:m], norms[m:])
-        if norm_lbar != 0.0  # empty topology: both terms infinite, non-binding
-    ]
-    if not terms:
-        return math.inf
-
-    def g(theta: float) -> float:
-        log_theta = math.log(theta)
-        scale = ratio * theta * theta
-        best = math.inf
-        for margin, nu, ratio_lbar in terms:
-            t1 = _quotient(margin, scale * nu) if nu > 0 else math.inf
-            best = min(best, t1, _quotient(log_theta, ratio_lbar))
-        return best
-
-    # g on the whole grid at once, with g's operations in g's order
-    grid, log_grid = _THETA_GRID, _LOG_THETA_GRID
-    scale = ratio * grid * grid
-    values = np.full(len(grid), math.inf)
-    for margin, nu, ratio_lbar in terms:
-        if nu > 0:
-            values = np.minimum(values, margin / (scale * nu))
-        values = np.minimum(values, log_grid / ratio_lbar)
-    best = int(np.argmax(values))
-    lo = float(grid[max(best - 1, 0)])
-    hi = float(grid[min(best + 1, len(grid) - 1)])
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = g(x1), g(x2)
-    while (hi - lo) / lo > 1e-6:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = g(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = g(x1)
-    return max(f1, f2)
+    c_terms = [(1.0 - mu * lambda_max_p) / nu for mu, nu in zip(mu_list, norms[m:]) if nu > 0]
+    r = max(norms[:m])
+    cr = float(min(c_terms, default=math.inf)) * r
+    u = _LOG_THETA_CAP if cr >= THETA_CAP**2 * _LOG_THETA_CAP else _lambert_w(2.0 * cr) / 2.0
+    den = float(a / b) * r
+    return u / den if den else math.inf
 
 
 def build_certificate(

@@ -136,7 +136,7 @@ def test_criterion_04_auxiliary_exponential_stability():
 def test_criterion_05_dwell_time_oracle():
     # scalar single-topology family: the decay matrix is exactly -identity,
     # the first dwell term is infinite, and the supremum saturates at the
-    # theta-grid cap, giving the closed form ln(1e4) / ((a/b) |Lbar|)
+    # theta cap 1e4, giving the closed form ln(1e4) / ((a/b) |Lbar|)
     family = [Digraph(2, [(2, 1)])]
     cert = build_certificate(family, [0.5], A, B)
     closed_form = math.log(1e4) / ((A / B) * 1.0)
@@ -144,7 +144,7 @@ def test_criterion_05_dwell_time_oracle():
     assert rel <= 1e-4
     print(
         f"[criterion 5] dwell-time oracle (scalar family): PASS "
-        f"(grid {cert.dwell_bound:.6f} vs closed form {closed_form:.6f}, rel {rel:.2e})"
+        f"(bound {cert.dwell_bound:.6f} vs closed form {closed_form:.6f}, rel {rel:.2e})"
     )
 
 
@@ -245,7 +245,7 @@ MISSION_DIGESTS = {
     "directed": {
         "metrics.csv": "32435f72ce3f238b96e2028603b5169f9b63e6ae65167b2e29150037d8f0f0fb",
         "switches.csv": "e9c7ab02b3948c5dfb11dcf007050eac058e1e4945c8c6aa6ac63eeabb3a783c",
-        "summary.json": "6290f13e170f7e27410f49ca752b6342424a0ecbf66bea8a2319f28a11e76edb",
+        "summary.json": "43dde5f0408d8af919d1e82ba40794e628f5e350bd53382c299e7b3e67085d68",
     },
     "bidirectional": {
         "metrics.csv": "fcbb80474b8c85d409ed0e7cfae8520a4b3f1ffc95645770be2b0c00bec99b10",

@@ -405,8 +405,8 @@ class TestRefusal:
     @pytest.mark.parametrize("warn", [[], ["-W", "error"]], ids=["default", "warnings-as-errors"])
     @pytest.mark.parametrize("command", ["validate", "analyze", "run"])
     def test_extreme_gain_ratio_refuses_dt_quietly(self, tmp_path, command, warn):
-        # a/b near 1e300 overflows the dwell-time search's denominators: the
-        # dwell time comes out tiny and dt is refused, with no numpy warning
+        # a/b near 1e300: the dwell bound comes out tiny and dt is refused,
+        # with no numpy warning
         path = shipped_with(tmp_path, {"a": 1e300})
         argv = [command, "--config", path]
         if command == "run":
@@ -549,6 +549,22 @@ class TestCommandLine:
         assert set(doc) == {"ok", "error"} and doc["ok"] is False
         assert doc["error"].startswith("coordsim")
 
+    @pytest.mark.parametrize("kind", ["validate", "run", "run-bad-dt"])
+    def test_abbreviated_json_flag_is_unknown(self, kind, tmp_path, directed_path, capsys):
+        # flags are not abbreviated: --js is refused as an unknown flag on a
+        # well-formed line, and a malformed line with --js is refused in text
+        out = str(tmp_path / "out")
+        argv = {
+            "validate": ["validate", "--config", directed_path],
+            "run": ["run", "--config", directed_path, "--out", out],
+            "run-bad-dt": ["run", "--config", directed_path, "--out", out, "--dt", "abc"],
+        }[kind]
+        assert cli.main(argv + ["--js"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("invalid config: coordsim")
+        assert ("--dt" if kind == "run-bad-dt" else "--js") in captured.out
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
     def test_help_exits_0(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -566,6 +582,25 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "valid" in proc.stdout
+
+    @pytest.mark.parametrize("config, code", [("directed", 0), ("missing", 1)])
+    def test_closed_stdout_keeps_the_exit_code(self, directed_path, tmp_path, config, code):
+        # a reader that has closed its end of the pipe, as `| head -2` does:
+        # no traceback, and the command's own exit code
+        path = directed_path if config == "directed" else str(tmp_path / "missing.json")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "coordsim", "validate", "--config", path, "--json"],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
 class TestLogLevel:

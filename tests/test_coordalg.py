@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import lambertw
 
 from coordsim.coordalg import (
+    THETA_CAP,
     ProjectionMatrix,
     _kronecker_sum,
+    _lambert_w,
     _spectral_norms,
     build_certificate,
     build_projection,
@@ -230,7 +232,7 @@ class TestCertificateBits:
     # sha256 over every array and scalar of the certificates synthesized for
     # digest_families(); a change to the synthesis that moves any bit of
     # P, H_i, the reduced Laplacians or the derived bounds changes it
-    DIGEST = "dd59f87409b0516a5c0c23097f74c4a2458fa7b24fd8158900a44454da459eb7"
+    DIGEST = "c15e8b975d376bddbd255f63a3e65e170561b99f9ba83ed2694faef63921ec5e"
 
     def test_certificate_digest(self):
         sha = hashlib.sha256()
@@ -266,6 +268,8 @@ class TestSynthesisProperties:
         assert np.linalg.eigvalsh(cert.p)[0] > 0
         assert np.linalg.norm(sum(cert.h_matrices) + m * np.eye(n - 1)) <= 1e-10
         assert 0 < cert.dwell_bound < math.inf
+        expected = dwell_oracle(family, [0.01] * m, 0.75, 1.82, cert.p)
+        assert abs(cert.dwell_bound - expected) <= 1e-13 * expected
 
         # diag(in-degrees) - adjacency from the edge loop of adjacency(),
         # widened to float: +0.0 off the edges and on empty rows
@@ -297,25 +301,32 @@ class TestSynthesisCap:
         assert peak < 100 * 2**20
 
 
-def scalar_family_quantities(family, mu_list, a, b):
-    """Closed-form dwell time for scalar reduced Laplacians via the
-    crossing of the two terms (Lambert W), independent of the grid
-    implementation."""
-    n = family[0].n
-    m = len(family)
-    q = build_projection(n)
+def dwell_oracle(family, mu_list, a, b, p):
+    """The closed-form dwell bound ``min(W(2 c r) / 2, ln 1e4) / ((a/b) r)``
+    of the family under the Lyapunov solution ``p``, with the spectral
+    norms of ``np.linalg.norm(., 2)`` and scipy's Lambert W: independent of
+    ``_spectral_norms`` and ``_lambert_w``."""
+    q = build_projection(family[0].n)
+    eye = np.eye(len(p))
+    lambda_max_p = np.linalg.eigvalsh(p)[-1]
+    c, r = math.inf, 0.0
+    for d, mu in zip(family, mu_list):
+        lbar = reduced_laplacian(q, laplacian(d))
+        h = (-lbar).T @ p + p @ (-lbar)
+        h = 0.5 * (h + h.T)
+        nu = np.linalg.norm(lbar.T @ (h + eye) + (h + eye) @ lbar, 2)
+        if nu > 0:
+            c = min(c, (1.0 - mu * lambda_max_p) / nu)
+        r = max(r, np.linalg.norm(lbar, 2))
+    u = min(float(lambertw(2.0 * c * r).real) / 2.0, math.log(1e4))
+    return float(u / ((a / b) * r))
+
+
+def scalar_lyapunov(family):
+    """``P`` of a two-node family in closed form: ``2 P sum(lbar_i) = m``."""
+    q = build_projection(2)
     lbars = [float(reduced_laplacian(q, laplacian(d))[0, 0]) for d in family]
-    p = m / (2.0 * sum(lbars))
-    hs = [-2.0 * lb * p for lb in lbars]
-    nus = [abs(2.0 * lb * (h + 1.0)) for lb, h in zip(lbars, hs)]
-    a_coef = min(
-        (1.0 - mu * p) / ((a / b) * nu)
-        for mu, nu in zip(mu_list, nus)
-        if nu > 0
-    )
-    b_coef = min(1.0 / ((a / b) * lb) for lb in lbars if lb > 0)
-    x = float(lambertw(2.0 * a_coef / b_coef).real) / 2.0
-    return b_coef * x
+    return np.array([[len(family) / (2.0 * sum(lbars))]])
 
 
 class TestDwellTime:
@@ -324,33 +335,42 @@ class TestDwellTime:
         mu_list = [0.5, 0.5]
         a, b = 0.75, 1.82
         cert = build_certificate(family, mu_list, a, b)
-        expected = scalar_family_quantities(family, mu_list, a, b)
-        assert abs(cert.dwell_bound - expected) / expected <= 1e-4
+        expected = dwell_oracle(family, mu_list, a, b, scalar_lyapunov(family))
+        assert abs(cert.dwell_bound - expected) / expected <= 1e-13
 
     def test_scalar_single_topology_cap_form(self):
         # one topology: H = -I exactly, the first term is infinite and the
-        # supremum saturates at the grid cap theta = 1e4
+        # supremum saturates at the cap theta = 1e4
         family = [Digraph(2, [(2, 1)])]
         a, b = 0.75, 1.82
         cert = build_certificate(family, [0.5], a, b)
         norm_lbar = 1.0
         expected = math.log(1e4) / ((a / b) * norm_lbar)
-        assert abs(cert.dwell_bound - expected) / expected <= 1e-4
+        assert abs(cert.dwell_bound - expected) / expected <= 1e-13
+
+    def test_lambert_w_matches_scipy(self):
+        # from 1e-300 up to the argument at which the crossing reaches the cap
+        cutoff = 2.0 * THETA_CAP**2 * math.log(THETA_CAP)
+        xs = [0.0, 1.0, math.e, cutoff, *np.geomspace(1e-300, cutoff, 4000).tolist()]
+        for x in xs:
+            w, ref = _lambert_w(x), float(lambertw(x).real)
+            assert type(w) is float and abs(w - ref) <= 2 * math.ulp(ref), x
+        assert _lambert_w(math.e) == 1.0
 
     @pytest.mark.parametrize(
         "a, b, bound",
         [
-            # a/b underflows to 0: every term divides by 0, as numpy does
+            # a/b underflows to 0: the bound's denominator (a/b) r is 0
             (1e-300, 1e300, math.inf),
-            # a/b overflows to inf: every term is 0
+            # a/b overflows to inf: the bound is 0
             (1e300, 1e-300, 0.0),
-            (1e-300, 1.0, float.fromhex("0x1.2056a351f20f1p+992")),
-            (1e300, 1.0, float.fromhex("0x1.02a20a5294f10p-1001")),
+            (1e-300, 1.0, float.fromhex("0x1.2056aaace8e58p+992")),
+            (1e300, 1.0, float.fromhex("0x1.02a210eb8ebe1p-1001")),
         ],
     )
     def test_extreme_gain_ratio_bits(self, default_family, a, b, bound):
-        # the bounds numpy scalars gave before the refinement ran on Python
-        # floats, with no ZeroDivisionError where a denominator is 0
+        # a Python float in each case, with no ZeroDivisionError where the
+        # denominator is 0
         dwell = build_certificate(default_family, [0.2638] * 3, a, b).dwell_bound
         assert type(dwell) is float and dwell.hex() == bound.hex()
 
@@ -376,15 +396,15 @@ class TestDwellTime:
         "a, b, finite", [(1e300, 1.0, True), (1e-320, 1.0, False), (5e-324, 10.0, False)]
     )
     def test_extreme_gain_ratio_without_numpy_warnings(self, default_family, a, b, finite):
-        # a/b so large that the search's denominators overflow to inf, or so
-        # small that they are subnormal or 0: the terms go to 0 or inf
+        # a/b so large that the bound is tiny, or so small that its
+        # denominator is subnormal or 0: the bound is then inf
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             dwell = build_certificate(default_family, [0.2638] * 3, a, b).dwell_bound
         assert (0.0 < dwell < 1e-290) if finite else dwell == math.inf
 
     def test_pinned_default_family(self, default_cert):
-        assert default_cert.dwell_bound == 0.11440062225253914
+        assert default_cert.dwell_bound == 0.11440066678206048
 
     def test_pinned_six_topology_family(self):
         family = [
@@ -396,7 +416,7 @@ class TestDwellTime:
             Digraph(5, [(4, 2)]),
         ]
         cert = build_certificate(family, [0.1, 0.2, 0.3, 0.05, 0.25, 0.15], 0.75, 1.82)
-        assert cert.dwell_bound == 0.03881090173290789
+        assert cert.dwell_bound == 0.03881090351057806
 
 
 class TestGainValidation:

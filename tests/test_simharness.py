@@ -1057,7 +1057,7 @@ PINNED_OUTPUTS = {
         {
             "metrics.csv": "df6b208fd518410f260b68af72e9b17e9af272bc038a1b1a1ba8be0091041553",
             "switches.csv": "26e9f6e7ec5130836d83e308ef43514b878b6e545d26b77bb1c47e5b5f375c2b",
-            "summary.json": "7f9156b4420fa3ac47efe4012111aca3e55323978c5ff3b75149f70b3c782cda",
+            "summary.json": "0410d810efaaa94acd2a02b41703793a1b8f6e3d6d6cd0b1fd5ee8ef0d3ae2eb",
         },
     ),
     "baseline": (
@@ -1077,7 +1077,7 @@ PINNED_OUTPUTS = {
         {
             "metrics.csv": "1340e0609268e5d538cea0cc4cfb8fe1959046db179425ae59f2e05bd29c6d1f",
             "switches.csv": "cba265c204dd7efffa08225fde6a3c40fd592b8671bf3f88394a31cd32457acb",
-            "summary.json": "07157be176537389f404fbe4b9b566cce8db8db8d089891c3feaaac2c27916ce",
+            "summary.json": "2b76223981b9102c1391ac0f7ea2e4e2ba633821818927a02f5993b73324b969",
         },
     ),
     "seven-vehicle-clamp": (
@@ -1085,7 +1085,7 @@ PINNED_OUTPUTS = {
         {
             "metrics.csv": "6fc272294d03f61ccb6ceea03cb5d110522eb35297921aa02e1954c2cd65af23",
             "switches.csv": "121bac74f0546701ab8269732f384bc5609e473ae469a2a847054f72be8255f9",
-            "summary.json": "d60ddb4d560d11650d5da0c1d7f58fec66d56b20d66dc43181dcba4becd17c2c",
+            "summary.json": "a16b9ab1df765008a4ef17b4e99c73fa1f75f1f61b37cae98273d25e5f3287d1",
         },
     ),
 }
