@@ -55,13 +55,15 @@ class MissionRateProfile:
         out[inside] = ramp.clip(min(base, final), max(base, final))
         return out
 
-    def validate(self, t_max: float) -> None:
+    def validate(self, t_max: float) -> np.ndarray:
         """Refuse a rate that is not positive on ``[0, t_max]``; raises
         ConfigError.  The ramp is monotone and clamped to its end values,
         so the rate on ``[0, t_max]`` lies between its values at the two
-        ends, and those two decide."""
-        if self.rate(np.array([0.0, t_max])).min() <= 0:
+        ends, and those two decide.  Returns them, ``rate([0, t_max])``."""
+        rates = self.rate(np.array([0.0, t_max]))
+        if rates.min() <= 0:
             raise ConfigError(f"mission rate must stay positive on [0, {t_max}]")
+        return rates
 
 
 def path_error_feedback_all(errors_velocities: np.ndarray, delta: float) -> np.ndarray:

@@ -241,10 +241,11 @@ class ScenarioConfig:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self) -> tuple[LaneSweepFamily, MissionRateProfile]:
+    def validate(self) -> tuple[LaneSweepFamily, MissionRateProfile, np.ndarray]:
         """Raise ConfigError, naming the field, on the first violated
-        precondition; return the trajectory family and the mission-rate
-        profile it admitted, which the run then uses."""
+        precondition; return the trajectory family, the mission-rate profile
+        and its rates at 0 and t_max, which the run uses.  Overflow in the
+        run's first evaluations is refused by ``certify``, not here."""
         for name, kind, lo, hi in _RANGE_FIELDS:
             _check_number(name, getattr(self, name), kind, lo, hi)
         if self.n > MAX_SYNTHESIS_N:  # refused before anything is sized by n
@@ -259,7 +260,7 @@ class ScenarioConfig:
                 f"stability limit {RK4_STABILITY_LIMIT}"
             )
         if self.mode not in (MODE_DIRECTED, MODE_BIDIRECTIONAL):
-            raise ConfigError(f"unknown mode {self.mode!r}")
+            raise ConfigError(f"mode: unknown mode {self.mode!r}")
         if not self.topology_family:
             raise ConfigError("topology_family is empty")
         for k, g in enumerate(self.topology_family):
@@ -268,7 +269,7 @@ class ScenarioConfig:
                     f"topology_family[{k}]: node count {g.n} does not match n={self.n}"
                 )
         if not jointly_connected(self.topology_family):
-            raise ConfigError("topology family is not jointly connected")
+            raise ConfigError("topology_family is not jointly connected")
         if self.n >= 2:
             _check_array("phi0", self.phi0, (self.n - 1,))
             if not any(self.phi0):
@@ -299,32 +300,14 @@ class ScenarioConfig:
                     f"gusts[{k}].vehicle: gust vehicle {g.vehicle} outside 1..{self.n}"
                 )
             _check_array(f"gusts[{k}].accel", g.accel, (3,))
-            # Python floats: an overflowing square is inf, with no warning
-            if not math.isfinite(sum(float(x) * float(x) for x in g.accel)):
-                raise ConfigError(
-                    f"gusts[{k}].accel: squared norm of {g.accel} overflows"
-                )
             _check_array(f"gusts[{k}].window", g.window, (2,))
             if g.window[0] >= g.window[1]:
                 raise ConfigError(
                     f"gusts[{k}].window: gust window {g.window} must be increasing"
                 )
         profile = self.mission_profile()
-        profile.validate(self.t_max)
+        rates = profile.validate(self.t_max)
         fam = self.trajectory_family()
-        # the PD command kp e + kd (target_vel - v) of the first RK4 stage:
-        # vehicle.saturate scales a row whose squared norm overflows to zero
-        tp, tv = fam.pos_vel_all(np.zeros(self.n))
-        p0, v0 = self.initial_pos_vel(fam)
-        with np.errstate(over="ignore", invalid="ignore"):
-            up, ud = self.kp * (tp - p0), self.kd * (tv - v0)
-            norms = row_norms(np.concatenate([up, ud, up + ud]))
-        if not np.isfinite(norms).all():
-            term, i = divmod(int(np.argmin(np.isfinite(norms))), self.n)
-            raise ConfigError(
-                f"{('kp', 'kd', 'kp, kd')[term]}: the first PD command of vehicle {i + 1} "
-                f"(kp={self.kp}, kd={self.kd}) has a squared norm that overflows"
-            )
         # the convergence analysis wants delta above the spread of desired
         # speeds; warn (tuning hint), do not reject.  The lateral rate
         # 1.8 t exp(-0.6 t) is 0 at t = 0 and peaks at t = 5/3, the two
@@ -335,7 +318,7 @@ class ScenarioConfig:
                 f"delta={self.delta} does not exceed the desired-speed spread "
                 f"{spread:.3g}; convergence margins may shrink"
             )
-        return fam, profile
+        return fam, profile, rates
 
 
 # (name, type, lo, hi) of each ranged numeric field, checked first by validate
@@ -521,39 +504,53 @@ def _admit(
 ) -> tuple[SwitchingCertificate | None, LaneSweepFamily, MissionRateProfile]:
     """``(certificate, trajectory family, mission-rate profile)`` of an
     admitted ``config``; see ``certify``."""
-    fam, profile = config.validate()
-    if config.mode != MODE_DIRECTED or config.n < 2:
-        return None, fam, profile
-    try:
-        cert = build_certificate(
-            config.topology_family, config.mu_list, config.a, config.b
-        )
-    except ValueError as exc:  # the structural arguments passed validate
-        raise ConfigError(f"mu_list: {exc}") from exc
-    if config.dt > cert.dwell_bound / 10.0:
-        raise ConfigError(
-            f"dt={config.dt} exceeds a tenth of the guaranteed dwell time "
-            f"{cert.dwell_bound:.6g}; switching boundaries would quantize too coarsely"
-        )
-    phi0 = np.asarray(config.phi0, dtype=float)
-    with np.errstate(over="ignore"):
-        forms = [phi0 @ phi0, *(phi0 @ m @ phi0 for m in (cert.p, *cert.h_matrices))]
-    if not np.isfinite(forms).all():
-        raise ConfigError(
-            f"phi0={config.phi0!r} is too large: the quadratic forms of the "
-            "switching law overflow"
-        )
+    fam, profile, rates = config.validate()
+    cert = None
+    if config.mode == MODE_DIRECTED and config.n >= 2:
+        try:
+            cert = build_certificate(config.topology_family, config.mu_list, config.a, config.b)
+        except ValueError as exc:  # the structural arguments passed validate
+            raise ConfigError(f"mu_list: {exc}") from exc
+        if config.dt > cert.dwell_bound / 10.0:
+            raise ConfigError(
+                f"dt={config.dt} exceeds a tenth of the guaranteed dwell time "
+                f"{cert.dwell_bound:.6g}; switching boundaries would quantize too coarsely"
+            )
+    # certify's table, rows (fields, term, values); "{}" is a PD row's vehicle
+    n, accels = config.n, {f"gusts[{k}].accel": g.accel for k, g in enumerate(config.gusts)}
+    (tp, tv), (p0, v0) = fam.pos_vel_all(np.zeros(n)), config.initial_pos_vel(fam)
+    with np.errstate(all="ignore"):
+        up, ud = config.kp * (tp - p0), config.kd * (tv - v0)
+        stacked = np.concatenate([up, ud, up + ud, *map(np.atleast_2d, accels.values())])
+        norms = row_norms(stacked).tolist()  # math.isfinite on floats: no numpy call per row
+        table = [
+            ("b, rate_base, rate_final", "b (1 - rate) at t = 0 or t_max", config.b * (1.0 - rates)),
+            ("kp, initial_positions", "|kp e0|^2 of vehicle {}", norms[:n]),
+            ("kd, initial_velocities", "|kd (v_d0 - v0)|^2 of vehicle {}", norms[n : 2 * n]),
+            ("kp, kd", "|kp e0 + kd (v_d0 - v0)|^2 of vehicle {}", norms[2 * n : 3 * n]),
+            *((name, "its squared norm", [norms[3 * n + k]]) for k, name in enumerate(accels)),
+        ]
+        if cert is not None:
+            phi0 = np.asarray(config.phi0, dtype=float)
+            forms = [phi0 @ phi0, *(phi0 @ m @ phi0 for m in (cert.p, *cert.h_matrices))]
+            table.append(("phi0", "a quadratic form of the switching law", forms))
+        for names, term, values in table:
+            if not all(map(math.isfinite, values)):
+                shown = ", ".join(f"{f}={(vars(config) | accels)[f]!r}" for f in names.split(", "))
+                where = term.format([*map(math.isfinite, values)].index(False) + 1)
+                raise ConfigError(f"{names}: {where} overflows in the run's first evaluation ({shown})")
     return cert, fam, profile
 
 
 def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
-    """Admit ``config`` or raise ConfigError naming the field: run
-    ``validate``, then, for a directed scenario with ``n >= 2``, synthesize
-    its certificate and check the inputs only it can judge (every ``mu_i``
-    inside ``(0, 1/lambda_max(P))``, ``dt <= dwell_bound / 10``, and
-    ``phi0^T phi0``, ``phi0^T P phi0`` and every ``phi0^T H_i phi0``
-    finite, which the switching law evaluates).  Returns the certificate,
-    or None when the scenario has none."""
+    """Admit ``config`` or raise ConfigError naming the field: ``validate``;
+    in directed mode with ``n >= 2``, synthesis, every ``mu_i`` in ``(0,
+    1/lambda_max(P))`` and ``dt <= dwell_bound / 10``; then, in every mode,
+    a finite value of each term the run evaluates first: ``b (1 - rate)``
+    at ``t = 0`` and ``t_max``; the squared norms of each vehicle's ``kp
+    e0``, ``kd (v_d0 - v0)`` and their sum, and of every gust acceleration;
+    then ``phi0^T phi0``, ``phi0^T P phi0`` and every ``phi0^T H_i phi0``
+    if synthesized.  Returns the certificate, or None without one."""
     return _admit(config)[0]
 
 

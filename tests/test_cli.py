@@ -1,16 +1,22 @@
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from coordsim import cli
 from coordsim.simharness import (
     MAX_SYNTHESIS_N,
+    ScenarioConfig,
     default_bidirectional_config,
     default_directed_config,
 )
@@ -285,6 +291,30 @@ REFUSED = [
     pytest.param("kd", {"kd": 1e308}, id="kd-1e308"),
     # each term's squared norm finite, their sum's not
     pytest.param("kp, kd", {"kp": 2.5e153, "kd": 1e154}, id="kp-kd-sum"),
+    # the law's rate term b (1 - rate) overflows at t = 0: the run printed
+    # raw numpy warnings, then exited 2 with a non-finite gamma
+    pytest.param("rate_base", {"rate_base": 1e308}, id="rate-base-1e308"),
+    # ... and at t_max, after the ramp: the run "arrived" at 0.051 s, exit 0
+    pytest.param(
+        "rate_final",
+        {"rate_final": 1e308, "ramp_start": 0.05, "ramp_duration": 0.1, "t_max": 0.2},
+        id="rate-final-1e308",
+    ),
+    # phi0^T phi0 overflows, and phi0^T P phi0 is inf - inf: refused, after
+    # a raw "invalid value encountered in matmul"
+    pytest.param("phi0", {"phi0": [-1e308, 1, 1, 1]}, id="phi0-minus-1e308"),
+    # a first PD term overflows through one vehicle's initial state: refused
+    # under the gain's name alone
+    pytest.param(
+        "initial_positions",
+        {"initial_positions": [[1e200] * 3] + [[-2.0, y, 0.0] for y in (-0.5, 0.0, 0.5, 1.0)]},
+        id="initial-positions-1e200",
+    ),
+    pytest.param(
+        "initial_velocities",
+        {"initial_velocities": [[1e200] * 3] + [[0.0] * 3] * 4},
+        id="initial-velocities-1e200",
+    ),
 ]
 
 
@@ -316,6 +346,8 @@ BASELINE_REFUSED = [
     # a lambda overflows, so the coordination modes are not finite: the run
     # printed raw numpy warnings, then exited 2 with a non-finite gamma
     ("a", {"a": 1e308}),
+    # the law's rate term overflows: raw numpy warnings, then exit 2
+    ("rate_base", {"rate_base": 1e308}),
 ]
 
 
@@ -455,6 +487,15 @@ class TestRefusal:
             argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
             assert cli.main(argv) == 1
         assert "feasibility violation: vehicle 1 accel bound at t=0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_overflowing_final_rate_refused(self, tmp_path, capsys, command):
+        # the rate term at t_max overflows and t_f is out of reach: the run
+        # printed a raw numpy warning, then exited 2 with a non-finite gamma
+        # (compare refuses the unmatched t_f first)
+        override = {"rate_final": 1e308, "t_f": 1e308, "ramp_start": 0.05, "ramp_duration": 0.1}
+        path = shipped_with(tmp_path, {**override, "t_max": 0.2})
+        assert_refused(command_argv(command, path, tmp_path), "rate_final", capsys)
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_phi0_refused(self, tmp_path, capsys, command):
@@ -625,3 +666,124 @@ class TestLogLevel:
         )
         assert proc.returncode == 0
         assert "running directed-switched scenario" in proc.stderr
+
+
+# boundary classes of a config value: NaN, signed zeros, subnormals, huge
+# values, an integer beyond int64, and wrong types
+EDGE_SCALARS = [NAN, 0, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 2**70, 1e200, -1]
+EDGE_SCALARS += ["1", True, None, {}]
+# a config field named in a refusal, as assert_refused reads it
+FIELD_NAMED = re.compile(
+    rf"\b({'|'.join(f.name for f in fields(ScenarioConfig))})( is|=| must|:| differs|\[)"
+)
+
+
+def edge_vector(base):
+    """``base`` with one entry set to an edge scalar, or ragged, or empty,
+    or one entry too long, or all integers beyond int64."""
+    one = st.tuples(st.integers(0, len(base) - 1), st.sampled_from(EDGE_SCALARS)).map(
+        lambda ix: base[: ix[0]] + [ix[1]] + base[ix[0] + 1 :]
+    )
+    return one | st.sampled_from([[], base + base[:1], [base, base[:1]], [2**70] * len(base)])
+
+
+ROWS = [[0.0, 0.0, 0.0]] * 5
+edge_rows = edge_vector(ROWS) | edge_vector(ROWS[0]).map(lambda row: [row, *ROWS[1:]])
+BAD_TOPOLOGIES = [
+    *TOPOLOGY_REFUSED.values(),
+    {"n": 5, "edges": []},
+    {"n": 5, "edges": [[1, 9]]},
+    {"n": 5, "edges": [[1, 1]]},
+    {"n": 4, "edges": [[1, 2]]},
+    "13",
+]
+gust_entries = st.fixed_dictionaries(
+    {
+        "vehicle": st.sampled_from([1, 5, 0, 6, "1", 1.5, True, NAN]),
+        "accel": st.sampled_from(
+            [[0, 1, 0], [1e308, 0, 0], [1e200, 1e200, 0], [1e154, 1e154, 0], [NAN, 0, 0]]
+            + [[0, 2**70, 0], [0, 1], "x"]
+        ),
+        "window": st.sampled_from([[0.0, 0.01], [0.01, 0.0], [0.0, 1e308], [NAN, 1.0], [1.0], "x"]),
+    }
+) | st.sampled_from(["x", {}, {"vehicle": 1, "accel": [0, 1, 0]}])
+
+
+@st.composite
+def edge_overrides(draw, shipped):
+    """An override of 1 to 3 fields of the shipped config ``shipped``, each
+    drawn from the boundary classes of its kind."""
+    raw = json.loads((SHIPPED / shipped).read_text())
+    kinds = {
+        "mu_list": edge_vector(raw["mu_list"]),
+        "phi0": edge_vector(raw["phi0"]),
+        "traj_offsets": edge_vector([0.0, 0.5, 1.0, 1.5, 2.0]),
+        "traj_angles": edge_vector([0.0] * 5),
+        "initial_positions": edge_rows,
+        "initial_velocities": edge_rows,
+        "topology_family": st.sampled_from([[], raw["topology_family"][1:]])
+        | st.tuples(st.integers(0, 2), st.sampled_from(BAD_TOPOLOGIES)).map(
+            lambda kx: [kx[1] if k == kx[0] else g for k, g in enumerate(raw["topology_family"])]
+        ),
+        "gusts": st.lists(gust_entries, max_size=2),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(raw)), min_size=1, max_size=3, unique=True))
+    return {name: draw(kinds.get(name, st.sampled_from(EDGE_SCALARS))) for name in names}
+
+
+edge_cases = st.sampled_from(["directed.json", "bidirectional.json"]).flatmap(
+    lambda shipped: edge_overrides(shipped).map(lambda override: (shipped, override))
+)
+ONE_ROW_1E200 = [[1e200] * 3, *ROWS[1:]]
+
+
+class TestAdmissionProperty:
+    # validate, then run for at most 20 steps, of 1 to 3 edge fields: exit 0
+    # with a finite summary, or exit 1 on the feasibility check, or exit 1
+    # refused naming a field with no --out made; never exit 2, a traceback
+    # or a raw numpy warning.  The examples are refusals of the table of
+    # first evaluations in certify.
+    @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=edge_cases)
+    @example(case=("directed.json", {"rate_base": 1e308}))
+    @example(case=("bidirectional.json", {"rate_base": 1e308}))
+    @example(
+        case=(
+            "directed.json",
+            {"rate_final": 1e308, "t_f": 1e308, "ramp_start": 0.05, "ramp_duration": 0.1, "t_max": 0.2},
+        )
+    )
+    @example(case=("directed.json", {"phi0": [-1e308, 1, 1, 1]}))
+    @example(case=("directed.json", {"initial_positions": ONE_ROW_1E200}))
+    @example(case=("bidirectional.json", {"initial_velocities": ONE_ROW_1E200}))
+    def test_edge_config_runs_or_is_refused_naming_a_field(self, tmp_path, capsys, case):
+        shipped, override = case
+        raw = json.loads((SHIPPED / shipped).read_text())
+        raw["t_max"] = 20 * raw["dt"]
+        raw.update(override)
+        with tempfile.TemporaryDirectory(dir=tmp_path) as tmp:
+            path, out = os.path.join(tmp, "config.json"), os.path.join(tmp, "out")
+            Path(path).write_text(json.dumps(raw))
+            docs = []
+            for argv in (["validate", "--config", path], ["run", "--config", path, "--out", out]):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # tuning hints
+                    warnings.simplefilter("error", RuntimeWarning)
+                    code = cli.main([*argv, "--json"])
+                captured = capsys.readouterr()
+                assert "Traceback" not in captured.out + captured.err
+                assert code in (0, 1), captured.out
+                docs.append((code, json.loads(captured.out)))
+            (validated, report), (ran, summary) = docs
+            if validated == 1:
+                refusal = report["checks"][0]["detail"] if "checks" in report else report["error"]
+                assert FIELD_NAMED.search(refusal), refusal
+                assert (ran, summary) == (1, {"ok": False, "error": refusal})
+                assert not os.path.exists(out)
+                return
+            # a run stopped by the feasibility check may report an overflowed
+            # coordination error (rate_base 1e200: final_xi_norm is inf)
+            assert (ran == 1) == ("first_violation" in summary) and "ok" not in summary, summary
+            if ran == 0:  # a/b underflowing to 0 certifies an unbounded dwell
+                measured = [v for k, v in summary.items() if k != "dwell_bound"]
+                assert all(math.isfinite(v) for v in measured if isinstance(v, float)), summary

@@ -513,8 +513,9 @@ class TestWorldHoldsState:
             for name in ("schedule", "advance", "_argmin_quadratic"):
                 m.setattr(switchlaw, name, forbidden)
             m.setattr(simharness, "_topology_schedule", forbidden)
-            # admission's own check of the profile is not set-up work
-            m.setattr(MissionRateProfile, "validate", lambda self, t_max: None)
+            # admission's own check of the profile is not set-up work; it
+            # returns its samples at 0 and t_max, both before the ramp here
+            m.setattr(MissionRateProfile, "validate", lambda self, t_max: np.full(2, float(self.base)))
             m.setattr(
                 MissionRateProfile,
                 "rate",
