@@ -6,11 +6,9 @@ metrics."""
 from .coordalg import (
     GainReport,
     ProjectionMatrix,
-    SpectrumReductionReport,
     SwitchingCertificate,
     build_certificate,
     build_projection,
-    check_spectrum_reduction,
     convergence_rate_bound,
     reduced_laplacian,
     solve_lyapunov,
@@ -26,17 +24,13 @@ from .coordctrl import (
 )
 from .digraph import (
     Digraph,
-    adjacency,
     contains_spanning_tree,
     jointly_connected,
-    laplacian,
 )
 from .errors import ConfigError, NumericError, SynthesisError
 from .simharness import (
     MetricsLog,
     ScenarioConfig,
-    default_bidirectional_config,
-    default_directed_config,
     load_config,
     pe_connectivity,
     run_scenario,

@@ -31,10 +31,8 @@ import numpy as np
 from .digraph import Digraph, jointly_connected, laplacians
 from .errors import NumericError, SynthesisError
 
-# Eigenvalue "zero" in connectivity counting; Hurwitz margin.  Integer
-# Laplacians at the node counts used here keep true eigenvalues well
-# separated from these scales.
-ZERO_EIG_TOL = 1e-8
+# Hurwitz margin.  Integer Laplacians at the node counts used here keep
+# true eigenvalues well separated from this scale.
 HURWITZ_TOL = 1e-10
 
 LYAPUNOV_RESIDUAL_TOL = 1e-10
@@ -98,61 +96,6 @@ def reduced_laplacian(q: ProjectionMatrix, l: np.ndarray) -> np.ndarray:
     if l.shape != (q.n, q.n):
         raise ValueError(f"Laplacian shape {l.shape} does not match projection n={q.n}")
     return q.q @ l @ q.q.T
-
-
-@dataclass(frozen=True)
-class SpectrumReductionReport:
-    """Result of checking a reduced Laplacian against its source.
-
-    ``spectra_match``: the eigenvalue multiset of ``Q L Q^T`` equals that
-    of ``L`` with one zero eigenvalue removed (greedy nearest pairing).
-    ``hurwitz``: all eigenvalues of ``-Q L Q^T`` have real part below
-    ``-HURWITZ_TOL``, which for a digraph Laplacian is equivalent to the
-    digraph containing a directed spanning tree.
-    ``connectivity_consistent``: set when the source digraph is supplied.
-    """
-
-    spectra_match: bool
-    hurwitz: bool
-    connectivity_consistent: bool | None
-    max_pair_gap: float
-
-
-def check_spectrum_reduction(
-    l: np.ndarray, q: ProjectionMatrix, d: Digraph | None = None
-) -> SpectrumReductionReport:
-    """Verify the two reduction properties for one Laplacian.
-
-    Raises ``ValueError`` when ``l`` is not a Laplacian (row sums beyond
-    1e-9).  Eigenvalue pairing uses greedy nearest matching at tolerance
-    ``ZERO_EIG_TOL``.
-    """
-    l = np.asarray(l, dtype=float)
-    if l.shape != (q.n, q.n):
-        raise ValueError(f"Laplacian shape {l.shape} does not match projection n={q.n}")
-    if np.abs(l @ np.ones(q.n)).max() > 1e-9:
-        raise ValueError("input is not a Laplacian: row sums are not zero")
-
-    lbar = reduced_laplacian(q, l)
-    ev_full = np.linalg.eigvals(l)
-    ev_reduced = np.linalg.eigvals(lbar)
-
-    # remove one zero eigenvalue (the one carried by the ones eigenvector)
-    remaining = list(np.delete(ev_full, int(np.argmin(np.abs(ev_full)))))
-    max_gap = 0.0
-    for lam in sorted(ev_reduced, key=lambda z: (z.real, z.imag)):
-        j = int(np.argmin([abs(lam - r) for r in remaining]))
-        max_gap = max(max_gap, abs(lam - remaining[j]))
-        remaining.pop(j)
-    spectra_match = max_gap <= ZERO_EIG_TOL
-
-    hurwitz = bool(np.all(np.real(-ev_reduced) < -HURWITZ_TOL))
-    consistent = None
-    if d is not None:
-        from .digraph import contains_spanning_tree
-
-        consistent = hurwitz == contains_spanning_tree(d)
-    return SpectrumReductionReport(spectra_match, hurwitz, consistent, max_gap)
 
 
 def _kronecker_sum(b: np.ndarray) -> np.ndarray:

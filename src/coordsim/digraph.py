@@ -3,8 +3,8 @@
 A :class:`Digraph` stores edges as ``(receiver, sender)`` ordered pairs with
 1-based node labels: edge ``(i, j)`` means node ``i`` receives from node
 ``j``.  All matrix code in the package derives direction from this single
-convention.  Adjacency and Laplacian matrices are exact integer arrays;
-they are widened to floating point only where eigenvalue work begins.
+convention.  Laplacian matrices are exact integer arrays; they are widened
+to floating point only where eigenvalue work begins.
 """
 
 from __future__ import annotations
@@ -68,24 +68,10 @@ class Digraph:
         return {"n": self.n, "edges": [list(e) for e in sorted(self.edges)]}
 
 
-def adjacency(d: Digraph) -> np.ndarray:
-    """Adjacency matrix: entry ``(i, j)`` is 1 exactly when ``(i, j)`` is an
-    edge, i.e. when node ``i`` receives from node ``j``.  Integer dtype,
-    zero diagonal."""
-    a = np.zeros((d.n, d.n), dtype=np.int64)
-    for (i, j) in d.edges:
-        a[i - 1, j - 1] = 1
-    return a
-
-
-def laplacian(d: Digraph) -> np.ndarray:
-    """In-degree Laplacian ``L = diag(in-degrees) - adjacency``: integer, row
-    sums exactly zero, off-diagonal entries 0 or -1."""
-    return laplacians([d])[0]
-
-
 def laplacians(ds: list[Digraph]) -> np.ndarray:
-    """Stack of ``laplacian(d)`` for ``ds`` of one node count: integers, no -0.0."""
+    """Stack of the in-degree Laplacians ``L = diag(in-degrees) -
+    adjacency`` of ``ds``, of one node count: integers, row sums exactly
+    zero, off-diagonal entries 0 or -1, no -0.0."""
     m, n = len(ds), ds[0].n
     out = np.zeros((m, n, n), dtype=np.int64)
     edges = [(k * n + i - 1) * n + j - 1 for k, d in enumerate(ds) for (i, j) in d.edges]

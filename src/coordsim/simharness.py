@@ -87,13 +87,6 @@ def default_directed_family() -> list[Digraph]:
     ]
 
 
-def mirror_family(family: list[Digraph]) -> list[Digraph]:
-    """Symmetrized counterparts: every edge paired with its reverse."""
-    return [
-        Digraph(d.n, set(d.edges) | {(j, i) for (i, j) in d.edges}) for d in family
-    ]
-
-
 def _num(default, lo=None, hi=None):
     """A numeric config field admitted only when finite and inside the open
     range ``(lo, hi)``; ``None`` leaves that side unbounded.  The field's
@@ -385,18 +378,6 @@ def _require_symmetric(family: list[Digraph]) -> None:
                 )
 
 
-def default_directed_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(**overrides)
-
-
-def default_bidirectional_config(**overrides) -> ScenarioConfig:
-    return ScenarioConfig(
-        mode=MODE_BIDIRECTIONAL,
-        topology_family=mirror_family(default_directed_family()),
-        **overrides,
-    )
-
-
 def load_config(path: str) -> ScenarioConfig:
     """Read a scenario JSON file; parse errors carry line/column info."""
     try:
@@ -511,6 +492,11 @@ def _admit(
             cert = build_certificate(config.topology_family, config.mu_list, config.a, config.b)
         except ValueError as exc:  # the structural arguments passed validate
             raise ConfigError(f"mu_list: {exc}") from exc
+        if not math.isfinite(cert.dwell_bound):  # a / b underflows
+            raise ConfigError(
+                f"a, b: the gain ratio a/b is too small for a finite guaranteed "
+                f"dwell time (a={config.a!r}, b={config.b!r})"
+            )
         if config.dt > cert.dwell_bound / 10.0:
             raise ConfigError(
                 f"dt={config.dt} exceeds a tenth of the guaranteed dwell time "
@@ -545,12 +531,13 @@ def _admit(
 def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
     """Admit ``config`` or raise ConfigError naming the field: ``validate``;
     in directed mode with ``n >= 2``, synthesis, every ``mu_i`` in ``(0,
-    1/lambda_max(P))`` and ``dt <= dwell_bound / 10``; then, in every mode,
-    a finite value of each term the run evaluates first: ``b (1 - rate)``
-    at ``t = 0`` and ``t_max``; the squared norms of each vehicle's ``kp
-    e0``, ``kd (v_d0 - v0)`` and their sum, and of every gust acceleration;
-    then ``phi0^T phi0``, ``phi0^T P phi0`` and every ``phi0^T H_i phi0``
-    if synthesized.  Returns the certificate, or None without one."""
+    1/lambda_max(P))``, a finite ``dwell_bound`` and ``dt <= dwell_bound /
+    10``; then, in every mode, a finite value of each term the run evaluates
+    first: ``b (1 - rate)`` at ``t = 0`` and ``t_max``; the squared norms of
+    each vehicle's ``kp e0``, ``kd (v_d0 - v0)`` and their sum, and of every
+    gust acceleration; then ``phi0^T phi0``, ``phi0^T P phi0`` and every
+    ``phi0^T H_i phi0`` if synthesized.  Returns the certificate, or None
+    without one."""
     return _admit(config)[0]
 
 
@@ -686,7 +673,7 @@ def _bind_step(world: SimWorld) -> Callable[..., bool]:
     # the weights as 0-d float64 arrays, for the reason of delta's
     half, full, two, sixth = (np.array(w, dtype=float) for w in (h, dt, 2, dt / 6.0))
     bound = vehicle.dot_bound(limit)
-    multiply, add, add_rows, saturate = np.multiply, np.add, np.add.reduce, vehicle._saturate
+    multiply, add, add_rows, saturate = np.multiply, np.add, np.add.reduce, vehicle.saturate
 
     def advance(t: float, t_new: float, lap: np.ndarray, any_arrived: bool, rates) -> bool:
         rate_now, rate_mid, rate_end, rate_new = rates

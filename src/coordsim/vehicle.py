@@ -202,7 +202,7 @@ def pf_control_all(
         column = column.reshape((2,) + (1,) * (stack.ndim - 3) + column.shape[1:])
     _multiply(column, stack, stack)
     out = _add(stack[1], stack[0], out)
-    _saturate(out, gains.a_max, gains.bound)
+    saturate(out, gains.a_max, gains.bound)
     return out
 
 
@@ -226,7 +226,7 @@ def dot_bound(limit: float) -> float:
     return bound * _DOT_MARGIN
 
 
-def saturate(rows: np.ndarray, limit: float) -> None:
+def saturate(rows: np.ndarray, limit: float, bound: float) -> None:
     """Scale in place every row of ``rows``, ``(..., 3)``, whose norm
     exceeds ``limit`` to norm ``limit``, keeping its direction: each row is
     multiplied by ``limit / max(norm, limit)``, the norm as ``row_norms``
@@ -235,16 +235,17 @@ def saturate(rows: np.ndarray, limit: float) -> None:
 
     That factor is exactly 1.0 on a row with ``norm <= limit``, so the
     multiply is skipped when one BLAS dot of all ``k <= K = 2**20`` entries
-    with themselves, ``d = np.vdot(rows, rows)``, is at most ``T =
-    dot_bound(limit)``.  The test is sufficient only: every other call
-    takes the factor, a NaN or an infinity too (``d`` is then NaN or inf,
-    which fails ``<=``).  Let ``B = fl(fl(limit*limit) * (1 - 2**-50))``.
-    Where ``T`` is finite, ``B >= 2**-960`` is a normal float, each of its
-    two roundings is within a relative ``2**-53``, so it is below
-    ``limit**2`` exactly; then a row whose squared norm ``s`` (the row dot
-    that ``row_norms`` takes the root of) is at most ``B`` has ``sqrt(s) <
-    limit``, and the correctly rounded ``fl(sqrt(s))`` cannot exceed
-    ``limit``.  It remains to show that ``d <= T`` proves every ``s <= B``.
+    with themselves, ``d = np.vdot(rows, rows)``, is at most ``bound``,
+    which the caller computes once as ``T = dot_bound(limit)``.  The test is
+    sufficient only: every other call takes the factor, a NaN or an infinity
+    too (``d`` is then NaN or inf, which fails ``<=``).  Let ``B =
+    fl(fl(limit*limit) * (1 - 2**-50))``.  Where ``T`` is finite, ``B >=
+    2**-960`` is a normal float, each of its two roundings is within a
+    relative ``2**-53``, so it is below ``limit**2`` exactly; then a row
+    whose squared norm ``s`` (the row dot that ``row_norms`` takes the root
+    of) is at most ``B`` has ``sqrt(s) < limit``, and the correctly rounded
+    ``fl(sqrt(s))`` cannot exceed ``limit``.  It remains to show that ``d <=
+    T`` proves every ``s <= B``.
 
     With ``u = 2**-53``, ``eta = 2**-1074`` and round-to-nearest, a
     rounding of ``y >= 0`` lies in ``[y (1 - u) - eta/2, y (1 + u) +
@@ -268,12 +269,6 @@ def saturate(rows: np.ndarray, limit: float) -> None:
     and ``B (K + 3) u / 2 >= 2**-994 > 3 eta``: ``s_i < B``.  One margin,
     that of the largest ``k``, serves every smaller one, which only
     refuses more."""
-    _saturate(rows, limit, dot_bound(limit))
-
-
-def _saturate(rows: np.ndarray, limit: float, bound: float) -> None:
-    """``saturate`` with its bound ``dot_bound(limit)`` computed once by the
-    caller."""
     if rows.size <= _DOT_TERMS_MAX and _vdot(rows, rows) <= bound:
         return
     rows *= (limit / np.maximum(row_norms(rows), limit))[..., None]

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from coordsim.digraph import Digraph, jointly_connected, laplacian
+from coordsim.digraph import Digraph, jointly_connected
+from reference import laplacian
 
 # Same examples on every run, and no per-example time limit: the suite's
 # verdict must not depend on the host's speed or on earlier runs.

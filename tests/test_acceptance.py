@@ -15,21 +15,20 @@ import pytest
 from coordsim.coordalg import (
     build_certificate,
     build_projection,
-    check_spectrum_reduction,
     convergence_rate_bound,
     reduced_laplacian,
     solve_lyapunov,
 )
-from coordsim.digraph import Digraph, contains_spanning_tree, laplacian
+from coordsim.digraph import Digraph, contains_spanning_tree
 from coordsim.simharness import (
-    default_bidirectional_config,
-    default_directed_config,
+    ScenarioConfig,
     default_directed_family,
     run_scenario,
     write_outputs,
 )
 from coordsim.switchlaw import schedule
 from conftest import random_digraph, random_jointly_connected_family
+from reference import check_spectrum_reduction, default_bidirectional_config, laplacian
 
 A, B, MU = 0.75, 1.82, 0.2638
 PHI0 = [0.9, 1.7, 1.1, 0.1]
@@ -38,7 +37,7 @@ PHI0 = [0.9, 1.7, 1.1, 0.1]
 @pytest.fixture(scope="module")
 def directed_run():
     t0 = time.perf_counter()
-    log = run_scenario(default_directed_config())
+    log = run_scenario(ScenarioConfig())
     return log, time.perf_counter() - t0
 
 
@@ -270,13 +269,13 @@ def test_criterion_09_integrator_order():
     # switch-free smooth segment: single-topology family, vehicles started
     # near their targets with matched velocity, horizon before the ramp
     family = [Digraph(5, [(1, 3), (2, 3), (4, 2), (5, 2)])]
-    base = default_directed_config()
+    base = ScenarioConfig()
     fam = base.trajectory_family()
     p0, v0 = fam.pos_vel_all(np.zeros(5))
     p0 = p0 + np.array([0.11, -0.07, 0.05])
 
     def run_at(dt):
-        cfg = default_directed_config(
+        cfg = ScenarioConfig(
             topology_family=family,
             mu_list=[0.3],
             dt=dt,
@@ -302,12 +301,12 @@ def test_criterion_10_determinism(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     import json as _json
 
-    cfg = default_directed_config(t_max=1.5)
+    cfg = ScenarioConfig(t_max=1.5)
     cfg_path.write_text(_json.dumps(cfg.to_dict()))
     outs = []
     for name in ("one", "two"):
         out = tmp_path / name
-        log = run_scenario(default_directed_config(t_max=1.5))
+        log = run_scenario(ScenarioConfig(t_max=1.5))
         write_outputs(log, str(out))
         outs.append(out)
     identical = all(

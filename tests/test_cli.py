@@ -14,18 +14,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from coordsim import cli
-from coordsim.simharness import (
-    MAX_SYNTHESIS_N,
-    ScenarioConfig,
-    default_bidirectional_config,
-    default_directed_config,
-)
+from coordsim.simharness import MAX_SYNTHESIS_N, ScenarioConfig
+from reference import default_bidirectional_config
 
 
 @pytest.fixture()
 def directed_path(tmp_path):
     path = tmp_path / "directed.json"
-    path.write_text(json.dumps(default_directed_config(t_max=2.0).to_dict()))
+    path.write_text(json.dumps(ScenarioConfig(t_max=2.0).to_dict()))
     return str(path)
 
 
@@ -56,7 +52,7 @@ class TestValidate:
     def test_disconnected_family_names_assumption(self, tmp_path, capsys):
         from coordsim.digraph import Digraph
 
-        cfg = default_directed_config()
+        cfg = ScenarioConfig()
         cfg.topology_family = [Digraph(5, [(1, 3)]), Digraph(5, [(2, 3)])]
         cfg.mu_list = [0.1, 0.1]
         path = write_cfg(tmp_path, "disc.json", cfg)
@@ -65,7 +61,7 @@ class TestValidate:
 
     def test_mu_at_boundary_rejected(self, tmp_path, default_cert, capsys):
         cap = 1.0 / default_cert.lambda_max_p
-        cfg = default_directed_config(mu_list=[cap, 0.2, 0.2])
+        cfg = ScenarioConfig(mu_list=[cap, 0.2, 0.2])
         path = write_cfg(tmp_path, "mu.json", cfg)
         assert cli.main(["validate", "--config", path]) == 1
         assert "admissible interval" in capsys.readouterr().out
@@ -106,7 +102,7 @@ class TestAnalyze:
         # so the Lyapunov solution is exactly 0.25
         from coordsim.digraph import Digraph
 
-        cfg = default_directed_config(
+        cfg = ScenarioConfig(
             n=2,
             topology_family=[Digraph(2, [(1, 2), (2, 1)])],
             mu_list=[0.5],
@@ -122,7 +118,7 @@ class TestAnalyze:
     def test_disconnected_family_exit_1(self, tmp_path, capsys):
         from coordsim.digraph import Digraph
 
-        cfg = default_directed_config()
+        cfg = ScenarioConfig()
         cfg.topology_family = [Digraph(5, [(1, 3)]), Digraph(5, [(2, 3)])]
         cfg.mu_list = [0.1, 0.1]
         path = write_cfg(tmp_path, "nosynth.json", cfg)
@@ -169,7 +165,7 @@ class TestRun:
         assert "non-finite" in capsys.readouterr().out
 
     def test_violation_exit_1_with_first_violation(self, tmp_path, capsys):
-        cfg = default_directed_config(t_max=0.5, gamma_ddot_max=0.3)
+        cfg = ScenarioConfig(t_max=0.5, gamma_ddot_max=0.3)
         path = write_cfg(tmp_path, "tight.json", cfg)
         out = tmp_path / "tight"
         assert cli.main(["run", "--config", path, "--out", str(out), "--json"]) == 1
@@ -315,6 +311,10 @@ REFUSED = [
         {"initial_velocities": [[1e200] * 3] + [[0.0] * 3] * 4},
         id="initial-velocities-1e200",
     ),
+    # a / b underflows, and the guaranteed dwell time with it: admitted, the
+    # run wrote "dwell_bound": Infinity, a token strict JSON lacks
+    pytest.param("a", {"a": 5e-324}, id="a-5e-324"),
+    pytest.param("a", {"a": 1e-320}, id="a-1e-320"),
 ]
 
 
@@ -742,7 +742,7 @@ class TestAdmissionProperty:
     # with a finite summary, or exit 1 on the feasibility check, or exit 1
     # refused naming a field with no --out made; never exit 2, a traceback
     # or a raw numpy warning.  The examples are refusals of the table of
-    # first evaluations in certify.
+    # first evaluations in certify, and of a dwell bound that is not finite.
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=edge_cases)
     @example(case=("directed.json", {"rate_base": 1e308}))
@@ -756,6 +756,7 @@ class TestAdmissionProperty:
     @example(case=("directed.json", {"phi0": [-1e308, 1, 1, 1]}))
     @example(case=("directed.json", {"initial_positions": ONE_ROW_1E200}))
     @example(case=("bidirectional.json", {"initial_velocities": ONE_ROW_1E200}))
+    @example(case=("directed.json", {"a": 1e-310}))
     def test_edge_config_runs_or_is_refused_naming_a_field(self, tmp_path, capsys, case):
         shipped, override = case
         raw = json.loads((SHIPPED / shipped).read_text())
@@ -784,6 +785,5 @@ class TestAdmissionProperty:
             # a run stopped by the feasibility check may report an overflowed
             # coordination error (rate_base 1e200: final_xi_norm is inf)
             assert (ran == 1) == ("first_violation" in summary) and "ok" not in summary, summary
-            if ran == 0:  # a/b underflowing to 0 certifies an unbounded dwell
-                measured = [v for k, v in summary.items() if k != "dwell_bound"]
-                assert all(math.isfinite(v) for v in measured if isinstance(v, float)), summary
+            if ran == 0:
+                assert all(math.isfinite(v) for v in summary.values() if isinstance(v, float)), summary

@@ -18,16 +18,16 @@ from coordsim.coordalg import (
     _spectral_norms,
     build_certificate,
     build_projection,
-    check_spectrum_reduction,
     convergence_rate_bound,
     reduced_laplacian,
     solve_lyapunov,
     validate_gains,
 )
-from coordsim.digraph import Digraph, adjacency, contains_spanning_tree, laplacian
+from coordsim.digraph import Digraph, contains_spanning_tree
 from coordsim.errors import SynthesisError
 from coordsim.simharness import MAX_SYNTHESIS_N
 from conftest import random_digraph, random_jointly_connected_family
+from reference import adjacency, check_spectrum_reduction, laplacian
 
 
 class TestProjection:

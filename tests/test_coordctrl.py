@@ -16,16 +16,17 @@ from coordsim.coordctrl import (
     feasibility_check,
     path_error_feedback_all,
 )
-from coordsim.digraph import Digraph, laplacian
+from coordsim.digraph import Digraph
 from coordsim.errors import ConfigError
+from reference import laplacian
 
 
 class TestState:
     def test_initialization(self):
         # canonical start of every run: gamma = 0, rate = 1 for every vehicle
-        from coordsim.simharness import default_directed_config, init_world
+        from coordsim.simharness import ScenarioConfig, init_world
 
-        world = init_world(default_directed_config(t_max=1.0))
+        world = init_world(ScenarioConfig(t_max=1.0))
         assert np.array_equal(world.gamma, np.zeros(5))
         assert np.array_equal(world.gamma_dot, np.ones(5))
 

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from coordsim.digraph import (
-    Digraph,
-    adjacency,
-    contains_spanning_tree,
-    jointly_connected,
-    laplacian,
-)
+from coordsim.digraph import Digraph, contains_spanning_tree, jointly_connected
 from conftest import random_digraph
+from reference import adjacency, laplacian
 
 
 def edge_union(ds):

@@ -101,7 +101,7 @@ def two_gain_command(e, v, target_vel, kp, kd, a_max):
     out = np.subtract(target_vel, v)
     np.multiply(kd, out, out)
     np.add(np.multiply(kp, e), out, out)
-    saturate(out, a_max)
+    saturate(out, a_max, dot_bound(a_max))
     return out
 
 
@@ -188,7 +188,7 @@ def test_dot_fast_path_never_skips_a_factor_that_is_not_one(case):
         expected = rows * factor[:, None]
         if np.vdot(rows, rows) <= dot_bound(limit):
             assert (factor == 1.0).all()
-        saturate(rows, limit)
+        saturate(rows, limit, dot_bound(limit))
     assert rows.tobytes() == expected.tobytes()
 
 
@@ -212,7 +212,7 @@ def test_dot_fast_path_is_taken_and_refused_near_the_limit():
         else:
             refused += 1
         expected = rows.copy()
-        saturate(rows, limit)
+        saturate(rows, limit, dot_bound(limit))
         assert rows.tobytes() == expected.tobytes()
     assert passed > 100 and refused > 100
 

@@ -33,12 +33,9 @@ from coordsim.simharness import (
     ScenarioConfig,
     _segments,
     _topology_schedule,
-    default_bidirectional_config,
-    default_directed_config,
     default_directed_family,
     init_world,
     load_config,
-    mirror_family,
     pe_connectivity,
     run_scenario,
     step,
@@ -54,11 +51,12 @@ from coordsim.vehicle import (
     pf_control_all,
     row_norms,
 )
+from reference import default_bidirectional_config, mirror_family
 
 
 class TestConfig:
     def test_roundtrip(self):
-        cfg = default_directed_config()
+        cfg = ScenarioConfig()
         again = ScenarioConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
@@ -77,7 +75,7 @@ class TestConfig:
             load_config(str(tmp_path / "nope.json"))
 
     def test_validate_rejects_disconnected_family(self):
-        cfg = default_directed_config(
+        cfg = ScenarioConfig(
             topology_family=[Digraph(5, [(1, 3)]), Digraph(5, [(2, 3)])]
         )
         with pytest.raises(ConfigError, match="jointly connected"):
@@ -85,9 +83,9 @@ class TestConfig:
 
     def test_validate_rejects_bad_phi0(self):
         with pytest.raises(ConfigError, match="phi0"):
-            default_directed_config(phi0=[1.0, 2.0]).validate()
+            ScenarioConfig(phi0=[1.0, 2.0]).validate()
         with pytest.raises(ConfigError, match="nonzero"):
-            default_directed_config(phi0=[0.0, 0.0, 0.0, 0.0]).validate()
+            ScenarioConfig(phi0=[0.0, 0.0, 0.0, 0.0]).validate()
 
     def test_validate_rejects_asymmetric_baseline(self):
         cfg = default_bidirectional_config()
@@ -96,7 +94,7 @@ class TestConfig:
             cfg.validate()
 
     def test_dt_dwell_guard(self):
-        cfg = default_directed_config(dt=0.05)
+        cfg = ScenarioConfig(dt=0.05)
         with pytest.raises(ConfigError, match="dwell"):
             init_world(cfg)
 
@@ -109,10 +107,10 @@ class TestConfig:
         z = -RK4_STABILITY_LIMIT
         assert abs(growth(z) - 1) < 1e-14
         assert abs(growth(z * (1 - 1e-9))) < 1 < abs(growth(z * (1 + 1e-9)))
-        for make in (default_directed_config, default_bidirectional_config):
+        for make in (ScenarioConfig, default_bidirectional_config):
             with pytest.raises(ConfigError, match=r"b=.* dt="):
                 make(b=RK4_STABILITY_LIMIT, dt=1.0).validate()
-        default_directed_config(b=math.nextafter(RK4_STABILITY_LIMIT, 0), dt=1.0).validate()
+        ScenarioConfig(b=math.nextafter(RK4_STABILITY_LIMIT, 0), dt=1.0).validate()
 
     def test_rk4_half_disc_radius(self):
         # the half-disc {|z| <= r, Re z <= 0} lies inside |R(z)| <= 1, and
@@ -153,7 +151,7 @@ class TestConfig:
     def test_huge_t_f_validates_quietly(self):
         # far on speed_spread's grid over [0, t_f], 1.8 t overflows where
         # exp(-0.6 t) is 0: the spread is inf * 0, a NaN, with no raw warning
-        cfg = default_directed_config(t_f=1e308)
+        cfg = ScenarioConfig(t_f=1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             cfg.validate()
@@ -170,7 +168,7 @@ class TestConfig:
             family.append(Digraph(n, [(i, i + 1) for i in range(1, n)]))  # a spanning chain
             a, b = 10 ** rng.uniform(-1, 4), 10 ** rng.uniform(-1, 2.5)
             dt = float(rng.uniform(0.1, 1.0) * RK4_STABILITY_LIMIT / b)
-            cfg = default_directed_config(
+            cfg = ScenarioConfig(
                 n=n, topology_family=family, a=a, b=b, dt=dt, t_max=dt,
                 mu_list=[0.1] * len(family), phi0=[1.0] * (n - 1),
             )
@@ -203,25 +201,25 @@ class TestConfig:
             f.name for f in numeric
         }
         assert [f.name for f in numeric if "range" not in f.metadata] == []
-        default_directed_config().validate()
+        ScenarioConfig().validate()
         default_bidirectional_config().validate()
 
     def test_gust_fields_validated(self):
-        cfg = default_directed_config(gusts=[GustEvent(9, (0, 1, 0), (1.0, 2.0))])
+        cfg = ScenarioConfig(gusts=[GustEvent(9, (0, 1, 0), (1.0, 2.0))])
         with pytest.raises(ConfigError, match="gust vehicle"):
             cfg.validate()
 
     def test_delta_below_speed_spread_warns(self):
         # the default family's desired speeds spread over 0.383
         with pytest.warns(UserWarning, match=r"delta=0.3 .* spread 0.383"):
-            default_directed_config(delta=0.3).validate()
+            ScenarioConfig(delta=0.3).validate()
 
     @pytest.mark.parametrize("t_f", [1e4, 1e6])
     def test_long_mission_spread_warns(self, t_f):
         # the spread is taken at t = 0 and at the lateral rate's peak,
         # t = 5/3, whatever t_f: a grid over [0, t_f] would step over it
         with pytest.warns(UserWarning, match=r"delta=0.3 .* spread 0.383"):
-            default_directed_config(delta=0.3, t_f=t_f).validate()
+            ScenarioConfig(delta=0.3, t_f=t_f).validate()
         fam = LaneSweepFamily(t_f=t_f)
         fine = fam.speed_spread(np.linspace(0.0, 20.0, 20001))
         grid = fam.speed_spread(np.linspace(0.0, t_f, 2000))
@@ -231,7 +229,7 @@ class TestConfig:
     def test_default_delta_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            default_directed_config().validate()
+            ScenarioConfig().validate()
 
 
 def first_step(world):
@@ -437,7 +435,7 @@ class TestStepMechanics:
         assert np.allclose(world.v[0], [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_switches_only_at_step_boundaries(self):
-        cfg = default_directed_config(t_max=15.0)
+        cfg = ScenarioConfig(t_max=15.0)
         log = run_scenario(cfg)
         assert len(log.switch_log) >= 2
         for t, _, _ in log.switch_log:
@@ -445,14 +443,14 @@ class TestStepMechanics:
             assert abs(steps - round(steps)) < 1e-9
 
     def test_aux_energy_monotone_in_coupled_run(self):
-        cfg = default_directed_config(t_max=10.0)
+        cfg = ScenarioConfig(t_max=10.0)
         log = run_scenario(cfg)
         v = log.aux_v
         assert v is not None
         assert np.all(np.diff(v) <= 1e-9 * v[0])
 
     def test_at_most_family_max_edges_active(self):
-        cfg = default_directed_config(t_max=10.0)
+        cfg = ScenarioConfig(t_max=10.0)
         log = run_scenario(cfg)
         max_edges = max(len(d.edges) for d in cfg.topology_family)
         assert max_edges == 2
@@ -465,9 +463,9 @@ class TestStepMechanics:
         # with the limit out of reach gives the unclamped step
         v0 = [[0.0, 0.0, 0.0]] * 5
         v0[2] = [3.0, -6.0, 2.0]
-        clamped = init_world(default_directed_config(initial_velocities=v0))
+        clamped = init_world(ScenarioConfig(initial_velocities=v0))
         free = init_world(
-            default_directed_config(initial_velocities=v0, speed_limit=1e12)
+            ScenarioConfig(initial_velocities=v0, speed_limit=1e12)
         )
         first_step(clamped)
         first_step(free)
@@ -494,7 +492,7 @@ class TestWorldHoldsState:
     # RK4 stages under the topology and desired rates it is handed
     @pytest.mark.parametrize(
         "make_config",
-        [default_directed_config, default_bidirectional_config],
+        [ScenarioConfig, default_bidirectional_config],
         ids=["directed", "baseline"],
     )
     def test_four_stages_per_step_and_none_in_set_up(self, make_config, monkeypatch):
@@ -528,7 +526,7 @@ class TestWorldHoldsState:
 
     @pytest.mark.parametrize(
         "make_config",
-        [default_directed_config, default_bidirectional_config],
+        [ScenarioConfig, default_bidirectional_config],
         ids=["directed", "baseline"],
     )
     def test_world_freed_by_reference_count(self, make_config, monkeypatch):
@@ -788,7 +786,7 @@ class TestStepWorkspace:
 def test_finite_check_raises_no_warning_on_an_overflowing_square():
     # a finite state whose sum of squares overflows passes, quietly, and a
     # non-finite entry is named
-    world = init_world(default_directed_config())
+    world = init_world(ScenarioConfig())
     world.p[0, 0] = 1e200
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -816,7 +814,7 @@ def test_finite_check_names_the_field_and_entry(name, entry, index):
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestFiniteCheck:
     def test_huge_finite_state_accepted(self):
-        world = init_world(default_directed_config())
+        world = init_world(ScenarioConfig())
         world.p[0, 0] = 1e200  # its square overflows
         _check_state(world.x, 5, world.t)
 
@@ -840,9 +838,9 @@ class TestFiniteCheck:
     def test_overflowing_phi0_refused(self):
         phi0 = [1e155 * x for x in (0.9, 1.7, 1.1, 0.1)]
         with pytest.raises(ConfigError, match="phi0="):
-            certify(default_directed_config(phi0=phi0))
+            certify(ScenarioConfig(phi0=phi0))
         # 1e150 x: every quadratic form stays finite
-        certify(default_directed_config(phi0=[1e150 * x for x in (0.9, 1.7, 1.1, 0.1)]))
+        certify(ScenarioConfig(phi0=[1e150 * x for x in (0.9, 1.7, 1.1, 0.1)]))
 
 
 def assert_violations(found, expected):
@@ -861,7 +859,7 @@ class TestClosedLoopFeasibility:
 
     @staticmethod
     def violations(**bounds):
-        return run_scenario(default_directed_config(t_max=3.0, **bounds)).violations
+        return run_scenario(ScenarioConfig(t_max=3.0, **bounds)).violations
 
     def test_accel_bound(self):
         found = self.violations(gamma_ddot_max=0.3)
@@ -918,12 +916,12 @@ def violation_digest(violations) -> str:
 # the platform they were recorded on (x86-64, numpy 2.4).
 PINNED_VIOLATIONS = {
     "directed-tight-both": (
-        lambda: default_directed_config(t_max=3.0, gamma_dot_max=0.05, gamma_ddot_max=0.3),
+        lambda: ScenarioConfig(t_max=3.0, gamma_dot_max=0.05, gamma_ddot_max=0.3),
         11194,
         "13967eccc542e5f7b1253200cb78fe3b4d2c7e001434d6cd2fb82fd60c47262d",
     ),
     "ramp-arrival-tight": (
-        lambda: default_directed_config(
+        lambda: ScenarioConfig(
             t_max=4.0, t_f=3.0, ramp_start=1.0, ramp_duration=2.5, rate_final=1.2,
             gamma_dot_max=0.1, gamma_ddot_max=0.3,
         ),
@@ -957,7 +955,7 @@ class TestViolationPin:
 
 class TestOutputs:
     def test_files_and_determinism(self, tmp_path):
-        cfg = default_directed_config(t_max=1.0)
+        cfg = ScenarioConfig(t_max=1.0)
         log = run_scenario(cfg)
         out1, out2 = tmp_path / "a", tmp_path / "b"
         write_outputs(log, str(out1))
@@ -973,7 +971,7 @@ class TestOutputs:
         assert rows == len(log.t)
 
     def test_summary_fields(self, tmp_path):
-        cfg = default_directed_config(t_max=1.0)
+        cfg = ScenarioConfig(t_max=1.0)
         log = run_scenario(cfg)
         s = summary_dict(log)
         for key in (
@@ -991,7 +989,7 @@ class TestOutputs:
         assert parsed["comm_amount"] == pytest.approx(log.comm_amount)
 
     def test_comm_equals_edge_count_times_segment_length(self):
-        cfg = default_directed_config(t_max=5.0)
+        cfg = ScenarioConfig(t_max=5.0)
         log = run_scenario(cfg)
         start, end, sigma = _segments(log)
         # segments tile [0, t_end] and change topology exactly at the switches
@@ -1005,7 +1003,7 @@ class TestOutputs:
     @pytest.mark.parametrize(
         "make_config",
         [
-            lambda: default_directed_config(t_max=3.0),
+            lambda: ScenarioConfig(t_max=3.0),
             lambda: default_bidirectional_config(t_max=4.0),
         ],
         ids=["directed", "baseline"],
@@ -1052,7 +1050,7 @@ def seven_vehicle_config() -> ScenarioConfig:
 # for the platform they were recorded on (x86-64, numpy 2.4).
 PINNED_OUTPUTS = {
     "directed-gust-arrival": (
-        lambda: default_directed_config(
+        lambda: ScenarioConfig(
             t_max=3.0, t_f=2.0, gusts=[GustEvent(2, (0.0, 1.5, 0.0), (0.5, 1.0))]
         ),
         {
@@ -1072,7 +1070,7 @@ PINNED_OUTPUTS = {
     "directed-ramp-arrival": (
         # the ramp runs from 1 s to 3.5 s; the vehicles arrive at 2.944 s to
         # 3.409 s, so their rates are clamped to in-ramp values
-        lambda: default_directed_config(
+        lambda: ScenarioConfig(
             t_max=4.0, t_f=3.0, ramp_start=1.0, ramp_duration=2.5, rate_final=1.2
         ),
         {
@@ -1119,7 +1117,7 @@ class TestRateBlocks:
         # the ramp-crossing pin under a tight rate envelope, its rates
         # evaluated 7 steps at a time instead of RATE_BLOCK: blocks then
         # start at every offset inside the ramp and end before arrival
-        cfg = default_directed_config(
+        cfg = ScenarioConfig(
             t_max=4.0, t_f=3.0, ramp_start=1.0, ramp_duration=2.5, rate_final=1.2,
             gamma_dot_max=0.15,
         )
@@ -1132,7 +1130,7 @@ class TestRateBlocks:
         assert log.violations == ref.violations
 
     def test_step_rates_at_the_loops_times(self):
-        profile = default_directed_config(ramp_start=1.0, ramp_duration=2.5).mission_profile()
+        profile = ScenarioConfig(ramp_start=1.0, ramp_duration=2.5).mission_profile()
         dt = 1e-3
         rates = _step_rates(profile, 990, 40, dt)
         assert rates.shape == (3, 41)

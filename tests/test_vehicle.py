@@ -9,6 +9,7 @@ from coordsim.vehicle import (
     LaneSweepFamily,
     PDGains,
     apply_disturbance,
+    dot_bound,
     pf_control_all,
     row_norms,
     saturate,
@@ -138,9 +139,9 @@ def first_sample_epf(positions):
     """Path-following error norms of the first logged sample of a default
     directed run started at ``positions``, as the simulation computes them
     (virtual target minus vehicle position)."""
-    from coordsim.simharness import default_directed_config, run_scenario
+    from coordsim.simharness import ScenarioConfig, run_scenario
 
-    cfg = default_directed_config(t_max=1e-3, initial_positions=positions.tolist())
+    cfg = ScenarioConfig(t_max=1e-3, initial_positions=positions.tolist())
     return run_scenario(cfg).epf_norm[0]
 
 
@@ -269,7 +270,7 @@ def stacks_around_a_limit(draw):
 def saturated_per_sample(stack, limit):
     expected = stack.copy()
     for sample in expected:
-        saturate(sample, limit)
+        saturate(sample, limit, dot_bound(limit))
     return expected
 
 
@@ -287,7 +288,7 @@ class TestSaturate:
     def test_same_bits_as_branch_free_factor(self, rows):
         rows = np.array(rows)
         expected = branch_free(rows, 5.0)
-        saturate(rows, 5.0)
+        saturate(rows, 5.0, dot_bound(5.0))
         assert rows.tobytes() == expected.tobytes()  # tobytes tells -0.0 from 0.0
 
     def test_random_rows_around_the_limit(self):
@@ -295,7 +296,7 @@ class TestSaturate:
         for _ in range(200):
             rows = rng.normal(size=(int(rng.integers(1, 9)), 3)) * rng.choice([0.5, 2.0, 4.0])
             expected = branch_free(rows, 5.0)
-            saturate(rows, 5.0)
+            saturate(rows, 5.0, dot_bound(5.0))
             assert rows.tobytes() == expected.tobytes()
 
     @settings(max_examples=400)
@@ -306,7 +307,7 @@ class TestSaturate:
         rows, limit = case
         with np.errstate(over="ignore", invalid="ignore"):
             expected = rows * (limit / np.maximum(row_norms(rows), limit))[:, None]
-            saturate(rows, limit)
+            saturate(rows, limit, dot_bound(limit))
         assert rows.tobytes() == expected.tobytes()
 
     @settings(max_examples=400)
@@ -317,7 +318,7 @@ class TestSaturate:
         stack, limit = case
         with np.errstate(over="ignore", invalid="ignore"):
             expected = saturated_per_sample(stack, limit)
-            saturate(stack, limit)
+            saturate(stack, limit, dot_bound(limit))
         assert stack.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -332,13 +333,13 @@ class TestSaturate:
         # keeps the bytes of its own call (skipped for UNDER[:2])
         stack = np.array(samples)
         expected = saturated_per_sample(stack, 5.0)
-        saturate(stack, 5.0)
+        saturate(stack, 5.0, dot_bound(5.0))
         assert stack.tobytes() == expected.tobytes()
 
     def test_nan_row_scaled_as_branch_free(self):
         rows = np.array([[1.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [0.0, 2.0, 0.0]])
         expected = branch_free(rows, 5.0)
-        saturate(rows, 5.0)
+        saturate(rows, 5.0, dot_bound(5.0))
         assert rows.tobytes() == expected.tobytes()
 
 
@@ -367,9 +368,9 @@ class TestGustTransient:
     def test_gust_pushes_then_recovers(self):
         # closed-loop qualitative check: a lateral gust mid-run lifts the
         # path error of the hit vehicle, which then settles again
-        from coordsim.simharness import GustEvent, default_directed_config, run_scenario
+        from coordsim.simharness import GustEvent, ScenarioConfig, run_scenario
 
-        cfg = default_directed_config(
+        cfg = ScenarioConfig(
             dt=0.005,
             t_max=20.0,
             gusts=[GustEvent(2, (0.0, 2.0, 0.0), (12.0, 13.0))],
