@@ -131,20 +131,19 @@ def cmd_run(
     log.info("running %s scenario, dt=%g, t_max=%g", cfg.mode, cfg.dt, cfg.t_max)
     log_ = simharness.run_scenario(cfg)
     log.info("run finished at t=%g with %d switches", log_.t[-1], len(log_.switch_log))
-    simharness.write_outputs(log_, outdir)
-    summary = simharness.summary_dict(log_)
+    summary = simharness.write_outputs(log_, outdir)
     if log_.violations:
         first = log_.violations[0]
         msg = (
             f"feasibility violation: vehicle {first.vehicle} {first.bound} bound at "
             f"t={first.time:.6g} (value {first.value:.6g}); {len(log_.violations)} total"
         )
-        if as_json:
-            summary["first_violation"] = msg
-            return CommandOutcome(1, json.dumps(summary, indent=2, sort_keys=True))
-        return CommandOutcome(1, msg)
+        if not as_json:
+            return CommandOutcome(1, msg)
+        summary["first_violation"] = msg
     if as_json:
-        return CommandOutcome(0, json.dumps(summary, indent=2, sort_keys=True))
+        doc = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        return CommandOutcome(1 if log_.violations else 0, doc)
     lines = [f"{k}: {summary[k]}" for k in sorted(summary)]
     lines.append(f"outputs written to {outdir}")
     return CommandOutcome(0, "\n".join(lines))
@@ -175,10 +174,8 @@ def cmd_compare(
     _make_outdir(out_b)
     log_d = simharness.run_scenario(cfg_d)
     log_b = simharness.run_scenario(cfg_b)
-    simharness.write_outputs(log_d, out_d)
-    simharness.write_outputs(log_b, out_b)
-    sum_d = simharness.summary_dict(log_d)
-    sum_b = simharness.summary_dict(log_b)
+    sum_d = simharness.write_outputs(log_d, out_d)
+    sum_b = simharness.write_outputs(log_b, out_b)
     doc = {
         "directed": sum_d,
         "bidirectional": sum_b,

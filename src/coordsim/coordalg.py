@@ -23,6 +23,7 @@ and handed to a symmetric eigensolver.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -73,12 +74,15 @@ class ProjectionMatrix:
         return self.q.shape[1]
 
 
+@functools.lru_cache(maxsize=64)
 def build_projection(n: int) -> ProjectionMatrix:
     """Deterministic projection for ``n`` nodes (Helmert-style rows).
 
     Row ``k`` (1-based) carries ``k`` entries ``1/sqrt(k(k+1))`` followed
     by one entry ``-k/sqrt(k(k+1))`` and zeros.  Closed form, reproducible,
-    and satisfies the three projection identities up to rounding.
+    and satisfies the three projection identities up to rounding.  Memoized
+    per ``n``: the read-only result is shared, so its invariants are
+    verified once per ``n``.
     """
     if n < 2:
         raise ValueError(f"projection needs at least 2 nodes, got {n}")
@@ -91,9 +95,10 @@ def build_projection(n: int) -> ProjectionMatrix:
 
 
 def reduced_laplacian(q: ProjectionMatrix, l: np.ndarray) -> np.ndarray:
-    """Project a Laplacian off the consensus direction: ``Q L Q^T``."""
+    """Project a Laplacian, or each of a stack of them, off the consensus
+    direction: ``Q L Q^T``."""
     l = np.asarray(l, dtype=float)
-    if l.shape != (q.n, q.n):
+    if l.shape[-2:] != (q.n, q.n):
         raise ValueError(f"Laplacian shape {l.shape} does not match projection n={q.n}")
     return q.q @ l @ q.q.T
 
@@ -159,11 +164,14 @@ class SwitchingCertificate:
     - ``gues_overshoot``: sqrt(lambda_max(P)/lambda_min(P)), the overshoot
       constant of the auxiliary system's exponential envelope,
     - ``max_laplacian_norm``: largest spectral norm among the full
-      (unreduced) topology Laplacians,
+      (unreduced) topology Laplacians, computed on first read (only the
+      gain conditions read it) and then kept,
     - ``mu_min``: min of ``mu_list``.
 
-    ``lambda_max_p`` is cached for the ``mu`` cap, the dwell bound and the
-    switching threshold, which reads it once per chunk of the schedule.
+    ``reduced_laplacians`` and ``h_matrices`` are read-only views of one
+    ``(m, n-1, n-1)`` stack each.  ``lambda_max_p`` is cached for the ``mu``
+    cap, the dwell bound and the switching threshold, which reads it once
+    per chunk of the schedule.
     """
 
     q: ProjectionMatrix
@@ -174,19 +182,22 @@ class SwitchingCertificate:
     mu_list: tuple[float, ...]
     dwell_bound: float
     gues_overshoot: float
-    max_laplacian_norm: float
     mu_min: float
     lambda_max_p: float
     lambda_min_p: float
     n: int
     m: int
 
+    @functools.cached_property
+    def max_laplacian_norm(self) -> float:
+        return float(max(_spectral_norms(self.laplacians)))
+
 
 def _spectral_norms(matrices) -> np.ndarray:
-    """Spectral norm of each of the equally shaped ``matrices``: the largest
-    singular value, as ``np.linalg.norm(x, 2)`` takes it, from one batched
-    SVD."""
-    return np.linalg.svd(np.stack(matrices), compute_uv=False)[:, 0]
+    """Spectral norm of each of the equally shaped ``matrices``, a stack or
+    a sequence: the largest singular value, as ``np.linalg.norm(x, 2)``
+    takes it, from one batched SVD."""
+    return np.linalg.svd(np.asarray(matrices), compute_uv=False)[:, 0]
 
 
 def _lambert_w(x: float) -> float:
@@ -205,7 +216,8 @@ def _lambert_w(x: float) -> float:
 
 
 def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
-    """Supremum over theta in ``(1, THETA_CAP]`` of the per-topology
+    """From the ``(m, n-1, n-1)`` stacks of the ``Lbar_i`` and ``H_i``: the
+    supremum over theta in ``(1, THETA_CAP]`` of the per-topology
     minimum of the two dwell terms
     ``t1_i = (1 - mu_i lambda_max(P)) / ((a/b) theta^2 nu_i)`` and
     ``t2_i = ln(theta) / ((a/b) |Lbar_i|)``, with
@@ -218,14 +230,10 @@ def _dwell_time(reduced_laplacians, h_matrices, mu_list, lambda_max_p, a, b):
     (``nu_i = 0``) do not bind; past the cap's crossing W is not called.
     A gain ratio that underflows to 0 gives ``inf``, one that overflows
     0.0: the limits of the two terms."""
-    k = reduced_laplacians[0].shape[0]
-    eye = np.eye(k)
-    nus = [
-        lbar.T @ (h + eye) + (h + eye) @ lbar
-        for lbar, h in zip(reduced_laplacians, h_matrices)
-    ]
-    norms = _spectral_norms([*reduced_laplacians, *nus]).tolist()
-    m = len(reduced_laplacians)
+    m, k = reduced_laplacians.shape[:2]
+    h_eye = h_matrices + np.eye(k)
+    nus = reduced_laplacians.swapaxes(1, 2) @ h_eye + h_eye @ reduced_laplacians
+    norms = _spectral_norms(np.concatenate((reduced_laplacians, nus))).tolist()
     c_terms = [(1.0 - mu * lambda_max_p) / nu for mu, nu in zip(mu_list, norms[m:]) if nu > 0]
     r = max(norms[:m])
     cr = float(min(c_terms, default=math.inf)) * r
@@ -262,8 +270,8 @@ def build_certificate(
     m = len(family)
     q = build_projection(n)
     laps = laplacians(family).astype(float)
-    reduced = [reduced_laplacian(q, l) for l in laps]
-    p = solve_lyapunov(sum(reduced), m)
+    reduced = reduced_laplacian(q, laps)
+    p = solve_lyapunov(sum(reduced), m)  # 0 + Lbar_1 + ..., the summation order pinned
 
     eig_p = np.linalg.eigvalsh(p)
     lambda_min_p, lambda_max_p = float(eig_p[0]), float(eig_p[-1])
@@ -274,26 +282,23 @@ def build_certificate(
                 f"mu[{i}]={mu} outside admissible interval (0, {mu_cap:.6g})"
             )
 
-    h_matrices = []
-    for lbar in reduced:
-        h = (-lbar).T @ p + p @ (-lbar)
-        h_matrices.append(0.5 * (h + h.T))
+    neg = -reduced
+    h = neg.swapaxes(1, 2) @ p + p @ neg
+    h = 0.5 * (h + h.swapaxes(1, 2))
 
-    dwell = _dwell_time(reduced, h_matrices, mu_list, lambda_max_p, a, b)
-    max_norm = max(_spectral_norms(laps))
+    dwell = _dwell_time(reduced, h, mu_list, lambda_max_p, a, b)
 
-    for arr in (laps, *reduced, p, *h_matrices):
+    for arr in (laps, reduced, p, h):
         arr.setflags(write=False)
     return SwitchingCertificate(
         q=q,
         laplacians=laps,
         reduced_laplacians=tuple(reduced),
         p=p,
-        h_matrices=tuple(h_matrices),
+        h_matrices=tuple(h),
         mu_list=tuple(float(mu) for mu in mu_list),
         dwell_bound=dwell,
         gues_overshoot=math.sqrt(lambda_max_p / lambda_min_p),
-        max_laplacian_norm=float(max_norm),
         mu_min=float(min(mu_list)),
         lambda_max_p=lambda_max_p,
         lambda_min_p=lambda_min_p,

@@ -18,7 +18,9 @@ Edge = tuple[int, int]
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
 
 
 @dataclass(frozen=True)

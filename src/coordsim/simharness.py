@@ -25,6 +25,7 @@ headline metrics do not depend on the step size.
 from __future__ import annotations
 
 import json
+import logging
 import math
 import numbers
 import os
@@ -45,6 +46,8 @@ from .coordctrl import MissionRateProfile, Violation
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacians
 from .errors import ConfigError, check_finite
 from .vehicle import LaneSweepFamily, row_norms
+
+logger = logging.getLogger(__name__)
 
 MODE_DIRECTED = "directed-switched"
 MODE_BIDIRECTIONAL = "bidirectional-random"
@@ -95,11 +98,15 @@ def _num(default, lo=None, hi=None):
 
 
 _NUMERIC_TYPES = {"int": numbers.Integral, "float": numbers.Real}
+# the exact types that JSON numbers parse to, admitted without the ABC check
+_EXACT_TYPES = {"int": (int,), "float": (int, float)}
 
 
 def _check_number(name: str, value, kind: str, lo=None, hi=None) -> None:
     """Refuse ``value`` unless it is a finite ``kind`` inside ``(lo, hi)``."""
-    if isinstance(value, bool) or not isinstance(value, _NUMERIC_TYPES[kind]):
+    if type(value) not in _EXACT_TYPES[kind] and (
+        isinstance(value, bool) or not isinstance(value, _NUMERIC_TYPES[kind])
+    ):
         raise ConfigError(f"{name} must be of type {kind}, got {value!r}")
     try:
         finite = kind == "int" or math.isfinite(value)
@@ -518,8 +525,8 @@ def _admit(
         ]
         if cert is not None:
             phi0 = np.asarray(config.phi0, dtype=float)
-            forms = [phi0 @ phi0, *(phi0 @ m @ phi0 for m in (cert.p, *cert.h_matrices))]
-            table.append(("phi0", "a quadratic form of the switching law", forms))
+            forms = ((np.stack((cert.p, *cert.h_matrices)) @ phi0) @ phi0).tolist()
+            table.append(("phi0", "a quadratic form of the switching law", [phi0 @ phi0, *forms]))
         for names, term, values in table:
             if not all(map(math.isfinite, values)):
                 shown = ", ".join(f"{f}={(vars(config) | accels)[f]!r}" for f in names.split(", "))
@@ -840,38 +847,43 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         build_projection(n) if n >= 2 else None
     )
 
-    sigma, aux_v = _topology_schedule(config, world.cert, n_steps)
-    table = np.empty((n_steps + 1, 3 + 6 * n))
-    # the logged state: views of the table's columns and of the world's x
-    log_rates, log_pos = table[:, 3 : 3 + 2 * n], table[:, 3 + 3 * n :]
-    rates_now, pos_now = world.x[: 2 * n], world.x[2 * n : 5 * n]
-    log_rates[0], log_pos[0] = rates_now, pos_now
-    topologies = sigma.tolist()  # a list index costs less than int(sigma[k])
-    for k in range(n_steps):
-        j = k % RATE_BLOCK
-        if j == 0:
-            r_now, r_mid, r_end = _step_rates(
-                world.profile, k, min(RATE_BLOCK, n_steps - k), dt
+    # one numeric policy for the whole run: an overflow or invalid operation
+    # is not reported by numpy but by the finite checks of the schedule and
+    # of the step (_check_state), which name the field and the time
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma, aux_v = _topology_schedule(config, world.cert, n_steps)
+        table = np.empty((n_steps + 1, 3 + 6 * n))
+        # the logged state: views of the table's columns and of the world's x
+        log_rates, log_pos = table[:, 3 : 3 + 2 * n], table[:, 3 + 3 * n :]
+        rates_now, pos_now = world.x[: 2 * n], world.x[2 * n : 5 * n]
+        log_rates[0], log_pos[0] = rates_now, pos_now
+        topologies = sigma.tolist()  # a list index costs less than int(sigma[k])
+        for k in range(n_steps):
+            j = k % RATE_BLOCK
+            if j == 0:
+                r_now, r_mid, r_end = _step_rates(
+                    world.profile, k, min(RATE_BLOCK, n_steps - k), dt
+                )
+            # each rate as a 0-d view: cheaper to operate on than a NumPy scalar
+            step(
+                world,
+                topologies[k],
+                (r_now[j, ...], r_mid[j, ...], r_end[j, ...], r_now[j + 1, ...]),
             )
-        # each rate as a 0-d view: cheaper to operate on than a NumPy scalar
-        step(
-            world,
-            topologies[k],
-            (r_now[j, ...], r_mid[j, ...], r_end[j, ...], r_now[j + 1, ...]),
-        )
-        log_rates[k + 1], log_pos[k + 1] = rates_now, pos_now
-        if world.all_arrived:
-            break
+            log_rates[k + 1], log_pos[k + 1] = rates_now, pos_now
+            if world.all_arrived:
+                break
 
-    rows = world.step_idx + 1
-    table = table[:rows]
-    table[:, 1] = sigma[:rows]
+        rows = world.step_idx + 1
+        table = table[:rows]
+        table[:, 1] = sigma[:rows]
+        violations = _measure(world, table, q)
     log = MetricsLog(
         config=config,
         table=table,
         aux_v=aux_v[:rows] if aux_v is not None else None,
         tau_f=world.t if world.all_arrived else None,
-        violations=_measure(world, table, q),
+        violations=violations,
         certificate=world.cert,
         final_state=dict(gamma=world.gamma, gamma_dot=world.gamma_dot, p=world.p, v=world.v),
     )
@@ -903,8 +915,7 @@ def _measure(world: SimWorld, table: np.ndarray, q) -> list[Violation]:
             gamma, gamma_dot, lap, alpha, rate, cfg.a, -cfg.b
         )
         block[:, 0] = t
-        with np.errstate(over="ignore"):  # a huge rate error's norm is inf
-            block[:, 2] = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]
+        block[:, 2] = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]  # may be inf
         block[:, 3 + 2 * n : 3 + 3 * n] = row_norms(pe[0])
         flying = gamma < cfg.t_f  # the logged state is finite
         violations += coordctrl.feasibility_check(gamma_dot, gamma_ddot, bounds, t, flying)
@@ -931,7 +942,7 @@ def pe_connectivity(
         return np.empty(0), np.empty(0)
     n = log.config.n
     laps = laplacians(log.config.topology_family).astype(float)
-    reduced = np.stack([reduced_laplacian(q, l) for l in laps])
+    reduced = reduced_laplacian(q, laps)
     projected = 0.5 * (reduced + reduced.transpose(0, 2, 1))
 
     seg_start, seg_end, seg_sigma = _segments(log)
@@ -959,7 +970,10 @@ def pe_connectivity(
 
 
 def summary_dict(log: MetricsLog) -> dict:
-    return {
+    """The headline numbers of a run, as strict JSON: a float that is not
+    finite (``final_xi_norm`` of a run whose coordination error overflows)
+    is written as ``null``, with a warning naming the field."""
+    summary = {
         "mode": log.config.mode,
         "n": log.config.n,
         "dt": log.config.dt,
@@ -974,10 +988,16 @@ def summary_dict(log: MetricsLog) -> dict:
         "n_switches": len(log.switch_log),
         "violation_count": len(log.violations),
     }
+    for name, value in summary.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            logger.warning("summary: %s is %r, written as null", name, value)
+            summary[name] = None
+    return summary
 
 
-def write_outputs(log: MetricsLog, outdir: str) -> None:
-    """Write ``metrics.csv``, ``switches.csv`` and ``summary.json``."""
+def write_outputs(log: MetricsLog, outdir: str) -> dict:
+    """Write ``metrics.csv``, ``switches.csv`` and ``summary.json``; return
+    the summary written."""
     os.makedirs(outdir, exist_ok=True)
     n = log.config.n
     cols = ["t", "sigma", "xi_norm"]
@@ -997,9 +1017,11 @@ def write_outputs(log: MetricsLog, outdir: str) -> None:
         f.write("time,old_sigma,new_sigma\n")
         for t, old, new in log.switch_log:
             f.write("%.12g,%d,%d\n" % (t, old, new))
+    summary = summary_dict(log)
     with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(summary_dict(log), f, indent=2, sort_keys=True)
+        json.dump(summary, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
+    return summary
 
 
 # ---------------------------------------------------------------------------

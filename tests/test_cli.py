@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from dataclasses import fields
 from pathlib import Path
+from unittest.mock import ANY
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -370,6 +371,15 @@ def command_argv(command, path, tmp_path):
     }[command]
 
 
+def strict_json(text):
+    """``text`` parsed as strict JSON: ``NaN`` and ``Infinity`` raise."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def assert_refused(argv, field, capsys):
     """``argv`` exits 1 naming ``field``, with no traceback and without
     making its ``--out`` directory."""
@@ -487,6 +497,39 @@ class TestRefusal:
             argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
             assert cli.main(argv) == 1
         assert "feasibility violation: vehicle 1 accel bound at t=0 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("rate_final, t", [(2e307, 0.129), (6e307, 0.086)])
+    def test_runtime_overflow_is_one_numeric_failure(self, tmp_path, rate_final, t):
+        # the rate term stays finite at t = 0 and t_max, so the config is
+        # admitted; the RK4 combination overflows inside the ramp, and the
+        # state check reports it: exit 2, with no numpy warning on the way
+        override = {"rate_final": rate_final, "t_f": 1e308, "ramp_start": 0.05}
+        path = shipped_with(tmp_path, {**override, "ramp_duration": 0.1, "t_max": 0.2})
+        argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "coordsim", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        assert proc.returncode == 2, proc.stdout + proc.stderr
+        assert proc.stdout.startswith(f"numeric failure: non-finite gamma_dot[(0,)] at t={t}")
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_overflowed_coordination_error_is_null(self, tmp_path, capsys, caplog, as_json):
+        # rate_base 1e200: the coordination error overflows to inf, and the
+        # run ends on the feasibility check; its summary is strict JSON
+        path = shipped_with(tmp_path, {"rate_base": 1e200, "t_max": 0.02})
+        out = tmp_path / "out"
+        argv = ["run", "--config", path, "--out", str(out)]
+        assert cli.main(argv + ["--json"] * as_json) == 1
+        stdout = capsys.readouterr().out
+        summary = strict_json((out / "summary.json").read_text())
+        assert summary["final_xi_norm"] is None
+        assert "final_xi_norm is inf, written as null" in caplog.text
+        if as_json:
+            assert strict_json(stdout) == {**summary, "first_violation": ANY}
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_final_rate_refused(self, tmp_path, capsys, command):
@@ -741,8 +784,10 @@ class TestAdmissionProperty:
     # validate, then run for at most 20 steps, of 1 to 3 edge fields: exit 0
     # with a finite summary, or exit 1 on the feasibility check, or exit 1
     # refused naming a field with no --out made; never exit 2, a traceback
-    # or a raw numpy warning.  The examples are refusals of the table of
-    # first evaluations in certify, and of a dwell bound that is not finite.
+    # or a raw numpy warning, and every document and summary.json is strict
+    # JSON.  The examples are refusals of the table of first evaluations in
+    # certify, of a dwell bound that is not finite, and an overflowed
+    # coordination error written as null.
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=edge_cases)
     @example(case=("directed.json", {"rate_base": 1e308}))
@@ -757,6 +802,7 @@ class TestAdmissionProperty:
     @example(case=("directed.json", {"initial_positions": ONE_ROW_1E200}))
     @example(case=("bidirectional.json", {"initial_velocities": ONE_ROW_1E200}))
     @example(case=("directed.json", {"a": 1e-310}))
+    @example(case=("directed.json", {"rate_base": 1e200}))
     def test_edge_config_runs_or_is_refused_naming_a_field(self, tmp_path, capsys, case):
         shipped, override = case
         raw = json.loads((SHIPPED / shipped).read_text())
@@ -774,7 +820,7 @@ class TestAdmissionProperty:
                 captured = capsys.readouterr()
                 assert "Traceback" not in captured.out + captured.err
                 assert code in (0, 1), captured.out
-                docs.append((code, json.loads(captured.out)))
+                docs.append((code, strict_json(captured.out)))
             (validated, report), (ran, summary) = docs
             if validated == 1:
                 refusal = report["checks"][0]["detail"] if "checks" in report else report["error"]
@@ -782,8 +828,10 @@ class TestAdmissionProperty:
                 assert (ran, summary) == (1, {"ok": False, "error": refusal})
                 assert not os.path.exists(out)
                 return
-            # a run stopped by the feasibility check may report an overflowed
-            # coordination error (rate_base 1e200: final_xi_norm is inf)
+            # a run stopped by the feasibility check may have overflowed its
+            # coordination error (rate_base 1e200: final_xi_norm is null)
             assert (ran == 1) == ("first_violation" in summary) and "ok" not in summary, summary
+            written = strict_json(Path(out, "summary.json").read_text())
+            assert written == {k: v for k, v in summary.items() if k != "first_violation"}
             if ran == 0:
                 assert all(math.isfinite(v) for v in summary.values() if isinstance(v, float)), summary

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import lambertw
 
+from coordsim import coordalg
 from coordsim.coordalg import (
     THETA_CAP,
     ProjectionMatrix,
@@ -253,6 +254,40 @@ class TestCertificateBits:
             )
             sha.update(np.array(scalars, dtype=float).tobytes())
         assert sha.hexdigest() == self.DIGEST
+
+
+class TestSynthesisStructure:
+    """Synthesis computes each object once, on stacks, and only when read."""
+
+    def test_laplacian_norms_on_first_read_only(self, default_family, monkeypatch):
+        calls = []
+
+        def counted(matrices):
+            calls.append(len(matrices))
+            return _spectral_norms(matrices)
+
+        monkeypatch.setattr(coordalg, "_spectral_norms", counted)
+        cert = build_certificate(default_family, [0.2638] * 3, 0.75, 1.82)
+        assert calls == [6]  # the dwell bound's one SVD: 3 Lbar_i and 3 nu_i
+        first = cert.max_laplacian_norm
+        assert calls == [6, 3]
+        assert cert.max_laplacian_norm == first
+        assert calls == [6, 3]
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    def test_projection_built_once_per_size(self, n):
+        q = build_projection(n)
+        assert build_projection(n) is q
+        assert not q.q.flags.writeable
+        with pytest.raises(ValueError):
+            q.q[0, 0] = 1.0
+
+    def test_certificate_stacks_are_read_only(self, default_cert):
+        for name in ("h_matrices", "reduced_laplacians"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(default_cert, name)[0][0, 0] = 1.0
+        for arr in (default_cert.p, default_cert.laplacians):
+            assert not arr.flags.writeable
 
 
 class TestSynthesisProperties:

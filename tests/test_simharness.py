@@ -7,6 +7,7 @@ import re
 import warnings
 import weakref
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from coordsim.simharness import (
     RK4_HALF_DISC_RADIUS,
     RK4_STABILITY_LIMIT,
     GustEvent,
+    _check_number,
     _check_state,
     _step_rates,
     certify,
@@ -52,6 +54,53 @@ from coordsim.vehicle import (
     row_norms,
 )
 from reference import default_bidirectional_config, mirror_family
+
+
+# one value of each type a number can arrive as, and the types each check
+# admits: an exact int or float passes without the ABC check, every other
+# type (bool and numpy scalars included) is judged by its ABC
+NUMBER_TYPES = {
+    "int": 3,
+    "float": 3.0,
+    "bool": True,
+    "np.int64": np.int64(3),
+    "np.float64": np.float64(3.0),
+    "Fraction": Fraction(3),
+    "str": "3",
+    "int beyond float": 2**1100,
+}
+ADMITTED = {
+    "int": {"int", "np.int64", "int beyond float"},
+    "float": {"int", "float", "np.int64", "np.float64", "Fraction"},
+}
+
+
+class TestNumberTypes:
+    @pytest.mark.parametrize("kind", sorted(ADMITTED))
+    @pytest.mark.parametrize("label", list(NUMBER_TYPES))
+    def test_check_number(self, kind, label):
+        value = NUMBER_TYPES[label]
+        if label in ADMITTED[kind]:
+            _check_number("x", value, kind, 0)
+        else:
+            with pytest.raises(ConfigError, match=r"^x(=\d+)? must be (of type|finite)"):
+                _check_number("x", value, kind, 0)
+
+    @pytest.mark.parametrize("label", list(NUMBER_TYPES))
+    def test_digraph_from_dict(self, label):
+        value = NUMBER_TYPES[label]
+        as_n, as_label = {"n": value, "edges": []}, {"n": 3, "edges": [[value, 1]]}
+        if label not in ADMITTED["int"]:
+            for d in (as_n, as_label):
+                with pytest.raises(ValueError, match="integer"):
+                    Digraph.from_dict(d)
+            return
+        assert Digraph.from_dict(as_n).n == value
+        if value <= 3:
+            assert Digraph.from_dict(as_label).edges == {(3, 1)}
+        else:
+            with pytest.raises(ValueError, match="outside node range"):
+                Digraph.from_dict(as_label)
 
 
 class TestConfig:

@@ -28,7 +28,6 @@ def make_cert(h_matrices, mu_list, lambda_max_p, n, reduced=None):
         mu_list=tuple(mu_list),
         dwell_bound=1.0,
         gues_overshoot=1.0,
-        max_laplacian_norm=1.0,
         mu_min=min(mu_list),
         lambda_max_p=lambda_max_p,
         lambda_min_p=1.0,
