@@ -186,19 +186,17 @@ def cmd_compare(
         ),
     }
     with open(os.path.join(outdir, "comparison.json"), "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
+        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
         f.write("\n")
     if as_json:
-        return CommandOutcome(0, json.dumps(doc, indent=2, sort_keys=True))
+        return CommandOutcome(0, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+    xi_d, xi_b = sum_d["final_xi_norm"], sum_b["final_xi_norm"]
     rows = [
         ("", "directed", "bidirectional"),
         ("comm_amount", f"{sum_d['comm_amount']:.4f}", f"{sum_b['comm_amount']:.4f}"),
         ("tau_f", str(sum_d["tau_f"]), str(sum_b["tau_f"])),
-        (
-            "final_xi_norm",
-            f"{sum_d['final_xi_norm']:.3e}",
-            f"{sum_b['final_xi_norm']:.3e}",
-        ),
+        # an overflowed coordination error is null in the summaries
+        ("final_xi_norm", *("null" if x is None else f"{x:.3e}" for x in (xi_d, xi_b))),
     ]
     width = max(len(r[0]) for r in rows) + 2
     lines = [f"{r[0]:<{width}}{r[1]:>16}{r[2]:>16}" for r in rows]

@@ -525,8 +525,8 @@ def _admit(
         ]
         if cert is not None:
             phi0 = np.asarray(config.phi0, dtype=float)
-            forms = ((np.stack((cert.p, *cert.h_matrices)) @ phi0) @ phi0).tolist()
-            table.append(("phi0", "a quadratic form of the switching law", [phi0 @ phi0, *forms]))
+            forms = [phi0 @ phi0, *(phi0 @ m @ phi0 for m in (cert.p, *cert.h_matrices))]
+            table.append(("phi0", "a quadratic form of the switching law", forms))
         for names, term, values in table:
             if not all(map(math.isfinite, values)):
                 shown = ", ".join(f"{f}={(vars(config) | accels)[f]!r}" for f in names.split(", "))

@@ -531,6 +531,29 @@ class TestRefusal:
         if as_json:
             assert strict_json(stdout) == {**summary, "first_violation": ANY}
 
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_compare_prints_overflowed_coordination_error_as_null(self, tmp_path, capsys, as_json):
+        # compare does not match t_max, so the overflowed directed run pairs
+        # with a short baseline; both documents are strict JSON and the
+        # table prints the null, with no exception on the way; the short
+        # baseline warns that its connectivity window exceeds the run
+        directed = shipped_with(tmp_path, {"rate_base": 1e200, "t_max": 0.02})
+        raw = json.loads((SHIPPED / "bidirectional.json").read_text())
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({**raw, "t_max": 0.02}))
+        out = tmp_path / "out"
+        argv = ["compare", directed, str(baseline), "--out", str(out)]
+        with pytest.warns(UserWarning, match="connectivity window"):
+            assert cli.main(argv + ["--json"] * as_json) == 0
+        stdout = capsys.readouterr().out
+        comparison = strict_json((out / "comparison.json").read_text())
+        assert comparison["directed"]["final_xi_norm"] is None
+        if as_json:
+            assert strict_json(stdout) == comparison
+        else:
+            row = next(line for line in stdout.splitlines() if line.startswith("final_xi_norm"))
+            assert row.split()[1] == "null", row
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_overflowing_final_rate_refused(self, tmp_path, capsys, command):
         # the rate term at t_max overflows and t_f is out of reach: the run
