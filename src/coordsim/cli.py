@@ -130,7 +130,7 @@ def cmd_run(
     _make_outdir(outdir)
     log.info("running %s scenario, dt=%g, t_max=%g", cfg.mode, cfg.dt, cfg.t_max)
     log_ = simharness.run_scenario(cfg)
-    log.info("run finished at t=%g with %d switches", log_.t[-1], len(log_.switch_log))
+    log.info("run finished at t=%g with %d switches", log_.t_end, len(log_.switch_log))
     summary = simharness.write_outputs(log_, outdir)
     if log_.violations:
         first = log_.violations[0]

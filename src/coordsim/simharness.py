@@ -13,9 +13,11 @@ RK4 stage times.  ``init_world`` binds each world's step once, in
 ``_bind_step``: four stage closures (``_bind_stages``) and the RK4
 combination over views of its state and workspace, with the kernels
 bound to their scratch, so a step runs its numpy calls and little else.
-The loop logs the state alone; one pass after it derives
-every measured column and the feasibility records from the logged state,
-``RATE_BLOCK`` rows per kernel call.
+The loop logs the state it integrates, ``[gamma | gamma_dot | p]``, and
+nothing else; one pass after it derives the feasibility records from the
+logged state, ``RATE_BLOCK`` rows per kernel call.  The time, the
+coordination error and the path-error norms are derived where they are
+read, from the logged state and the schedule.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -44,7 +46,7 @@ from .coordalg import (
 )
 from .coordctrl import MissionRateProfile, Violation
 from .digraph import Digraph, contains_spanning_tree, jointly_connected, laplacians
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, NumericError, check_finite
 from .vehicle import LaneSweepFamily, row_norms
 
 logger = logging.getLogger(__name__)
@@ -69,14 +71,15 @@ RK4_HALF_DISC_RADIUS = 2.615587688235293
 # instability (see _check_coordination_modes)
 MODE_GROWTH_SLACK = 1e-12
 # cap on n in every mode: synthesis solves an (n-1)^2 x (n-1)^2 system, and
-# a run's preallocated log has 6 n + 3 columns
+# a run's preallocated log has 5 n columns
 MAX_SYNTHESIS_N = 40
 # windows per stacked eigensolve in pe_connectivity: stacking all of a
 # baseline run's windows at once raised its peak memory by half
 PE_CHUNK = 256
-# steps per call of the mission-rate profile in run_scenario, and log rows
-# per call of each kernel in its post-pass: one call per block, not per RK4
-# stage or row, and no temporaries the size of the whole log
+# steps per call of the mission-rate profile and per read of the schedule in
+# run_scenario, and log rows per call of each kernel in its post-pass, in the
+# derived columns of MetricsLog and in metrics.csv: one call per block, not
+# per RK4 stage or row, and no temporaries the size of the whole log
 RATE_BLOCK = 256
 
 
@@ -684,21 +687,25 @@ def _bind_step(world: SimWorld) -> Callable[..., bool]:
 
     def advance(t: float, t_new: float, lap: np.ndarray, any_arrived: bool, rates) -> bool:
         rate_now, rate_mid, rate_end, rate_new = rates
-        s1(t, lap, rate_now, any_arrived)
-        add(x, multiply(half, k1, stage), stage)
-        s2(t + h, lap, rate_mid, any_arrived)
-        add(x, multiply(half, k2, stage), stage)
-        s3(t + h, lap, rate_mid, any_arrived)
-        add(x, multiply(full, k3, stage), stage)
-        s4(t + dt, lap, rate_end, any_arrived)
-        # x += dt/6 (((k1 + 2 k2) + 2 k3) + k4): the k rows summed in order
-        # by one reduction started from -0.0, the identity that keeps a sum
-        # of signed zeros bit for bit (add.reduce's default start is +0.0)
-        multiply(two, doubled, doubled)
-        add_rows(ks, 0, None, stage, False, -0.0)
-        add(x, multiply(sixth, stage, stage), x)  # in place: the views follow
-        # speed limit, direction preserved
-        saturate(v, limit, bound)
+        try:
+            s1(t, lap, rate_now, any_arrived)
+            add(x, multiply(half, k1, stage), stage)
+            s2(t + h, lap, rate_mid, any_arrived)
+            add(x, multiply(half, k2, stage), stage)
+            s3(t + h, lap, rate_mid, any_arrived)
+            add(x, multiply(full, k3, stage), stage)
+            s4(t + dt, lap, rate_end, any_arrived)
+            # x += dt/6 (((k1 + 2 k2) + 2 k3) + k4): the k rows summed in
+            # order by one reduction started from -0.0, the identity that
+            # keeps a sum of signed zeros bit for bit (add.reduce's default
+            # start is +0.0)
+            multiply(two, doubled, doubled)
+            add_rows(ks, 0, None, stage, False, -0.0)
+            add(x, multiply(sixth, stage, stage), x)  # in place: the views follow
+            # speed limit, direction preserved
+            saturate(v, limit, bound)
+        except NumericError as exc:  # a saturation's, which knows no time
+            raise NumericError(f"{exc}, in the step from t={t:.6g}") from None
         # arrival clamping: virtual time pinned at t_f, rate pinned to the
         # desired rate so the coordination metric closes out cleanly.
         # Python's max may skip a NaN numpy's would return; the NaN then
@@ -714,6 +721,14 @@ def _bind_step(world: SimWorld) -> Callable[..., bool]:
     return advance
 
 
+def _times(lo: int, hi: int, dt: float) -> np.ndarray:
+    """``k * dt`` for ``k = lo .. hi - 1``, the bits of ``np.arange(lo, hi)
+    * dt``, in one array: the integers are exact as floats."""
+    t = np.arange(lo, hi, dtype=float)
+    t *= float(dt)
+    return t
+
+
 def _step_rates(
     profile: MissionRateProfile, k0: int, count: int, dt: float
 ) -> np.ndarray:
@@ -722,7 +737,7 @@ def _step_rates(
     call: rows at ``k dt`` (the first RK4 stage, and the new sample of the
     step before), at ``k dt + dt/2`` (the middle stages) and at
     ``k dt + dt`` (the last stage), each time formed as ``step`` forms it."""
-    t = np.arange(k0, k0 + count + 1) * dt
+    t = _times(k0, k0 + count + 1, dt)
     return profile.rate(np.stack((t, t + 0.5 * dt, t + dt)))
 
 
@@ -747,20 +762,26 @@ def step(world: SimWorld, sigma: int, rates: tuple[np.ndarray, ...]) -> SimWorld
 
 @dataclass
 class MetricsLog:
-    """Per-step record of one run: the table plus what only the loop knows.
+    """Per-step record of one run: the state it integrated plus what only
+    the loop knows.
 
-    ``table`` has one row per logged sample and the columns of
-    ``metrics.csv``: ``t``, ``sigma``, ``xi_norm``, then ``n`` columns each
-    of ``gamma``, ``gamma_dot`` and ``epf_norm``, then ``px, py, pz`` per
-    vehicle; the named per-step arrays are views of it.  The loop logs the
-    state, ``_measure`` the other columns and ``violations``.  The log ends
-    at arrival (``tau_f``) or at ``t_max``.  The switch log, arrival,
-    observed dwell, final coordination error and communication amount are
-    derived from the table; edge counts and Laplacians come from
+    ``states`` has one row per logged sample ``k``, at time ``k * dt``:
+    the state the loop integrates, ``[gamma | gamma_dot | p]``, ``5 n``
+    floats, of which ``gamma``, ``gamma_dot`` and ``positions`` (``(rows,
+    n, 3)``) are views; ``sigma`` is the schedule's integer topology index
+    of each row.  The rest is derived where it is read: ``t`` is ``k *
+    dt``, and ``xi_norm`` and ``epf_norm`` are the coordination error at
+    the desired rate of each row's time and each vehicle's path-error
+    norm, ``RATE_BLOCK`` rows per kernel call, each row with the bits of a
+    call on it alone.  ``_measure`` gives ``violations``.  The log ends at
+    arrival (``tau_f``) or at ``t_max``.  The switch log, arrival, observed
+    dwell, final coordination error and communication amount are derived
+    from ``sigma`` and the state; edge counts and Laplacians come from
     ``config.topology_family``."""
 
     config: ScenarioConfig
-    table: np.ndarray
+    states: np.ndarray
+    sigma: np.ndarray
     aux_v: np.ndarray | None
     tau_f: float | None
     violations: list[Violation]
@@ -768,21 +789,52 @@ class MetricsLog:
     final_state: dict
     lambda_hat_t: np.ndarray | None = None
     lambda_hat: np.ndarray | None = None
-    t: np.ndarray = field(init=False, repr=False)
-    sigma: np.ndarray = field(init=False, repr=False)
-    xi_norm: np.ndarray = field(init=False, repr=False)
     gamma: np.ndarray = field(init=False, repr=False)
     gamma_dot: np.ndarray = field(init=False, repr=False)
-    epf_norm: np.ndarray = field(init=False, repr=False)
     positions: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n, tab = self.config.n, self.table
-        self.t, self.sigma, self.xi_norm = tab[:, 0], tab[:, 1], tab[:, 2]
-        self.gamma, self.gamma_dot, self.epf_norm = (
-            tab[:, 3 + k * n : 3 + (k + 1) * n] for k in range(3)
-        )
-        self.positions = tab[:, 3 + 3 * n :].reshape(-1, n, 3)
+        n, states = self.config.n, self.states
+        self.gamma, self.gamma_dot = states[:, :n], states[:, n : 2 * n]
+        self.positions = states[:, 2 * n :].reshape(-1, n, 3)
+
+    @property
+    def t(self) -> np.ndarray:
+        """Time of each row, ``k * dt``."""
+        return _times(0, len(self.sigma), self.config.dt)
+
+    @property
+    def t_end(self) -> float:
+        """Time of the last row, ``t[-1]``."""
+        return (len(self.sigma) - 1) * float(self.config.dt)
+
+    @property
+    def xi_norm(self) -> np.ndarray:
+        """Coordination error of each row; may be inf."""
+        return np.concatenate([self._derived(lo)[1] for lo in self._blocks()])
+
+    @property
+    def epf_norm(self) -> np.ndarray:
+        """Path-error norm of each vehicle at each row, ``(rows, n)``."""
+        return np.concatenate([self._derived(lo)[2] for lo in self._blocks()])
+
+    def _blocks(self) -> range:
+        return range(0, len(self.sigma), RATE_BLOCK)
+
+    def _derived(self, lo: int, hi: int | None = None) -> tuple[np.ndarray, ...]:
+        """``(t, xi_norm, epf_norm)`` of the rows ``lo`` up to ``hi``
+        (default: ``RATE_BLOCK`` rows), from one call of each kernel."""
+        cfg, n = self.config, self.config.n
+        hi = min(len(self.sigma), lo + RATE_BLOCK if hi is None else hi)
+        t = _times(lo, hi, cfg.dt)
+        gamma, gamma_dot = self.gamma[lo:hi], self.gamma_dot[lo:hi]
+        rate = cfg.mission_profile().rate(t)[:, None]
+        q = build_projection(n) if n >= 2 else None
+        # the run's numeric policy: an overflow here is an inf in the column
+        with np.errstate(over="ignore", invalid="ignore"):
+            xi_norm = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]
+            e = cfg.trajectory_family().pos_vel_all(gamma)[0]
+            return t, xi_norm, row_norms(np.subtract(e, self.positions[lo:hi], e))
 
     @property
     def arrived(self) -> bool:
@@ -807,8 +859,8 @@ class MetricsLog:
         times start clamping at ``t_f`` the error closes to zero by
         construction.  Clamping sets them to exactly ``t_f``."""
         clamped = (self.gamma >= self.config.t_f).any(axis=1)
-        first = int(clamped.argmax()) if clamped.any() else len(self.t)
-        return float(self.xi_norm[first - 1])
+        last = (int(clamped.argmax()) if clamped.any() else len(self.sigma)) - 1
+        return float(self._derived(last, last + 1)[1][0])
 
     @property
     def comm_amount(self) -> float:
@@ -830,11 +882,13 @@ class MetricsLog:
 
 def _segments(log: MetricsLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(start, end, sigma)`` of the constant-topology segments that tile
-    ``[0, t_end]``, from the logged ``t`` and ``sigma`` columns; a switch
-    at the last sample leaves a last segment of length 0."""
-    first = np.flatnonzero(np.concatenate(([True], log.sigma[1:] != log.sigma[:-1])))
-    start = log.t[first]
-    return start, np.append(start[1:], log.t[-1]), log.sigma[first].astype(int)
+    ``[0, t_end]``, from the logged ``sigma``, with the time ``k dt`` taken
+    only at the rows ``k`` where it changes; a switch at the last sample
+    leaves a last segment of length 0."""
+    sigma = log.sigma
+    first = np.flatnonzero(np.concatenate(([True], sigma[1:] != sigma[:-1])))
+    start = first * float(log.config.dt)
+    return start, np.append(start[1:], log.t_end), sigma[first]
 
 
 def run_scenario(config: ScenarioConfig) -> MetricsLog:
@@ -843,44 +897,39 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
     world = init_world(config)
     n, dt = config.n, config.dt
     n_steps = int(round(config.t_max / dt))
-    q = world.cert.q if world.cert is not None else (
-        build_projection(n) if n >= 2 else None
-    )
 
     # one numeric policy for the whole run: an overflow or invalid operation
     # is not reported by numpy but by the finite checks of the schedule and
     # of the step (_check_state), which name the field and the time
     with np.errstate(over="ignore", invalid="ignore"):
         sigma, aux_v = _topology_schedule(config, world.cert, n_steps)
-        table = np.empty((n_steps + 1, 3 + 6 * n))
-        # the logged state: views of the table's columns and of the world's x
-        log_rates, log_pos = table[:, 3 : 3 + 2 * n], table[:, 3 + 3 * n :]
-        rates_now, pos_now = world.x[: 2 * n], world.x[2 * n : 5 * n]
-        log_rates[0], log_pos[0] = rates_now, pos_now
-        topologies = sigma.tolist()  # a list index costs less than int(sigma[k])
+        states = np.empty((n_steps + 1, 5 * n))
+        logged = world.x[: 5 * n]  # [gamma | gamma_dot | p], a view
+        states[0] = logged
         for k in range(n_steps):
             j = k % RATE_BLOCK
             if j == 0:
-                r_now, r_mid, r_end = _step_rates(
-                    world.profile, k, min(RATE_BLOCK, n_steps - k), dt
-                )
+                count = min(RATE_BLOCK, n_steps - k)
+                r_now, r_mid, r_end = _step_rates(world.profile, k, count, dt)
+                # a list index costs less than int(sigma[k])
+                topologies = sigma[k : k + count].tolist()
             # each rate as a 0-d view: cheaper to operate on than a NumPy scalar
             step(
                 world,
-                topologies[k],
+                topologies[j],
                 (r_now[j, ...], r_mid[j, ...], r_end[j, ...], r_now[j + 1, ...]),
             )
-            log_rates[k + 1], log_pos[k + 1] = rates_now, pos_now
+            states[k + 1] = logged
             if world.all_arrived:
                 break
 
         rows = world.step_idx + 1
-        table = table[:rows]
-        table[:, 1] = sigma[:rows]
-        violations = _measure(world, table, q)
+        states, sigma = states[:rows], sigma[:rows]
+        violations = _measure(world, states, sigma)
     log = MetricsLog(
         config=config,
-        table=table,
+        states=states,
+        sigma=sigma,
         aux_v=aux_v[:rows] if aux_v is not None else None,
         tau_f=world.t if world.all_arrived else None,
         violations=violations,
@@ -888,35 +937,33 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
         final_state=dict(gamma=world.gamma, gamma_dot=world.gamma_dot, p=world.p, v=world.v),
     )
     if config.mode == MODE_BIDIRECTIONAL and n >= 2:
-        log.lambda_hat_t, log.lambda_hat = pe_connectivity(log, config.pe_window, q)
+        log.lambda_hat_t, log.lambda_hat = pe_connectivity(
+            log, config.pe_window, build_projection(n)
+        )
     return log
 
 
-def _measure(world: SimWorld, table: np.ndarray, q) -> list[Violation]:
-    """Fill the ``t``, ``xi_norm`` and ``epf_norm`` columns of the log
-    ``table`` from its state and ``sigma`` columns, ``RATE_BLOCK`` rows per
-    kernel call, and return the feasibility records of its rows.  A vehicle
+def _measure(world: SimWorld, states: np.ndarray, sigma: np.ndarray) -> list[Violation]:
+    """The feasibility records of the logged ``states`` under the topology
+    indices ``sigma``, ``RATE_BLOCK`` rows per kernel call.  A vehicle
     whose virtual time reached ``t_f`` has arrived and is not checked (its
     acceleration is not read)."""
     cfg, n = world.config, world.config.n
     bounds = (cfg.gamma_dot_max, cfg.gamma_ddot_max)
     violations: list[Violation] = []
-    for lo in range(0, len(table), RATE_BLOCK):
-        block = table[lo : lo + RATE_BLOCK]
-        t = np.arange(lo, lo + len(block)) * cfg.dt
+    for lo in range(0, len(states), RATE_BLOCK):
+        block = states[lo : lo + RATE_BLOCK]
+        t = _times(lo, lo + len(block), cfg.dt)
         rate = world.profile.rate(t)[:, None]
-        gamma, gamma_dot = block[:, 3 : 3 + n], block[:, 3 + n : 3 + 2 * n]
-        lap = world.laplacians[block[:, 1].astype(int) - 1]
-        p = block[:, 3 + 3 * n :].reshape(-1, n, 3)
+        gamma, gamma_dot = block[:, :n], block[:, n : 2 * n]
+        lap = world.laplacians[sigma[lo : lo + len(block)] - 1]
         pe = world.fam.pos_vel_all(gamma)
-        np.subtract(pe[0], p, pe[0])  # [path errors | desired velocities]
+        # [path errors | desired velocities]
+        np.subtract(pe[0], block[:, 2 * n :].reshape(-1, n, 3), pe[0])
         alpha = coordctrl.path_error_feedback_all(pe, cfg.delta)
         gamma_ddot = coordctrl.coordination_accel_matrix(
             gamma, gamma_dot, lap, alpha, rate, cfg.a, -cfg.b
         )
-        block[:, 0] = t
-        block[:, 2] = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]  # may be inf
-        block[:, 3 + 2 * n : 3 + 3 * n] = row_norms(pe[0])
         flying = gamma < cfg.t_f  # the logged state is finite
         violations += coordctrl.feasibility_check(gamma_dot, gamma_ddot, bounds, t, flying)
     return violations
@@ -933,7 +980,7 @@ def pe_connectivity(
     the integrand is symmetrized before the eigensolve so the quantity is
     well defined on directed histories too.
     """
-    duration = float(log.t[-1])
+    duration = log.t_end
     if window > duration:
         warnings.warn(
             f"connectivity window {window} s exceeds run duration {duration} s; "
@@ -950,7 +997,14 @@ def pe_connectivity(
     seg_integral = (seg_end - seg_start)[:, None, None] * projected[seg_sigma - 1]
     cum = np.concatenate((np.zeros((1, n - 1, n - 1)), np.cumsum(seg_integral, axis=0)))
 
-    ts = log.t[log.t >= window - 1e-12]
+    # the window ends: the samples k dt >= window - 1e-12, from the first
+    # such k on; k dt is monotone in k, so counting up from an estimate
+    # below that k finds it
+    dt, start = float(log.config.dt), window - 1e-12
+    k0 = max(0, math.ceil(start / dt) - 1)
+    while k0 * dt < start:
+        k0 += 1
+    ts = _times(k0, len(log.sigma), dt)
     out = np.empty(len(ts))
     scale = 1.0 / (n * window)
     for lo in range(0, len(ts), PE_CHUNK):
@@ -977,7 +1031,7 @@ def summary_dict(log: MetricsLog) -> dict:
         "mode": log.config.mode,
         "n": log.config.n,
         "dt": log.config.dt,
-        "t_end": float(log.t[-1]),
+        "t_end": log.t_end,
         "arrived": log.arrived,
         "tau_f": log.tau_f,
         "comm_amount": log.comm_amount,
@@ -997,22 +1051,30 @@ def summary_dict(log: MetricsLog) -> dict:
 
 def write_outputs(log: MetricsLog, outdir: str) -> dict:
     """Write ``metrics.csv``, ``switches.csv`` and ``summary.json``; return
-    the summary written."""
+    the summary written.  ``metrics.csv`` has the columns ``t``, ``sigma``,
+    ``xi_norm``, then ``n`` each of ``gamma``, ``gamma_dot`` and
+    ``epf_norm``, then ``px, py, pz`` per vehicle; it is assembled
+    ``RATE_BLOCK`` rows at a time and formatted a row at a time, one ``%``
+    of the row template over the row's numbers, so that nothing larger
+    than a row is allocated for its text."""
     os.makedirs(outdir, exist_ok=True)
-    n = log.config.n
+    n, rows = log.config.n, len(log.sigma)
     cols = ["t", "sigma", "xi_norm"]
     for name in ("gamma", "gamma_dot", "epf_norm"):
         cols += [f"{name}_{i}" for i in range(1, n + 1)]
     cols += [f"p{c}_{i}" for i in range(1, n + 1) for c in "xyz"]
-    fmts = ["%.12g", "%d"] + ["%.12g"] * (len(cols) - 2)
-    np.savetxt(
-        os.path.join(outdir, "metrics.csv"),
-        log.table,
-        fmt=fmts,
-        delimiter=",",
-        header=",".join(cols),
-        comments="",
-    )
+    template = ",".join(["%.12g", "%d"] + ["%.12g"] * (len(cols) - 2)) + "\n"
+    buffer = np.empty((RATE_BLOCK, len(cols)))
+    with open(os.path.join(outdir, "metrics.csv"), "w", encoding="utf-8") as f:
+        f.write(",".join(cols) + "\n")
+        for lo in log._blocks():
+            block = buffer[: min(RATE_BLOCK, rows - lo)]
+            block[:, 0], block[:, 2], block[:, 3 + 2 * n : 3 + 3 * n] = log._derived(lo)
+            block[:, 1] = log.sigma[lo : lo + len(block)]
+            block[:, 3 : 3 + 2 * n] = log.states[lo : lo + len(block), : 2 * n]
+            block[:, 3 + 3 * n :] = log.states[lo : lo + len(block), 2 * n :]
+            for row in block.tolist():
+                f.write(template % tuple(row))
     with open(os.path.join(outdir, "switches.csv"), "w", encoding="utf-8") as f:
         f.write("time,old_sigma,new_sigma\n")
         for t, old, new in log.switch_log:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from ._einsum import einsum
+from .errors import NumericError
 
 # The decay of pos_vel_all's envelope as a read-only 0-d float64 array: an
 # operation on an array with one costs less than with a Python float, with
@@ -231,7 +232,13 @@ def saturate(rows: np.ndarray, limit: float, bound: float) -> None:
     exceeds ``limit`` to norm ``limit``, keeping its direction: each row is
     multiplied by ``limit / max(norm, limit)``, the norm as ``row_norms``
     takes it, so every row of a stack has the bits of a call on its own
-    sample.
+    sample.  A row of finite entries whose squared norm overflows (entries
+    of about ``1.3e154`` and above) would take a factor of 0; it raises
+    NumericError instead, and ``rows`` is left as it was.  A row with a
+    non-finite entry takes its factor like any other (0 for an infinity, a
+    NaN for a NaN); the caller's finite check names it.  The overflow is
+    looked for only when the dot ``d`` below is not finite, which it is
+    whenever such a row is present.
 
     That factor is exactly 1.0 on a row with ``norm <= limit``, so the
     multiply is skipped when one BLAS dot of all ``k <= K = 2**20`` entries
@@ -269,9 +276,19 @@ def saturate(rows: np.ndarray, limit: float, bound: float) -> None:
     and ``B (K + 3) u / 2 >= 2**-994 > 3 eta``: ``s_i < B``.  One margin,
     that of the largest ``k``, serves every smaller one, which only
     refuses more."""
-    if rows.size <= _DOT_TERMS_MAX and _vdot(rows, rows) <= bound:
+    dot = _vdot(rows, rows) if rows.size <= _DOT_TERMS_MAX else math.inf
+    if dot <= bound:
         return
-    rows *= (limit / np.maximum(row_norms(rows), limit))[..., None]
+    norms = row_norms(rows)
+    if not math.isfinite(dot):
+        overflow = np.isinf(norms) & np.isfinite(rows).all(axis=-1)
+        if overflow.any():
+            idx = tuple(np.argwhere(overflow)[0].tolist())
+            raise NumericError(
+                f"the squared norm of row {idx}, every entry finite, overflows "
+                f"in a saturation (largest entry {float(np.abs(rows[idx]).max()):.6g})"
+            )
+    rows *= (limit / np.maximum(norms, limit))[..., None]
 
 
 def apply_disturbance(

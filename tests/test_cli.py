@@ -486,7 +486,7 @@ class TestRefusal:
             argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
             assert cli.main(argv) == 0, capsys.readouterr().out
 
-    @pytest.mark.parametrize("rate_base", [1e154, 1e300])
+    @pytest.mark.parametrize("rate_base", [1e154])
     def test_huge_rate_fails_feasibility_quietly(self, tmp_path, capsys, rate_base):
         # a finite state whose sum of squares overflows, and a coordination
         # error whose squared norm does: the run ends on the feasibility
@@ -498,12 +498,50 @@ class TestRefusal:
             assert cli.main(argv) == 1
         assert "feasibility violation: vehicle 1 accel bound at t=0 " in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            (
+                {"rate_base": 1e200, "t_max": 0.02},
+                "the squared norm of row (0,), every entry finite, overflows in a "
+                "saturation (largest entry 3.64e+197), in the step from t=0",
+            ),
+            (
+                {"rate_base": 1e300, "t_max": 0.2},
+                "the squared norm of row (0,), every entry finite, overflows in a "
+                "saturation (largest entry 3.64e+297), in the step from t=0",
+            ),
+            (
+                {"rate_final": 2e307, "t_f": 1e308, "ramp_start": 0.05, "ramp_duration": 0.1,
+                 "t_max": 0.2},
+                "the squared norm of row (0,), every entry finite, overflows in a "
+                "saturation (largest entry 5.4418e+300), in the step from t=0.05",
+            ),
+        ],
+        ids=["rate_base-1e200", "rate_base-1e300", "rate_final-2e307"],
+    )
+    def test_overflowing_command_is_one_numeric_failure(self, tmp_path, capsys, override, message):
+        # the rate carries the target velocity, so the PD command of
+        # vehicle 1 holds finite entries whose squared norm overflows: the
+        # saturation refuses it (it would scale it to zero) and the run
+        # ends in one numeric failure naming the row and the step's time,
+        # with no numpy warning on the way
+        path = shipped_with(tmp_path, override)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
+            assert cli.main(argv) == 2
+        assert capsys.readouterr().out == f"numeric failure: {message}\n"
+
     @pytest.mark.parametrize("rate_final, t", [(2e307, 0.129), (6e307, 0.086)])
     def test_runtime_overflow_is_one_numeric_failure(self, tmp_path, rate_final, t):
         # the rate term stays finite at t = 0 and t_max, so the config is
         # admitted; the RK4 combination overflows inside the ramp, and the
-        # state check reports it: exit 2, with no numpy warning on the way
+        # state check reports it: exit 2, with no numpy warning on the way.
+        # Gains of 1e-160 keep every PD command's squared norm finite, which
+        # the saturation would refuse first at the shipped gains (above)
         override = {"rate_final": rate_final, "t_f": 1e308, "ramp_start": 0.05}
+        override.update(kp=1e-160, kd=1e-160)
         path = shipped_with(tmp_path, {**override, "ramp_duration": 0.1, "t_max": 0.2})
         argv = ["run", "--config", path, "--out", str(tmp_path / "out")]
         proc = subprocess.run(
@@ -518,9 +556,9 @@ class TestRefusal:
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_overflowed_coordination_error_is_null(self, tmp_path, capsys, caplog, as_json):
-        # rate_base 1e200: the coordination error overflows to inf, and the
+        # rate_base 1e154: the coordination error overflows to inf, and the
         # run ends on the feasibility check; its summary is strict JSON
-        path = shipped_with(tmp_path, {"rate_base": 1e200, "t_max": 0.02})
+        path = shipped_with(tmp_path, {"rate_base": 1e154, "t_max": 0.02})
         out = tmp_path / "out"
         argv = ["run", "--config", path, "--out", str(out)]
         assert cli.main(argv + ["--json"] * as_json) == 1
@@ -537,7 +575,7 @@ class TestRefusal:
         # with a short baseline; both documents are strict JSON and the
         # table prints the null, with no exception on the way; the short
         # baseline warns that its connectivity window exceeds the run
-        directed = shipped_with(tmp_path, {"rate_base": 1e200, "t_max": 0.02})
+        directed = shipped_with(tmp_path, {"rate_base": 1e154, "t_max": 0.02})
         raw = json.loads((SHIPPED / "bidirectional.json").read_text())
         baseline = tmp_path / "baseline.json"
         baseline.write_text(json.dumps({**raw, "t_max": 0.02}))
@@ -806,11 +844,14 @@ ONE_ROW_1E200 = [[1e200] * 3, *ROWS[1:]]
 class TestAdmissionProperty:
     # validate, then run for at most 20 steps, of 1 to 3 edge fields: exit 0
     # with a finite summary, or exit 1 on the feasibility check, or exit 1
-    # refused naming a field with no --out made; never exit 2, a traceback
-    # or a raw numpy warning, and every document and summary.json is strict
-    # JSON.  The examples are refusals of the table of first evaluations in
-    # certify, of a dwell bound that is not finite, and an overflowed
-    # coordination error written as null.
+    # refused naming a field with no --out made, or exit 2 from the run as
+    # the saturation's refusal of a command whose squared norm overflows
+    # (a rate of 1e200 carries the target velocity there within a step);
+    # never a traceback or a raw numpy warning, and every document and
+    # summary.json is strict JSON.  The examples are refusals of the table
+    # of first evaluations in certify, of a dwell bound that is not finite,
+    # an overflowed coordination error written as null and a refused
+    # command.
     @settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=edge_cases)
     @example(case=("directed.json", {"rate_base": 1e308}))
@@ -825,6 +866,7 @@ class TestAdmissionProperty:
     @example(case=("directed.json", {"initial_positions": ONE_ROW_1E200}))
     @example(case=("bidirectional.json", {"initial_velocities": ONE_ROW_1E200}))
     @example(case=("directed.json", {"a": 1e-310}))
+    @example(case=("directed.json", {"rate_base": 1e154}))
     @example(case=("directed.json", {"rate_base": 1e200}))
     def test_edge_config_runs_or_is_refused_naming_a_field(self, tmp_path, capsys, case):
         shipped, override = case
@@ -842,9 +884,17 @@ class TestAdmissionProperty:
                     code = cli.main([*argv, "--json"])
                 captured = capsys.readouterr()
                 assert "Traceback" not in captured.out + captured.err
-                assert code in (0, 1), captured.out
+                assert code in (0, 1) or (argv[0], code) == ("run", 2), captured.out
                 docs.append((code, strict_json(captured.out)))
             (validated, report), (ran, summary) = docs
+            if ran == 2:
+                assert validated == 0, report
+                assert summary["ok"] is False and re.fullmatch(
+                    r"the squared norm of row \(\d+,\), every entry finite, overflows in a "
+                    r"saturation \(largest entry \S+\), in the step from t=\S+",
+                    summary["error"],
+                ), summary
+                return
             if validated == 1:
                 refusal = report["checks"][0]["detail"] if "checks" in report else report["error"]
                 assert FIELD_NAMED.search(refusal), refusal
@@ -852,7 +902,7 @@ class TestAdmissionProperty:
                 assert not os.path.exists(out)
                 return
             # a run stopped by the feasibility check may have overflowed its
-            # coordination error (rate_base 1e200: final_xi_norm is null)
+            # coordination error (rate_base 1e154: final_xi_norm is null)
             assert (ran == 1) == ("first_violation" in summary) and "ok" not in summary, summary
             written = strict_json(Path(out, "summary.json").read_text())
             assert written == {k: v for k, v in summary.items() if k != "first_violation"}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from coordsim._einsum import einsum
 from coordsim.coordctrl import _bind_accel, coordination_accel_matrix
 from coordsim.digraph import Digraph, laplacians
+from coordsim.errors import NumericError
 from coordsim.simharness import MAX_SYNTHESIS_N
 from coordsim.vehicle import (
     LaneSweepFamily,
@@ -182,13 +183,21 @@ def rows_for_the_dot_test(draw):
 def test_dot_fast_path_never_skips_a_factor_that_is_not_one(case):
     # saturate skips the multiply when one dot of every entry is at most
     # dot_bound: then the unconditional factor is exactly 1.0 on every row
+    # (the bytes are pinned where every row of finite entries has a finite
+    # norm; where one overflows the call is refused and leaves the rows)
     rows, limit = case
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        factor = limit / np.maximum(row_norms(rows), limit)
+        norms = row_norms(rows)
+        factor = limit / np.maximum(norms, limit)
         expected = rows * factor[:, None]
         if np.vdot(rows, rows) <= dot_bound(limit):
             assert (factor == 1.0).all()
-        saturate(rows, limit, dot_bound(limit))
+        if (np.isinf(norms) & np.isfinite(rows).all(axis=1)).any():
+            expected = rows.copy()
+            with pytest.raises(NumericError, match="overflows in a saturation"):
+                saturate(rows, limit, dot_bound(limit))
+        else:
+            saturate(rows, limit, dot_bound(limit))
     assert rows.tobytes() == expected.tobytes()
 
 

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import math
 import re
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import fields, replace
@@ -328,22 +329,50 @@ class TestSchedule:
 def synthetic_log(family, sigma, t_end):
     """Minimal log carrying only what the integral metrics need: samples
     evenly spaced over ``[0, t_end]``, one per entry of ``sigma``, the
-    topology index of each."""
+    topology index of each.  The samples are ``dt = t_end / (len(sigma) -
+    1)`` apart, exactly 1.0 or 0.5 in every use, so ``t`` is the evenly
+    spaced timeline the tests expect."""
     n = family[0].n
-    table = np.zeros((len(sigma), 3 + 6 * n))
-    table[:, 0] = np.linspace(0.0, t_end, len(sigma))
-    table[:, 1] = sigma
-    table[:, 3 + n : 3 + 2 * n] = 1.0  # gamma_dot
-    return MetricsLog(
+    states = np.zeros((len(sigma), 5 * n))
+    states[:, n : 2 * n] = 1.0  # gamma_dot
+    log = MetricsLog(
         config=ScenarioConfig(
-            n=n, topology_family=family, mu_list=[0.1] * len(family), phi0=[1.0] * (n - 1)
+            n=n,
+            topology_family=family,
+            mu_list=[0.1] * len(family),
+            phi0=[1.0] * (n - 1),
+            dt=t_end / (len(sigma) - 1),
         ),
-        table=table,
+        states=states,
+        sigma=np.array(sigma),
         aux_v=None,
         tau_f=None,
         violations=[],
         certificate=None,
         final_state={},
+    )
+    assert np.array_equal(log.t, np.linspace(0.0, t_end, len(sigma)))
+    return log
+
+
+def same_log(first, second) -> bool:
+    """Whether two logs hold the same bits: the stored state, schedule and
+    auxiliary energy, every per-row attribute derived from them, and the
+    headline numbers."""
+    for name in (
+        "states", "sigma", "aux_v", "t", "xi_norm", "epf_norm", "gamma", "gamma_dot",
+        "positions",
+    ):
+        a, b = getattr(first, name), getattr(second, name)
+        if (a is None) != (b is None):
+            return False
+        if a is not None and not (
+            a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+        ):
+            return False
+    return all(
+        getattr(first, name) == getattr(second, name)
+        for name in ("t_end", "tau_f", "switch_log", "comm_amount", "final_xi_norm")
     )
 
 
@@ -1059,7 +1088,7 @@ class TestOutputs:
     )
     def test_runs_are_deterministic(self, make_config):
         first, second = run_scenario(make_config()), run_scenario(make_config())
-        assert np.array_equal(first.table, second.table)
+        assert same_log(first, second)
         assert first.switch_log == second.switch_log and first.switch_log
 
 
@@ -1161,6 +1190,47 @@ class TestByteLevelPin:
         assert observed == digests
 
 
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced during the call,
+    above what was traced when it began."""
+    before = tracemalloc.get_traced_memory()[0]
+    tracemalloc.reset_peak()
+    out = fn(*args)
+    return out, tracemalloc.get_traced_memory()[1] - before
+
+
+class TestLogMemory:
+    # a run keeps the state it integrates, 5 n floats a logged step, and
+    # the schedule's sigma and aux_v, 16 bytes a step; t, the float sigma
+    # column, xi_norm and epf_norm are derived where they are read, and
+    # metrics.csv is assembled and formatted RATE_BLOCK rows at a time.
+    # SLACK covers what does not grow with the run: the world and its
+    # workspace, the switching law's stacked RK4 powers, and the blocks of
+    # the post-pass (about 300 kB together)
+    SLACK = 450_000
+
+    def test_traced_peaks_of_run_and_write(self, tmp_path):
+        cfg = ScenarioConfig(t_max=5.0)
+        n, n_steps = cfg.n, int(round(cfg.t_max / cfg.dt))
+        run_scenario(replace(cfg, t_max=0.01))  # caches filled on first use
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            log, run_peak = traced_peak(run_scenario, cfg)
+            _, write_peak = traced_peak(write_outputs, log, str(tmp_path))
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        rows = len(log.sigma)
+        assert rows == n_steps + 1 and log.tau_f is None
+        assert run_peak <= rows * 5 * n * 8 + 16 * (n_steps + 1) + self.SLACK
+        # a block's numbers as Python floats, and the text of one row at a
+        # time, are about 6 blocks of float64; the whole table would be 20
+        block = simharness.RATE_BLOCK * (6 * n + 3) * 8
+        assert write_peak <= 10 * block
+
+
 class TestRateBlocks:
     def test_block_size_moves_no_bit(self, monkeypatch):
         # the ramp-crossing pin under a tight rate envelope, its rates
@@ -1174,8 +1244,7 @@ class TestRateBlocks:
         monkeypatch.setattr(simharness, "RATE_BLOCK", 7)
         log = run_scenario(cfg)
         assert ref.violations and log.tau_f == ref.tau_f
-        assert np.array_equal(log.table, ref.table)
-        assert np.array_equal(log.aux_v, ref.aux_v)
+        assert same_log(log, ref)
         assert log.violations == ref.violations
 
     def test_step_rates_at_the_loops_times(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coordsim.errors import NumericError
 from coordsim.vehicle import (
     LaneSweepFamily,
     PDGains,
@@ -267,6 +268,25 @@ def stacks_around_a_limit(draw):
     return np.array(stack), limit
 
 
+def overflows(rows) -> bool:
+    """Whether some row of finite entries has a squared norm that
+    overflows, which ``saturate`` refuses."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.einsum("...j,...j->...", rows, rows))
+    return bool((np.isinf(norms) & np.isfinite(rows).all(axis=-1)).any())
+
+
+def refused(rows, limit) -> bool:
+    """Whether ``saturate`` raised NumericError on ``rows`` and left them
+    as they were."""
+    before = rows.tobytes()
+    try:
+        saturate(rows, limit, dot_bound(limit))
+    except NumericError as exc:
+        return "overflows" in str(exc) and rows.tobytes() == before
+    return False
+
+
 def saturated_per_sample(stack, limit):
     expected = stack.copy()
     for sample in expected:
@@ -303,9 +323,15 @@ class TestSaturate:
     @given(case=rows_around_a_limit())
     def test_same_bytes_as_unconditional_factor(self, case):
         # the squared-norm test skips the multiply only where the factor is
-        # exactly 1.0; inf rows multiply inf by a factor of 0
+        # exactly 1.0; inf rows multiply inf by a factor of 0.  The bytes
+        # are pinned where no row of finite entries has a squared norm that
+        # overflows (every finite row's norm is finite); where one does,
+        # the call is refused instead of scaling that row to 0
         rows, limit = case
         with np.errstate(over="ignore", invalid="ignore"):
+            if overflows(rows):
+                assert refused(rows, limit)
+                return
             expected = rows * (limit / np.maximum(row_norms(rows), limit))[:, None]
             saturate(rows, limit, dot_bound(limit))
         assert rows.tobytes() == expected.tobytes()
@@ -317,6 +343,9 @@ class TestSaturate:
         # factor is then exactly 1.0 on the samples that alone skip it
         stack, limit = case
         with np.errstate(over="ignore", invalid="ignore"):
+            if overflows(stack):
+                assert refused(stack, limit)
+                return
             expected = saturated_per_sample(stack, limit)
             saturate(stack, limit, dot_bound(limit))
         assert stack.tobytes() == expected.tobytes()
@@ -341,6 +370,40 @@ class TestSaturate:
         expected = branch_free(rows, 5.0)
         saturate(rows, 5.0, dot_bound(5.0))
         assert rows.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1e200, 0.0, 0.0]],
+            [[1.0, 0.0, 0.0], [0.0, -1.3e154, 1.3e154]],
+            [[[1.0, 0.0, 0.0]], [[0.0, 0.0, 2e160]]],
+            [[np.nan, 0.0, 0.0], [1e200, 0.0, 0.0]],
+        ],
+        ids=["one-row", "second-row", "stack", "beside-a-nan"],
+    )
+    def test_overflowing_finite_row_is_refused(self, rows):
+        # the factor of such a row would be limit / inf = 0: a finite
+        # command or velocity scaled to zero without a word
+        assert refused(np.array(rows), 5.0)
+
+    def test_overflow_looked_for_only_when_the_dot_is_not_finite(self, monkeypatch):
+        # the skip path and the finite factor path make no call beyond the
+        # dot, the norms and the factor
+        calls = []
+        isinf = np.isinf
+        monkeypatch.setattr(np, "isinf", lambda *a: calls.append(a) or isinf(*a))
+        bound = dot_bound(5.0)
+        for rows, looked in (
+            (self.UNDER, False), (self.OVER, False), ([[np.inf, 0.0, 0.0]], True),
+            ([[1e200, 0.0, 0.0]], True),
+        ):
+            calls.clear()
+            with np.errstate(invalid="ignore"):
+                try:
+                    saturate(np.array(rows), 5.0, bound)
+                except NumericError:
+                    pass
+            assert bool(calls) == looked
 
 
 class TestDisturbance:
