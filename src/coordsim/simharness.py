@@ -14,10 +14,10 @@ RK4 stage times.  ``init_world`` binds each world's step once, in
 combination over views of its state and workspace, with the kernels
 bound to their scratch, so a step runs its numpy calls and little else.
 The loop logs the state it integrates, ``[gamma | gamma_dot | p]``, and
-nothing else; one pass after it derives the feasibility records from the
-logged state, ``RATE_BLOCK`` rows per kernel call.  The time, the
-coordination error and the path-error norms are derived where they are
-read, from the logged state and the schedule.
+the schedule, and nothing else.  Everything the log reports is derived
+from those rows where it is read, ``RATE_BLOCK`` rows per kernel call: the
+time, the coordination error and the path-error norms on each read, the
+feasibility records and the windowed connectivity on the first.
 
 Communication cost and windowed connectivity are integrated exactly over
 the piecewise-constant topology history instead of being sampled, so the
@@ -33,6 +33,7 @@ import numbers
 import os
 import warnings
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -77,9 +78,9 @@ MAX_SYNTHESIS_N = 40
 # baseline run's windows at once raised its peak memory by half
 PE_CHUNK = 256
 # steps per call of the mission-rate profile and per read of the schedule in
-# run_scenario, and log rows per call of each kernel in its post-pass, in the
-# derived columns of MetricsLog and in metrics.csv: one call per block, not
-# per RK4 stage or row, and no temporaries the size of the whole log
+# run_scenario, and log rows per call of each kernel in MetricsLog._rows and
+# per block of metrics.csv: one call per block, not per RK4 stage or row,
+# and no temporaries the size of the whole log
 RATE_BLOCK = 256
 
 
@@ -769,26 +770,26 @@ class MetricsLog:
     the state the loop integrates, ``[gamma | gamma_dot | p]``, ``5 n``
     floats, of which ``gamma``, ``gamma_dot`` and ``positions`` (``(rows,
     n, 3)``) are views; ``sigma`` is the schedule's integer topology index
-    of each row.  The rest is derived where it is read: ``t`` is ``k *
+    of each row into the float stack ``laplacians``.  The rest is derived
+    from the rows, ``RATE_BLOCK`` at a time through ``_rows``, each row
+    with the bits of a call on it alone.  On each read: ``t`` is ``k *
     dt``, and ``xi_norm`` and ``epf_norm`` are the coordination error at
     the desired rate of each row's time and each vehicle's path-error
-    norm, ``RATE_BLOCK`` rows per kernel call, each row with the bits of a
-    call on it alone.  ``_measure`` gives ``violations``.  The log ends at
-    arrival (``tau_f``) or at ``t_max``.  The switch log, arrival, observed
-    dwell, final coordination error and communication amount are derived
-    from ``sigma`` and the state; edge counts and Laplacians come from
-    ``config.topology_family``."""
+    norm.  On the first read, then kept: the feasibility records
+    ``violations``, and the windowed connectivity ``lambda_hat`` at the
+    times ``lambda_hat_t`` (None but in bidirectional mode with ``n >=
+    2``).  The log ends at arrival (``tau_f``) or at ``t_max``.  The
+    switch log, arrival, observed dwell, final coordination error and
+    communication amount are derived from ``sigma`` and the state."""
 
     config: ScenarioConfig
     states: np.ndarray
     sigma: np.ndarray
+    laplacians: np.ndarray
     aux_v: np.ndarray | None
     tau_f: float | None
-    violations: list[Violation]
     certificate: SwitchingCertificate | None
     final_state: dict
-    lambda_hat_t: np.ndarray | None = None
-    lambda_hat: np.ndarray | None = None
     gamma: np.ndarray = field(init=False, repr=False)
     gamma_dot: np.ndarray = field(init=False, repr=False)
     positions: np.ndarray = field(init=False, repr=False)
@@ -821,20 +822,54 @@ class MetricsLog:
     def _blocks(self) -> range:
         return range(0, len(self.sigma), RATE_BLOCK)
 
-    def _derived(self, lo: int, hi: int | None = None) -> tuple[np.ndarray, ...]:
-        """``(t, xi_norm, epf_norm)`` of the rows ``lo`` up to ``hi``
-        (default: ``RATE_BLOCK`` rows), from one call of each kernel."""
-        cfg, n = self.config, self.config.n
+    def _rows(self, lo: int, hi: int | None = None) -> tuple[np.ndarray, ...]:
+        """``(t, rate, gamma, gamma_dot, pe)`` of the rows ``lo`` up to
+        ``hi`` (default: ``RATE_BLOCK`` rows): the times, the desired rate
+        at each as a column, the logged virtual times and rates, and ``pe =
+        [p_d - p | v_d]``, from one call of each kernel."""
+        cfg = self.config
         hi = min(len(self.sigma), lo + RATE_BLOCK if hi is None else hi)
-        t = _times(lo, hi, cfg.dt)
-        gamma, gamma_dot = self.gamma[lo:hi], self.gamma_dot[lo:hi]
-        rate = cfg.mission_profile().rate(t)[:, None]
-        q = build_projection(n) if n >= 2 else None
+        t, gamma = _times(lo, hi, cfg.dt), self.gamma[lo:hi]
+        pe = cfg.trajectory_family().pos_vel_all(gamma)
+        np.subtract(pe[0], self.positions[lo:hi], pe[0])
+        return t, cfg.mission_profile().rate(t)[:, None], gamma, self.gamma_dot[lo:hi], pe
+
+    def _derived(self, lo: int, hi: int | None = None) -> tuple[np.ndarray, ...]:
+        """``(t, xi_norm, epf_norm)`` of the rows ``_rows`` takes."""
+        q = build_projection(self.config.n) if self.config.n >= 2 else None
         # the run's numeric policy: an overflow here is an inf in the column
         with np.errstate(over="ignore", invalid="ignore"):
+            t, rate, gamma, gamma_dot, pe = self._rows(lo, hi)
             xi_norm = coordctrl.coordination_error(gamma, gamma_dot, q, rate)[2]
-            e = cfg.trajectory_family().pos_vel_all(gamma)[0]
-            return t, xi_norm, row_norms(np.subtract(e, self.positions[lo:hi], e))
+            return t, xi_norm, row_norms(pe[0])
+
+    @cached_property
+    def violations(self) -> list[Violation]:
+        """The feasibility records of the rows; a vehicle whose virtual time
+        reached ``t_f`` has arrived and is not checked."""
+        cfg, found = self.config, []
+        bounds = (cfg.gamma_dot_max, cfg.gamma_ddot_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in self._blocks():
+                t, rate, gamma, gamma_dot, pe = self._rows(lo)
+                lap = self.laplacians[self.sigma[lo : lo + len(t)] - 1]
+                alpha = coordctrl.path_error_feedback_all(pe, cfg.delta)
+                accel = coordctrl.coordination_accel_matrix(
+                    gamma, gamma_dot, lap, alpha, rate, cfg.a, -cfg.b
+                )
+                found += coordctrl.feasibility_check(gamma_dot, accel, bounds, t, gamma < cfg.t_f)
+        return found
+
+    @cached_property
+    def _connectivity(self) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """``(lambda_hat_t, lambda_hat)``: ``pe_connectivity`` of the rows."""
+        cfg = self.config
+        if cfg.mode == MODE_BIDIRECTIONAL and cfg.n >= 2:
+            return pe_connectivity(self, cfg.pe_window, build_projection(cfg.n))
+        return None, None
+
+    lambda_hat_t = property(lambda self: self._connectivity[0])
+    lambda_hat = property(lambda self: self._connectivity[1])
 
     @property
     def arrived(self) -> bool:
@@ -922,51 +957,17 @@ def run_scenario(config: ScenarioConfig) -> MetricsLog:
             states[k + 1] = logged
             if world.all_arrived:
                 break
-
-        rows = world.step_idx + 1
-        states, sigma = states[:rows], sigma[:rows]
-        violations = _measure(world, states, sigma)
-    log = MetricsLog(
+    rows = world.step_idx + 1
+    return MetricsLog(
         config=config,
-        states=states,
-        sigma=sigma,
+        states=states[:rows],
+        sigma=sigma[:rows],
+        laplacians=world.laplacians,
         aux_v=aux_v[:rows] if aux_v is not None else None,
         tau_f=world.t if world.all_arrived else None,
-        violations=violations,
         certificate=world.cert,
         final_state=dict(gamma=world.gamma, gamma_dot=world.gamma_dot, p=world.p, v=world.v),
     )
-    if config.mode == MODE_BIDIRECTIONAL and n >= 2:
-        log.lambda_hat_t, log.lambda_hat = pe_connectivity(
-            log, config.pe_window, build_projection(n)
-        )
-    return log
-
-
-def _measure(world: SimWorld, states: np.ndarray, sigma: np.ndarray) -> list[Violation]:
-    """The feasibility records of the logged ``states`` under the topology
-    indices ``sigma``, ``RATE_BLOCK`` rows per kernel call.  A vehicle
-    whose virtual time reached ``t_f`` has arrived and is not checked (its
-    acceleration is not read)."""
-    cfg, n = world.config, world.config.n
-    bounds = (cfg.gamma_dot_max, cfg.gamma_ddot_max)
-    violations: list[Violation] = []
-    for lo in range(0, len(states), RATE_BLOCK):
-        block = states[lo : lo + RATE_BLOCK]
-        t = _times(lo, lo + len(block), cfg.dt)
-        rate = world.profile.rate(t)[:, None]
-        gamma, gamma_dot = block[:, :n], block[:, n : 2 * n]
-        lap = world.laplacians[sigma[lo : lo + len(block)] - 1]
-        pe = world.fam.pos_vel_all(gamma)
-        # [path errors | desired velocities]
-        np.subtract(pe[0], block[:, 2 * n :].reshape(-1, n, 3), pe[0])
-        alpha = coordctrl.path_error_feedback_all(pe, cfg.delta)
-        gamma_ddot = coordctrl.coordination_accel_matrix(
-            gamma, gamma_dot, lap, alpha, rate, cfg.a, -cfg.b
-        )
-        flying = gamma < cfg.t_f  # the logged state is finite
-        violations += coordctrl.feasibility_check(gamma_dot, gamma_ddot, bounds, t, flying)
-    return violations
 
 
 def pe_connectivity(
@@ -988,8 +989,7 @@ def pe_connectivity(
         )
         return np.empty(0), np.empty(0)
     n = log.config.n
-    laps = laplacians(log.config.topology_family).astype(float)
-    reduced = reduced_laplacian(q, laps)
+    reduced = reduced_laplacian(q, log.laplacians)
     projected = 0.5 * (reduced + reduced.transpose(0, 2, 1))
 
     seg_start, seg_end, seg_sigma = _segments(log)

@@ -44,7 +44,7 @@ def random_laplacian(n, rng, symmetric):
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["directed", "symmetric"])
 def test_dot_matches_matmul_on_laplacians(symmetric):
-    # one sample's L gamma is np.dot; the stacked post-pass keeps matmul
+    # one sample's L gamma is np.dot; the log's stacked feasibility pass keeps matmul
     rng = np.random.default_rng(30 + symmetric)
     for n in range(2, MAX_SYNTHESIS_N + 1):
         for _ in range(10):

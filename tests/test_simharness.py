@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coordsim import simharness, switchlaw, vehicle
+from coordsim import coordctrl, simharness, switchlaw, vehicle
 from coordsim.coordalg import build_projection
 from coordsim.coordctrl import (
     MissionRateProfile,
@@ -345,9 +345,9 @@ def synthetic_log(family, sigma, t_end):
         ),
         states=states,
         sigma=np.array(sigma),
+        laplacians=laplacians(family).astype(float),
         aux_v=None,
         tau_f=None,
-        violations=[],
         certificate=None,
         final_state={},
     )
@@ -357,11 +357,12 @@ def synthetic_log(family, sigma, t_end):
 
 def same_log(first, second) -> bool:
     """Whether two logs hold the same bits: the stored state, schedule and
-    auxiliary energy, every per-row attribute derived from them, and the
-    headline numbers."""
+    auxiliary energy, every per-row attribute derived from them, the
+    connectivity series, the feasibility records and the headline
+    numbers."""
     for name in (
         "states", "sigma", "aux_v", "t", "xi_norm", "epf_norm", "gamma", "gamma_dot",
-        "positions",
+        "positions", "lambda_hat_t", "lambda_hat",
     ):
         a, b = getattr(first, name), getattr(second, name)
         if (a is None) != (b is None):
@@ -372,7 +373,9 @@ def same_log(first, second) -> bool:
             return False
     return all(
         getattr(first, name) == getattr(second, name)
-        for name in ("t_end", "tau_f", "switch_log", "comm_amount", "final_xi_norm")
+        for name in (
+            "t_end", "tau_f", "switch_log", "comm_amount", "final_xi_norm", "violations",
+        )
     )
 
 
@@ -1029,6 +1032,61 @@ class TestViolationPin:
             }
             assert log.tau_f is not None
             assert all(v.time < arrival[v.vehicle] for v in log.violations)
+
+
+class TestDerivedOnFirstRead:
+    """The feasibility records and the connectivity series are derived from
+    the logged rows on their first read and kept: the run checks nothing
+    itself, a second read runs no pass, and a log rebuilt from the stored
+    fields alone gives the same bits."""
+
+    STORED = (
+        "config", "states", "sigma", "laplacians", "aux_v", "tau_f", "certificate",
+        "final_state",
+    )
+
+    @pytest.mark.parametrize(
+        "make_config",
+        [
+            lambda: ScenarioConfig(t_max=3.0, gamma_ddot_max=0.3),
+            lambda: default_bidirectional_config(t_max=5.0, gamma_ddot_max=0.3),
+        ],
+        ids=["directed", "baseline"],
+    )
+    def test_one_pass_on_first_read_from_stored_fields(self, make_config, monkeypatch):
+        calls = {"feasibility_check": 0, "pe_connectivity": 0}
+
+        def count(owner, name):
+            original = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+        count(coordctrl, "feasibility_check")
+        count(simharness, "pe_connectivity")
+        cfg = make_config()
+        log = run_scenario(cfg)
+        assert calls == {"feasibility_check": 0, "pe_connectivity": 0}
+
+        blocks = math.ceil(len(log.sigma) / simharness.RATE_BLOCK)
+        violations = log.violations
+        assert violations and log.violations is violations
+        assert calls == {"feasibility_check": blocks, "pe_connectivity": 0}
+        baseline = cfg.mode == simharness.MODE_BIDIRECTIONAL
+        series = [getattr(log, name) for name in ("lambda_hat_t", "lambda_hat") * 2]
+        assert calls == {"feasibility_check": blocks, "pe_connectivity": int(baseline)}
+        if baseline:
+            assert len(series[1]) > 0 and series[2] is series[0] and series[3] is series[1]
+        else:
+            assert series == [None] * 4
+
+        rebuilt = MetricsLog(**{name: getattr(log, name) for name in self.STORED})
+        assert rebuilt.violations == violations
+        assert same_log(rebuilt, log)
+        assert calls == {"feasibility_check": 2 * blocks, "pe_connectivity": 2 * int(baseline)}
 
 
 class TestOutputs:
