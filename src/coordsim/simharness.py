@@ -421,12 +421,79 @@ def _topology_schedule(
     if config.mode == MODE_BIDIRECTIONAL:
         period = config.random_switch_period
         n_periods = max(1, int(math.ceil(config.t_max / period)))
-        periods = np.random.default_rng(config.rng_seed).integers(
-            1, len(config.topology_family) + 1, size=n_periods
+        periods = np.array(
+            _uniform_topologies(int(config.rng_seed), len(config.topology_family), n_periods),
+            dtype=np.int64,
         )
         idx = (np.arange(n_steps + 1) * config.dt / period).astype(int)
         return periods[np.minimum(idx, n_periods - 1)], None
     return np.ones(n_steps + 1, dtype=np.int64), None
+
+
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_topologies(seed: int, m: int, count: int) -> list[int]:
+    """``count`` uniform i.i.d. indices in ``1..m`` (``m <= 2**32``): the
+    draws of ``numpy.random.default_rng(seed).integers(1, m + 1,
+    size=count)``, bit for bit, in plain integer arithmetic, so that a run
+    never imports ``numpy.random`` (about 5 MB resident).  ``SeedSequence``
+    hashes the seed's 32-bit words into a pool of four and expands it to
+    PCG64's 128-bit state and increment; each XSL-RR output gives two
+    32-bit words, low half first; Lemire's multiply-and-reject maps a word
+    to ``0..m - 1``.  ``m == 1`` draws nothing."""
+    if m == 1:
+        return [1] * count
+
+    def hasher(h: int, mult: int) -> Callable[[int], int]:
+        """SeedSequence's running 32-bit hash, starting at ``h``."""
+
+        def hash32(value: int) -> int:
+            nonlocal h
+            value, h = value ^ h, h * mult & _MASK32
+            value = value * h & _MASK32
+            return value ^ value >> 16
+
+        return hash32
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    pool = [hashmix(w) for w in (words + [0] * 4)[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        pool = [mix(p, hashmix(w)) for p in pool]
+    # generate_state(4, uint64): eight 32-bit words, little-endian
+    out_hash = hasher(0x8B51F9DD, 0x58F38DED)
+    state = sum(out_hash(pool[k % 4]) << 32 * k for k in range(8))
+    u = [state >> 64 * j & _MASK64 for j in range(4)]
+    # PCG64's seeding: from state 0, one step, add the seed state, one step
+    inc = ((u[2] << 64 | u[3]) << 1 | 1) & _MASK128
+    x = ((inc + (u[0] << 64 | u[1])) * _PCG64_MULT + inc) & _MASK128
+
+    def words32(x: int):
+        while True:
+            x = (x * _PCG64_MULT + inc) & _MASK128
+            rot, word = x >> 122, (x >> 64 ^ x) & _MASK64
+            word = (word >> rot | word << 64 - rot) & _MASK64
+            yield word & _MASK32
+            yield word >> 32
+
+    # Lemire: the high word of word * m, unless the low word falls below
+    # 2**32 % m, the share of products that would bias it
+    threshold, draw, out = 2**32 % m, words32(x), []
+    while len(out) < count:
+        p = next(draw) * m
+        if p & _MASK32 >= threshold:
+            out.append((p >> 32) + 1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -827,12 +894,18 @@ class MetricsLog:
         ``hi`` (default: ``RATE_BLOCK`` rows): the times, the desired rate
         at each as a column, the logged virtual times and rates, and ``pe =
         [p_d - p | v_d]``, from one call of each kernel."""
-        cfg = self.config
+        family, profile = self._kernels
         hi = min(len(self.sigma), lo + RATE_BLOCK if hi is None else hi)
-        t, gamma = _times(lo, hi, cfg.dt), self.gamma[lo:hi]
-        pe = cfg.trajectory_family().pos_vel_all(gamma)
+        t, gamma = _times(lo, hi, self.config.dt), self.gamma[lo:hi]
+        pe = family.pos_vel_all(gamma)
         np.subtract(pe[0], self.positions[lo:hi], pe[0])
-        return t, cfg.mission_profile().rate(t)[:, None], gamma, self.gamma_dot[lo:hi], pe
+        return t, profile.rate(t)[:, None], gamma, self.gamma_dot[lo:hi], pe
+
+    @cached_property
+    def _kernels(self) -> tuple[LaneSweepFamily, MissionRateProfile]:
+        """The run's trajectory family and mission rate profile, built once
+        for every block ``_rows`` reads."""
+        return self.config.trajectory_family(), self.config.mission_profile()
 
     def _derived(self, lo: int, hi: int | None = None) -> tuple[np.ndarray, ...]:
         """``(t, xi_norm, epf_norm)`` of the rows ``_rows`` takes."""

@@ -748,6 +748,37 @@ class TestEntryPoint:
         assert "Traceback" not in proc.stderr and "BrokenPipeError" not in proc.stderr
 
 
+class TestImportFootprint:
+    def test_run_and_compare_never_import_numpy_random(self, tmp_path):
+        # numpy.random maps about 5 MB; the baseline draws its schedule in
+        # plain integer arithmetic, so no command may load it
+        paths = []
+        for name in ("directed.json", "bidirectional.json"):
+            raw = json.loads((SHIPPED / name).read_text())
+            raw["t_max"] = 2.0
+            (tmp_path / name).write_text(json.dumps(raw))
+            paths.append(str(tmp_path / name))
+        argvs = [
+            ["run", "--config", paths[0], "--out", str(tmp_path / "directed")],
+            ["run", "--config", paths[1], "--out", str(tmp_path / "bidirectional")],
+            ["compare", *paths, "--out", str(tmp_path / "cmp")],
+        ]
+        script = (
+            "import json, sys\n"
+            "from coordsim import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'numpy.random' in sys.modules]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert not loaded
+        assert (tmp_path / "cmp" / "comparison.json").exists()
+
+
 class TestLogLevel:
     @pytest.mark.parametrize("value", ["basic_format", "no-such-level"])
     def test_non_level_falls_back_to_warning(self, directed_path, value):

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coordsim import coordctrl, simharness, switchlaw, vehicle
 from coordsim.coordalg import build_projection
@@ -36,6 +38,7 @@ from coordsim.simharness import (
     ScenarioConfig,
     _segments,
     _topology_schedule,
+    _uniform_topologies,
     default_directed_family,
     init_world,
     load_config,
@@ -324,6 +327,47 @@ class TestSchedule:
         for period in (0.0, 5e-4):
             with pytest.raises(ConfigError, match="random_switch_period"):
                 default_bidirectional_config(random_switch_period=period).validate()
+
+
+SHIPPED = Path(__file__).resolve().parents[1] / "configs"
+
+
+class TestUniformDraw:
+    """The baseline's draw is numpy's ``default_rng(seed).integers(1, m +
+    1)``, bit for bit, without ``numpy.random``."""
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**130),
+        m=st.integers(1, 64) | st.sampled_from([2**31 + 1, 2**32 - 1]),
+        size=st.integers(1, 2000),
+    )
+    # one to five 32-bit seed words; the widest m, and the m that Lemire's
+    # method rejects most often (2**32 % m = 2**31 - 1: half the words)
+    @example(seed=0, m=3, size=1)
+    @example(seed=2**32 - 1, m=2**32 - 1, size=2000)
+    @example(seed=7, m=2**31 + 1, size=2000)
+    @example(seed=2**32, m=5, size=7)
+    @example(seed=2**96 + 12345, m=64, size=300)
+    @example(seed=2**128, m=2, size=2000)
+    @example(seed=2**130, m=1, size=11)
+    def test_matches_numpy(self, seed, m, size):
+        want = np.random.default_rng(seed).integers(1, m + 1, size=size).tolist()
+        assert _uniform_topologies(seed, m, size) == want
+
+    def test_shipped_baseline_schedule(self):
+        cfg = load_config(str(SHIPPED / "bidirectional.json"))
+        n_steps = int(round(cfg.t_max / cfg.dt))
+        sigma, _ = _topology_schedule(cfg, None, n_steps)
+        # the schedule as it was drawn through numpy.random
+        period = cfg.random_switch_period
+        n_periods = max(1, math.ceil(cfg.t_max / period))
+        periods = np.random.default_rng(cfg.rng_seed).integers(
+            1, len(cfg.topology_family) + 1, size=n_periods
+        )
+        idx = (np.arange(n_steps + 1) * cfg.dt / period).astype(int)
+        want = periods[np.minimum(idx, n_periods - 1)]
+        assert sigma.dtype == want.dtype and np.array_equal(sigma, want)
 
 
 def synthetic_log(family, sigma, t_end):
@@ -1088,6 +1132,23 @@ class TestDerivedOnFirstRead:
         assert same_log(rebuilt, log)
         assert calls == {"feasibility_check": 2 * blocks, "pe_connectivity": 2 * int(baseline)}
 
+    def test_kernels_built_once_per_log(self, monkeypatch, tmp_path):
+        # every block of every pass reads the same trajectory family and
+        # mission profile; the log builds each once
+        log = run_scenario(ScenarioConfig(t_max=3.0))
+        calls = {"trajectory_family": 0, "mission_profile": 0}
+        for name in calls:
+            original = getattr(ScenarioConfig, name)
+
+            def counted(cfg, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(cfg)
+
+            monkeypatch.setattr(ScenarioConfig, name, counted)
+        assert len(log.xi_norm) == len(log.epf_norm) == len(log.sigma) > simharness.RATE_BLOCK
+        write_outputs(log, str(tmp_path))
+        assert calls == {"trajectory_family": 1, "mission_profile": 1}
+
 
 class TestOutputs:
     def test_files_and_determinism(self, tmp_path):
@@ -1384,9 +1445,8 @@ def _bench_sweep():
 def setup_pin_configs() -> list[ScenarioConfig]:
     """Both shipped configs and the 40 ``family-sweep`` scenarios of each of
     the seeds 0, 1 and 2 (n 3-10, m 2-6, gusts)."""
-    shipped = Path(__file__).resolve().parents[1] / "configs"
     raws = [
-        json.loads((shipped / name).read_text())
+        json.loads((SHIPPED / name).read_text())
         for name in ("directed.json", "bidirectional.json")
     ]
     sweep = _bench_sweep()
