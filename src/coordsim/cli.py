@@ -2,8 +2,14 @@
 
 Exit codes: 0 success, 1 refused input (a malformed command line too), 2
 numeric failure; ``main`` holds the one map from error type to exit code.
-With ``--json`` exactly one JSON document goes to stdout, ``{"ok": false,
-"error": ...}`` when the command fails; human-readable text otherwise.
+With ``--json`` exactly one JSON document goes to stdout, ``{"error": ...,
+"ok": false}`` when the command fails; human-readable text otherwise.  Every
+JSON document, on stdout or in a file, comes from
+``simharness.json_document``: strict JSON with sorted keys, and ``null`` for
+a number that is not finite.  Config values come from the config file only.
+``compare`` admits both configs and makes both output directories, then
+runs and writes each side before it runs the next: a numeric failure on the
+second side leaves the first side's files and no ``comparison.json``.
 The ``COORDSIM_LOG`` environment variable sets the logging level (e.g.
 DEBUG, INFO, WARNING); anything that is not a level name means WARNING.
 """
@@ -11,7 +17,6 @@ DEBUG, INFO, WARNING); anything that is not a level name means WARNING.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -46,15 +51,6 @@ def _emit(outcome: CommandOutcome) -> int:
     return outcome.exit_code
 
 
-def _load(path: str, dt: float | None, seed: int | None) -> simharness.ScenarioConfig:
-    cfg = simharness.load_config(path)
-    if dt is not None:
-        cfg.dt = dt
-    if seed is not None:
-        cfg.rng_seed = seed
-    return cfg
-
-
 def _make_outdir(path: str) -> None:
     """Create an output directory before any simulation runs; a path that
     cannot be one is a refused input."""
@@ -66,13 +62,14 @@ def _make_outdir(path: str) -> None:
 
 def cmd_validate(config_path: str, as_json: bool) -> CommandOutcome:
     report = simharness.validation_report(simharness.load_config(config_path))
+    code = 0 if report["ok"] else 1
     if as_json:
-        return CommandOutcome(0 if report["ok"] else 1, json.dumps(report, indent=2))
+        return CommandOutcome(code, simharness.json_document(report, "validate"))
     lines = []
     for c in report["checks"]:
         lines.append(f"[{'ok' if c['ok'] else 'FAIL'}] {c['name']}: {c['detail']}")
     lines.append("valid" if report["ok"] else "invalid")
-    return CommandOutcome(0 if report["ok"] else 1, "\n".join(lines))
+    return CommandOutcome(code, "\n".join(lines))
 
 
 def cmd_analyze(config_path: str, as_json: bool) -> CommandOutcome:
@@ -101,7 +98,7 @@ def cmd_analyze(config_path: str, as_json: bool) -> CommandOutcome:
         "dt_check": {"dt": cfg.dt, "dwell_over_10": cert.dwell_bound / 10.0},
     }
     if as_json:
-        return CommandOutcome(0, json.dumps(doc, indent=2))
+        return CommandOutcome(0, simharness.json_document(doc, "analyze"))
     lines = [
         f"family: m={cert.m} topologies on n={cert.n} nodes",
         f"P spectrum: {['%.6g' % x for x in doc['p_spectrum']]}",
@@ -122,10 +119,8 @@ def cmd_analyze(config_path: str, as_json: bool) -> CommandOutcome:
     return CommandOutcome(0, "\n".join(lines))
 
 
-def cmd_run(
-    config_path: str, outdir: str, as_json: bool, dt: float | None, seed: int | None
-) -> CommandOutcome:
-    cfg = _load(config_path, dt, seed)
+def cmd_run(config_path: str, outdir: str, as_json: bool) -> CommandOutcome:
+    cfg = simharness.load_config(config_path)
     simharness.certify(cfg)  # admit the config before any output exists
     _make_outdir(outdir)
     log.info("running %s scenario, dt=%g, t_max=%g", cfg.mode, cfg.dt, cfg.t_max)
@@ -142,7 +137,7 @@ def cmd_run(
             return CommandOutcome(1, msg)
         summary["first_violation"] = msg
     if as_json:
-        doc = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+        doc = simharness.json_document(summary, "run")
         return CommandOutcome(1 if log_.violations else 0, doc)
     lines = [f"{k}: {summary[k]}" for k in sorted(summary)]
     lines.append(f"outputs written to {outdir}")
@@ -150,15 +145,10 @@ def cmd_run(
 
 
 def cmd_compare(
-    directed_path: str,
-    bidirectional_path: str,
-    outdir: str,
-    as_json: bool,
-    dt: float | None,
-    seed: int | None,
+    directed_path: str, bidirectional_path: str, outdir: str, as_json: bool
 ) -> CommandOutcome:
-    cfg_d = _load(directed_path, dt, seed)
-    cfg_b = _load(bidirectional_path, dt, seed)
+    cfg_d = simharness.load_config(directed_path)
+    cfg_b = simharness.load_config(bidirectional_path)
     for name in ("n", "a", "b", "delta", "t_f", "traj_offsets", "traj_angles"):
         want, got = getattr(cfg_d, name), getattr(cfg_b, name)
         if want != got:
@@ -168,28 +158,20 @@ def cmd_compare(
     # admit both configs before the first run and before any output exists
     simharness.certify(cfg_d)
     simharness.certify(cfg_b)
-    out_d = os.path.join(outdir, "directed")
-    out_b = os.path.join(outdir, "bidirectional")
-    _make_outdir(out_d)
-    _make_outdir(out_b)
-    log_d = simharness.run_scenario(cfg_d)
-    log_b = simharness.run_scenario(cfg_b)
-    sum_d = simharness.write_outputs(log_d, out_d)
-    sum_b = simharness.write_outputs(log_b, out_b)
+    sides = {"directed": cfg_d, "bidirectional": cfg_b}
+    for side in sides:
+        _make_outdir(os.path.join(outdir, side))
+    # each side's log is written, and freed, before the next side runs
     doc = {
-        "directed": sum_d,
-        "bidirectional": sum_b,
-        "comm_ratio": (
-            sum_d["comm_amount"] / sum_b["comm_amount"]
-            if sum_b["comm_amount"]
-            else None
-        ),
+        side: simharness.write_outputs(simharness.run_scenario(cfg), os.path.join(outdir, side))
+        for side, cfg in sides.items()
     }
-    with open(os.path.join(outdir, "comparison.json"), "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+    sum_d, sum_b = doc["directed"], doc["bidirectional"]
+    comm_b = sum_b["comm_amount"]
+    doc["comm_ratio"] = sum_d["comm_amount"] / comm_b if comm_b else None
+    text = simharness.json_document(doc, "comparison", os.path.join(outdir, "comparison.json"))
     if as_json:
-        return CommandOutcome(0, json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
+        return CommandOutcome(0, text)
     xi_d, xi_b = sum_d["final_xi_norm"], sum_b["final_xi_norm"]
     rows = [
         ("", "directed", "bidirectional"),
@@ -226,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--json", action="store_true", help="emit one JSON document")
-        p.add_argument("--dt", type=float, default=None, help="override step size")
-        p.add_argument("--seed", type=int, default=None, help="override rng seed")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("validate", help="check a scenario config")
@@ -255,11 +235,9 @@ def _dispatch(args) -> CommandOutcome:
     if args.command == "analyze":
         return cmd_analyze(args.config, args.json)
     if args.command == "run":
-        return cmd_run(args.config, args.out, args.json, args.dt, args.seed)
+        return cmd_run(args.config, args.out, args.json)
     if args.command == "compare":
-        return cmd_compare(
-            args.directed, args.bidirectional, args.out, args.json, args.dt, args.seed
-        )
+        return cmd_compare(args.directed, args.bidirectional, args.out, args.json)
     raise AssertionError("unreachable")
 
 
@@ -284,7 +262,7 @@ def main(argv=None) -> int:
         outcome = _dispatch(args)
     except tuple(_FAILURES) as exc:
         code, label = next(v for t, v in _FAILURES.items() if isinstance(exc, t))
-        error = json.dumps({"ok": False, "error": str(exc)})
+        error = simharness.json_document({"ok": False, "error": str(exc)}, "refusal")
         outcome = CommandOutcome(code, error if as_json else f"{label}: {exc}")
     return _emit(outcome)
 

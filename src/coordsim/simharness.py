@@ -1097,9 +1097,9 @@ def pe_connectivity(
 
 
 def summary_dict(log: MetricsLog) -> dict:
-    """The headline numbers of a run, as strict JSON: a float that is not
-    finite (``final_xi_norm`` of a run whose coordination error overflows)
-    is written as ``null``, with a warning naming the field."""
+    """The headline numbers of a run, under ``json_document``'s rule: a float
+    that is not finite (``final_xi_norm`` of a run whose coordination error
+    overflows) is ``None``, with a warning naming the field."""
     summary = {
         "mode": log.config.mode,
         "n": log.config.n,
@@ -1115,11 +1115,32 @@ def summary_dict(log: MetricsLog) -> dict:
         "n_switches": len(log.switch_log),
         "violation_count": len(log.violations),
     }
-    for name, value in summary.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            logger.warning("summary: %s is %r, written as null", name, value)
-            summary[name] = None
-    return summary
+    return _finite_or_null(summary, "", "summary")
+
+
+def _finite_or_null(value, key: str, label: str):
+    """``value`` with every float that is not finite, at any depth, replaced
+    by ``None``, and a warning naming its key (``a.b[2].c``)."""
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v, f"{key}.{k}" if key else k, label) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v, f"{key}[{i}]", label) for i, v in enumerate(value)]
+    if isinstance(value, float) and not math.isfinite(value):
+        logger.warning("%s: %s is %r, written as null", label, key, value)
+        return None
+    return value
+
+
+def json_document(doc: dict, label: str, path: str | None = None) -> str:
+    """The one JSON writer: ``doc`` as strict JSON with sorted keys and an
+    indent of two, a float that is not finite written as ``null`` (the
+    warning names ``label`` and the key).  With ``path`` the text, and a
+    newline, is also written to that file."""
+    text = json.dumps(_finite_or_null(doc, "", label), indent=2, sort_keys=True, allow_nan=False)
+    if path is not None:
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text + "\n")
+    return text
 
 
 def write_outputs(log: MetricsLog, outdir: str) -> dict:
@@ -1153,9 +1174,7 @@ def write_outputs(log: MetricsLog, outdir: str) -> dict:
         for t, old, new in log.switch_log:
             f.write("%.12g,%d,%d\n" % (t, old, new))
     summary = summary_dict(log)
-    with open(os.path.join(outdir, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(summary, f, indent=2, sort_keys=True, allow_nan=False)
-        f.write("\n")
+    json_document(summary, "summary", os.path.join(outdir, "summary.json"))
     return summary
 
 

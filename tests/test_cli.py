@@ -125,6 +125,16 @@ class TestAnalyze:
         path = write_cfg(tmp_path, "nosynth.json", cfg)
         assert cli.main(["analyze", "--config", path]) == 1
 
+    def test_json_is_strict_with_an_infinite_bound_as_null(self, tmp_path, capsys, caplog):
+        # thresholds of 1e-308 are admitted, and the right side of the
+        # first gain inequality, through 1 / mu, overflows to inf
+        path = shipped_with(tmp_path, {"mu_list": [1e-308] * 3})
+        assert cli.main(["analyze", "--config", path, "--json"]) == 0
+        doc = strict_json(capsys.readouterr().out)
+        failed = [c for c in doc["gain_report"]["checks"] if not c["passed"]]
+        assert [c["rhs"] for c in failed] == [None]
+        assert "analyze: gain_report.checks[1].rhs is inf, written as null" in caplog.text
+
 
 class TestRun:
     def test_short_run_not_arrived(self, directed_path, tmp_path, capsys):
@@ -141,19 +151,6 @@ class TestRun:
         assert cli.main(["run", "--config", directed_path, "--out", str(out2)]) == 0
         for name in ("metrics.csv", "switches.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
-    def test_dt_override(self, directed_path, tmp_path, capsys):
-        out = tmp_path / "dt"
-        assert (
-            cli.main(
-                ["run", "--config", directed_path, "--out", str(out), "--dt", "0.002", "--json"]
-            )
-            == 0
-        )
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["dt"] == 0.002
-        rows = len((out / "metrics.csv").read_text().splitlines()) - 1
-        assert rows == int(2.0 / 0.002) + 1
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_2(self, tmp_path, capsys):
@@ -233,6 +230,49 @@ class TestCompare:
         out = tmp_path / "bad"
         assert cli.main(["compare", directed_path, path, "--out", str(out)]) == 1
         assert "differs" in capsys.readouterr().out
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failing_side_keeps_the_sides_written_before_it(self, tmp_path, capsys):
+        # each side is run and written before the next side runs: a numeric
+        # failure on the baseline leaves the directed side's files, gives
+        # run's exit code and message, and writes no comparison.json
+        directed = shipped_with(tmp_path, {"t_max": 2.0})
+        cfg = default_bidirectional_config(
+            dt=0.2, t_max=50.0, kp=1e6, kd=0.0001, accel_limit=1e12, speed_limit=1e12
+        )
+        blowup = write_cfg(tmp_path, "blowup.json", cfg)
+        assert cli.main(["run", "--config", blowup, "--out", str(tmp_path / "run")]) == 2
+        message = capsys.readouterr().out
+        assert message.startswith("numeric failure: non-finite gamma[(0,)] at t=0.4")
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", directed, blowup, "--out", str(out)]) == 2
+        assert capsys.readouterr().out == message
+        written = sorted(p.name for p in (out / "directed").iterdir())
+        assert written == ["metrics.csv", "summary.json", "switches.csv"]
+        assert list((out / "bidirectional").iterdir()) == []
+        assert not (out / "comparison.json").exists()
+
+
+class TestJsonDocuments:
+    # every document on stdout is strict JSON with sorted keys and an
+    # indent of two: the text is its own canonical form
+    @pytest.mark.parametrize("command", ["validate", "analyze", "run", "compare", "refusal"])
+    def test_stdout_is_strict_sorted_and_indented(
+        self, directed_path, bidirectional_path, tmp_path, capsys, command
+    ):
+        out = str(tmp_path / "out")
+        argv = {
+            "validate": ["validate", "--config", directed_path],
+            "analyze": ["analyze", "--config", directed_path],
+            "run": ["run", "--config", directed_path, "--out", out],
+            "compare": ["compare", directed_path, bidirectional_path, "--out", out],
+            "refusal": ["run", "--config", str(tmp_path / "missing.json"), "--out", out],
+        }[command]
+        with warnings.catch_warnings():  # the baseline's window outlasts the run
+            warnings.simplefilter("ignore", UserWarning)
+            assert cli.main(argv + ["--json"]) == (1 if command == "refusal" else 0)
+        text = capsys.readouterr().out
+        assert text == json.dumps(strict_json(text), indent=2, sort_keys=True) + "\n"
 
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs"
@@ -666,14 +706,14 @@ class TestCommandLine:
     def malformed(kind, tmp_path, directed_path):
         out = str(tmp_path / "out")
         return {
-            "bad-dt": ["run", "--config", directed_path, "--out", out, "--dt", "abc"],
+            "missing-value": ["run", "--out", out, "--config"],
             "no-config": ["run", "--out", out],
             "unknown-command": ["frobnicate", "--config", directed_path],
             "unknown-flag": ["validate", "--config", directed_path, "--frobnicate"],
             "no-command": [],
         }[kind]
 
-    KINDS = ["bad-dt", "no-config", "unknown-command", "unknown-flag", "no-command"]
+    KINDS = ["missing-value", "no-config", "unknown-command", "unknown-flag", "no-command"]
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_malformed_command_line_exits_1(self, kind, tmp_path, directed_path, capsys):
@@ -694,7 +734,7 @@ class TestCommandLine:
         assert set(doc) == {"ok", "error"} and doc["ok"] is False
         assert doc["error"].startswith("coordsim")
 
-    @pytest.mark.parametrize("kind", ["validate", "run", "run-bad-dt"])
+    @pytest.mark.parametrize("kind", ["validate", "run", "run-missing-value"])
     def test_abbreviated_json_flag_is_unknown(self, kind, tmp_path, directed_path, capsys):
         # flags are not abbreviated: --js is refused as an unknown flag on a
         # well-formed line, and a malformed line with --js is refused in text
@@ -702,12 +742,12 @@ class TestCommandLine:
         argv = {
             "validate": ["validate", "--config", directed_path],
             "run": ["run", "--config", directed_path, "--out", out],
-            "run-bad-dt": ["run", "--config", directed_path, "--out", out, "--dt", "abc"],
+            "run-missing-value": ["run", "--out", out, "--config"],
         }[kind]
         assert cli.main(argv + ["--js"]) == 1
         captured = capsys.readouterr()
         assert captured.out.startswith("invalid config: coordsim")
-        assert ("--dt" if kind == "run-bad-dt" else "--js") in captured.out
+        assert ("--config" if kind == "run-missing-value" else "--js") in captured.out
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]])
@@ -716,6 +756,13 @@ class TestCommandLine:
             cli.main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: coordsim")
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_config_values_come_from_the_file_only(self, command, capsys):
+        with pytest.raises(SystemExit):
+            cli.main([command, "--help"])
+        flags = set(re.findall(r"--[a-z]+", capsys.readouterr().out))
+        assert flags == {"--help", "--json", "--out"} | ({"--config"} if command == "run" else set())
 
 
 class TestEntryPoint:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coordsim import coordctrl, simharness, switchlaw, vehicle
+from coordsim import cli, coordctrl, simharness, switchlaw, vehicle
 from coordsim.coordalg import build_projection
 from coordsim.coordctrl import (
     MissionRateProfile,
@@ -1328,6 +1328,16 @@ class TestLogMemory:
     # the post-pass (about 300 kB together)
     SLACK = 450_000
 
+    @classmethod
+    def run_bound(cls, n, n_steps):
+        return (n_steps + 1) * 5 * n * 8 + 16 * (n_steps + 1) + cls.SLACK
+
+    @staticmethod
+    def write_bound(n):
+        # a block's numbers as Python floats, and the text of one row at a
+        # time, are about 6 blocks of float64; the whole table would be 20
+        return 10 * simharness.RATE_BLOCK * (6 * n + 3) * 8
+
     def test_traced_peaks_of_run_and_write(self, tmp_path):
         cfg = ScenarioConfig(t_max=5.0)
         n, n_steps = cfg.n, int(round(cfg.t_max / cfg.dt))
@@ -1343,11 +1353,42 @@ class TestLogMemory:
                 tracemalloc.stop()
         rows = len(log.sigma)
         assert rows == n_steps + 1 and log.tau_f is None
-        assert run_peak <= rows * 5 * n * 8 + 16 * (n_steps + 1) + self.SLACK
-        # a block's numbers as Python floats, and the text of one row at a
-        # time, are about 6 blocks of float64; the whole table would be 20
-        block = simharness.RATE_BLOCK * (6 * n + 3) * 8
-        assert write_peak <= 10 * block
+        assert run_peak <= self.run_bound(n, n_steps)
+        assert write_peak <= self.write_bound(n)
+
+
+class TestCompareMemory:
+    # compare runs and writes each side before it runs the next, so its
+    # traced peak is one side's run and write, not two logs at once
+    def test_compare_holds_one_run_at_a_time(self, tmp_path):
+        paths = {}
+        for t_max in (0.01, 5.0):
+            for name in ("directed", "bidirectional"):
+                raw = json.loads((SHIPPED / f"{name}.json").read_text())
+                paths[name, t_max] = path = str(tmp_path / f"{name}-{t_max}.json")
+                Path(path).write_text(json.dumps({**raw, "t_max": t_max}))
+        with warnings.catch_warnings():  # the baseline's window outlasts the run
+            warnings.simplefilter("ignore", UserWarning)
+            warm = [paths["directed", 0.01], paths["bidirectional", 0.01]]
+            assert cli.main(["compare", *warm, "--out", str(tmp_path / "warm")]) == 0
+        argv = ["compare", paths["directed", 5.0], paths["bidirectional", 5.0]]
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            code, peak = traced_peak(cli.main, argv + ["--out", str(tmp_path / "cmp")])
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert code == 0
+        cfg = load_config(paths["directed", 5.0])
+        n, n_steps = cfg.n, int(round(cfg.t_max / cfg.dt))
+        assert peak <= TestLogMemory.run_bound(n, n_steps) + TestLogMemory.write_bound(n)
+        for name in ("directed", "bidirectional"):
+            out = tmp_path / f"run-{name}"
+            assert cli.main(["run", "--config", paths[name, 5.0], "--out", str(out)]) == 0
+            for f in ("metrics.csv", "switches.csv", "summary.json"):
+                assert (tmp_path / "cmp" / name / f).read_bytes() == (out / f).read_bytes()
 
 
 class TestRateBlocks:
