@@ -22,9 +22,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import simharness
+from . import _linalg, simharness
 from .coordalg import convergence_rate_bound, validate_gains
 from .errors import ConfigError, NumericError, SynthesisError
 
@@ -81,10 +79,8 @@ def cmd_analyze(config_path: str, as_json: bool) -> CommandOutcome:
     doc = {
         "n": cert.n,
         "m": cert.m,
-        "p_spectrum": sorted(np.linalg.eigvalsh(cert.p).tolist()),
-        "h_spectra": [
-            sorted(np.linalg.eigvalsh(h).tolist()) for h in cert.h_matrices
-        ],
+        "p_spectrum": sorted(_linalg.eigvalsh(cert.p).tolist()),
+        "h_spectra": [sorted(_linalg.eigvalsh(h).tolist()) for h in cert.h_matrices],
         "lambda_max_p": cert.lambda_max_p,
         "lambda_min_p": cert.lambda_min_p,
         "mu_admissible_interval": [0.0, 1.0 / cert.lambda_max_p],

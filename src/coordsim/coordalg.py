@@ -18,7 +18,13 @@ of Hespanha & Morse (CDC 1999).
 All matrix norms in the dwell-time and gain formulas are spectral
 (induced 2-) norms.  Eigenvalues of nonsymmetric matrices come from a
 dense general eigensolver; symmetric matrices are explicitly symmetrized
-and handed to a symmetric eigensolver.
+and handed to a symmetric eigensolver.  Every eigensolve, linear solve,
+SVD and Frobenius norm goes through ``_linalg``: numpy's LAPACK gufuncs,
+with the bits and the ``LinAlgError`` of their ``numpy.linalg`` wrappers
+but without the wrappers' Python, which on matrices this small costs as
+much as the LAPACK work.  The synthesis runs in every directed set-up, so
+it builds each object once and keeps the per-topology matrices as
+``(m, ...)`` stacks.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _linalg
 from .digraph import Digraph, jointly_connected, laplacians
 from .errors import NumericError, SynthesisError
 
@@ -61,9 +68,9 @@ class ProjectionMatrix:
         n = q.shape[1]
         if np.abs(q @ np.ones(n)).max() > 1e-12:
             raise ValueError("projection rows must be orthogonal to the ones vector")
-        if np.linalg.norm(q @ q.T - np.eye(n - 1)) > 1e-12:
+        if _linalg.norm(q @ q.T - np.eye(n - 1)) > 1e-12:
             raise ValueError("projection rows must be orthonormal")
-        if np.linalg.norm(q.T @ q - (np.eye(n) - np.ones((n, n)) / n)) > 1e-12:
+        if _linalg.norm(q.T @ q - (np.eye(n) - np.ones((n, n)) / n)) > 1e-12:
             raise ValueError("projection must satisfy Q^T Q = I - 11^T/n")
         q = q.copy()
         q.setflags(write=False)
@@ -106,11 +113,17 @@ def reduced_laplacian(q: ProjectionMatrix, l: np.ndarray) -> np.ndarray:
 def _kronecker_sum(b: np.ndarray) -> np.ndarray:
     """``I (x) B + B (x) I`` for a square ``B``: the products and the single
     addition of ``np.kron(I, B) + np.kron(B, I)``, so the same bits, signed
-    zeros included, without its general-purpose reshaping."""
+    zeros included, without its general-purpose reshaping.  The two outer
+    products are added in the result's order, into a fresh array."""
     k = b.shape[0]
     eye = np.eye(k)
-    out = np.multiply.outer(eye, b) + np.multiply.outer(b, eye)
-    return out.transpose(0, 2, 1, 3).reshape(k * k, k * k)
+    out = np.empty((k, k, k, k))
+    np.add(
+        np.multiply.outer(eye, b).transpose(0, 2, 1, 3),
+        np.multiply.outer(b, eye).transpose(0, 2, 1, 3),
+        out,
+    )
+    return out.reshape(k * k, k * k)
 
 
 def solve_lyapunov(lbar_union: np.ndarray, m: int) -> np.ndarray:
@@ -130,15 +143,16 @@ def solve_lyapunov(lbar_union: np.ndarray, m: int) -> np.ndarray:
     k = a.shape[0]
     if a.shape != (k, k):
         raise ValueError(f"expected square matrix, got shape {a.shape}")
-    if np.max(np.real(np.linalg.eigvals(a))) >= -HURWITZ_TOL:
+    if _linalg.eigvals(a).real.max() >= -HURWITZ_TOL:
         raise SynthesisError(
             "summed reduced Laplacian is not Hurwitz: family not jointly connected"
         )
+    eye = np.eye(k)
     lhs = _kronecker_sum(a.T)
-    rhs = (-float(m) * np.eye(k)).flatten(order="F")
-    p = np.linalg.solve(lhs, rhs).reshape((k, k), order="F")
+    rhs = (-float(m) * eye).ravel()  # symmetric: the same in either order
+    p = _linalg.solve(lhs, rhs).reshape((k, k), order="F")
     p = 0.5 * (p + p.T)
-    residual = np.linalg.norm(a.T @ p + p @ a + m * np.eye(k))
+    residual = _linalg.norm(a.T @ p + p @ a + m * eye)
     if residual > LYAPUNOV_RESIDUAL_TOL:
         raise NumericError(
             f"Lyapunov solve residual {residual:.3e} exceeds {LYAPUNOV_RESIDUAL_TOL:.0e}"
@@ -154,10 +168,10 @@ class SwitchingCertificate:
 
     - ``q``: projection used throughout,
     - ``laplacians``: float ``(m, n, n)`` stack of the Laplacians ``L_i``,
-    - ``reduced_laplacians``: per-topology ``Q L_i Q^T``,
+    - ``reduced_laplacians``: ``(m, n-1, n-1)`` stack of the ``Q L_i Q^T``,
     - ``p``: Lyapunov solution (symmetric positive definite),
-    - ``h_matrices``: ``(-Lbar_i)^T P + P (-Lbar_i)``, symmetric; they sum
-      to ``-m I`` by construction,
+    - ``h_matrices``: ``(m, n-1, n-1)`` stack of the ``(-Lbar_i)^T P + P
+      (-Lbar_i)``, symmetric; they sum to ``-m I`` by construction,
     - ``mu_list``: per-topology threshold parameters in
       ``(0, 1/lambda_max(P))``,
     - ``dwell_bound``: guaranteed minimum time between switches (seconds),
@@ -168,17 +182,17 @@ class SwitchingCertificate:
       gain conditions read it) and then kept,
     - ``mu_min``: min of ``mu_list``.
 
-    ``reduced_laplacians`` and ``h_matrices`` are read-only views of one
-    ``(m, n-1, n-1)`` stack each.  ``lambda_max_p`` is cached for the ``mu``
-    cap, the dwell bound and the switching threshold, which reads it once
-    per chunk of the schedule.
+    Every array is read-only; a stack gives one topology's matrix by
+    index, and them all in order by iteration.  ``lambda_max_p`` is cached
+    for the ``mu`` cap, the dwell bound and the switching threshold, which
+    reads it once per chunk of the schedule.
     """
 
     q: ProjectionMatrix
     laplacians: np.ndarray
-    reduced_laplacians: tuple[np.ndarray, ...]
+    reduced_laplacians: np.ndarray
     p: np.ndarray
-    h_matrices: tuple[np.ndarray, ...]
+    h_matrices: np.ndarray
     mu_list: tuple[float, ...]
     dwell_bound: float
     gues_overshoot: float
@@ -197,7 +211,7 @@ def _spectral_norms(matrices) -> np.ndarray:
     """Spectral norm of each of the equally shaped ``matrices``, a stack or
     a sequence: the largest singular value, as ``np.linalg.norm(x, 2)``
     takes it, from one batched SVD."""
-    return np.linalg.svd(np.asarray(matrices), compute_uv=False)[:, 0]
+    return _linalg.svdvals(np.asarray(matrices))[:, 0]
 
 
 def _lambert_w(x: float) -> float:
@@ -273,7 +287,7 @@ def build_certificate(
     reduced = reduced_laplacian(q, laps)
     p = solve_lyapunov(sum(reduced), m)  # 0 + Lbar_1 + ..., the summation order pinned
 
-    eig_p = np.linalg.eigvalsh(p)
+    eig_p = _linalg.eigvalsh(p)
     lambda_min_p, lambda_max_p = float(eig_p[0]), float(eig_p[-1])
     mu_cap = 1.0 / lambda_max_p
     for i, mu in enumerate(mu_list):
@@ -293,9 +307,9 @@ def build_certificate(
     return SwitchingCertificate(
         q=q,
         laplacians=laps,
-        reduced_laplacians=tuple(reduced),
+        reduced_laplacians=reduced,
         p=p,
-        h_matrices=tuple(h),
+        h_matrices=h,
         mu_list=tuple(float(mu) for mu in mu_list),
         dwell_bound=dwell,
         gues_overshoot=math.sqrt(lambda_max_p / lambda_min_p),

@@ -48,11 +48,12 @@ class MissionRateProfile:
         before = t <= self.ramp_start
         inside = ~(before | (t >= self.ramp_start + self.ramp_duration))
         out = np.where(before, base, final)
-        u = (t[inside] - self.ramp_start) / self.ramp_duration
-        ramp = base + (final - base) * (3.0 * u * u - 2.0 * u * u * u)
-        # near the ramp's end the smoothstep rounds to 1 or just above, and
-        # base + (final - base) need not round back into the band
-        out[inside] = ramp.clip(min(base, final), max(base, final))
+        if inside.any():
+            u = (t[inside] - self.ramp_start) / self.ramp_duration
+            ramp = base + (final - base) * (3.0 * u * u - 2.0 * u * u * u)
+            # near the ramp's end the smoothstep rounds to 1 or just above,
+            # and base + (final - base) need not round back into the band
+            out[inside] = ramp.clip(min(base, final), max(base, final))
         return out
 
     def validate(self, t_max: float) -> np.ndarray:

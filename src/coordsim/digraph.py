@@ -84,16 +84,22 @@ def laplacians(ds: list[Digraph]) -> np.ndarray:
 
 def contains_spanning_tree(d: Digraph) -> bool:
     """True iff some root node reaches every node along transmission
-    direction.
+    direction."""
+    return _has_spanning_tree(d.n, d.edges)
+
+
+def _has_spanning_tree(n: int, edges) -> bool:
+    """True iff some root of nodes ``1..n`` reaches every node along the
+    receiver-first ``edges``.
 
     Edge ``(i, j)`` stores "i receives from j", so information flows
     ``j -> i``; reachability therefore follows reversed stored pairs.
     Plain repeated DFS, O(n*(n+|E|)), fine for the node counts used here.
     """
-    out: dict[int, list[int]] = {j: [] for j in range(1, d.n + 1)}
-    for (i, j) in d.edges:
+    out: dict[int, list[int]] = {j: [] for j in range(1, n + 1)}
+    for (i, j) in edges:
         out[j].append(i)
-    for root in range(1, d.n + 1):
+    for root in range(1, n + 1):
         seen = {root}
         stack = [root]
         while stack:
@@ -102,7 +108,7 @@ def contains_spanning_tree(d: Digraph) -> bool:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) == d.n:
+        if len(seen) == n:
             return True
     return False
 
@@ -112,7 +118,8 @@ def jointly_connected(ds: list[Digraph]) -> bool:
 
     Individual members may (and in the intended use, do) fail to contain
     one on their own.  Raises ValueError on an empty family or one whose
-    node counts differ.
+    node counts differ.  The union is the set of the members' edges, each
+    checked when its member was built.
     """
     if not ds:
         raise ValueError("union of an empty topology list is undefined")
@@ -120,4 +127,4 @@ def jointly_connected(ds: list[Digraph]) -> bool:
     for d in ds:
         if d.n != n:
             raise ValueError(f"node counts differ across family: {d.n} != {n}")
-    return contains_spanning_tree(Digraph(n, frozenset().union(*(d.edges for d in ds))))
+    return _has_spanning_tree(n, frozenset().union(*(d.edges for d in ds)))

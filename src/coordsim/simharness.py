@@ -26,6 +26,7 @@ headline metrics do not depend on the step size.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
@@ -38,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import coordctrl, switchlaw, vehicle
+from . import _linalg, coordctrl, switchlaw, vehicle
 from .coordalg import (
     SwitchingCertificate,
     build_certificate,
@@ -127,13 +128,28 @@ def _check_number(name: str, value, kind: str, lo=None, hi=None) -> None:
         )
 
 
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
 def _check_array(name: str, value, shape: tuple[int, ...]) -> None:
-    """Refuse ``value`` unless it is a finite real array of ``shape``."""
+    """Refuse ``value`` unless it is a finite real array of ``shape``, one
+    or two axes, with no boolean entry: numpy reads a JSON ``true`` among
+    numbers as 1, where ``_check_number`` refuses it."""
     try:
         arr = np.asarray(value)
     except ValueError:  # ragged nesting
         arr = np.asarray(None)
-    if arr.dtype.kind not in "iuf" or arr.shape != shape or not np.isfinite(arr).all():
+    if (
+        arr.dtype.kind not in "iuf"
+        or arr.shape != shape
+        or not np.isfinite(arr).all()
+        or (
+            arr is not value  # a sequence, whose entries numpy converted
+            and not _BOOL_TYPES.isdisjoint(
+                map(type, value if len(shape) == 1 else itertools.chain.from_iterable(value))
+            )
+        )
+    ):
         raise ConfigError(
             f"{name} must be a finite real array of shape {shape}, got {value!r}"
         )
@@ -359,7 +375,7 @@ def _check_coordination_modes(family: list[Digraph], a: float, b: float, dt: flo
     mode ``-b`` with ``b dt`` one ulp inside ``RK4_STABILITY_LIMIT`` is such
     a case, and a mode that did grow by that much per step would grow by
     about one part in a million over ``MAX_STEPS`` steps."""
-    lam = np.linalg.eigvals(laplacians(family).astype(float))
+    lam = _linalg.eigvals(laplacians(family).astype(float))
     with np.errstate(all="ignore"):
         s2 = -0.5 * (b + np.sqrt(b * b - 4.0 * a * lam.astype(complex)))
         modes = np.stack((a * lam / s2, s2), axis=-1)  # (m, n, 2)
@@ -560,9 +576,12 @@ class SimWorld:
 
 def _admit(
     config: ScenarioConfig,
-) -> tuple[SwitchingCertificate | None, LaneSweepFamily, MissionRateProfile]:
-    """``(certificate, trajectory family, mission-rate profile)`` of an
-    admitted ``config``; see ``certify``."""
+) -> tuple[
+    SwitchingCertificate | None, LaneSweepFamily, MissionRateProfile, np.ndarray, np.ndarray
+]:
+    """``(certificate, trajectory family, mission-rate profile, initial
+    positions, initial velocities)`` of an admitted ``config``; see
+    ``certify``."""
     fam, profile, rates = config.validate()
     cert = None
     if config.mode == MODE_DIRECTED and config.n >= 2:
@@ -595,15 +614,16 @@ def _admit(
             *((name, "its squared norm", [norms[3 * n + k]]) for k, name in enumerate(accels)),
         ]
         if cert is not None:
+            # only their finiteness is read: the H_i forms in one product
             phi0 = np.asarray(config.phi0, dtype=float)
-            forms = [phi0 @ phi0, *(phi0 @ m @ phi0 for m in (cert.p, *cert.h_matrices))]
+            forms = [phi0 @ phi0, phi0 @ cert.p @ phi0, *(phi0 @ cert.h_matrices @ phi0).tolist()]
             table.append(("phi0", "a quadratic form of the switching law", forms))
         for names, term, values in table:
             if not all(map(math.isfinite, values)):
                 shown = ", ".join(f"{f}={(vars(config) | accels)[f]!r}" for f in names.split(", "))
                 where = term.format([*map(math.isfinite, values)].index(False) + 1)
                 raise ConfigError(f"{names}: {where} overflows in the run's first evaluation ({shown})")
-    return cert, fam, profile
+    return cert, fam, profile, p0, v0
 
 
 def certify(config: ScenarioConfig) -> SwitchingCertificate | None:
@@ -623,7 +643,7 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     """The state of a run at ``t = 0``, the objects its steps read and the
     workspace they write; the topology and the desired rate of each step
     are handed to ``step``."""
-    cert, fam, profile = _admit(config)
+    cert, fam, profile, p0, v0 = _admit(config)
     if cert is not None:
         laps = cert.laplacians
     else:
@@ -633,7 +653,6 @@ def init_world(config: ScenarioConfig) -> SimWorld:
     n = config.n
     x = np.zeros(8 * n)  # gamma = 0, gamma_dot = 1
     x[n : 2 * n] = 1.0
-    p0, v0 = config.initial_pos_vel(fam)
     x[2 * n : 5 * n] = p0.ravel()
     x[5 * n :] = v0.ravel()
 
@@ -1087,7 +1106,7 @@ def pe_connectivity(
         ends = np.stack((t, t - window))
         i = np.clip(np.searchsorted(seg_start, ends, side="right") - 1, 0, len(seg_start) - 1)
         prefix = cum[i] + (ends - seg_start[i])[..., None, None] * projected[seg_sigma[i] - 1]
-        out[lo : lo + PE_CHUNK] = np.linalg.eigvalsh(scale * (prefix[0] - prefix[1]))[:, 0]
+        out[lo : lo + PE_CHUNK] = _linalg.eigvalsh(scale * (prefix[0] - prefix[1]))[:, 0]
     return ts, out
 
 

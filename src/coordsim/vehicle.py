@@ -95,7 +95,7 @@ class LaneSweepFamily:
         times = np.asarray(times, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
             w = np.abs(1.8 * times * np.exp(-0.6 * times))
-            vy = self.velocity_all(times[[np.argmax(w), np.argmin(w)], None])[..., 1]
+            vy = self.velocity_all(times[[w.argmax(), w.argmin()], None])[..., 1]
             vy2 = vy * vy
         return math.sqrt(1.0 + float(vy2.max())) - math.sqrt(1.0 + float(vy2.min()))
 

@@ -356,6 +356,20 @@ REFUSED = [
     # run wrote "dwell_bound": Infinity, a token strict JSON lacks
     pytest.param("a", {"a": 5e-324}, id="a-5e-324"),
     pytest.param("a", {"a": 1e-320}, id="a-1e-320"),
+    # JSON true among the numbers of an array: numpy read it as 1, and the
+    # config was admitted (phi0 flew as [1, 0, 0, 0])
+    pytest.param("phi0", {"phi0": [True, 0, 0, 0]}, id="phi0-true-entry"),
+    pytest.param("traj_offsets", {"traj_offsets": [True, 2, 0, -2, -4]}, id="traj-offsets-true-entry"),
+    pytest.param(
+        "initial_positions",
+        {"initial_positions": [[-2.0, y, 0.0] for y in (4, 2, 0, -2)] + [[-2.0, -4.0, False]]},
+        id="initial-positions-false-entry",
+    ),
+    pytest.param(
+        "gusts[0].window",
+        {"gusts": [{"vehicle": 1, "accel": [0, 1, 0], "window": [False, 2]}]},
+        id="gust-window-false-entry",
+    ),
 ]
 
 

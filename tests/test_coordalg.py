@@ -26,7 +26,7 @@ from coordsim.coordalg import (
 )
 from coordsim.digraph import Digraph, contains_spanning_tree
 from coordsim.errors import SynthesisError
-from coordsim.simharness import MAX_SYNTHESIS_N
+from coordsim.simharness import MAX_SYNTHESIS_N, ScenarioConfig, init_world
 from conftest import random_digraph, random_jointly_connected_family
 from reference import adjacency, check_spectrum_reduction, laplacian
 
@@ -281,6 +281,30 @@ class TestSynthesisStructure:
         assert not q.q.flags.writeable
         with pytest.raises(ValueError):
             q.q[0, 0] = 1.0
+
+    def test_directed_set_up_calls_no_numpy_linalg_wrapper(self, monkeypatch):
+        # every eigensolve, solve, SVD and norm of a directed set-up, the
+        # projection's checks included, goes through coordsim._linalg
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg wrapper called")
+
+        for name in ("eigvals", "solve", "eigvalsh", "svd", "norm"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        build_projection.cache_clear()
+        world = init_world(ScenarioConfig())
+        assert world.cert is not None and world.cert.max_laplacian_norm > 0
+
+    def test_initial_state_built_once_per_set_up(self, monkeypatch):
+        calls = []
+        built = ScenarioConfig.initial_pos_vel
+
+        def counted(config, fam):
+            calls.append(fam)
+            return built(config, fam)
+
+        monkeypatch.setattr(ScenarioConfig, "initial_pos_vel", counted)
+        world = init_world(ScenarioConfig())
+        assert len(calls) == 1 and calls[0] is world.fam
 
     def test_certificate_stacks_are_read_only(self, default_cert):
         for name in ("h_matrices", "reduced_laplacians"):
